@@ -199,6 +199,14 @@ impl ChaosPlan {
         }
     }
 
+    /// The [`CrossingPoint::SchedulerAdmit`] crossing of `job`, as both
+    /// scheduling engines take it: sleeps `delay_us` if the draw says so.
+    pub(crate) fn admit_delay(&self, job: u64) {
+        if self.decide(CrossingPoint::SchedulerAdmit, job, 0) == ChaosAction::Delay {
+            std::thread::sleep(std::time::Duration::from_micros(self.delay_us));
+        }
+    }
+
     /// Whether any rate is nonzero.
     pub fn is_active(&self) -> bool {
         self.start_panic_permille > 0

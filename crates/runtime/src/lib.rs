@@ -25,14 +25,14 @@
 //!   [`RuntimeOptions::compile`]; the differential verifier can be
 //!   enabled there to prove every optimized job output-equivalent.
 //! * **Accounting** — workers report each instruction's measured device
-//!   cost, and one [`MemoryController`] replays them in issue order, so
-//!   the modeled completion times are exactly what sequential controller
-//!   accounting produces: different banks overlap, same-bank jobs
-//!   serialize.
+//!   cost, and one [`MemoryController`](coruscant_mem::MemoryController)
+//!   replays them in issue order, so the modeled completion times are
+//!   exactly what sequential controller accounting produces: different
+//!   banks overlap, same-bank jobs serialize.
 //! * **Observability** — serializable [`RuntimeStats`] with per-bank
 //!   occupancy, queue-depth and wait-time histograms, plus an optional
 //!   JSONL [event trace](events::EventTrace).
-//! * **Fault tolerance** — with a [`FaultPlan`] and/or a
+//! * **Fault tolerance** — with a [`FaultPlan`](coruscant_mem::FaultPlan) and/or a
 //!   [`ProtectionPolicy`] configured, every worker machine runs under
 //!   seeded per-bank fault injection, jobs are verified by
 //!   re-execute-and-compare or NMR voting, detected faults feed the
@@ -50,14 +50,20 @@
 
 pub mod cache;
 pub mod chaos;
+mod classic;
 pub mod cputime;
 pub mod deps;
 pub mod events;
+mod exec;
 pub mod health;
 pub mod job;
 pub mod notify;
+mod options;
+mod parallel;
 pub mod queue;
+mod report;
 pub mod sched;
+mod session;
 pub mod stats;
 pub mod supervise;
 pub mod sync;
@@ -69,8 +75,11 @@ pub use deps::{Binder, DepOutputs};
 pub use health::{BankState, HealthPolicy, HealthTracker, ProtectionPolicy};
 pub use job::{JobOutcome, PimJob, Placement};
 pub use notify::JobNotice;
+pub use options::{BatchOptions, RuntimeError, RuntimeOptions, SchedMode};
 pub use queue::{JobQueue, Pop, PushError};
+pub use report::RuntimeReport;
 pub use sched::{BankScheduler, BatchGrouping, DispatchMode, IssuePolicy, IssuedBatch};
+pub use session::{ChainJob, ProgramSource, ResidentPin};
 pub use stats::{
     BankOccupancy, BatchStats, DomainStats, FaultStats, Histogram, PipelineStats, RuntimeStats,
     SchedStats,
@@ -79,1470 +88,24 @@ pub use supervise::{
     PoisonEntry, PoisonRegistry, PoisonReport, SuperviseOptions, SupervisionStats, WatchdogOptions,
 };
 
-use cache::{BatchCache, ProgramCache};
-use coruscant_compiler::{splice_programs, CompileError, Compiler};
-use coruscant_core::dispatch::PimMachine;
+use cache::ProgramCache;
+use classic::{ClassicCtx, ClassicSched};
+use coruscant_compiler::{CompileError, Compiler};
 use coruscant_core::nmr::NmrVoter;
-use coruscant_core::program::{PimProgram, Step};
-use coruscant_core::PimError;
-use coruscant_mem::controller::Request;
-use coruscant_mem::{
-    Dbc, DbcLocation, FaultPlan, MemoryConfig, MemoryController, Row, ScrubOutcome,
-};
-use coruscant_racetrack::{Cost, CostMeter};
-use deps::{DepTracker, GatedJob, GatedSource, Released};
+use coruscant_core::program::PimProgram;
+use coruscant_mem::MemoryConfig;
+use deps::{GatedJob, GatedSource};
 use events::{Event, EventTrace};
-use health::Transition;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use exec::{worker_loop, WorkerCtx};
+use parallel::ParEngine;
+use report::SchedulerOutput;
+use session::{AckMsg, CancelSet, Canceller, DoneMsg, Gate, Submission, WorkMsg};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use supervise::{Down, DownCause, Supervisor};
-
-/// Errors surfaced by the runtime.
-#[derive(Debug)]
-pub enum RuntimeError {
-    /// A job failed during execution (first failure in issue order).
-    Pim(PimError),
-    /// The on-enqueue compiler rejected a job (pass failure or
-    /// differential-verification divergence).
-    Compile(CompileError),
-    /// The job queue was closed before the submission.
-    QueueClosed,
-    /// The runtime options are inconsistent (e.g. an NMR degree the
-    /// configured TRD cannot vote on, or zero health thresholds).
-    Config(String),
-    /// A worker or scheduler thread disappeared (panicked) mid-run.
-    WorkerLost,
-    /// The program's fingerprint is quarantined by the poison registry:
-    /// earlier submissions of the same (placement-normalized) program
-    /// kept hanging their workers, so admission refuses it.
-    Poisoned {
-        /// The quarantined structural program fingerprint.
-        fingerprint: u64,
-    },
-    /// The event-trace file could not be created.
-    Trace(std::io::Error),
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::Pim(e) => write!(f, "job execution failed: {e}"),
-            RuntimeError::Compile(e) => write!(f, "job compilation failed: {e}"),
-            RuntimeError::QueueClosed => write!(f, "job queue closed"),
-            RuntimeError::Config(msg) => write!(f, "invalid runtime configuration: {msg}"),
-            RuntimeError::WorkerLost => write!(f, "worker thread lost"),
-            RuntimeError::Poisoned { fingerprint } => write!(
-                f,
-                "program fingerprint {fingerprint:#018x} is quarantined (kept hanging workers)"
-            ),
-            RuntimeError::Trace(e) => write!(f, "event trace: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RuntimeError::Pim(e) => Some(e),
-            RuntimeError::Compile(e) => Some(e),
-            RuntimeError::Trace(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<PimError> for RuntimeError {
-    fn from(e: PimError) -> RuntimeError {
-        RuntimeError::Pim(e)
-    }
-}
-
-impl From<coruscant_mem::MemError> for RuntimeError {
-    fn from(e: coruscant_mem::MemError) -> RuntimeError {
-        RuntimeError::Pim(PimError::from(e))
-    }
-}
-
-/// Same-bank batch-fusion configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchOptions {
-    /// Master switch. Off by default: batch grouping depends on queue
-    /// drain timing, so enabling it trades the plain path's cross-shard
-    /// issue-order determinism for higher same-bank throughput (outputs
-    /// stay exact under any grouping).
-    pub enabled: bool,
-    /// Most jobs one batched dispatch splices together.
-    pub max_jobs: usize,
-    /// How members are gathered from a bank FIFO:
-    /// [`BatchGrouping::Consecutive`] (default) only fuses the same-unit
-    /// run at the head, [`BatchGrouping::SameUnit`] also gathers
-    /// non-consecutive same-unit jobs past independent (other-DBC)
-    /// entries.
-    pub grouping: BatchGrouping,
-    /// Batched-splice cache capacity (entries). Repeated same-shape
-    /// batches skip the cross-boundary pass pipeline; keyed on the
-    /// ordered member structural hashes. `0` disables the cache.
-    pub splice_cache: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> BatchOptions {
-        BatchOptions {
-            enabled: false,
-            max_jobs: 8,
-            grouping: BatchGrouping::Consecutive,
-            splice_cache: 128,
-        }
-    }
-}
-
-impl BatchOptions {
-    /// Options with batching on at the default batch size.
-    pub fn enabled() -> BatchOptions {
-        BatchOptions {
-            enabled: true,
-            ..BatchOptions::default()
-        }
-    }
-
-    /// Options with batching on and non-consecutive same-unit grouping.
-    pub fn enabled_grouped() -> BatchOptions {
-        BatchOptions {
-            enabled: true,
-            grouping: BatchGrouping::SameUnit,
-            ..BatchOptions::default()
-        }
-    }
-
-    /// The effective per-dispatch job cap (1 when disabled).
-    fn cap(&self) -> usize {
-        if self.enabled {
-            self.max_jobs.max(1)
-        } else {
-            1
-        }
-    }
-
-    /// The splice cache this configuration asks for, if any.
-    fn splice_cache(&self) -> Option<BatchCache> {
-        (self.enabled && self.splice_cache > 0).then(|| BatchCache::new(self.splice_cache))
-    }
-}
-
-/// Which scheduling engine drives the session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// The single scheduler thread + worker shards pipeline. This is the
-    /// determinism baseline: with batching off and no faults, reports
-    /// are bit-identical across runs and shard counts.
-    #[default]
-    Classic,
-    /// Sharded scheduling with merged accounting: each of `shards` fused
-    /// scheduler+executor domains owns the banks `bank % shards == d`
-    /// (its own FIFOs, placement cursor, batch splicer, and injector
-    /// queue), executes dispatches inline, and pushes completions into a
-    /// per-domain ring that [`Runtime::finish`] merges and replays
-    /// through one [`MemoryController`] — so `RuntimeStats` and the
-    /// event-trace `Complete` records stay exactly as accounted on the
-    /// classic path. Idle domains steal [`Placement::Auto`] submissions
-    /// from sibling injectors. Produces the same *set* of per-job
-    /// outcomes as classic (not the same seqs/banks); rejects dependency
-    /// chains, resident pins, the watchdog, and chaos stall injection
-    /// with [`RuntimeError::Config`].
-    Parallel,
-}
-
-/// Runtime configuration.
-#[derive(Debug, Clone)]
-pub struct RuntimeOptions {
-    /// Worker threads; banks are partitioned `bank % shards`. Clamped to
-    /// `1..=banks`.
-    pub shards: usize,
-    /// Bounded job-queue capacity (backpressure threshold).
-    pub queue_capacity: usize,
-    /// Placement policy for [`Placement::Auto`] jobs.
-    pub dispatch: DispatchMode,
-    /// On-enqueue program optimization (pass pipeline and differential
-    /// verification); [`CompileOptions::disabled`] submits programs
-    /// verbatim.
-    pub compile: CompileOptions,
-    /// When set, a JSONL event trace is written here.
-    pub trace_path: Option<PathBuf>,
-    /// Per-job corruption detection (re-execute-and-compare or NMR).
-    pub protection: ProtectionPolicy,
-    /// Bank health thresholds and recovery actions. Only consulted when
-    /// the fault-aware scheduler runs (a fault plan or an active
-    /// protection policy is configured).
-    pub health: HealthPolicy,
-    /// When set, every worker machine materializes its DBCs with the
-    /// plan's seeded per-bank fault injectors.
-    pub faults: Option<FaultPlan>,
-    /// Compiled-program cache: repeated submissions skip the pass
-    /// pipeline (keyed by placement-normalized structural hash).
-    pub cache: CacheOptions,
-    /// Same-bank batch fusion: splice co-located queued jobs into one
-    /// program and optimize across the boundary before dispatch.
-    pub batch: BatchOptions,
-    /// When set, the runtime sends live [`JobNotice`]s here: one
-    /// [`JobNotice::Attempt`] per member job of every executed dispatch
-    /// (as banks retire them, before [`Runtime::finish`]), and one
-    /// [`JobNotice::Cancelled`] per job dropped by [`Runtime::cancel`].
-    pub notify: Option<mpsc::Sender<JobNotice>>,
-    /// Start with the scheduler gated: submitted jobs accumulate in the
-    /// bounded queue and nothing is placed or issued until
-    /// [`Runtime::resume`] (or [`Runtime::finish`], which opens the gate
-    /// before draining). Lets tests and staged deployments line up a
-    /// backlog — and cancel parts of it — deterministically.
-    pub start_paused: bool,
-    /// Shard restart policy: backoff bounds, per-job crash-retry budget,
-    /// and the hard drain deadline [`Runtime::finish`] honors.
-    pub supervise: SuperviseOptions,
-    /// Execution watchdog: per-attempt wall-clock budgets, hung-attempt
-    /// classification, and the poison-job quarantine. Enabling it routes
-    /// scheduling through the resilient (ack-polling) loop.
-    pub watchdog: WatchdogOptions,
-    /// Seeded software-fault injection (worker panics, stalls, delays at
-    /// named crossing points). An active plan routes scheduling through
-    /// the resilient loop; `None` (or a quiet plan) leaves the
-    /// deterministic path untouched.
-    pub chaos: Option<ChaosPlan>,
-    /// Which scheduling engine runs the session (see [`SchedMode`]).
-    /// Classic by default.
-    pub sched: SchedMode,
-    /// Within-bank issue order (see [`IssuePolicy`]). FIFO by default;
-    /// [`IssuePolicy::Edf`] issues earliest-deadline-first with
-    /// arrival-order tie-breaking, in every engine.
-    pub issue_policy: IssuePolicy,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> RuntimeOptions {
-        RuntimeOptions {
-            shards: 4,
-            queue_capacity: 64,
-            dispatch: DispatchMode::Circular,
-            compile: CompileOptions::default(),
-            trace_path: None,
-            protection: ProtectionPolicy::None,
-            health: HealthPolicy::default(),
-            faults: None,
-            cache: CacheOptions::default(),
-            batch: BatchOptions::default(),
-            notify: None,
-            start_paused: false,
-            supervise: SuperviseOptions::default(),
-            watchdog: WatchdogOptions::default(),
-            chaos: None,
-            sched: SchedMode::Classic,
-            issue_policy: IssuePolicy::default(),
-        }
-    }
-}
-
-impl RuntimeOptions {
-    /// Options with a given shard count, defaults elsewhere.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> RuntimeOptions {
-        self.shards = shards;
-        self
-    }
-
-    /// Options with a given dispatch mode, defaults elsewhere.
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> RuntimeOptions {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Options with a given within-bank issue policy, defaults
-    /// elsewhere.
-    #[must_use]
-    pub fn with_issue_policy(mut self, issue_policy: IssuePolicy) -> RuntimeOptions {
-        self.issue_policy = issue_policy;
-        self
-    }
-
-    /// Options with given compile options, defaults elsewhere.
-    #[must_use]
-    pub fn with_compile(mut self, compile: CompileOptions) -> RuntimeOptions {
-        self.compile = compile;
-        self
-    }
-
-    /// Options with a given protection policy, defaults elsewhere.
-    #[must_use]
-    pub fn with_protection(mut self, protection: ProtectionPolicy) -> RuntimeOptions {
-        self.protection = protection;
-        self
-    }
-
-    /// Options with given health thresholds, defaults elsewhere.
-    #[must_use]
-    pub fn with_health(mut self, health: HealthPolicy) -> RuntimeOptions {
-        self.health = health;
-        self
-    }
-
-    /// Options with a fault-injection plan, defaults elsewhere.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> RuntimeOptions {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Options with given cache settings, defaults elsewhere.
-    #[must_use]
-    pub fn with_cache(mut self, cache: CacheOptions) -> RuntimeOptions {
-        self.cache = cache;
-        self
-    }
-
-    /// Options with given batch-fusion settings, defaults elsewhere.
-    #[must_use]
-    pub fn with_batch(mut self, batch: BatchOptions) -> RuntimeOptions {
-        self.batch = batch;
-        self
-    }
-
-    /// Options with a live-completion notice channel, defaults elsewhere.
-    #[must_use]
-    pub fn with_notify(mut self, notify: mpsc::Sender<JobNotice>) -> RuntimeOptions {
-        self.notify = Some(notify);
-        self
-    }
-
-    /// Options that start the scheduler gated (see
-    /// [`RuntimeOptions::start_paused`]), defaults elsewhere.
-    #[must_use]
-    pub fn paused(mut self) -> RuntimeOptions {
-        self.start_paused = true;
-        self
-    }
-
-    /// Options with a given shard restart policy, defaults elsewhere.
-    #[must_use]
-    pub fn with_supervise(mut self, supervise: SuperviseOptions) -> RuntimeOptions {
-        self.supervise = supervise;
-        self
-    }
-
-    /// Options with a given watchdog policy, defaults elsewhere.
-    #[must_use]
-    pub fn with_watchdog(mut self, watchdog: WatchdogOptions) -> RuntimeOptions {
-        self.watchdog = watchdog;
-        self
-    }
-
-    /// Options with a seeded chaos plan, defaults elsewhere.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosPlan) -> RuntimeOptions {
-        self.chaos = Some(chaos);
-        self
-    }
-
-    /// Options with a given scheduling engine, defaults elsewhere.
-    #[must_use]
-    pub fn with_sched_mode(mut self, sched: SchedMode) -> RuntimeOptions {
-        self.sched = sched;
-        self
-    }
-
-    /// Whether these options activate the fault-aware scheduler.
-    pub fn fault_aware(&self) -> bool {
-        self.faults.is_some() || self.protection.is_active()
-    }
-
-    /// The active chaos plan, if one is configured and nonzero.
-    fn active_chaos(&self) -> Option<ChaosPlan> {
-        self.chaos.filter(ChaosPlan::is_active)
-    }
-
-    /// Whether these options route scheduling through the resilient
-    /// (ack-polling) loop: device-fault awareness, an active chaos plan,
-    /// or the watchdog all require interleaved ack processing.
-    fn resilient(&self) -> bool {
-        self.fault_aware() || self.active_chaos().is_some() || self.watchdog.enabled
-    }
-}
-
-/// One member job's share of a dispatched (possibly batched) program:
-/// identity, how many readouts it owns in the program's output stream,
-/// and which dispatch attempt this is for it.
-#[derive(Debug, Clone, Copy)]
-struct SlotMeta {
-    job_id: u64,
-    readouts: usize,
-    attempt: u32,
-}
-
-/// What the scheduler sends each worker. Cloneable so the plain
-/// scheduler can keep a copy of every outstanding dispatch and re-send
-/// it verbatim to a restarted shard (programs are shared by `Arc`, so a
-/// clone is cheap).
-#[derive(Clone)]
-enum WorkMsg {
-    /// Execute one dispatch: a single job's program, or a batched splice
-    /// of several same-unit jobs. `slots` demuxes the outputs per job.
-    Job {
-        seq: u64,
-        unit: DbcLocation,
-        program: Arc<PimProgram>,
-        slots: Vec<SlotMeta>,
-    },
-    /// Run a position-code scrub pass over one bank's materialized DBCs.
-    Scrub { bank: usize },
-}
-
-/// What a worker reports back to [`Runtime::finish`], once per dispatch
-/// attempt.
-struct DoneMsg {
-    seq: u64,
-    unit: DbcLocation,
-    slots: Vec<SlotMeta>,
-    outputs: Vec<(String, Vec<u64>)>,
-    instr_costs: Vec<Cost>,
-    error: Option<PimError>,
-    replicas: u32,
-    faults_detected: u64,
-    retries: u32,
-    votes_overturned: u64,
-    verified: bool,
-}
-
-/// What a worker reports back to the scheduler after every dispatch:
-/// the fault-aware loop uses it for health accounting and re-dispatch;
-/// both loops use the per-member outputs to resolve dependency gates
-/// and feed deferred binders.
-enum AckMsg {
-    /// Heartbeat: the worker dequeued dispatch `seq` and is about to
-    /// execute it. Sent only when the watchdog is enabled; it stamps the
-    /// attempt's wall-clock start for budget accounting.
-    Started {
-        seq: u64,
-    },
-    Job {
-        seq: u64,
-        bank: usize,
-        faults: u64,
-        verified: bool,
-        /// Whether the dispatch hit an execution error.
-        errored: bool,
-        /// Per-member demuxed outputs, in slot order: `(job_id, outputs)`.
-        members: Vec<(u64, DepOutputs)>,
-    },
-    Scrub {
-        bank: usize,
-        outcome: ScrubOutcome,
-    },
-    /// Terminal: the worker caught a panic and is exiting. `generation`
-    /// guards against late reports from already-replaced incarnations;
-    /// `panicked_seq` is the dispatch that was executing when the panic
-    /// hit (its attempt died; queued dispatches are re-sent from the
-    /// scheduler's own outstanding records, never from the worker).
-    ShardDown {
-        shard: usize,
-        generation: u64,
-        panicked_seq: Option<u64>,
-    },
-}
-
-/// What flows through the submission queue: independent jobs, atomic
-/// dependency chains, and resident weight pins.
-enum Submission {
-    /// An independent job (the classic `submit` path).
-    Job(PimJob),
-    /// An atomically admitted group of dependency-gated jobs.
-    Chain(Vec<GatedJob>),
-    /// A resident weight pin: `job` loads the weights on the unit with
-    /// index `unit_idx` and registers residency `res` there.
-    Pin {
-        res: u64,
-        unit_idx: usize,
-        job: PimJob,
-    },
-}
-
-/// Where a chain member's program comes from (public mirror of the
-/// scheduler-side [`GatedSource`]).
-pub enum ProgramSource {
-    /// The program is known at submission and is submitted verbatim —
-    /// chain members bypass the on-enqueue compiler because their
-    /// programs may read rows produced by predecessors or resident
-    /// pins, which per-program analysis cannot see.
-    Ready(PimProgram),
-    /// The program is built by `build` once every job at the listed
-    /// chain indices has retired, from their labeled outputs (binder
-    /// argument order = `deps` order).
-    Deferred {
-        /// Chain-member indices this binder consumes (must be earlier
-        /// members of the same chain).
-        deps: Vec<usize>,
-        /// The program builder.
-        build: Binder,
-    },
-}
-
-/// One member of a dependency chain handed to
-/// [`Runtime::submit_chain`].
-pub struct ChainJob {
-    /// The member's program (ready or deferred).
-    pub source: ProgramSource,
-    /// Requested placement. [`Placement::Auto`] members consume the
-    /// circular placement cursor when placed; pipelines that need
-    /// determinism across shard counts pin members with
-    /// [`Placement::Unit`] or [`Placement::Resident`].
-    pub placement: Placement,
-    /// Chain-member indices that must retire before this member places
-    /// (ordering-only gates; data dependencies in a deferred source are
-    /// added automatically).
-    pub after: Vec<usize>,
-}
-
-/// The receipt of a [`Runtime::pin_resident`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidentPin {
-    /// Residency id — used as [`Placement::Resident`] by jobs that read
-    /// the pinned rows.
-    pub res: u64,
-    /// The pin job's id (it reports a normal [`JobOutcome`] whose
-    /// readouts echo the pinned rows).
-    pub job: u64,
-}
-
-/// Relocates a program onto `unit`'s tile: every address keeps its DBC
-/// index and row but moves to the unit's bank/subarray/tile. This is
-/// the multi-DBC analogue of [`PimProgram::retarget`] used for resident
-/// jobs, whose programs address both the tile's PIM DBC and its storage
-/// DBCs.
-fn relocate_to_tile(program: &PimProgram, unit: DbcLocation) -> PimProgram {
-    use coruscant_mem::RowAddress;
-    let mv = |a: &RowAddress| {
-        RowAddress::new(
-            DbcLocation::new(unit.bank, unit.subarray, unit.tile, a.location.dbc),
-            a.row,
-        )
-    };
-    let steps = program
-        .steps
-        .iter()
-        .map(|s| match s {
-            Step::Load { addr, values, lane } => Step::Load {
-                addr: mv(addr),
-                values: values.clone(),
-                lane: *lane,
-            },
-            Step::Exec(i) => {
-                let mut i = *i;
-                i.src = mv(&i.src);
-                i.dst = i.dst.map(|d| mv(&d));
-                Step::Exec(i)
-            }
-            Step::Readout { label, addr, lane } => Step::Readout {
-                label: label.clone(),
-                addr: mv(addr),
-                lane: *lane,
-            },
-        })
-        .collect();
-    PimProgram { steps }
-}
-
-/// Per-stage occupancy counters a scheduler loop accumulates as it
-/// runs. Stage busy times are thread-CPU micros (see [`cputime`]), so
-/// they measure work done, not wall time lost to preemption;
-/// `wall_micros` is the loop's wall-clock lifetime.
-#[derive(Clone, Default)]
-struct SchedProfile {
-    pop_micros: u64,
-    admit_micros: u64,
-    place_micros: u64,
-    dispatch_micros: u64,
-    ack_micros: u64,
-    wall_micros: u64,
-    /// Dispatches issued per worker shard (`bank % shards`).
-    per_shard_issued: Vec<u64>,
-    /// Member jobs issued per worker shard.
-    per_shard_jobs: Vec<u64>,
-}
-
-/// What the scheduler thread hands back on shutdown.
-struct SchedulerOutput {
-    depth_hist: Histogram,
-    issued: u64,
-    batches: u64,
-    batched_jobs: u64,
-    splice_hits: u64,
-    splice_misses: u64,
-    cancelled: u64,
-    /// Jobs dropped at issue time because their deadline had passed.
-    expired: u64,
-    redispatches: u64,
-    scrubs: u64,
-    scrub_total: ScrubOutcome,
-    suspect_banks: u64,
-    quarantined_banks: u64,
-    degraded_capacity: f64,
-    deferred: u64,
-    released: u64,
-    cascaded: u64,
-    pins: u64,
-    remats: u64,
-    /// Scheduler-side supervision counters (the supervisor itself keeps
-    /// the panic/restart/retire counts; `finish` merges both).
-    supervision: SupervisionStats,
-    /// Issue sequence numbers that will never produce a completion: the
-    /// dispatch died with its shard (and was re-issued under a new seq,
-    /// abandoned, or declared hung). `finish` excludes them from the
-    /// expected completion count and discards late results under them.
-    lost: Vec<u64>,
-    /// Scheduler-occupancy counters (stage busy CPU micros, per-shard
-    /// issue counts).
-    profile: SchedProfile,
-}
-
-impl SchedulerOutput {
-    #[allow(clippy::too_many_arguments)]
-    fn plain(
-        depth_hist: Histogram,
-        issued: u64,
-        batches: u64,
-        batched_jobs: u64,
-        splice: (u64, u64),
-        dropped: (u64, u64),
-        pipeline: (u64, u64, u64, u64),
-        supervision: SupervisionStats,
-        lost: Vec<u64>,
-        profile: SchedProfile,
-    ) -> SchedulerOutput {
-        SchedulerOutput {
-            depth_hist,
-            issued,
-            batches,
-            batched_jobs,
-            splice_hits: splice.0,
-            splice_misses: splice.1,
-            cancelled: dropped.0,
-            expired: dropped.1,
-            redispatches: 0,
-            scrubs: 0,
-            scrub_total: ScrubOutcome::default(),
-            suspect_banks: 0,
-            quarantined_banks: 0,
-            degraded_capacity: 0.0,
-            deferred: pipeline.0,
-            released: pipeline.1,
-            cascaded: pipeline.2,
-            pins: pipeline.3,
-            remats: 0,
-            supervision,
-            lost,
-            profile,
-        }
-    }
-}
-
-/// What either scheduling engine hands `finish` once fully drained:
-/// the merged scheduler output, the completion stream sorted by seq,
-/// the assembled supervision counters, and the occupancy profile. The
-/// replay and stats assembly downstream are engine-agnostic — that is
-/// the "merged accounting" half of sharded scheduling.
-struct DrainedSession {
-    sched_out: SchedulerOutput,
-    completions: Vec<DoneMsg>,
-    supervision: SupervisionStats,
-    sched_stats: SchedStats,
-}
-
-/// The pause gate the scheduler waits on before it starts draining the
-/// queue (see [`RuntimeOptions::start_paused`]).
-#[derive(Debug)]
-struct Gate {
-    paused: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new(paused: bool) -> Gate {
-        Gate {
-            paused: Mutex::new(paused),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until the gate is open.
-    fn wait_open(&self) {
-        let mut paused = sync::lock(&self.paused);
-        while *paused {
-            paused = sync::wait(&self.cv, paused);
-        }
-    }
-
-    /// Opens the gate (idempotent).
-    fn open(&self) {
-        *sync::lock(&self.paused) = false;
-        self.cv.notify_all();
-    }
-}
-
-/// The set of job ids whose cancellation was requested. Cancellation is
-/// best-effort: the scheduler consults the set at placement and at issue
-/// time and drops matches (sending [`JobNotice::Cancelled`] and counting
-/// them); a job already dispatched to a worker always runs to
-/// completion.
-type CancelSet = Arc<Mutex<HashSet<u64>>>;
-
-/// Shared bookkeeping for cancellation checks in the scheduler loops.
-struct Canceller {
-    set: CancelSet,
-    notify: Option<mpsc::Sender<JobNotice>>,
-    trace: Option<Arc<EventTrace>>,
-    cancelled: u64,
-    /// Jobs dropped at issue time because their deadline had passed.
-    expired: u64,
-}
-
-impl Canceller {
-    fn new(
-        set: CancelSet,
-        notify: Option<mpsc::Sender<JobNotice>>,
-        trace: Option<Arc<EventTrace>>,
-    ) -> Canceller {
-        Canceller {
-            set,
-            notify,
-            cancelled: 0,
-            expired: 0,
-            trace,
-        }
-    }
-
-    /// Whether any cancellation has ever been requested — a cheap guard
-    /// that keeps the per-job check off the hot path in the common
-    /// (no-cancellation) case.
-    fn armed(&self) -> bool {
-        !sync::lock(&self.set).is_empty()
-    }
-
-    /// If `job_id` was cancelled, record the drop (notice + trace +
-    /// counter) and return `true`.
-    fn drop_if_cancelled(&mut self, job_id: u64) -> bool {
-        if !sync::lock(&self.set).contains(&job_id) {
-            return false;
-        }
-        self.cancelled += 1;
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::Cancelled { job: job_id });
-        }
-        if let Some(tx) = &self.notify {
-            let _ = tx.send(JobNotice::Cancelled { job_id });
-        }
-        true
-    }
-
-    /// Drops cancelled members from an issued batch, keeping order, and
-    /// returns the ids of the members it dropped (so the dependency
-    /// tracker can cascade their dependents).
-    fn filter_issue(&mut self, jobs: &mut Vec<PimJob>) -> Vec<u64> {
-        let mut dropped = Vec::new();
-        if self.armed() {
-            // Vec::retain would borrow `self` inside the closure; collect
-            // the survivors instead (cancellation is rare).
-            let kept: Vec<PimJob> = jobs
-                .drain(..)
-                .filter_map(|j| {
-                    if self.drop_if_cancelled(j.id) {
-                        dropped.push(j.id);
-                        None
-                    } else {
-                        Some(j)
-                    }
-                })
-                .collect();
-            *jobs = kept;
-        }
-        dropped
-    }
-
-    /// Drops members of an issued batch whose queueing deadline has
-    /// already passed, keeping order, and returns the dropped ids (for
-    /// dependency cascade). The deadline sweep companion to
-    /// [`Canceller::filter_issue`]: checked at issue time so an
-    /// expired-in-queue job can never occupy a bank, even between
-    /// server sweeper wakeups.
-    fn filter_expired(&mut self, jobs: &mut Vec<PimJob>) -> Vec<u64> {
-        let mut dropped = Vec::new();
-        if jobs.iter().all(|j| j.deadline.is_none()) {
-            return dropped;
-        }
-        let now = Instant::now();
-        let kept: Vec<PimJob> = jobs
-            .drain(..)
-            .filter_map(|j| {
-                if j.deadline.is_some_and(|d| now >= d) {
-                    self.expired += 1;
-                    if let Some(trace) = &self.trace {
-                        trace.record(&Event::Expired { job: j.id });
-                    }
-                    if let Some(tx) = &self.notify {
-                        let _ = tx.send(JobNotice::Expired { job_id: j.id });
-                    }
-                    dropped.push(j.id);
-                    None
-                } else {
-                    Some(j)
-                }
-            })
-            .collect();
-        *jobs = kept;
-        dropped
-    }
-
-    /// Drops a dependency-gated job whose predecessor failed or was
-    /// cancelled: it reports as cancelled (trace + notice) but is counted
-    /// separately (in the pipeline stats, not `cancelled`).
-    fn drop_cascaded(&mut self, job_id: u64) {
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::Cancelled { job: job_id });
-        }
-        if let Some(tx) = &self.notify {
-            let _ = tx.send(JobNotice::Cancelled { job_id });
-        }
-    }
-}
-
-/// The report a finished session produces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeReport {
-    /// Per-job completion records, ordered by job id.
-    pub outcomes: Vec<JobOutcome>,
-    /// Aggregate statistics.
-    pub stats: RuntimeStats,
-}
-
-/// The parallel scheduling engine's handle-side state: one injector
-/// queue, completion ring, and joinable domain thread per shard, plus
-/// the submission router's cursor and unit→bank map.
-struct ParEngine {
-    domains: usize,
-    dispatch: DispatchMode,
-    /// Per-domain submission injectors (domain `d` owns `injectors[d]`;
-    /// siblings steal `Placement::Auto` entries from it when idle).
-    injectors: Vec<Arc<JobQueue<Submission>>>,
-    /// Per-domain completion rings, drained and merged by `finish`.
-    rings: Vec<Arc<Mutex<Vec<DoneMsg>>>>,
-    handles: Vec<JoinHandle<DomainOutput>>,
-    /// Round-robin router cursor for `Placement::Auto` submissions.
-    route_cursor: AtomicUsize,
-    /// Bank of each PIM unit index (routes `Placement::Unit` to the
-    /// owning domain).
-    unit_banks: Vec<usize>,
-}
-
-impl ParEngine {
-    /// The domain a submission must route to. Placement-pinned jobs go
-    /// to the domain owning their bank (they are not stealable);
-    /// `Placement::Auto` round-robins across domains and stays stealable.
-    fn route(&self, placement: Placement) -> usize {
-        match placement {
-            Placement::Auto => match self.dispatch {
-                DispatchMode::Circular => {
-                    self.route_cursor.fetch_add(1, Ordering::Relaxed) % self.domains
-                }
-                DispatchMode::SingleBank => self.unit_banks[0] % self.domains,
-            },
-            Placement::Unit(idx) => self.unit_banks[idx % self.unit_banks.len()] % self.domains,
-            Placement::Fixed(loc) => loc.bank % self.domains,
-            // Unknown residency (pins are rejected under Parallel): any
-            // domain drops it as cascaded, exactly like classic.
-            Placement::Resident(_) => 0,
-        }
-    }
-}
-
-/// Submissions a domain admits per loop iteration. Bounded so the rest
-/// of a burst stays in the injector where idle siblings can steal it.
-const ADMIT_CHUNK: usize = 32;
-/// Most submissions one steal sweep takes from a sibling's injector.
-const STEAL_MAX: usize = 16;
-/// Completions buffered domain-locally before flushing to the shared
-/// ring (one lock crossing per `RING_FLUSH` dispatches, not per job).
-const RING_FLUSH: usize = 64;
-
-/// Everything a parallel scheduling domain thread needs at spawn.
-struct DomainCtx {
-    domain: usize,
-    domains: usize,
-    config: MemoryConfig,
-    /// All domains' injectors: `injectors[domain]` is this domain's own;
-    /// the rest are steal victims.
-    injectors: Vec<Arc<JobQueue<Submission>>>,
-    /// This domain's completion ring, merged by `finish`.
-    ring: Arc<Mutex<Vec<DoneMsg>>>,
-    gate: Arc<Gate>,
-    trace: Option<Arc<EventTrace>>,
-    canceller: Canceller,
-    notify: Option<mpsc::Sender<JobNotice>>,
-    dispatch: DispatchMode,
-    issue_policy: IssuePolicy,
-    protection: ProtectionPolicy,
-    faults: Option<FaultPlan>,
-    batch: BatchOptions,
-    compile: CompileOptions,
-    chaos: Option<ChaosPlan>,
-    max_redispatch: u32,
-    max_job_retries: u32,
-}
-
-/// What a domain thread hands back on join: its share of every counter
-/// `finish` merges, plus its occupancy profile.
-#[derive(Default)]
-struct DomainOutput {
-    domain: usize,
-    depth_hist: Histogram,
-    issued: u64,
-    batches: u64,
-    batched_jobs: u64,
-    splice_hits: u64,
-    splice_misses: u64,
-    cancelled: u64,
-    /// Jobs dropped at issue time because their deadline had passed.
-    expired: u64,
-    redispatches: u64,
-    /// Jobs dropped for an unknown residency or a defensively rejected
-    /// chain/pin (counted with the cascades).
-    dropped: u64,
-    /// Member jobs this domain dispatched (batch members counted
-    /// individually).
-    jobs_done: u64,
-    steals: u64,
-    ring_peak: u64,
-    panics: u64,
-    crash_redispatches: u64,
-    abandoned_jobs: u64,
-    pop_micros: u64,
-    admit_micros: u64,
-    place_micros: u64,
-    dispatch_micros: u64,
-    ack_micros: u64,
-    busy_micros: u64,
-    wall_micros: u64,
-}
-
-/// One fused scheduler+executor domain of the parallel engine. Owns the
-/// banks `b` with `b % domains == domain`, a strided-seq
-/// [`BankScheduler`] over them, and a persistent [`PimMachine`] it
-/// executes dispatches on inline — completions become function calls,
-/// not channel crossings.
-struct Domain {
-    ctx: DomainCtx,
-    units: MemoryController,
-    unit_count: usize,
-    /// PIM units on owned banks, in global circular order.
-    owned_units: Vec<DbcLocation>,
-    owned_cursor: usize,
-    sched: BankScheduler,
-    machine: PimMachine,
-    voter: Option<(NmrVoter, Dbc)>,
-    compiler: Compiler,
-    splice_cache: Option<BatchCache>,
-    /// Verification re-dispatch count per job id.
-    redispatched: HashMap<u64, u32>,
-    /// Crash (chaos-panic) re-placement count per job id.
-    crash_retries: HashMap<u64, u32>,
-    ring_buf: Vec<DoneMsg>,
-    out: DomainOutput,
-}
-
-/// Body of one parallel domain thread.
-fn domain_loop(ctx: DomainCtx) -> DomainOutput {
-    ctx.gate.wait_open();
-    let units = MemoryController::new(ctx.config.clone());
-    let unit_count = units.pim_unit_count();
-    let owned_units: Vec<DbcLocation> = (0..unit_count)
-        .map(|i| units.pim_unit(i))
-        .filter(|u| u.bank % ctx.domains == ctx.domain)
-        .collect();
-    let machine = match ctx.faults.clone() {
-        Some(plan) => PimMachine::with_faults(ctx.config.clone(), plan),
-        None => PimMachine::new(ctx.config.clone()),
-    };
-    let voter = match ctx.protection {
-        ProtectionPolicy::Nmr { .. } => {
-            Some((NmrVoter::new(&ctx.config), Dbc::pim_enabled(&ctx.config)))
-        }
-        _ => None,
-    };
-    let compiler = Compiler::new(ctx.config.clone(), &ctx.compile);
-    let splice_cache = ctx.batch.splice_cache();
-    // Strided seqs: domain d issues d, d+S, d+2S, … — globally unique,
-    // so `finish` restores one total issue order with a plain sort.
-    let sched =
-        BankScheduler::with_seq_stride(ctx.config.banks, ctx.domain as u64, ctx.domains as u64)
-            .with_policy(ctx.issue_policy);
-    let out = DomainOutput {
-        domain: ctx.domain,
-        ..DomainOutput::default()
-    };
-    let mut dom = Domain {
-        units,
-        unit_count,
-        owned_units,
-        owned_cursor: 0,
-        sched,
-        machine,
-        voter,
-        compiler,
-        splice_cache,
-        redispatched: HashMap::new(),
-        crash_retries: HashMap::new(),
-        ring_buf: Vec::new(),
-        out,
-        ctx,
-    };
-    dom.run();
-    let mut out = dom.out;
-    out.depth_hist = dom.sched.depth_histogram().clone();
-    out.cancelled = dom.ctx.canceller.cancelled;
-    out.expired = dom.ctx.canceller.expired;
-    let (hits, misses) = dom.splice_cache.as_ref().map_or((0, 0), BatchCache::counts);
-    out.splice_hits = hits;
-    out.splice_misses = misses;
-    out.busy_micros = out.admit_micros + out.place_micros + out.dispatch_micros + out.ack_micros;
-    out
-}
-
-impl Domain {
-    fn run(&mut self) {
-        let wall_start = Instant::now();
-        let mut clock = cputime::StageClock::start();
-        let mut drained: Vec<Submission> = Vec::new();
-        let mut ready: Vec<PimJob> = Vec::new();
-        let mut closed = false;
-        loop {
-            // 1. Pop a bounded chunk from our own injector. Bounded, not
-            //    a full drain: the remainder stays in the injector where
-            //    idle siblings can steal it.
-            if !closed {
-                let wait = if self.sched.pending() > 0 {
-                    Duration::ZERO
-                } else {
-                    self.idle_wait()
-                };
-                match self.ctx.injectors[self.ctx.domain].pop_timeout(wait) {
-                    Pop::Item(first) => {
-                        drained.push(first);
-                        while drained.len() < ADMIT_CHUNK {
-                            match self.ctx.injectors[self.ctx.domain].pop_timeout(Duration::ZERO) {
-                                Pop::Item(s) => drained.push(s),
-                                _ => break,
-                            }
-                        }
-                    }
-                    Pop::Timeout => {}
-                    Pop::Closed => closed = true,
-                }
-            }
-            // 2. Steal when idle: nothing admitted, nothing queued on our
-            //    banks. (Also the termination probe: after close, a final
-            //    sweep must come up empty before the domain may exit.)
-            if drained.is_empty() && self.sched.pending() == 0 {
-                self.steal_sweep(&mut drained);
-                if closed && drained.is_empty() {
-                    break;
-                }
-            }
-            self.out.pop_micros += clock.lap();
-
-            // 3. Admit: mirror the classic scheduler's admit-time chaos
-            //    delay, then filter cancellations at placement below.
-            for submission in drained.drain(..) {
-                match submission {
-                    Submission::Job(job) => {
-                        if let Some(plan) = self.ctx.chaos {
-                            if matches!(
-                                plan.decide(CrossingPoint::SchedulerAdmit, job.id, 0),
-                                ChaosAction::Delay
-                            ) {
-                                std::thread::sleep(Duration::from_micros(plan.delay_us));
-                            }
-                        }
-                        ready.push(job);
-                    }
-                    // Chains and pins are rejected at submit under
-                    // SchedMode::Parallel; drop defensively if one ever
-                    // slips through, exactly like an unknown residency.
-                    Submission::Chain(chain) => {
-                        for gated in chain {
-                            self.out.dropped += 1;
-                            self.ctx.canceller.drop_cascaded(gated.id);
-                        }
-                    }
-                    Submission::Pin { job, .. } => {
-                        self.out.dropped += 1;
-                        self.ctx.canceller.drop_cascaded(job.id);
-                    }
-                }
-            }
-            self.out.admit_micros += clock.lap();
-
-            // 4. Place onto owned banks.
-            for job in ready.drain(..) {
-                if self.ctx.canceller.armed() && self.ctx.canceller.drop_if_cancelled(job.id) {
-                    continue;
-                }
-                self.place(job);
-            }
-            self.out.place_micros += clock.lap();
-
-            // 5. Issue and execute inline until the owned FIFOs drain
-            //    (re-dispatches re-enter them and are picked up here).
-            let max_jobs = self.ctx.batch.cap();
-            let grouping = self.ctx.batch.grouping;
-            while let Some(mut issue) =
-                self.sched
-                    .issue_next_batch_grouped(max_jobs, grouping, |_| true)
-            {
-                self.ctx.canceller.filter_issue(&mut issue.jobs);
-                self.ctx.canceller.filter_expired(&mut issue.jobs);
-                if issue.jobs.is_empty() {
-                    continue;
-                }
-                self.execute_dispatch(issue, &mut clock);
-            }
-        }
-        self.flush_ring();
-        self.out.wall_micros = wall_start.elapsed().as_micros() as u64;
-    }
-
-    /// How long an idle domain's injector pop may sleep: short when a
-    /// sibling has stealable backlog (come back fast and take some),
-    /// the full classic timeout when the whole engine is quiet.
-    fn idle_wait(&self) -> Duration {
-        let sibling_backlog = self
-            .ctx
-            .injectors
-            .iter()
-            .enumerate()
-            .any(|(i, q)| i != self.ctx.domain && !q.is_empty());
-        if sibling_backlog {
-            Duration::from_millis(1)
-        } else {
-            Duration::from_millis(50)
-        }
-    }
-
-    /// Steals up to [`STEAL_MAX`] `Placement::Auto` jobs from the first
-    /// sibling injector that has any, re-placing them on our banks.
-    fn steal_sweep(&mut self, into: &mut Vec<Submission>) {
-        if self.ctx.domains == 1 {
-            return;
-        }
-        for off in 1..self.ctx.domains {
-            let victim = (self.ctx.domain + off) % self.ctx.domains;
-            let before = into.len();
-            let got = self.ctx.injectors[victim].steal_matching(
-                |s| matches!(s, Submission::Job(j) if matches!(j.placement, Placement::Auto)),
-                STEAL_MAX,
-                into,
-            );
-            if got > 0 {
-                self.out.steals += got as u64;
-                if let Some(trace) = &self.ctx.trace {
-                    let jobs: Vec<u64> = into[before..]
-                        .iter()
-                        .filter_map(|s| match s {
-                            Submission::Job(j) => Some(j.id),
-                            _ => None,
-                        })
-                        .collect();
-                    trace.record(&Event::Steal {
-                        from: victim,
-                        to: self.ctx.domain,
-                        jobs,
-                    });
-                }
-                return;
-            }
-        }
-    }
-
-    /// The next owned PIM unit in circular order, skipping `avoid`'s
-    /// bank when the domain owns an alternative.
-    fn pick_owned_unit(&mut self, avoid: Option<usize>) -> DbcLocation {
-        let n = self.owned_units.len();
-        for _ in 0..n {
-            let unit = self.owned_units[self.owned_cursor % n];
-            self.owned_cursor += 1;
-            if avoid == Some(unit.bank) && n > 1 {
-                continue;
-            }
-            return unit;
-        }
-        let unit = self.owned_units[self.owned_cursor % n];
-        self.owned_cursor += 1;
-        unit
-    }
-
-    /// Resolves a job's placement onto this domain's banks and enqueues
-    /// it. `Placement::Unit`/`Fixed` jobs were routed here because their
-    /// bank is owned; `Auto` jobs (routed or stolen) take the owned
-    /// cursor.
-    fn place(&mut self, job: PimJob) {
-        let (unit, program) = match job.placement {
-            Placement::Auto => {
-                let unit = match self.ctx.dispatch {
-                    DispatchMode::SingleBank => {
-                        // Mirror classic: everything on unit 0 — unless
-                        // this job was stolen and unit 0 isn't ours, in
-                        // which case stealing intentionally spreads it.
-                        let u0 = self.units.pim_unit(0);
-                        if u0.bank % self.ctx.domains == self.ctx.domain {
-                            u0
-                        } else {
-                            self.pick_owned_unit(None)
-                        }
-                    }
-                    DispatchMode::Circular => self.pick_owned_unit(None),
-                };
-                (unit, Arc::new(job.program.retarget(unit)))
-            }
-            Placement::Unit(idx) => {
-                let unit = self.units.pim_unit(idx % self.unit_count);
-                (unit, Arc::new(job.program.retarget(unit)))
-            }
-            Placement::Fixed(loc) => (loc, Arc::new(job.program.retarget(loc))),
-            Placement::Resident(_) => {
-                // Pins are rejected under Parallel, so every residency
-                // is unknown: drop as cascaded, exactly like classic.
-                self.out.dropped += 1;
-                self.ctx.canceller.drop_cascaded(job.id);
-                return;
-            }
-        };
-        self.sched.enqueue(
-            PimJob {
-                id: job.id,
-                program,
-                placement: job.placement,
-                deadline: job.deadline,
-            },
-            unit.bank,
-        );
-    }
-
-    /// Executes one issued dispatch inline on the domain's machine,
-    /// mirroring the classic worker's chaos crossing points and the
-    /// fault scheduler's attempt arithmetic — so a seeded chaos plan
-    /// draws identically in both modes.
-    fn execute_dispatch(&mut self, issue: IssuedBatch, clock: &mut cputime::StageClock) {
-        let IssuedBatch { seq, jobs, bank } = issue;
-        let program = batch_program_cached(&jobs, &self.compiler, &mut self.splice_cache);
-        let unit = program
-            .steps
-            .first()
-            .map_or_else(|| self.units.pim_unit(bank), Step::target);
-        if jobs.len() >= 2 {
-            self.out.batches += 1;
-            self.out.batched_jobs += jobs.len() as u64;
-            if let Some(trace) = &self.ctx.trace {
-                trace.record(&Event::Batch {
-                    seq,
-                    bank,
-                    jobs: jobs.iter().map(|j| j.id).collect(),
-                });
-            }
-        }
-        let slots: Vec<SlotMeta> = jobs
-            .iter()
-            .map(|j| SlotMeta {
-                job_id: j.id,
-                readouts: count_readouts(&j.program),
-                // Same attempt axis as the classic fault scheduler:
-                // verification re-dispatches plus crash re-placements.
-                attempt: self.redispatched.get(&j.id).copied().unwrap_or(0)
-                    + self.crash_retries.get(&j.id).copied().unwrap_or(0),
-            })
-            .collect();
-        if let Some(trace) = &self.ctx.trace {
-            for job in &jobs {
-                trace.record(&Event::Issue {
-                    job: job.id,
-                    seq,
-                    bank,
-                    shard: self.ctx.domain,
-                });
-            }
-        }
-        self.out.issued += 1;
-        self.out.jobs_done += jobs.len() as u64;
-
-        // Execute inline. Chaos can only fire at the two worker crossing
-        // points — before execution and after it — never mid-execution,
-        // so a caught panic leaves the persistent machine untouched.
-        let (chaos_job, chaos_attempt) = slots.first().map_or((0, 0), |s| (s.job_id, s.attempt));
-        let chaos = self.ctx.chaos;
-        let machine = &mut self.machine;
-        let voter = &mut self.voter;
-        let protection = self.ctx.protection;
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(plan) = chaos {
-                match plan.decide(CrossingPoint::WorkerStart, chaos_job, chaos_attempt) {
-                    ChaosAction::Panic => chaos::chaos_panic(),
-                    ChaosAction::Stall => {
-                        std::thread::sleep(Duration::from_millis(plan.stall_ms));
-                    }
-                    ChaosAction::Delay => {
-                        std::thread::sleep(Duration::from_micros(plan.delay_us));
-                    }
-                    ChaosAction::None => {}
-                }
-            }
-            let out = execute_protected(machine, protection, &program, voter.as_mut());
-            if let Some(plan) = chaos {
-                if matches!(
-                    plan.decide(CrossingPoint::WorkerReport, chaos_job, chaos_attempt),
-                    ChaosAction::Panic
-                ) {
-                    chaos::chaos_panic();
-                }
-            }
-            out
-        }));
-        self.out.dispatch_micros += clock.lap();
-        let Ok(out) = executed else {
-            // The attempt died exactly as a crashed worker's would have:
-            // every member retries on our banks within its budget.
-            self.out.panics += 1;
-            for job in jobs {
-                self.crash_retry_or_abandon(job);
-            }
-            self.out.ack_micros += clock.lap();
-            return;
-        };
-
-        // Completion bookkeeping — the moral equivalent of the classic
-        // ack path, as a function call. Demux members exactly as the
-        // worker does, coalesce their notices into one channel send,
-        // push the completion to the ring, and re-dispatch unverified
-        // members.
-        if let Some(notify) = &self.ctx.notify {
-            let batch = slots.len() as u32;
-            let protection_active = self.ctx.protection.is_active();
-            let mut cursor = 0usize;
-            let mut notices: Vec<JobNotice> = Vec::with_capacity(slots.len());
-            for slot in &slots {
-                let end = (cursor + slot.readouts).min(out.outputs.len());
-                let start = cursor.min(out.outputs.len());
-                cursor += slot.readouts;
-                notices.push(JobNotice::Attempt {
-                    job_id: slot.job_id,
-                    attempt: slot.attempt,
-                    bank: unit.bank,
-                    batch,
-                    outputs: out.outputs[start..end].to_vec(),
-                    error: out.error.clone(),
-                    verified: out.verified,
-                    protection_active,
-                    max_redispatch: self.ctx.max_redispatch,
-                });
-            }
-            // One channel send per dispatch: a batched notice for multi-
-            // member dispatches, the plain notice otherwise.
-            let _ = if notices.len() == 1 {
-                notify.send(notices.pop().expect("one notice"))
-            } else {
-                notify.send(JobNotice::Batch(notices))
-            };
-        }
-        let verified = out.verified;
-        self.ring_push(DoneMsg {
-            seq,
-            unit,
-            slots,
-            outputs: out.outputs,
-            instr_costs: out.instr_costs,
-            error: out.error,
-            replicas: out.replicas,
-            faults_detected: out.faults_detected,
-            retries: out.retries,
-            votes_overturned: out.votes_overturned,
-            verified,
-        });
-        if self.ctx.protection.is_active() && !verified {
-            for member in jobs {
-                let count = self.redispatched.entry(member.id).or_insert(0);
-                if *count >= self.ctx.max_redispatch
-                    || matches!(member.placement, Placement::Fixed(_))
-                {
-                    continue;
-                }
-                *count += 1;
-                let next = *count;
-                self.out.redispatches += 1;
-                let unit = self.pick_owned_unit(Some(bank));
-                if let Some(trace) = &self.ctx.trace {
-                    trace.record(&Event::Redispatch {
-                        job: member.id,
-                        from_bank: bank,
-                        to_bank: unit.bank,
-                        attempt: next,
-                    });
-                }
-                self.sched.enqueue(
-                    PimJob {
-                        id: member.id,
-                        program: Arc::new(member.program.retarget(unit)),
-                        placement: member.placement,
-                        deadline: member.deadline,
-                    },
-                    unit.bank,
-                );
-            }
-        }
-        self.out.ack_micros += clock.lap();
-    }
-
-    /// Re-places one member whose attempt died in a chaos panic, bounded
-    /// by the crash-retry budget; over budget the job is abandoned with
-    /// a notice, exactly like classic supervision.
-    fn crash_retry_or_abandon(&mut self, member: PimJob) {
-        let retries = self.crash_retries.entry(member.id).or_insert(0);
-        if *retries < self.ctx.max_job_retries {
-            *retries += 1;
-            self.out.crash_redispatches += 1;
-            self.place(member);
-        } else {
-            self.out.abandoned_jobs += 1;
-            if let Some(tx) = &self.ctx.notify {
-                let _ = tx.send(JobNotice::Abandoned {
-                    job_id: member.id,
-                    hung: false,
-                });
-            }
-        }
-    }
-
-    fn ring_push(&mut self, msg: DoneMsg) {
-        self.ring_buf.push(msg);
-        if self.ring_buf.len() >= RING_FLUSH {
-            self.flush_ring();
-        }
-    }
-
-    fn flush_ring(&mut self) {
-        if self.ring_buf.is_empty() {
-            return;
-        }
-        let mut ring = sync::lock(&self.ctx.ring);
-        ring.append(&mut self.ring_buf);
-        self.out.ring_peak = self.out.ring_peak.max(ring.len() as u64);
-    }
-}
+use std::time::Instant;
+use supervise::Supervisor;
 
 /// The request-serving engine. Create with [`Runtime::new`], feed it with
 /// [`Runtime::submit`], and call [`Runtime::finish`] to drain, join the
@@ -1594,286 +157,113 @@ impl Runtime {
                 )));
             }
         }
-        let fault_aware = options.fault_aware();
-        if fault_aware {
+        if options.fault_aware() {
             options.health.check().map_err(RuntimeError::Config)?;
         }
         if options.sched == SchedMode::Parallel {
-            return Runtime::new_parallel(config, options);
+            parallel::check_options(&options)?;
         }
-        let resilient = options.resilient();
-        let chaos = options.active_chaos();
-        if chaos.is_some() {
+        if options.active_chaos().is_some() {
             chaos::install_quiet_hook();
         }
-        let poison = options
-            .watchdog
-            .enabled
-            .then(|| Arc::new(PoisonRegistry::new(options.watchdog.poison_strikes)));
-        let shards = options.shards.clamp(1, config.banks);
-        let queue = Arc::new(JobQueue::new(options.queue_capacity));
         let trace = match &options.trace_path {
             Some(path) => Some(Arc::new(
                 EventTrace::create(path).map_err(RuntimeError::Trace)?,
             )),
             None => None,
         };
-
-        let cancels: CancelSet = Arc::new(Mutex::new(HashSet::new()));
-        let gate = Arc::new(Gate::new(options.start_paused));
-
-        let (done_tx, done_rx) = mpsc::channel::<DoneMsg>();
-        let (ack_tx, ack_rx) = mpsc::channel::<AckMsg>();
-        let worker_busy: Arc<Vec<AtomicU64>> =
-            Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
-        // Workers are spawned (and re-spawned after a panic) through this
-        // factory; the supervisor owns it, so dropping the supervisor's
-        // state at `finish` also closes the done/ack channels.
-        let factory: supervise::Factory<WorkMsg> = {
-            let cfg = config.clone();
-            let faults = options.faults.clone();
-            let protection = options.protection;
-            let notify = options.notify.clone();
-            let max_redispatch = options.health.max_redispatch;
-            let heartbeat = options.watchdog.enabled;
-            let busy = Arc::clone(&worker_busy);
-            let kick = Arc::clone(&queue);
-            Box::new(move |shard, generation| {
-                let (tx, rx) = mpsc::channel::<WorkMsg>();
-                let done = done_tx.clone();
-                // Acks are always on: the fault-aware loop needs them for
-                // health accounting, and both loops need the per-member
-                // outputs to resolve dependency gates.
-                let ack = ack_tx.clone();
-                let cfg = cfg.clone();
-                let faults = faults.clone();
-                let notify = notify.clone();
-                let busy = Arc::clone(&busy);
-                let kick = Arc::clone(&kick);
-                let handle = std::thread::spawn(move || {
-                    worker_loop(
-                        &cfg,
-                        faults,
-                        protection,
-                        &rx,
-                        &done,
-                        Some(&ack),
-                        notify.as_ref(),
-                        max_redispatch,
-                        WorkerCtx {
-                            shard,
-                            generation,
-                            chaos,
-                            heartbeat,
-                            busy,
-                            kick,
-                        },
-                    );
-                });
-                (tx, handle)
-            })
-        };
-        let supervisor = Arc::new(Supervisor::new(shards, options.supervise, factory));
-
-        let next_id = Arc::new(AtomicU64::new(0));
-        let scheduler = {
-            let queue = Arc::clone(&queue);
-            let cfg = config.clone();
-            let trace = trace.clone();
-            let dispatch = options.dispatch;
-            let protection = options.protection;
-            let policy = options.health;
-            let batch = options.batch;
-            let compile = options.compile;
-            let supervise_opts = options.supervise;
-            let watchdog = options.watchdog;
-            let issue_policy = options.issue_policy;
-            let canceller =
-                Canceller::new(Arc::clone(&cancels), options.notify.clone(), trace.clone());
-            let gate = Arc::clone(&gate);
-            let next_id = Arc::clone(&next_id);
-            let supervisor = Arc::clone(&supervisor);
-            let poison = poison.clone();
-            std::thread::spawn(move || {
-                gate.wait_open();
-                if resilient {
-                    fault_scheduler_loop(
-                        &cfg,
-                        &queue,
-                        &supervisor,
-                        shards,
-                        &ack_rx,
-                        dispatch,
-                        protection,
-                        policy,
-                        trace,
-                        batch,
-                        compile,
-                        canceller,
-                        &next_id,
-                        supervise_opts,
-                        watchdog,
-                        chaos,
-                        poison,
-                        issue_policy,
-                    )
-                } else {
-                    scheduler_loop(
-                        &cfg,
-                        &queue,
-                        &supervisor,
-                        shards,
-                        &ack_rx,
-                        dispatch,
-                        trace,
-                        batch,
-                        compile,
-                        canceller,
-                        supervise_opts,
-                        issue_policy,
-                    )
-                }
-            })
-        };
-
-        let compiler = Compiler::new(config.clone(), &options.compile);
-        let cache = options
-            .cache
-            .enabled
-            .then(|| ProgramCache::new(&options.cache));
-        Ok(Runtime {
+        let mut runtime = Runtime {
+            shards: options.shards.clamp(1, config.banks),
+            compiler: Compiler::new(config.clone(), &options.compile),
             config,
-            queue,
-            next_id,
-            next_res: AtomicU64::new(0),
-            scheduler: Some(scheduler),
-            supervisor: Some(supervisor),
-            done_rx: Some(Mutex::new(done_rx)),
-            worker_busy,
-            par: None,
-            trace,
-            shards,
-            protection: options.protection,
-            supervise: options.supervise,
-            poison,
-            compiler,
-            cache,
-            cancels,
-            gate,
-            optimized_jobs: AtomicU64::new(0),
-            instructions_eliminated: AtomicU64::new(0),
-            est_device_cycles_saved: AtomicU64::new(0),
-        })
-    }
-
-    /// Starts the sharded scheduling engine: one fused scheduler+executor
-    /// domain thread per shard, each owning `bank % shards == d` banks.
-    fn new_parallel(
-        config: MemoryConfig,
-        options: RuntimeOptions,
-    ) -> Result<Runtime, RuntimeError> {
-        if options.watchdog.enabled {
-            return Err(RuntimeError::Config(
-                "the execution watchdog requires SchedMode::Classic (inline domains \
-                 cannot be hung-scanned)"
-                    .into(),
-            ));
-        }
-        let chaos = options.active_chaos();
-        if let Some(plan) = chaos {
-            if plan.stall_permille > 0 {
-                return Err(RuntimeError::Config(
-                    "chaos stall injection requires SchedMode::Classic (a stalled inline \
-                     domain would wedge its whole bank partition)"
-                        .into(),
-                ));
-            }
-            chaos::install_quiet_hook();
-        }
-        let domains = options.shards.clamp(1, config.banks);
-        let trace = match &options.trace_path {
-            Some(path) => Some(Arc::new(
-                EventTrace::create(path).map_err(RuntimeError::Trace)?,
-            )),
-            None => None,
-        };
-        let cancels: CancelSet = Arc::new(Mutex::new(HashSet::new()));
-        let gate = Arc::new(Gate::new(options.start_paused));
-        let units = MemoryController::new(config.clone());
-        let unit_banks: Vec<usize> = (0..units.pim_unit_count())
-            .map(|i| units.pim_unit(i).bank)
-            .collect();
-        let injectors: Vec<Arc<JobQueue<Submission>>> = (0..domains)
-            .map(|_| Arc::new(JobQueue::new(options.queue_capacity)))
-            .collect();
-        let rings: Vec<Arc<Mutex<Vec<DoneMsg>>>> = (0..domains)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
-        let handles: Vec<JoinHandle<DomainOutput>> = (0..domains)
-            .map(|d| {
-                let ctx = DomainCtx {
-                    domain: d,
-                    domains,
-                    config: config.clone(),
-                    injectors: injectors.clone(),
-                    ring: Arc::clone(&rings[d]),
-                    gate: Arc::clone(&gate),
-                    trace: trace.clone(),
-                    canceller: Canceller::new(
-                        Arc::clone(&cancels),
-                        options.notify.clone(),
-                        trace.clone(),
-                    ),
-                    notify: options.notify.clone(),
-                    dispatch: options.dispatch,
-                    issue_policy: options.issue_policy,
-                    protection: options.protection,
-                    faults: options.faults.clone(),
-                    batch: options.batch,
-                    compile: options.compile,
-                    chaos,
-                    max_redispatch: options.health.max_redispatch,
-                    max_job_retries: options.supervise.max_job_retries,
-                };
-                std::thread::spawn(move || domain_loop(ctx))
-            })
-            .collect();
-        let compiler = Compiler::new(config.clone(), &options.compile);
-        let cache = options
-            .cache
-            .enabled
-            .then(|| ProgramCache::new(&options.cache));
-        Ok(Runtime {
             queue: Arc::new(JobQueue::new(options.queue_capacity)),
-            config,
             next_id: Arc::new(AtomicU64::new(0)),
             next_res: AtomicU64::new(0),
             scheduler: None,
             supervisor: None,
             done_rx: None,
             worker_busy: Arc::new(Vec::new()),
-            par: Some(ParEngine {
-                domains,
-                dispatch: options.dispatch,
-                injectors,
-                rings,
-                handles,
-                route_cursor: AtomicUsize::new(0),
-                unit_banks,
-            }),
+            par: None,
             trace,
-            shards: domains,
             protection: options.protection,
             supervise: options.supervise,
             poison: None,
-            compiler,
-            cache,
-            cancels,
-            gate,
+            cache: options
+                .cache
+                .enabled
+                .then(|| ProgramCache::new(&options.cache)),
+            cancels: Arc::new(Mutex::new(HashSet::new())),
+            gate: Arc::new(Gate::new(options.start_paused)),
             optimized_jobs: AtomicU64::new(0),
             instructions_eliminated: AtomicU64::new(0),
             est_device_cycles_saved: AtomicU64::new(0),
-        })
+        };
+        match options.sched {
+            SchedMode::Classic => runtime.start_classic(options),
+            SchedMode::Parallel => runtime.start_parallel(&options),
+        }
+        Ok(runtime)
+    }
+
+    /// Starts the classic engine: one supervised worker per shard and
+    /// the scheduler thread feeding them.
+    fn start_classic(&mut self, options: RuntimeOptions) {
+        let shards = self.shards;
+        let options = Arc::new(options);
+        self.poison = options
+            .watchdog
+            .enabled
+            .then(|| Arc::new(PoisonRegistry::new(options.watchdog.poison_strikes)));
+        let (done_tx, done_rx) = mpsc::channel::<DoneMsg>();
+        let (ack_tx, ack_rx) = mpsc::channel::<AckMsg>();
+        self.done_rx = Some(Mutex::new(done_rx));
+        self.worker_busy = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
+        // Workers are spawned (and re-spawned after a panic) through this
+        // factory; the supervisor owns it, so dropping the supervisor's
+        // state at `finish` also closes the done/ack channels.
+        let factory: supervise::Factory<WorkMsg> = {
+            let cfg = self.config.clone();
+            let options = Arc::clone(&options);
+            let busy = Arc::clone(&self.worker_busy);
+            let kick = Arc::clone(&self.queue);
+            Box::new(move |shard, generation| {
+                let (tx, rx) = mpsc::channel::<WorkMsg>();
+                let (done, ack) = (done_tx.clone(), ack_tx.clone());
+                let (cfg, options) = (cfg.clone(), Arc::clone(&options));
+                let ctx = WorkerCtx {
+                    shard,
+                    generation,
+                    busy: Arc::clone(&busy),
+                    kick: Arc::clone(&kick),
+                };
+                let handle = std::thread::spawn(move || {
+                    worker_loop(&cfg, &options, &rx, &done, &ack, &ctx);
+                });
+                (tx, handle)
+            })
+        };
+        let supervisor = Arc::new(Supervisor::new(shards, options.supervise, factory));
+        let ctx = ClassicCtx {
+            config: self.config.clone(),
+            shards,
+            queue: Arc::clone(&self.queue),
+            supervisor: Arc::clone(&supervisor),
+            ack_rx,
+            trace: self.trace.clone(),
+            canceller: Canceller::new(
+                Arc::clone(&self.cancels),
+                options.notify.clone(),
+                self.trace.clone(),
+            ),
+            next_id: Arc::clone(&self.next_id),
+            poison: self.poison.clone(),
+        };
+        let gate = Arc::clone(&self.gate);
+        self.supervisor = Some(supervisor);
+        self.scheduler = Some(std::thread::spawn(move || {
+            gate.wait_open();
+            ClassicSched::new(ctx, options).run()
+        }));
     }
 
     /// Runs a program through the on-enqueue compiler, consulting the
@@ -1969,6 +359,36 @@ impl Runtime {
         Ok(())
     }
 
+    /// The queue a submission with `placement` enters: the classic
+    /// scheduler's, or the owning domain's injector.
+    fn inlet(&self, placement: Placement) -> &JobQueue<Submission> {
+        match &self.par {
+            Some(par) => &par.injectors[par.route(placement)],
+            None => &self.queue,
+        }
+    }
+
+    /// Traces a job's submission, and its compile-cache hit if it was one.
+    fn trace_submit(&self, job: u64, cache_hit: bool) {
+        if let Some(trace) = &self.trace {
+            trace.record(&Event::Submit { job });
+            if cache_hit {
+                trace.record(&Event::CacheHit { job });
+            }
+        }
+    }
+
+    /// Refuses a submission surface the parallel engine does not
+    /// support (`what`, because `why`).
+    fn classic_only(&self, what: &str, why: &str) -> Result<(), RuntimeError> {
+        match self.par {
+            Some(_) => Err(RuntimeError::Config(format!(
+                "SchedMode::Parallel does not support {what} ({why})"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Submits a job, blocking while the queue is full (backpressure).
     /// Returns the job id.
     ///
@@ -1998,27 +418,16 @@ impl Runtime {
         self.check_poison(&program)
             .map_err(|fingerprint| RuntimeError::Poisoned { fingerprint })?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::Submit { job: id });
-            if cache_hit {
-                trace.record(&Event::CacheHit { job: id });
-            }
-        }
+        self.trace_submit(id, cache_hit);
         let sub = Submission::Job(PimJob {
             id,
             program,
             placement,
             deadline,
         });
-        match &self.par {
-            Some(par) => par.injectors[par.route(placement)]
-                .push(sub)
-                .map_err(|_| RuntimeError::QueueClosed)?,
-            None => self
-                .queue
-                .push(sub)
-                .map_err(|_| RuntimeError::QueueClosed)?,
-        }
+        self.inlet(placement)
+            .push(sub)
+            .map_err(|_| RuntimeError::QueueClosed)?;
         Ok(id)
     }
 
@@ -2064,16 +473,8 @@ impl Runtime {
             placement,
             deadline,
         });
-        match &self.par {
-            Some(par) => par.injectors[par.route(placement)].try_push(sub)?,
-            None => self.queue.try_push(sub)?,
-        }
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::Submit { job: id });
-            if cache_hit {
-                trace.record(&Event::CacheHit { job: id });
-            }
-        }
+        self.inlet(placement).try_push(sub)?;
+        self.trace_submit(id, cache_hit);
         Ok(id)
     }
 
@@ -2101,13 +502,7 @@ impl Runtime {
     /// or after its own position (dependencies must point backwards), or
     /// [`RuntimeError::QueueClosed`] after [`Runtime::finish`].
     pub fn submit_chain(&self, chain: Vec<ChainJob>) -> Result<Vec<u64>, RuntimeError> {
-        if self.par.is_some() {
-            return Err(RuntimeError::Config(
-                "dependency chains require SchedMode::Classic (cross-domain gates are \
-                 not sharded)"
-                    .into(),
-            ));
-        }
+        self.classic_only("dependency chains", "cross-domain gates are not sharded")?;
         for (i, member) in chain.iter().enumerate() {
             let bad = |what: &str, idx: usize| {
                 RuntimeError::Config(format!(
@@ -2154,10 +549,8 @@ impl Runtime {
                 }
             })
             .collect();
-        if let Some(trace) = &self.trace {
-            for &id in &ids {
-                trace.record(&Event::Submit { job: id });
-            }
+        for &id in &ids {
+            self.trace_submit(id, false);
         }
         self.queue
             .push(Submission::Chain(gated))
@@ -2182,13 +575,7 @@ impl Runtime {
         placement: Placement,
         after: &[u64],
     ) -> Result<u64, RuntimeError> {
-        if self.par.is_some() {
-            return Err(RuntimeError::Config(
-                "submit_after requires SchedMode::Classic (cross-domain gates are not \
-                 sharded)"
-                    .into(),
-            ));
-        }
+        self.classic_only("submit_after", "cross-domain gates are not sharded")?;
         let (program, cache_hit) = self.compile(&program).map_err(RuntimeError::Compile)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         for &d in after {
@@ -2198,12 +585,7 @@ impl Runtime {
                 )));
             }
         }
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::Submit { job: id });
-            if cache_hit {
-                trace.record(&Event::CacheHit { job: id });
-            }
-        }
+        self.trace_submit(id, cache_hit);
         let mut after = after.to_vec();
         after.sort_unstable();
         after.dedup();
@@ -2240,18 +622,13 @@ impl Runtime {
         program: PimProgram,
         unit_idx: usize,
     ) -> Result<ResidentPin, RuntimeError> {
-        if self.par.is_some() {
-            return Err(RuntimeError::Config(
-                "resident pins require SchedMode::Classic (residency is tracked by the \
-                 single scheduler)"
-                    .into(),
-            ));
-        }
+        self.classic_only(
+            "resident pins",
+            "residency is tracked by the single scheduler",
+        )?;
         let res = self.next_res.fetch_add(1, Ordering::Relaxed);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::Submit { job: id });
-        }
+        self.trace_submit(id, false);
         self.queue
             .push(Submission::Pin {
                 res,
@@ -2289,413 +666,6 @@ impl Runtime {
         };
         self.assemble_report(drained)
     }
-
-    /// Classic drain: close the queue, join the single scheduler thread,
-    /// collect the done-channel stream (bounded when supervision is
-    /// dirty), and fold the scheduler's stage profile plus the per-worker
-    /// busy meters into [`SchedStats`].
-    fn drain_classic(&mut self) -> Result<DrainedSession, RuntimeError> {
-        self.queue.close();
-        // A paused runtime drains on finish: open the gate so the
-        // scheduler can run the backlog down.
-        self.gate.open();
-        let sched_out = self
-            .scheduler
-            .take()
-            .expect("scheduler joined only once")
-            .join()
-            .map_err(|_| RuntimeError::WorkerLost)?;
-
-        let supervisor = self.supervisor.take().expect("classic mode");
-        // Stop supervision: drop the factory and every live sender so
-        // workers drain their channels and exit. Dispatches still
-        // buffered for down shards are already in `sched_out.lost`.
-        drop(supervisor.close());
-        let lost: HashSet<u64> = sched_out.lost.iter().copied().collect();
-        let done_rx = self
-            .done_rx
-            .take()
-            .expect("classic mode")
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stalled = supervisor.stalled_workers();
-        let mut completions: Vec<DoneMsg> = if stalled == 0 && lost.is_empty() {
-            // Every worker has exited (or exits as its channel drains):
-            // the completion stream ends when the last sender drops.
-            done_rx.iter().collect()
-        } else {
-            // A stalled or abandoned-but-undetached worker still holds a
-            // `done` sender, so the stream never disconnects. Collect
-            // exactly the completions the scheduler accounted for,
-            // bounded by the drain deadline. The lost filter drops late
-            // results of replaced or given-up workers.
-            let expected = (sched_out.issued as usize).saturating_sub(lost.len());
-            let deadline = Instant::now() + self.supervise.drain_deadline();
-            let mut collected = Vec::with_capacity(expected);
-            while collected.len() < expected {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match done_rx.recv_timeout(deadline - now) {
-                    Ok(c) => {
-                        if !lost.contains(&c.seq) {
-                            collected.push(c);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            collected
-        };
-        drop(done_rx);
-        let workers_lost = supervisor.join_all(Instant::now() + self.supervise.drain_deadline());
-        completions.sort_by_key(|c| c.seq);
-
-        let (panics_caught, shard_restarts, shards_retired) = supervisor.counters();
-        let supervision = SupervisionStats {
-            panics_caught,
-            shard_restarts,
-            shards_retired,
-            workers_lost,
-            ..sched_out.supervision
-        };
-
-        // Fold the loop's stage profile and the worker busy meters into
-        // the occupancy stats. The classic serial bottleneck is whichever
-        // is larger: the scheduler's own non-wait CPU, or the busiest
-        // worker. Pops are excluded — blocked waits are idleness, not
-        // work.
-        let p = &sched_out.profile;
-        let worker_busy: Vec<u64> = self
-            .worker_busy
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let sched_busy = p.admit_micros + p.place_micros + p.dispatch_micros + p.ack_micros;
-        let busy_micros = worker_busy
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(sched_busy);
-        let per_domain: Vec<DomainStats> = (0..self.shards)
-            .map(|s| DomainStats {
-                domain: s,
-                issued: p.per_shard_issued.get(s).copied().unwrap_or(0),
-                jobs: p.per_shard_jobs.get(s).copied().unwrap_or(0),
-                steals: 0,
-                busy_micros: worker_busy.get(s).copied().unwrap_or(0),
-                ring_peak: 0,
-            })
-            .collect();
-        let sched_stats = SchedStats {
-            mode: "classic".into(),
-            domains: self.shards,
-            pop_micros: p.pop_micros,
-            admit_micros: p.admit_micros,
-            place_micros: p.place_micros,
-            dispatch_micros: p.dispatch_micros,
-            ack_micros: p.ack_micros,
-            busy_micros,
-            wall_micros: p.wall_micros,
-            occupancy_pct: if p.wall_micros > 0 {
-                busy_micros as f64 / p.wall_micros as f64 * 100.0
-            } else {
-                0.0
-            },
-            steals: 0,
-            per_domain,
-        };
-        Ok(DrainedSession {
-            sched_out,
-            completions,
-            supervision,
-            sched_stats,
-        })
-    }
-
-    /// Parallel drain: close every injector, join the domain threads,
-    /// merge their completion rings into one seq-ordered stream, and sum
-    /// their counters — the merged-accounting step that lets the shared
-    /// replay treat a sharded session exactly like a classic one.
-    fn drain_parallel(&mut self, par: ParEngine) -> Result<DrainedSession, RuntimeError> {
-        for injector in &par.injectors {
-            injector.close();
-        }
-        self.gate.open();
-        let mut outs: Vec<DomainOutput> = Vec::with_capacity(par.handles.len());
-        for handle in par.handles {
-            outs.push(handle.join().map_err(|_| RuntimeError::WorkerLost)?);
-        }
-        let mut completions: Vec<DoneMsg> = Vec::new();
-        for ring in &par.rings {
-            completions.append(&mut sync::lock(ring));
-        }
-        // Domain seqs are strided (`seq ≡ domain (mod domains)`), so a
-        // plain sort restores one globally consistent issue order.
-        completions.sort_by_key(|c| c.seq);
-
-        let mut sched_out = SchedulerOutput::plain(
-            Histogram::new(),
-            0,
-            0,
-            0,
-            (0, 0),
-            (0, 0),
-            (0, 0, 0, 0),
-            SupervisionStats::default(),
-            Vec::new(),
-            SchedProfile::default(),
-        );
-        let mut supervision = SupervisionStats::default();
-        let mut per_domain: Vec<DomainStats> = Vec::with_capacity(outs.len());
-        let (mut busy_max, mut wall_max) = (0u64, 0u64);
-        let mut stage = [0u64; 5];
-        let mut steals = 0u64;
-        for o in &outs {
-            sched_out.depth_hist.merge(&o.depth_hist);
-            sched_out.issued += o.issued;
-            sched_out.batches += o.batches;
-            sched_out.batched_jobs += o.batched_jobs;
-            sched_out.splice_hits += o.splice_hits;
-            sched_out.splice_misses += o.splice_misses;
-            sched_out.cancelled += o.cancelled;
-            sched_out.expired += o.expired;
-            sched_out.redispatches += o.redispatches;
-            sched_out.cascaded += o.dropped;
-            supervision.panics_caught += o.panics;
-            supervision.crash_redispatches += o.crash_redispatches;
-            supervision.abandoned_jobs += o.abandoned_jobs;
-            stage[0] += o.pop_micros;
-            stage[1] += o.admit_micros;
-            stage[2] += o.place_micros;
-            stage[3] += o.dispatch_micros;
-            stage[4] += o.ack_micros;
-            steals += o.steals;
-            busy_max = busy_max.max(o.busy_micros);
-            wall_max = wall_max.max(o.wall_micros);
-            per_domain.push(DomainStats {
-                domain: o.domain,
-                issued: o.issued,
-                jobs: o.jobs_done,
-                steals: o.steals,
-                busy_micros: o.busy_micros,
-                ring_peak: o.ring_peak,
-            });
-        }
-        let sched_stats = SchedStats {
-            mode: "parallel".into(),
-            domains: par.domains,
-            pop_micros: stage[0],
-            admit_micros: stage[1],
-            place_micros: stage[2],
-            dispatch_micros: stage[3],
-            ack_micros: stage[4],
-            // The serial bottleneck is the busiest domain's CPU time;
-            // occupancy is that domain's busy share of its own wall.
-            busy_micros: busy_max,
-            wall_micros: wall_max,
-            occupancy_pct: if wall_max > 0 {
-                busy_max as f64 / wall_max as f64 * 100.0
-            } else {
-                0.0
-            },
-            steals,
-            per_domain,
-        };
-        Ok(DrainedSession {
-            sched_out,
-            completions,
-            supervision,
-            sched_stats,
-        })
-    }
-
-    /// Engine-agnostic report assembly: replays the merged completion
-    /// stream through one [`MemoryController`] and builds the final
-    /// stats. Both scheduling engines end here, which is what keeps
-    /// their accounting identical.
-    fn assemble_report(self, drained: DrainedSession) -> Result<RuntimeReport, RuntimeError> {
-        let DrainedSession {
-            sched_out,
-            completions,
-            supervision,
-            sched_stats,
-        } = drained;
-
-        // Timing accounting: replay every instruction's measured device
-        // cost through one MemoryController in issue order — the same
-        // accounting a sequential dispatcher would produce, so bank
-        // conflicts serialize and distinct banks overlap. Every attempt
-        // (retries and re-dispatches included) is replayed, so wasted
-        // work honestly degrades the modeled throughput; only the final
-        // attempt per job becomes its reported outcome.
-        let mut timing = MemoryController::new(self.config.clone());
-        let mut wait_hist = Histogram::new();
-        let mut per_bank: Vec<BankOccupancy> = (0..self.config.banks)
-            .map(|bank| BankOccupancy {
-                bank,
-                ..BankOccupancy::default()
-            })
-            .collect();
-        let mut instructions = 0u64;
-        let mut device_cycles = 0u64;
-        let mut fstats = FaultStats {
-            redispatches: sched_out.redispatches,
-            scrubs: sched_out.scrubs,
-            scrub: sched_out.scrub_total,
-            suspect_banks: sched_out.suspect_banks,
-            quarantined_banks: sched_out.quarantined_banks,
-            degraded_capacity: sched_out.degraded_capacity,
-            ..FaultStats::default()
-        };
-        // Winning (latest-seq) attempt per job id, with any error it hit.
-        let mut winners: HashMap<u64, (JobOutcome, Option<PimError>)> = HashMap::new();
-        for c in completions {
-            let bank = c.unit.bank;
-            let wait = timing.bank_free_at(bank).saturating_sub(timing.now());
-            let mut done = 0;
-            let mut batch_device = 0;
-            for cost in &c.instr_costs {
-                let t = timing.submit(Request::Pim {
-                    location: c.unit,
-                    device_cycles: cost.cycles,
-                    energy_pj: cost.energy_pj,
-                })?;
-                done = done.max(t);
-                batch_device += cost.cycles;
-            }
-            instructions += c.instr_costs.len() as u64;
-            device_cycles += batch_device;
-            fstats.replicas_run += u64::from(c.replicas);
-            fstats.faults_detected += c.faults_detected;
-            fstats.retries += u64::from(c.retries);
-            fstats.votes_overturned += c.votes_overturned;
-            // Demux the batched output stream back into per-job outputs
-            // (readout counts were recorded at dispatch; passes neither
-            // remove nor reorder readouts, so the slices stay exact) and
-            // apportion the batch's measured device cycles evenly, with
-            // the remainder on the first member.
-            let members = c.slots.len();
-            let share = batch_device / members.max(1) as u64;
-            let mut remainder = batch_device - share * members as u64;
-            let mut cursor = 0usize;
-            for slot in &c.slots {
-                let end = (cursor + slot.readouts).min(c.outputs.len());
-                let start = cursor.min(c.outputs.len());
-                cursor += slot.readouts;
-                let outputs = c.outputs[start..end].to_vec();
-                let job_device = share + remainder;
-                remainder = 0;
-                wait_hist.record(wait);
-                per_bank[bank].jobs += 1;
-                per_bank[bank].wait_cycles += wait;
-                if let Some(trace) = &self.trace {
-                    trace.record(&Event::Complete {
-                        job: slot.job_id,
-                        bank,
-                        wait,
-                        done,
-                    });
-                }
-                let outcome = JobOutcome {
-                    job_id: slot.job_id,
-                    seq: c.seq,
-                    unit: c.unit,
-                    bank,
-                    outputs,
-                    device_cycles: job_device,
-                    wait_cycles: wait,
-                    completion: done,
-                    attempt: slot.attempt,
-                    replicas: c.replicas,
-                    faults_detected: c.faults_detected,
-                    retries: c.retries,
-                    votes_overturned: c.votes_overturned,
-                    verified: c.verified,
-                    batch: members as u32,
-                };
-                // Attempts arrive in seq order, so a later re-dispatch of
-                // the same job replaces the unverified earlier outcome.
-                winners.insert(slot.job_id, (outcome, c.error.clone()));
-            }
-        }
-        let makespan = timing.drain();
-        for (bank, busy) in timing.bank_stats().busy_cycles.iter().enumerate() {
-            per_bank[bank].busy_cycles = *busy;
-        }
-        // Surface the first (issue-order) error among winning attempts.
-        let mut first_err: Option<(u64, PimError)> = None;
-        let mut outcomes = Vec::with_capacity(winners.len());
-        for (outcome, error) in winners.into_values() {
-            if let Some(err) = error {
-                if first_err.as_ref().is_none_or(|(seq, _)| outcome.seq < *seq) {
-                    first_err = Some((outcome.seq, err));
-                }
-                continue;
-            }
-            outcomes.push(outcome);
-        }
-        if let Some((_, err)) = first_err {
-            return Err(RuntimeError::Pim(err));
-        }
-        outcomes.sort_by_key(|o| o.job_id);
-        if self.protection.is_active() {
-            fstats.protected_jobs = outcomes.len() as u64;
-            fstats.unverified_jobs = outcomes.iter().filter(|o| !o.verified).count() as u64;
-        }
-
-        let jobs = outcomes.len() as u64;
-        let modeled_us = makespan as f64 * self.config.memory_cycle_ns / 1000.0;
-        let stats = RuntimeStats {
-            jobs,
-            cancelled: sched_out.cancelled,
-            expired: sched_out.expired,
-            instructions,
-            shards: self.shards,
-            optimized_jobs: self.optimized_jobs.load(Ordering::Relaxed),
-            instructions_eliminated: self.instructions_eliminated.load(Ordering::Relaxed),
-            est_device_cycles_saved: self.est_device_cycles_saved.load(Ordering::Relaxed),
-            makespan_cycles: makespan,
-            device_cycles,
-            jobs_per_us: if modeled_us > 0.0 {
-                jobs as f64 / modeled_us
-            } else {
-                0.0
-            },
-            per_bank,
-            queue_depth: sched_out.depth_hist,
-            wait: wait_hist,
-            controller: *timing.stats(),
-            bank_stats: timing.bank_stats().clone(),
-            faults: fstats,
-            cache: self
-                .cache
-                .as_ref()
-                .map(ProgramCache::stats)
-                .unwrap_or_default(),
-            batch: BatchStats {
-                batches: sched_out.batches,
-                batched_jobs: sched_out.batched_jobs,
-                splice_hits: sched_out.splice_hits,
-                splice_misses: sched_out.splice_misses,
-            },
-            pipeline: PipelineStats {
-                deferred_jobs: sched_out.deferred,
-                released_jobs: sched_out.released,
-                cascade_cancelled: sched_out.cascaded,
-                residents: sched_out.pins,
-                rematerializations: sched_out.remats,
-            },
-            supervision,
-            sched: sched_stats,
-        };
-        if let Some(trace) = &self.trace {
-            trace.flush();
-        }
-        Ok(RuntimeReport { outcomes, stats })
-    }
 }
 
 /// Convenience: run a batch of [`Placement::Auto`] programs through a
@@ -2716,1880 +686,13 @@ pub fn run_batch(
     runtime.finish()
 }
 
-/// Readouts a program contributes to its dispatch's output stream.
-fn count_readouts(program: &PimProgram) -> usize {
-    program
-        .steps
-        .iter()
-        .filter(|s| matches!(s, Step::Readout { .. }))
-        .count()
-}
-
-/// The program one dispatch executes: a single member's program shared
-/// as-is, or the cross-boundary-optimized splice of all members (falling
-/// back to the plain splice — still semantics-preserving — if the batch
-/// pipeline fails).
-fn batch_program(jobs: &[PimJob], compiler: &Compiler) -> Arc<PimProgram> {
-    if jobs.len() == 1 {
-        return Arc::clone(&jobs[0].program);
-    }
-    let spliced = splice_programs(jobs.iter().map(|j| (j.id, j.program.as_ref())));
-    match compiler.optimize(&spliced.program) {
-        Ok((optimized, _)) => Arc::new(optimized),
-        Err(_) => Arc::new(spliced.program),
-    }
-}
-
-/// [`batch_program`] with the batched-splice cache in front: repeated
-/// same-shape batches skip splice + cross-boundary optimization.
-fn batch_program_cached(
-    jobs: &[PimJob],
-    compiler: &Compiler,
-    cache: &mut Option<BatchCache>,
-) -> Arc<PimProgram> {
-    if jobs.len() >= 2 {
-        if let Some(cache) = cache.as_mut() {
-            let members: Vec<&PimProgram> = jobs.iter().map(|j| j.program.as_ref()).collect();
-            if let Some(hit) = cache.get(&members) {
-                return hit;
-            }
-            let program = batch_program(jobs, compiler);
-            cache.insert_if_missed(&members, &program);
-            return program;
-        }
-    }
-    batch_program(jobs, compiler)
-}
-
-/// The plain scheduler's minimal supervision state: outstanding
-/// dispatches (kept cloneable for verbatim re-send to a restarted
-/// shard), per-seq crash retries, and lost-seq accounting.
-#[derive(Default)]
-struct PlainRecovery {
-    /// `seq` → (shard, dispatch copy, member job ids).
-    outstanding: HashMap<u64, (usize, WorkMsg, Vec<u64>)>,
-    /// Crash retries per outstanding seq.
-    crash_retries: HashMap<u64, u32>,
-    /// Seqs that will never complete (abandoned dispatches).
-    lost: Vec<u64>,
-    /// Scheduler-side supervision counters.
-    sup: SupervisionStats,
-}
-
-/// Processes one worker acknowledgement in the plain scheduler:
-/// completions resolve dependency gates; a shard-down report re-sends
-/// the shard's outstanding dispatches verbatim (the supervisor buffers
-/// them until the replacement worker is up), abandoning the crashed
-/// attempt once its retry budget is spent.
-#[allow(clippy::too_many_arguments)]
-fn plain_handle_ack(
-    ack: AckMsg,
-    rec: &mut PlainRecovery,
-    supervisor: &Supervisor<WorkMsg>,
-    opts: &SuperviseOptions,
-    trace: &Option<Arc<EventTrace>>,
-    canceller: &mut Canceller,
-    deps: &mut DepTracker,
-    ready: &mut std::collections::VecDeque<PimJob>,
-) {
-    let abandon = |rec: &mut PlainRecovery,
-                   canceller: &mut Canceller,
-                   deps: &mut DepTracker,
-                   ready: &mut std::collections::VecDeque<PimJob>,
-                   seq: u64| {
-        let Some((_, _, ids)) = rec.outstanding.remove(&seq) else {
-            return;
-        };
-        rec.crash_retries.remove(&seq);
-        rec.lost.push(seq);
-        for id in ids {
-            rec.sup.abandoned_jobs += 1;
-            if let Some(tx) = &canceller.notify {
-                let _ = tx.send(JobNotice::Abandoned {
-                    job_id: id,
-                    hung: false,
-                });
-            }
-            let rel = deps.on_final(id, true, Vec::new());
-            for fid in rel.failed {
-                canceller.drop_cascaded(fid);
-            }
-            ready.extend(rel.ready);
-        }
-    };
-    match ack {
-        AckMsg::Started { .. } | AckMsg::Scrub { .. } => {}
-        AckMsg::Job {
-            seq,
-            errored,
-            members,
-            ..
-        } => {
-            if rec.outstanding.remove(&seq).is_none() {
-                rec.sup.stale_acks += 1;
-                return;
-            }
-            rec.crash_retries.remove(&seq);
-            for (id, outputs) in members {
-                let rel = deps.on_final(id, errored, outputs);
-                for fid in rel.failed {
-                    canceller.drop_cascaded(fid);
-                }
-                ready.extend(rel.ready);
-            }
-        }
-        AckMsg::ShardDown {
-            shard,
-            generation,
-            panicked_seq,
-        } => {
-            let down = supervisor.mark_down(shard, generation, DownCause::Panic);
-            if matches!(down, Down::Stale) {
-                return;
-            }
-            let retired = matches!(down, Down::Retired(_));
-            if let Some(trace) = trace {
-                trace.record(&Event::ShardDown { shard, hung: false });
-            }
-            let mut seqs: Vec<u64> = rec
-                .outstanding
-                .iter()
-                .filter(|(_, (s, _, _))| *s == shard)
-                .map(|(&seq, _)| seq)
-                .collect();
-            seqs.sort_unstable();
-            for seq in seqs {
-                if retired {
-                    // No replacement is coming; everything the shard
-                    // still owed is lost.
-                    abandon(rec, canceller, deps, ready, seq);
-                    continue;
-                }
-                if Some(seq) == panicked_seq {
-                    let retries = rec.crash_retries.entry(seq).or_insert(0);
-                    if *retries >= opts.max_job_retries {
-                        abandon(rec, canceller, deps, ready, seq);
-                        continue;
-                    }
-                    *retries += 1;
-                }
-                let (_, msg, ids) = &rec.outstanding[&seq];
-                rec.sup.crash_redispatches += ids.len() as u64;
-                supervisor.send(shard, msg.clone());
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scheduler_loop(
-    config: &MemoryConfig,
-    queue: &JobQueue<Submission>,
-    supervisor: &Supervisor<WorkMsg>,
-    shards: usize,
-    ack_rx: &mpsc::Receiver<AckMsg>,
-    dispatch: DispatchMode,
-    trace: Option<Arc<EventTrace>>,
-    batch_opts: BatchOptions,
-    compile: CompileOptions,
-    mut canceller: Canceller,
-    supervise_opts: SuperviseOptions,
-    issue_policy: IssuePolicy,
-) -> SchedulerOutput {
-    // A controller used only for PIM-unit geometry (bank-major indexing).
-    let units = MemoryController::new(config.clone());
-    let unit_count = units.pim_unit_count();
-    // The scheduler's own compiler optimizes *across* spliced program
-    // boundaries; per-job optimization already happened at submit.
-    let compiler = Compiler::new(config.clone(), &compile);
-    let max_jobs = batch_opts.cap();
-    let grouping = batch_opts.grouping;
-    let mut splice_cache = batch_opts.splice_cache();
-    let mut sched = BankScheduler::new(config.banks).with_policy(issue_policy);
-    let mut place_cursor = 0usize;
-    let mut issued = 0u64;
-    let mut batches = 0u64;
-    let mut batched_jobs = 0u64;
-    let mut pins = 0u64;
-    // Jobs dropped for an unknown residency (counted with the cascades).
-    let mut dropped = 0u64;
-    let mut deps = DepTracker::new();
-    let mut residents: HashMap<u64, (DbcLocation, Arc<PimProgram>)> = HashMap::new();
-    // Dispatches sent whose ack has not been processed yet, kept
-    // verbatim so a crashed shard's queue can be re-sent.
-    let mut rec = PlainRecovery::default();
-    // Armed once supervision has something to drain against a deadline.
-    let mut drain_deadline: Option<Instant> = None;
-    let mut closed = false;
-    let mut drained: Vec<Submission> = Vec::new();
-    // Jobs cleared for placement (admitted or released by a retirement).
-    let mut ready: std::collections::VecDeque<PimJob> = std::collections::VecDeque::new();
-    // Occupancy profile: stage busy times in thread-CPU micros (waits
-    // cost ~0 CPU, so blocked pops charge nothing) plus per-shard issue
-    // counts. Termination-block CPU rides into the next pop lap.
-    let mut profile = SchedProfile {
-        per_shard_issued: vec![0; shards],
-        per_shard_jobs: vec![0; shards],
-        ..SchedProfile::default()
-    };
-    let wall_start = Instant::now();
-    let mut clock = cputime::StageClock::start();
-    // Kick-counter snapshot for event-driven pops: workers kick the
-    // queue after every ack, and a pop observing a kick newer than this
-    // snapshot returns immediately instead of riding out its timeout.
-    let mut seen_kicks = queue.kicks();
-
-    loop {
-        // 1. Pull newly submitted work. The pop is bounded (never an
-        //    unbounded block) so shard-down acks are always noticed, and
-        //    kick-aware: a push or a worker ack arriving mid-wait wakes
-        //    it immediately, so the 50ms ceiling is only ever ridden out
-        //    when the session is truly idle.
-        if !closed {
-            match queue.pop_kicked(Duration::from_millis(50), seen_kicks) {
-                Pop::Item(first) => {
-                    drained.push(first);
-                    queue.drain_ready(&mut drained);
-                }
-                Pop::Timeout => {}
-                Pop::Closed => closed = true,
-            }
-        }
-        profile.pop_micros += clock.lap();
-
-        // 2. Admit submissions: independent jobs go straight to the
-        //    ready list, chains through the dependency tracker, pins
-        //    register their residency before their load job places.
-        for submission in drained.drain(..) {
-            match submission {
-                Submission::Job(job) => ready.push_back(job),
-                Submission::Chain(chain) => {
-                    let rel = deps.admit(chain);
-                    for id in rel.failed {
-                        canceller.drop_cascaded(id);
-                    }
-                    ready.extend(rel.ready);
-                }
-                Submission::Pin { res, unit_idx, job } => {
-                    let unit = units.pim_unit(unit_idx % unit_count);
-                    residents.insert(res, (unit, Arc::clone(&job.program)));
-                    pins += 1;
-                    if let Some(trace) = &trace {
-                        trace.record(&Event::ResidentPinned {
-                            res,
-                            job: job.id,
-                            bank: unit.bank,
-                        });
-                    }
-                    ready.push_back(job);
-                }
-            }
-        }
-        profile.admit_micros += clock.lap();
-
-        // 3. Drain worker acks. The plain loop never re-dispatches for
-        //    verification, so every job ack is a final attempt and
-        //    resolves gates; shard-down acks trigger minimal recovery.
-        //    Snapshot the kick counter first: any ack (and kick) landing
-        //    after this line wakes the next pop early — snapshot-then-
-        //    drain can never lose a wakeup.
-        seen_kicks = queue.kicks();
-        while let Ok(ack) = ack_rx.try_recv() {
-            plain_handle_ack(
-                ack,
-                &mut rec,
-                supervisor,
-                &supervise_opts,
-                &trace,
-                &mut canceller,
-                &mut deps,
-                &mut ready,
-            );
-        }
-        // Bring replacement workers up (cheap: gated on a caught panic).
-        if supervisor.counters().0 > 0 {
-            for ev in supervisor.poll_restarts() {
-                if let Some(trace) = &trace {
-                    trace.record(&Event::ShardRestart {
-                        shard: ev.shard,
-                        restarts: ev.restarts,
-                    });
-                }
-            }
-        }
-        profile.ack_micros += clock.lap();
-
-        // 4+5. Place and issue until nothing new is released (dropping a
-        //      cancelled job can cascade and release more work).
-        loop {
-            // Resolve placement and enqueue into the per-bank FIFOs,
-            // dropping jobs cancelled while they waited.
-            while let Some(job) = ready.pop_front() {
-                if canceller.armed() && canceller.drop_if_cancelled(job.id) {
-                    let rel = deps.on_final(job.id, true, Vec::new());
-                    for fid in rel.failed {
-                        canceller.drop_cascaded(fid);
-                    }
-                    ready.extend(rel.ready);
-                    continue;
-                }
-                let (unit, program) = match job.placement {
-                    Placement::Auto => {
-                        let unit = match dispatch {
-                            DispatchMode::Circular => {
-                                // Bank-major unit indexing: consecutive
-                                // jobs land on consecutive banks (§V-C).
-                                let u = units.pim_unit(place_cursor % unit_count);
-                                place_cursor += 1;
-                                u
-                            }
-                            DispatchMode::SingleBank => units.pim_unit(0),
-                        };
-                        (unit, Arc::new(job.program.retarget(unit)))
-                    }
-                    Placement::Unit(idx) => {
-                        let unit = units.pim_unit(idx % unit_count);
-                        (unit, Arc::new(job.program.retarget(unit)))
-                    }
-                    Placement::Fixed(loc) => (loc, Arc::new(job.program.retarget(loc))),
-                    Placement::Resident(res) => match residents.get(&res) {
-                        Some((unit, _)) => (*unit, Arc::new(relocate_to_tile(&job.program, *unit))),
-                        None => {
-                            // Unknown residency: the job can never run.
-                            dropped += 1;
-                            canceller.drop_cascaded(job.id);
-                            let rel = deps.on_final(job.id, true, Vec::new());
-                            for fid in rel.failed {
-                                canceller.drop_cascaded(fid);
-                            }
-                            ready.extend(rel.ready);
-                            continue;
-                        }
-                    },
-                };
-                sched.enqueue(
-                    PimJob {
-                        id: job.id,
-                        program,
-                        placement: job.placement,
-                        deadline: job.deadline,
-                    },
-                    unit.bank,
-                );
-            }
-            profile.place_micros += clock.lap();
-
-            // Issue everything in circular-bank order; route each dispatch
-            // to the shard owning its bank so same-bank work stays
-            // ordered. With batching on, same-unit jobs splice into one
-            // program.
-            while let Some(mut issue) = sched.issue_next_batch_grouped(max_jobs, grouping, |_| true)
-            {
-                for id in canceller.filter_issue(&mut issue.jobs) {
-                    let rel = deps.on_final(id, true, Vec::new());
-                    for fid in rel.failed {
-                        canceller.drop_cascaded(fid);
-                    }
-                    ready.extend(rel.ready);
-                }
-                for id in canceller.filter_expired(&mut issue.jobs) {
-                    let rel = deps.on_final(id, true, Vec::new());
-                    for fid in rel.failed {
-                        canceller.drop_cascaded(fid);
-                    }
-                    ready.extend(rel.ready);
-                }
-                if issue.jobs.is_empty() {
-                    continue;
-                }
-                let shard = issue.bank % shards;
-                let program = batch_program_cached(&issue.jobs, &compiler, &mut splice_cache);
-                let unit = program
-                    .steps
-                    .first()
-                    .map_or_else(|| units.pim_unit(issue.bank), Step::target);
-                if issue.jobs.len() >= 2 {
-                    batches += 1;
-                    batched_jobs += issue.jobs.len() as u64;
-                    if let Some(trace) = &trace {
-                        trace.record(&Event::Batch {
-                            seq: issue.seq,
-                            bank: issue.bank,
-                            jobs: issue.jobs.iter().map(|j| j.id).collect(),
-                        });
-                    }
-                }
-                let slots: Vec<SlotMeta> = issue
-                    .jobs
-                    .iter()
-                    .map(|j| SlotMeta {
-                        job_id: j.id,
-                        readouts: count_readouts(&j.program),
-                        attempt: 0,
-                    })
-                    .collect();
-                if let Some(trace) = &trace {
-                    for job in &issue.jobs {
-                        trace.record(&Event::Issue {
-                            job: job.id,
-                            seq: issue.seq,
-                            bank: issue.bank,
-                            shard,
-                        });
-                    }
-                }
-                issued += 1;
-                profile.per_shard_issued[shard] += 1;
-                profile.per_shard_jobs[shard] += issue.jobs.len() as u64;
-                let members: Vec<u64> = slots.iter().map(|s| s.job_id).collect();
-                let msg = WorkMsg::Job {
-                    seq: issue.seq,
-                    unit,
-                    program,
-                    slots,
-                };
-                rec.outstanding
-                    .insert(issue.seq, (shard, msg.clone(), members));
-                // A send to a down shard buffers inside the supervisor
-                // until the replacement worker is up.
-                supervisor.send(shard, msg);
-            }
-            profile.dispatch_micros += clock.lap();
-
-            if ready.is_empty() {
-                break;
-            }
-        }
-
-        // 6. Termination: drain acks to the last gate, then fail any
-        //    unsatisfiable tail. With supervision clean (no panic ever
-        //    caught) the wait is the pre-PR blocking recv — a shard-down
-        //    ack itself is what would wake it; once supervision is dirty
-        //    the drain is bounded by the configured deadline so a lost
-        //    shard can never wedge the session.
-        if closed && ready.is_empty() {
-            if !rec.outstanding.is_empty() {
-                if supervisor.counters().0 == 0 {
-                    match ack_rx.recv() {
-                        Ok(ack) => plain_handle_ack(
-                            ack,
-                            &mut rec,
-                            supervisor,
-                            &supervise_opts,
-                            &trace,
-                            &mut canceller,
-                            &mut deps,
-                            &mut ready,
-                        ),
-                        Err(_) => break,
-                    }
-                    continue;
-                }
-                let deadline = *drain_deadline
-                    .get_or_insert_with(|| Instant::now() + supervise_opts.drain_deadline());
-                if Instant::now() >= deadline {
-                    // Deadline hit: whatever is still outstanding will
-                    // never complete. Abandon it so finish() returns.
-                    let seqs: Vec<u64> = rec.outstanding.keys().copied().collect();
-                    for seq in seqs {
-                        let (_, _, ids) = rec.outstanding.remove(&seq).unwrap();
-                        rec.lost.push(seq);
-                        for id in ids {
-                            rec.sup.abandoned_jobs += 1;
-                            if let Some(tx) = &canceller.notify {
-                                let _ = tx.send(JobNotice::Abandoned {
-                                    job_id: id,
-                                    hung: false,
-                                });
-                            }
-                            let rel = deps.on_final(id, true, Vec::new());
-                            for fid in rel.failed {
-                                canceller.drop_cascaded(fid);
-                            }
-                            ready.extend(rel.ready);
-                        }
-                    }
-                    continue;
-                }
-                match ack_rx.recv_timeout(Duration::from_millis(10)) {
-                    Ok(ack) => plain_handle_ack(
-                        ack,
-                        &mut rec,
-                        supervisor,
-                        &supervise_opts,
-                        &trace,
-                        &mut canceller,
-                        &mut deps,
-                        &mut ready,
-                    ),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-                continue;
-            }
-            if deps.is_empty() {
-                break;
-            }
-            // Every dependency that could retire has; what still waits
-            // can never run (e.g. gated on a cancelled predecessor's id
-            // never submitted, or the queue closed mid-chain).
-            let rel = deps.fail_all();
-            for fid in rel.failed {
-                canceller.drop_cascaded(fid);
-            }
-        }
-    }
-
-    profile.wall_micros = wall_start.elapsed().as_micros() as u64;
-    SchedulerOutput::plain(
-        sched.depth_histogram().clone(),
-        issued,
-        batches,
-        batched_jobs,
-        splice_cache.as_ref().map_or((0, 0), BatchCache::counts),
-        (canceller.cancelled, canceller.expired),
-        (
-            deps.deferred,
-            deps.released,
-            deps.cascade_cancelled + dropped,
-            pins,
-        ),
-        rec.sup,
-        rec.lost,
-        profile,
-    )
-}
-
-/// A dispatched-but-unacknowledged attempt the fault-aware scheduler
-/// keeps so it can re-route its member jobs if verification fails. Holds
-/// the members' *individual* programs (pre-splice), so an unverified
-/// batch re-dispatches each member separately.
-struct InflightRec {
-    jobs: Vec<PimJob>,
-    /// Worker shard the dispatch went to.
-    shard: usize,
-    /// Bank the dispatch targets (for in-flight cap accounting).
-    bank: usize,
-    /// When the worker's `Started` heartbeat arrived (watchdog anchor);
-    /// `None` until then — a dispatch still queued behind other work
-    /// cannot be hung.
-    started: Option<Instant>,
-    /// Watchdog wall-clock budget for this dispatch.
-    budget: Duration,
-}
-
-/// The fault-aware scheduler's mutable state, factored out so ack
-/// handling can be invoked from both the polling and the blocking paths
-/// of the loop.
-struct FaultSched<'a> {
-    units: MemoryController,
-    unit_count: usize,
-    shards: usize,
-    dispatch: DispatchMode,
-    policy: HealthPolicy,
-    protection_active: bool,
-    batch: BatchOptions,
-    compiler: Compiler,
-    splice_cache: Option<BatchCache>,
-    canceller: Canceller,
-    trace: Option<Arc<EventTrace>>,
-    supervisor: &'a Supervisor<WorkMsg>,
-    supervise: SuperviseOptions,
-    watchdog: WatchdogOptions,
-    chaos: Option<ChaosPlan>,
-    poison: Option<Arc<PoisonRegistry>>,
-    sched: BankScheduler,
-    health: HealthTracker,
-    inflight: HashMap<u64, InflightRec>,
-    inflight_per_bank: Vec<usize>,
-    /// Re-dispatch count per job id (bounds recovery attempts).
-    redispatched: HashMap<u64, u32>,
-    /// Crash/hang re-placement count per job id (bounds supervision
-    /// recovery, separately from verification re-dispatch).
-    crash_retries: HashMap<u64, u32>,
-    /// Scheduler-side supervision counters.
-    sup: SupervisionStats,
-    /// Seqs that will never complete (crashed, hung, or abandoned).
-    lost: Vec<u64>,
-    place_cursor: usize,
-    issued: u64,
-    batches: u64,
-    batched_jobs: u64,
-    redispatches: u64,
-    /// Scrub passes awaiting an ack, per shard (zeroed when the shard
-    /// goes down — its queued scrubs died with it).
-    scrubs_outstanding: Vec<usize>,
-    scrubs: u64,
-    scrub_total: ScrubOutcome,
-    deps: DepTracker,
-    /// Residency id → (hosting unit, pin program kept for
-    /// re-materialization after quarantine).
-    residents: HashMap<u64, (DbcLocation, Arc<PimProgram>)>,
-    /// Shared id counter, for re-materialization jobs the scheduler
-    /// originates itself.
-    next_id: &'a AtomicU64,
-    pins: u64,
-    remats: u64,
-    /// Jobs dropped for an unknown residency (counted with the cascades).
-    dropped: u64,
-    /// Dispatches issued per worker shard (`bank % shards`).
-    per_shard_issued: Vec<u64>,
-    /// Member jobs issued per worker shard.
-    per_shard_jobs: Vec<u64>,
-}
-
-impl FaultSched<'_> {
-    /// The next PIM unit in circular order, skipping quarantined banks,
-    /// banks owned by a down worker shard, and `avoid` (when
-    /// alternatives exist). Falls back to plain circular order if every
-    /// unit is excluded.
-    fn pick_unit(&mut self, avoid: Option<usize>) -> DbcLocation {
-        // One lock for the whole scan instead of one per candidate.
-        let shards_dirty = self.supervisor.any_down();
-        for _ in 0..self.unit_count {
-            let unit = self.units.pim_unit(self.place_cursor % self.unit_count);
-            self.place_cursor += 1;
-            if self.health.is_quarantined(unit.bank) {
-                continue;
-            }
-            if shards_dirty && self.supervisor.is_down(unit.bank % self.shards) {
-                continue;
-            }
-            if avoid == Some(unit.bank) && self.unit_count > 1 {
-                continue;
-            }
-            return unit;
-        }
-        let unit = self.units.pim_unit(self.place_cursor % self.unit_count);
-        self.place_cursor += 1;
-        unit
-    }
-
-    /// Resolves a job's placement (quarantine-aware for anything but
-    /// [`Placement::Fixed`]) and enqueues it into the bank FIFOs.
-    fn place(&mut self, job: PimJob) {
-        let unit = match job.placement {
-            Placement::Auto => match self.dispatch {
-                DispatchMode::Circular => self.pick_unit(None),
-                DispatchMode::SingleBank => {
-                    let unit = self.units.pim_unit(0);
-                    if self.health.is_quarantined(unit.bank) {
-                        self.pick_unit(None)
-                    } else {
-                        unit
-                    }
-                }
-            },
-            Placement::Unit(idx) => {
-                let unit = self.units.pim_unit(idx % self.unit_count);
-                if self.health.is_quarantined(unit.bank) {
-                    self.pick_unit(None)
-                } else {
-                    unit
-                }
-            }
-            Placement::Fixed(loc) => loc,
-            Placement::Resident(res) => {
-                // The residency map is kept current by re-materialization
-                // (quarantine moves residents before re-placing their
-                // dependents), so the hosting unit is always usable here.
-                let Some((unit, _)) = self.residents.get(&res) else {
-                    // Unknown residency: the job can never run.
-                    let id = job.id;
-                    self.dropped += 1;
-                    self.canceller.drop_cascaded(id);
-                    self.finalize(id, true, Vec::new());
-                    return;
-                };
-                let unit = *unit;
-                let relocated = PimJob {
-                    id: job.id,
-                    program: Arc::new(relocate_to_tile(&job.program, unit)),
-                    placement: job.placement,
-                    deadline: job.deadline,
-                };
-                self.sched.enqueue(relocated, unit.bank);
-                return;
-            }
-        };
-        let retargeted = PimJob {
-            id: job.id,
-            program: Arc::new(job.program.retarget(unit)),
-            placement: job.placement,
-            deadline: job.deadline,
-        };
-        self.sched.enqueue(retargeted, unit.bank);
-    }
-
-    /// Records a job's final attempt with the dependency tracker and
-    /// handles whatever that set free: ready jobs place (unless
-    /// cancelled meanwhile), cascade-failed jobs report as cancelled.
-    fn finalize(&mut self, id: u64, errored: bool, outputs: Vec<(String, Vec<u64>)>) {
-        let rel = self.deps.on_final(id, errored, outputs);
-        self.process_released(rel);
-    }
-
-    fn process_released(&mut self, rel: Released) {
-        for id in rel.failed {
-            self.canceller.drop_cascaded(id);
-        }
-        for job in rel.ready {
-            if self.canceller.armed() && self.canceller.drop_if_cancelled(job.id) {
-                self.finalize(job.id, true, Vec::new());
-                continue;
-            }
-            self.place(job);
-        }
-    }
-
-    /// Admits one submission from the queue (a chaos plan may inject a
-    /// deterministic, seed-keyed delay here).
-    fn admit(&mut self, submission: Submission) {
-        if let Some(plan) = self.chaos {
-            let probe = match &submission {
-                Submission::Job(job) | Submission::Pin { job, .. } => Some(job.id),
-                Submission::Chain(_) => None,
-            };
-            if let Some(id) = probe {
-                if matches!(
-                    plan.decide(CrossingPoint::SchedulerAdmit, id, 0),
-                    ChaosAction::Delay
-                ) {
-                    std::thread::sleep(Duration::from_micros(plan.delay_us));
-                }
-            }
-        }
-        match submission {
-            Submission::Job(job) => {
-                if self.canceller.armed() && self.canceller.drop_if_cancelled(job.id) {
-                    self.finalize(job.id, true, Vec::new());
-                    return;
-                }
-                self.place(job);
-            }
-            Submission::Chain(chain) => {
-                let rel = self.deps.admit(chain);
-                self.process_released(rel);
-            }
-            Submission::Pin { res, unit_idx, job } => {
-                let requested = self.units.pim_unit(unit_idx % self.unit_count);
-                let unit = if self.health.is_quarantined(requested.bank) {
-                    self.pick_unit(None)
-                } else {
-                    requested
-                };
-                self.residents.insert(res, (unit, Arc::clone(&job.program)));
-                self.pins += 1;
-                if let Some(trace) = &self.trace {
-                    trace.record(&Event::ResidentPinned {
-                        res,
-                        job: job.id,
-                        bank: unit.bank,
-                    });
-                }
-                self.place(job);
-            }
-        }
-    }
-
-    /// Moves every residency off a quarantined bank: each one gets a
-    /// fresh re-materialization job that re-runs its pin program on a
-    /// healthy unit. Called *before* the bank's FIFO is drained and
-    /// re-placed, so per-bank FIFO order guarantees the weights reload
-    /// before any dependent job runs on the new bank.
-    fn rematerialize_off(&mut self, bank: usize) {
-        let mut moved: Vec<(u64, Arc<PimProgram>)> = self
-            .residents
-            .iter()
-            .filter(|(_, (unit, _))| unit.bank == bank)
-            .map(|(res, (_, program))| (*res, Arc::clone(program)))
-            .collect();
-        moved.sort_by_key(|(res, _)| *res);
-        for (res, program) in moved {
-            let unit = self.pick_unit(Some(bank));
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.remats += 1;
-            if let Some(trace) = &self.trace {
-                trace.record(&Event::Rematerialized {
-                    res,
-                    job: id,
-                    from_bank: bank,
-                    to_bank: unit.bank,
-                });
-            }
-            self.residents.insert(res, (unit, Arc::clone(&program)));
-            let relocated = PimJob {
-                id,
-                program: Arc::new(relocate_to_tile(&program, unit)),
-                placement: Placement::Resident(res),
-                deadline: None,
-            };
-            self.sched.enqueue(relocated, unit.bank);
-        }
-    }
-
-    /// Issues every queued dispatch whose bank is below the in-flight cap
-    /// and whose worker shard is up (work for a down shard stays queued
-    /// until the replacement worker runs).
-    fn issue_ready(&mut self) {
-        let cap = self.policy.max_inflight_per_bank;
-        let max_jobs = self.batch.cap();
-        let grouping = self.batch.grouping;
-        // Snapshot of down shards, stable for the scan; a shard that
-        // goes down mid-scan is caught on the next pass.
-        let down: Vec<bool> = if self.supervisor.any_down() {
-            (0..self.shards)
-                .map(|s| self.supervisor.is_down(s))
-                .collect()
-        } else {
-            vec![false; self.shards]
-        };
-        loop {
-            let Some(mut issue) = self
-                .sched
-                .issue_next_batch_grouped(max_jobs, grouping, |bank| {
-                    self.inflight_per_bank[bank] < cap && !down[bank % self.shards]
-                })
-            else {
-                return;
-            };
-            for id in self.canceller.filter_issue(&mut issue.jobs) {
-                self.finalize(id, true, Vec::new());
-            }
-            for id in self.canceller.filter_expired(&mut issue.jobs) {
-                self.finalize(id, true, Vec::new());
-            }
-            if issue.jobs.is_empty() {
-                // Every member was cancelled: nothing dispatches, nothing
-                // counts toward `issued` or the bank's in-flight cap.
-                continue;
-            }
-            self.dispatch_issue(issue);
-        }
-    }
-
-    /// Sends one issued dispatch to its shard and records it in flight.
-    fn dispatch_issue(&mut self, issue: IssuedBatch) {
-        let IssuedBatch { seq, jobs, bank } = issue;
-        let shard = bank % self.shards;
-        let program = batch_program_cached(&jobs, &self.compiler, &mut self.splice_cache);
-        let unit = program
-            .steps
-            .first()
-            .map_or_else(|| self.units.pim_unit(bank), Step::target);
-        if jobs.len() >= 2 {
-            self.batches += 1;
-            self.batched_jobs += jobs.len() as u64;
-            if let Some(trace) = &self.trace {
-                trace.record(&Event::Batch {
-                    seq,
-                    bank,
-                    jobs: jobs.iter().map(|j| j.id).collect(),
-                });
-            }
-        }
-        let slots: Vec<SlotMeta> = jobs
-            .iter()
-            .map(|j| SlotMeta {
-                job_id: j.id,
-                readouts: count_readouts(&j.program),
-                // Verification re-dispatches and crash/hang re-placements
-                // share the attempt axis (each restart of the job is a
-                // distinct attempt).
-                attempt: self.redispatched.get(&j.id).copied().unwrap_or(0)
-                    + self.crash_retries.get(&j.id).copied().unwrap_or(0),
-            })
-            .collect();
-        if let Some(trace) = &self.trace {
-            for job in &jobs {
-                trace.record(&Event::Issue {
-                    job: job.id,
-                    seq,
-                    bank,
-                    shard,
-                });
-            }
-        }
-        self.issued += 1;
-        self.per_shard_issued[shard] += 1;
-        self.per_shard_jobs[shard] += jobs.len() as u64;
-        self.inflight_per_bank[bank] += 1;
-        let budget = self.watchdog.budget(program.steps.len() as u64);
-        self.supervisor.send(
-            shard,
-            WorkMsg::Job {
-                seq,
-                unit,
-                program,
-                slots,
-            },
-        );
-        self.inflight.insert(
-            seq,
-            InflightRec {
-                jobs,
-                shard,
-                bank,
-                started: None,
-                budget,
-            },
-        );
-    }
-
-    /// Processes one worker acknowledgement: health accounting, state
-    /// transitions (scrub dispatch, quarantine drain), and re-dispatch of
-    /// unverified jobs.
-    fn handle_ack(&mut self, ack: AckMsg) {
-        match ack {
-            AckMsg::Started { seq } => {
-                if let Some(rec) = self.inflight.get_mut(&seq) {
-                    rec.started = Some(Instant::now());
-                }
-            }
-            AckMsg::ShardDown {
-                shard,
-                generation,
-                panicked_seq,
-            } => {
-                self.shard_down(shard, generation, DownCause::Panic, panicked_seq);
-            }
-            AckMsg::Scrub { bank, outcome } => {
-                let shard = bank % self.shards;
-                // Saturating: the counter was zeroed if the shard went
-                // down while this scrub was in flight.
-                self.scrubs_outstanding[shard] = self.scrubs_outstanding[shard].saturating_sub(1);
-                self.scrubs += 1;
-                self.scrub_total.merge(outcome);
-                if let Some(trace) = &self.trace {
-                    trace.record(&Event::Scrub {
-                        bank,
-                        realigned: outcome.realigned,
-                        repaired: outcome.repaired,
-                    });
-                }
-            }
-            AckMsg::Job {
-                seq,
-                bank,
-                faults,
-                verified,
-                errored,
-                members,
-            } => {
-                let Some(rec) = self.inflight.remove(&seq) else {
-                    // A detached (hung, since replaced) worker finally
-                    // reported; its attempt was already re-routed.
-                    self.sup.stale_acks += 1;
-                    return;
-                };
-                self.inflight_per_bank[bank] -= 1;
-                let faulty = faults > 0;
-                if faulty {
-                    if let Some(trace) = &self.trace {
-                        for job in &rec.jobs {
-                            let attempt = self.redispatched.get(&job.id).copied().unwrap_or(0);
-                            trace.record(&Event::FaultDetected {
-                                job: job.id,
-                                bank,
-                                attempt,
-                                faults,
-                            });
-                        }
-                    }
-                }
-                match self.health.record(bank, faulty) {
-                    Transition::Suspect(score) => {
-                        if let Some(trace) = &self.trace {
-                            trace.record(&Event::BankSuspect { bank, score });
-                        }
-                        if self.policy.scrub_on_suspect {
-                            let shard = bank % self.shards;
-                            // A down shard gets no scrub: the suspicion
-                            // will recur if the bank still misbehaves.
-                            if !self.supervisor.is_down(shard) {
-                                self.scrubs_outstanding[shard] += 1;
-                                self.supervisor.send(shard, WorkMsg::Scrub { bank });
-                            }
-                        }
-                    }
-                    Transition::Quarantined(score) => {
-                        if let Some(trace) = &self.trace {
-                            trace.record(&Event::BankQuarantined { bank, score });
-                        }
-                        // Residencies leave first: their re-materialization
-                        // jobs enqueue on the new banks ahead of any
-                        // re-routed dependent (per-bank FIFO order).
-                        self.rematerialize_off(bank);
-                        // Re-route the quarantined bank's backlog; only
-                        // explicitly pinned jobs stay.
-                        for queued in self.sched.drain_bank(bank) {
-                            if matches!(queued.placement, Placement::Fixed(_)) {
-                                self.sched.enqueue(queued, bank);
-                            } else {
-                                self.place(queued);
-                            }
-                        }
-                    }
-                    Transition::None | Transition::Recovered => {}
-                }
-                // Per-member finality: a member re-dispatches if the
-                // dispatch failed verification and it has attempts left;
-                // otherwise this ack was its final attempt and its gate
-                // (if any dependent waits) resolves now.
-                let mut outs: HashMap<u64, Vec<(String, Vec<u64>)>> = members.into_iter().collect();
-                let redispatch = !verified && self.protection_active;
-                for member in rec.jobs {
-                    let mut redispatched_now = false;
-                    if redispatch {
-                        let count = self.redispatched.entry(member.id).or_insert(0);
-                        if *count < self.policy.max_redispatch
-                            && !matches!(member.placement, Placement::Fixed(_))
-                        {
-                            *count += 1;
-                            let next = *count;
-                            self.redispatches += 1;
-                            // Every member of an unverified dispatch
-                            // re-routes individually — re-executions never
-                            // re-batch with the same partners, which
-                            // bounds correlated failure. Resident members
-                            // follow their residency instead of picking a
-                            // fresh unit.
-                            let (unit, program) = match member.placement {
-                                Placement::Resident(res) => {
-                                    let unit = self
-                                        .residents
-                                        .get(&res)
-                                        .map(|(u, _)| *u)
-                                        .expect("placed resident jobs have a residency");
-                                    (unit, Arc::new(relocate_to_tile(&member.program, unit)))
-                                }
-                                _ => {
-                                    let unit = self.pick_unit(Some(bank));
-                                    (unit, Arc::new(member.program.retarget(unit)))
-                                }
-                            };
-                            if let Some(trace) = &self.trace {
-                                trace.record(&Event::Redispatch {
-                                    job: member.id,
-                                    from_bank: bank,
-                                    to_bank: unit.bank,
-                                    attempt: next,
-                                });
-                            }
-                            let job = PimJob {
-                                id: member.id,
-                                program,
-                                placement: member.placement,
-                                deadline: member.deadline,
-                            };
-                            self.sched.enqueue(job, unit.bank);
-                            redispatched_now = true;
-                        }
-                    }
-                    if !redispatched_now {
-                        let outputs = outs.remove(&member.id).unwrap_or_default();
-                        self.finalize(member.id, errored, outputs);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Total scrub passes still awaiting an ack across live shards.
-    fn scrubs_pending(&self) -> usize {
-        self.scrubs_outstanding.iter().sum()
-    }
-
-    /// Whether supervision has anything that could wedge the drain: a
-    /// caught panic, a hung attempt, or an active chaos plan (which can
-    /// stall workers without either counter moving yet). While clean,
-    /// termination blocks exactly as the pre-supervision scheduler did.
-    fn dirty(&self) -> bool {
-        self.chaos.is_some() || self.sup.hung_attempts > 0 || self.supervisor.counters().0 > 0
-    }
-
-    /// Gives up on one job: final-attempt bookkeeping, an `Abandoned`
-    /// notice for live consumers, and an errored finalize so dependents
-    /// cascade-cancel.
-    fn abandon_job(&mut self, id: u64, hung: bool) {
-        self.sup.abandoned_jobs += 1;
-        if let Some(tx) = &self.canceller.notify {
-            let _ = tx.send(JobNotice::Abandoned { job_id: id, hung });
-        }
-        self.finalize(id, true, Vec::new());
-    }
-
-    /// Re-places one member job whose attempt died with a crashed or
-    /// hung worker, bounded by the crash-retry budget; over budget the
-    /// job is abandoned.
-    fn crash_retry_or_abandon(&mut self, member: PimJob, hung: bool) {
-        let retries = self.crash_retries.entry(member.id).or_insert(0);
-        if *retries < self.supervise.max_job_retries {
-            *retries += 1;
-            self.sup.crash_redispatches += 1;
-            self.place(member);
-        } else {
-            self.abandon_job(member.id, hung);
-        }
-    }
-
-    /// Takes a worker shard down: marks it with the supervisor, discards
-    /// anything buffered for it (the in-flight records below re-place
-    /// through normal issue — flushing the buffer on restart too would
-    /// double-send), and re-routes every in-flight attempt it owned. The
-    /// attempt that actually crashed or hung burns a crash retry per
-    /// member; attempts merely queued behind it re-place for free.
-    fn shard_down(
-        &mut self,
-        shard: usize,
-        generation: u64,
-        cause: DownCause,
-        failed_seq: Option<u64>,
-    ) {
-        match self.supervisor.mark_down(shard, generation, cause) {
-            Down::Stale => return,
-            // Retirement hands the buffer back; a pending restart would
-            // flush it to the replacement, so take it out of the slot.
-            Down::Retired(buffered) => drop(buffered),
-            Down::Pending => drop(self.supervisor.take_buffer(shard)),
-        }
-        let hung = matches!(cause, DownCause::Hang);
-        if let Some(trace) = &self.trace {
-            trace.record(&Event::ShardDown { shard, hung });
-        }
-        // Scrubs queued on the shard died with it.
-        self.scrubs_outstanding[shard] = 0;
-        let mut seqs: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, rec)| rec.shard == shard)
-            .map(|(&seq, _)| seq)
-            .collect();
-        seqs.sort_unstable();
-        for seq in seqs {
-            let rec = self.inflight.remove(&seq).expect("seq collected above");
-            self.inflight_per_bank[rec.bank] -= 1;
-            self.lost.push(seq);
-            let failed = Some(seq) == failed_seq;
-            for member in rec.jobs {
-                if failed {
-                    self.crash_retry_or_abandon(member, hung);
-                } else {
-                    self.sup.crash_redispatches += 1;
-                    self.place(member);
-                }
-            }
-        }
-    }
-
-    /// Scans in-flight attempts for watchdog-budget overruns. Each hung
-    /// attempt takes its shard down (the stalled worker thread is
-    /// detached, a replacement starts immediately) and fingerprints its
-    /// member programs into the poison registry.
-    fn watchdog_scan(&mut self) {
-        if !self.watchdog.enabled {
-            return;
-        }
-        let now = Instant::now();
-        loop {
-            // Lowest seq first, for deterministic event order.
-            let Some(seq) = self
-                .inflight
-                .iter()
-                .filter(|(_, rec)| {
-                    rec.started
-                        .is_some_and(|at| now.duration_since(at) >= rec.budget)
-                        && !self.supervisor.is_down(rec.shard)
-                })
-                .map(|(&seq, _)| seq)
-                .min()
-            else {
-                return;
-            };
-            let rec = &self.inflight[&seq];
-            let shard = rec.shard;
-            let bank = rec.bank;
-            let budget_us = rec.budget.as_micros() as u64;
-            let members: Vec<(u64, u32, u64)> = rec
-                .jobs
-                .iter()
-                .map(|j| {
-                    let attempt = self.redispatched.get(&j.id).copied().unwrap_or(0)
-                        + self.crash_retries.get(&j.id).copied().unwrap_or(0);
-                    (j.id, attempt, cache::fingerprint(&j.program))
-                })
-                .collect();
-            self.sup.hung_attempts += 1;
-            for (job, attempt, fingerprint) in members {
-                if let Some(trace) = &self.trace {
-                    trace.record(&Event::AttemptHung {
-                        job,
-                        bank,
-                        attempt,
-                        budget_us,
-                    });
-                }
-                if let Some(poison) = &self.poison {
-                    let (strikes, crossed) = poison.strike(fingerprint);
-                    if crossed {
-                        self.sup.quarantined_programs += 1;
-                        if let Some(trace) = &self.trace {
-                            trace.record(&Event::PoisonQuarantine {
-                                fingerprint,
-                                strikes,
-                            });
-                        }
-                    }
-                }
-            }
-            let generation = self.supervisor.generation(shard);
-            self.shard_down(shard, generation, DownCause::Hang, Some(seq));
-        }
-    }
-
-    /// Drain-deadline expiry: everything still queued or in flight will
-    /// never complete. Abandon it all so `finish` can report.
-    fn abandon_all(&mut self) {
-        let mut seqs: Vec<u64> = self.inflight.keys().copied().collect();
-        seqs.sort_unstable();
-        for seq in seqs {
-            let rec = self.inflight.remove(&seq).expect("seq collected above");
-            self.inflight_per_bank[rec.bank] -= 1;
-            self.lost.push(seq);
-            for member in rec.jobs {
-                self.abandon_job(member.id, false);
-            }
-        }
-        // Abandoning can only cascade-fail dependents (errored finals
-        // release nothing), but drain defensively until quiescent.
-        while self.sched.pending() > 0 {
-            for bank in 0..self.inflight_per_bank.len() {
-                for queued in self.sched.drain_bank(bank) {
-                    self.abandon_job(queued.id, false);
-                }
-            }
-        }
-        for pending in &mut self.scrubs_outstanding {
-            *pending = 0;
-        }
-    }
-}
-
-/// The scheduler loop used when fault injection or a protection policy is
-/// active: interleaves queue draining with worker-ack processing so bank
-/// health transitions and re-dispatch happen while the session is live.
-///
-/// Unlike [`scheduler_loop`], issue order here depends on completion
-/// timing (the in-flight cap gates issue on acks), so reports are *not*
-/// bit-deterministic across shard counts — the no-fault path keeps that
-/// property by never entering this loop.
-#[allow(clippy::too_many_arguments)]
-fn fault_scheduler_loop(
-    config: &MemoryConfig,
-    queue: &JobQueue<Submission>,
-    supervisor: &Supervisor<WorkMsg>,
-    shards: usize,
-    ack_rx: &mpsc::Receiver<AckMsg>,
-    dispatch: DispatchMode,
-    protection: ProtectionPolicy,
-    policy: HealthPolicy,
-    trace: Option<Arc<EventTrace>>,
-    batch: BatchOptions,
-    compile: CompileOptions,
-    canceller: Canceller,
-    next_id: &AtomicU64,
-    supervise: SuperviseOptions,
-    watchdog: WatchdogOptions,
-    chaos: Option<ChaosPlan>,
-    poison: Option<Arc<PoisonRegistry>>,
-    issue_policy: IssuePolicy,
-) -> SchedulerOutput {
-    let units = MemoryController::new(config.clone());
-    let unit_count = units.pim_unit_count();
-    let splice_cache = batch.splice_cache();
-    let mut state = FaultSched {
-        unit_count,
-        shards,
-        dispatch,
-        policy,
-        protection_active: protection.is_active(),
-        batch,
-        compiler: Compiler::new(config.clone(), &compile),
-        splice_cache,
-        canceller,
-        trace,
-        supervisor,
-        supervise,
-        watchdog,
-        chaos,
-        poison,
-        sched: BankScheduler::new(config.banks).with_policy(issue_policy),
-        health: HealthTracker::new(config.banks, policy),
-        inflight: HashMap::new(),
-        inflight_per_bank: vec![0; config.banks],
-        redispatched: HashMap::new(),
-        crash_retries: HashMap::new(),
-        sup: SupervisionStats::default(),
-        lost: Vec::new(),
-        place_cursor: 0,
-        issued: 0,
-        batches: 0,
-        batched_jobs: 0,
-        redispatches: 0,
-        scrubs_outstanding: vec![0; shards],
-        scrubs: 0,
-        scrub_total: ScrubOutcome::default(),
-        deps: DepTracker::new(),
-        residents: HashMap::new(),
-        next_id,
-        pins: 0,
-        remats: 0,
-        dropped: 0,
-        per_shard_issued: vec![0; shards],
-        per_shard_jobs: vec![0; shards],
-        units,
-    };
-    let mut drained: Vec<Submission> = Vec::new();
-    let mut closed = false;
-    // Armed (once supervision is dirty) the first time the drain blocks.
-    let mut drain_deadline: Option<Instant> = None;
-    // Occupancy profile. The fault loop folds placement into admission
-    // and issue (state.admit/issue_ready place internally), so
-    // place_micros stays 0 here; termination-block CPU rides into the
-    // next pop lap (the waits themselves cost ~0 thread CPU).
-    let mut profile = SchedProfile::default();
-    let wall_start = Instant::now();
-    let mut clock = cputime::StageClock::start();
-
-    loop {
-        // 1. Pull newly submitted jobs, bounded so acks stay responsive.
-        if !closed {
-            match queue.pop_timeout(Duration::from_millis(1)) {
-                Pop::Item(first) => {
-                    drained.push(first);
-                    queue.drain_ready(&mut drained);
-                }
-                Pop::Timeout => {}
-                Pop::Closed => closed = true,
-            }
-        }
-        profile.pop_micros += clock.lap();
-        for submission in drained.drain(..) {
-            state.admit(submission);
-        }
-        profile.admit_micros += clock.lap();
-
-        // 2. Process every acknowledgement already available, scan for
-        //    hung attempts, and bring replacement workers up.
-        while let Ok(ack) = ack_rx.try_recv() {
-            state.handle_ack(ack);
-        }
-        state.watchdog_scan();
-        for ev in supervisor.poll_restarts() {
-            if let Some(trace) = &state.trace {
-                trace.record(&Event::ShardRestart {
-                    shard: ev.shard,
-                    restarts: ev.restarts,
-                });
-            }
-        }
-        profile.ack_micros += clock.lap();
-
-        // 3. Issue everything the in-flight cap allows.
-        state.issue_ready();
-        profile.dispatch_micros += clock.lap();
-
-        // 4. Termination and anti-spin blocking once the queue is closed.
-        if closed {
-            if state.sched.pending() == 0 && state.inflight.is_empty() {
-                if !state.deps.is_empty() {
-                    // Every dependency that could retire has; the rest
-                    // can never run. Failing them may only cascade (it
-                    // releases nothing), then the loop re-evaluates.
-                    let rel = state.deps.fail_all();
-                    state.process_released(rel);
-                    continue;
-                }
-                // Only background scrubs can still be outstanding.
-                while state.scrubs_pending() > 0 {
-                    if state.dirty() {
-                        let deadline = *drain_deadline.get_or_insert_with(|| {
-                            Instant::now() + state.supervise.drain_deadline()
-                        });
-                        if Instant::now() >= deadline {
-                            break;
-                        }
-                        match ack_rx.recv_timeout(Duration::from_millis(10)) {
-                            Ok(ack) => state.handle_ack(ack),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {}
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    } else {
-                        match ack_rx.recv() {
-                            Ok(ack) => state.handle_ack(ack),
-                            Err(_) => break,
-                        }
-                    }
-                }
-                break;
-            }
-            // Progress now requires an ack (a free bank slot, a
-            // completion that may trigger re-dispatch, or a restart
-            // flushing queued work). With supervision clean this blocks
-            // exactly as before — a shard-down ack itself would wake it;
-            // dirty, the wait is bounded so a dead or stalled shard can
-            // never wedge the drain past the configured deadline.
-            if !state.inflight.is_empty() || state.scrubs_pending() > 0 || state.sched.pending() > 0
-            {
-                // The watchdog needs the wait bounded even while clean,
-                // or a stalled attempt would never get scanned.
-                if !state.dirty() && !state.watchdog.enabled {
-                    match ack_rx.recv() {
-                        Ok(ack) => state.handle_ack(ack),
-                        Err(_) => break,
-                    }
-                    continue;
-                }
-                if state.dirty() {
-                    let deadline = *drain_deadline
-                        .get_or_insert_with(|| Instant::now() + state.supervise.drain_deadline());
-                    if Instant::now() >= deadline {
-                        state.abandon_all();
-                        continue;
-                    }
-                }
-                match ack_rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(ack) => state.handle_ack(ack),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-    }
-
-    SchedulerOutput {
-        depth_hist: state.sched.depth_histogram().clone(),
-        issued: state.issued,
-        batches: state.batches,
-        batched_jobs: state.batched_jobs,
-        splice_hits: state
-            .splice_cache
-            .as_ref()
-            .map_or(0, |c| BatchCache::counts(c).0),
-        splice_misses: state
-            .splice_cache
-            .as_ref()
-            .map_or(0, |c| BatchCache::counts(c).1),
-        cancelled: state.canceller.cancelled,
-        expired: state.canceller.expired,
-        redispatches: state.redispatches,
-        scrubs: state.scrubs,
-        scrub_total: state.scrub_total,
-        suspect_banks: state.health.suspect_count(),
-        quarantined_banks: state.health.quarantined_count(),
-        degraded_capacity: state.health.degraded_capacity(),
-        deferred: state.deps.deferred,
-        released: state.deps.released,
-        cascaded: state.deps.cascade_cancelled + state.dropped,
-        pins: state.pins,
-        remats: state.remats,
-        supervision: state.sup,
-        lost: state.lost,
-        profile: SchedProfile {
-            wall_micros: wall_start.elapsed().as_micros() as u64,
-            per_shard_issued: state.per_shard_issued,
-            per_shard_jobs: state.per_shard_jobs,
-            ..profile
-        },
-    }
-}
-
-/// What one protected execution of a job produced.
-struct ExecOutcome {
-    outputs: Vec<(String, Vec<u64>)>,
-    instr_costs: Vec<Cost>,
-    error: Option<PimError>,
-    replicas: u32,
-    faults_detected: u64,
-    retries: u32,
-    votes_overturned: u64,
-    verified: bool,
-}
-
-/// Per-incarnation worker identity and behavior switches: the shard and
-/// generation stamped into supervision acks, the chaos plan to consult
-/// at crossing points, and whether to send `Started` heartbeats (only
-/// useful when the watchdog reads them).
-#[derive(Clone)]
-struct WorkerCtx {
-    shard: usize,
-    generation: u64,
-    chaos: Option<ChaosPlan>,
-    heartbeat: bool,
-    /// Per-shard busy meters (thread CPU micros spent executing work),
-    /// indexed by `shard`; folded into [`SchedStats`] at drain.
-    busy: Arc<Vec<AtomicU64>>,
-    /// The submission queue, kicked after every ack so the scheduler's
-    /// event-driven pop wakes immediately instead of riding out its
-    /// timeout (see [`queue::JobQueue::pop_kicked`]).
-    kick: Arc<JobQueue<Submission>>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    config: &MemoryConfig,
-    faults: Option<FaultPlan>,
-    protection: ProtectionPolicy,
-    rx: &mpsc::Receiver<WorkMsg>,
-    done: &mpsc::Sender<DoneMsg>,
-    ack: Option<&mpsc::Sender<AckMsg>>,
-    notify: Option<&mpsc::Sender<JobNotice>>,
-    max_redispatch: u32,
-    ctx: WorkerCtx,
-) {
-    // Each shard owns a full machine; storage is sparse, so it only pays
-    // for the DBCs of the banks routed to it.
-    let mut machine = match faults {
-        Some(plan) => PimMachine::with_faults(config.clone(), plan),
-        None => PimMachine::new(config.clone()),
-    };
-    // The NMR majority gate: a fault-free PIM DBC reserved as the voter
-    // (paper §III-F models voting as one write per replica plus one TR).
-    let mut voter = match protection {
-        ProtectionPolicy::Nmr { .. } => Some((NmrVoter::new(config), Dbc::pim_enabled(config))),
-        _ => None,
-    };
-    // Reports this incarnation's death to the supervisor. Per-producer
-    // mpsc FIFO order guarantees every ack this worker already sent is
-    // processed before the down report.
-    let report_down = |panicked_seq: Option<u64>| {
-        if let Some(ack) = ack {
-            let _ = ack.send(AckMsg::ShardDown {
-                shard: ctx.shard,
-                generation: ctx.generation,
-                panicked_seq,
-            });
-            ctx.kick.kick();
-        }
-    };
-    let mut clock = cputime::StageClock::start();
-    while let Ok(msg) = rx.recv() {
-        // Charge only the processing span: re-stamp after the blocking
-        // recv so queue-wait CPU (≈0 anyway) never counts as busy.
-        clock.reset();
-        match msg {
-            WorkMsg::Scrub { bank } => {
-                let scrubbed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut meter = CostMeter::new();
-                    machine
-                        .controller_mut()
-                        .scrub_bank(bank, &mut meter)
-                        .unwrap_or_default()
-                }));
-                let Ok(outcome) = scrubbed else {
-                    report_down(None);
-                    return;
-                };
-                if let Some(ack) = ack {
-                    let _ = ack.send(AckMsg::Scrub { bank, outcome });
-                    ctx.kick.kick();
-                }
-            }
-            WorkMsg::Job {
-                seq,
-                unit,
-                program,
-                slots,
-            } => {
-                if ctx.heartbeat {
-                    if let Some(ack) = ack {
-                        let _ = ack.send(AckMsg::Started { seq });
-                    }
-                }
-                // Chaos draws key on the dispatch's first member and its
-                // attempt, so a re-dispatched attempt draws fresh and
-                // two runs of one seed inject identically.
-                let (chaos_job, chaos_attempt) =
-                    slots.first().map_or((0, 0), |s| (s.job_id, s.attempt));
-                let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(plan) = ctx.chaos {
-                        match plan.decide(CrossingPoint::WorkerStart, chaos_job, chaos_attempt) {
-                            ChaosAction::Panic => chaos::chaos_panic(),
-                            ChaosAction::Stall => {
-                                std::thread::sleep(Duration::from_millis(plan.stall_ms));
-                            }
-                            ChaosAction::Delay => {
-                                std::thread::sleep(Duration::from_micros(plan.delay_us));
-                            }
-                            ChaosAction::None => {}
-                        }
-                    }
-                    let out = execute_protected(&mut machine, protection, &program, voter.as_mut());
-                    if let Some(plan) = ctx.chaos {
-                        if matches!(
-                            plan.decide(CrossingPoint::WorkerReport, chaos_job, chaos_attempt),
-                            ChaosAction::Panic
-                        ) {
-                            chaos::chaos_panic();
-                        }
-                    }
-                    out
-                }));
-                let Ok(out) = executed else {
-                    report_down(Some(seq));
-                    return;
-                };
-                // Demux the batched output stream per member exactly as
-                // `finish` does, so live consumers (notify) and the
-                // scheduler's dependency gates see the same bytes the
-                // final report will record.
-                let mut members: Vec<(u64, DepOutputs)> = Vec::with_capacity(slots.len());
-                {
-                    let mut cursor = 0usize;
-                    for slot in &slots {
-                        let end = (cursor + slot.readouts).min(out.outputs.len());
-                        let start = cursor.min(out.outputs.len());
-                        cursor += slot.readouts;
-                        members.push((slot.job_id, out.outputs[start..end].to_vec()));
-                    }
-                }
-                if let Some(notify) = notify {
-                    let batch = slots.len() as u32;
-                    for (slot, (_, outputs)) in slots.iter().zip(&members) {
-                        let _ = notify.send(JobNotice::Attempt {
-                            job_id: slot.job_id,
-                            attempt: slot.attempt,
-                            bank: unit.bank,
-                            batch,
-                            outputs: outputs.clone(),
-                            error: out.error.clone(),
-                            verified: out.verified,
-                            protection_active: protection.is_active(),
-                            max_redispatch,
-                        });
-                    }
-                }
-                if let Some(ack) = ack {
-                    let _ = ack.send(AckMsg::Job {
-                        seq,
-                        bank: unit.bank,
-                        faults: out.faults_detected + u64::from(out.error.is_some()),
-                        verified: out.verified,
-                        errored: out.error.is_some(),
-                        members,
-                    });
-                    // Ack first, then kick: the scheduler snapshots the
-                    // kick counter before draining acks, so this order
-                    // can never lose the wakeup.
-                    ctx.kick.kick();
-                }
-                let _ = done.send(DoneMsg {
-                    seq,
-                    unit,
-                    slots,
-                    outputs: out.outputs,
-                    instr_costs: out.instr_costs,
-                    error: out.error,
-                    replicas: out.replicas,
-                    faults_detected: out.faults_detected,
-                    retries: out.retries,
-                    votes_overturned: out.votes_overturned,
-                    verified: out.verified,
-                });
-            }
-        }
-        ctx.busy[ctx.shard].fetch_add(clock.lap(), Ordering::Relaxed);
-    }
-}
-
-/// Runs a job under the worker's protection policy.
-fn execute_protected(
-    machine: &mut PimMachine,
-    protection: ProtectionPolicy,
-    program: &PimProgram,
-    voter: Option<&mut (NmrVoter, Dbc)>,
-) -> ExecOutcome {
-    match protection {
-        ProtectionPolicy::None => {
-            let (readouts, instr_costs, error) = run_once(machine, program);
-            ExecOutcome {
-                outputs: unpack_readouts(&readouts),
-                instr_costs,
-                error,
-                replicas: 1,
-                faults_detected: 0,
-                retries: 0,
-                votes_overturned: 0,
-                verified: false,
-            }
-        }
-        ProtectionPolicy::Reexecute { max_retries } => {
-            let mut instr_costs = Vec::new();
-            let mut replicas = 0u32;
-            let mut faults_detected = 0u64;
-            let mut retries = 0u32;
-            let mut pairs = 0u32;
-            loop {
-                let (ro_a, c_a, e_a) = run_once(machine, program);
-                let (ro_b, c_b, e_b) = run_once(machine, program);
-                replicas += 2;
-                instr_costs.extend(c_a);
-                instr_costs.extend(c_b);
-                let clean = e_a.is_none() && e_b.is_none();
-                if clean && readout_rows_equal(&ro_a, &ro_b) {
-                    return ExecOutcome {
-                        outputs: unpack_readouts(&ro_b),
-                        instr_costs,
-                        error: None,
-                        replicas,
-                        faults_detected,
-                        retries,
-                        votes_overturned: 0,
-                        verified: true,
-                    };
-                }
-                faults_detected += 1;
-                if pairs >= max_retries {
-                    // Exhausted: surface the least-broken run unverified;
-                    // the scheduler may re-dispatch to another bank.
-                    let (readouts, error) = if e_b.is_none() {
-                        (ro_b, None)
-                    } else if e_a.is_none() {
-                        (ro_a, None)
-                    } else {
-                        (ro_b, e_b)
-                    };
-                    return ExecOutcome {
-                        outputs: unpack_readouts(&readouts),
-                        instr_costs,
-                        error,
-                        replicas,
-                        faults_detected,
-                        retries,
-                        votes_overturned: 0,
-                        verified: false,
-                    };
-                }
-                pairs += 1;
-                retries += 1;
-            }
-        }
-        ProtectionPolicy::Nmr { n } => {
-            let (voter, vote_dbc) = voter.expect("worker allocates a voter for NMR policies");
-            let mut instr_costs = Vec::new();
-            let mut runs = Vec::with_capacity(n);
-            for i in 0..n {
-                let (readouts, costs, error) = run_once(machine, program);
-                instr_costs.extend(costs);
-                if let Some(err) = error {
-                    return ExecOutcome {
-                        outputs: unpack_readouts(&readouts),
-                        instr_costs,
-                        error: Some(err),
-                        replicas: i as u32 + 1,
-                        faults_detected: 0,
-                        retries: 0,
-                        votes_overturned: 0,
-                        verified: false,
-                    };
-                }
-                runs.push(readouts);
-            }
-            let mut outputs = Vec::with_capacity(runs[0].len());
-            let mut faults_detected = 0u64;
-            let mut votes_overturned = 0u64;
-            let mut meter = CostMeter::new();
-            for i in 0..runs[0].len() {
-                let (label, lane, _) = &runs[0][i];
-                let rows: Vec<Row> = runs.iter().map(|r| r[i].2.clone()).collect();
-                let disagree = rows.windows(2).any(|w| w[0] != w[1]);
-                if disagree {
-                    faults_detected += 1;
-                    votes_overturned += 1;
-                }
-                let voted = voter
-                    .vote_rows(vote_dbc, &rows, &mut meter)
-                    .unwrap_or_else(|_| NmrVoter::reference(&rows));
-                outputs.push((label.clone(), voted.unpack(*lane)));
-            }
-            let vote_cost = meter.total();
-            if vote_cost.cycles > 0 {
-                instr_costs.push(vote_cost);
-            }
-            ExecOutcome {
-                outputs,
-                instr_costs,
-                error: None,
-                replicas: n as u32,
-                faults_detected,
-                retries: 0,
-                votes_overturned,
-                verified: true,
-            }
-        }
-    }
-}
-
-/// Labeled raw readout rows of one program execution.
-type Readouts = Vec<(String, usize, Row)>;
-
-/// Unpacks raw readout rows into the per-lane word outputs jobs report.
-fn unpack_readouts(readouts: &Readouts) -> Vec<(String, Vec<u64>)> {
-    readouts
-        .iter()
-        .map(|(label, lane, row)| (label.clone(), row.unpack(*lane)))
-        .collect()
-}
-
-/// Whether two executions produced identical raw readout rows (compared
-/// at full row width — stricter than the unpacked lanes).
-fn readout_rows_equal(a: &Readouts, b: &Readouts) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.2 == y.2)
-}
-
-/// Executes a program once on a shard machine, collecting raw readout
-/// rows (for verification) and per-instruction device costs (for the
-/// central timing replay).
-fn run_once(
-    machine: &mut PimMachine,
-    program: &PimProgram,
-) -> (Readouts, Vec<Cost>, Option<PimError>) {
-    let width = machine.controller().config().nanowires_per_dbc;
-    let mut meter = CostMeter::new();
-    let mut readouts = Vec::new();
-    let mut instr_costs = Vec::new();
-    for step in &program.steps {
-        let result: Result<(), PimError> = (|| {
-            match step {
-                Step::Load { addr, values, lane } => {
-                    let row = Row::pack(width, *lane, values);
-                    machine
-                        .controller_mut()
-                        .store_row(*addr, &row, &mut meter)?;
-                }
-                Step::Exec(instr) => {
-                    let out = machine.execute(instr)?;
-                    instr_costs.push(out.cost);
-                }
-                Step::Readout { label, addr, lane } => {
-                    let row = machine.controller_mut().load_row(*addr, &mut meter)?;
-                    readouts.push((label.clone(), *lane, row));
-                }
-            }
-            Ok(())
-        })();
-        if let Err(err) = result {
-            return (readouts, instr_costs, Some(err));
-        }
-    }
-    (readouts, instr_costs, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
-    use coruscant_mem::RowAddress;
+    use coruscant_core::program::Step;
+    use coruscant_core::PimError;
+    use coruscant_mem::{DbcLocation, RowAddress};
 
     fn single_add_program() -> PimProgram {
         let loc = DbcLocation::new(0, 0, 0, 0);

@@ -166,8 +166,8 @@ impl<T> JobQueue<T> {
     }
 
     /// Dequeues with a bounded wait: blocks at most `timeout` while the
-    /// queue is empty. The fault-aware scheduler uses this to interleave
-    /// queue draining with worker-ack processing without busy-spinning.
+    /// queue is empty. The parallel domains pop their injectors this way,
+    /// so an idle domain comes back to look for work to steal.
     pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state();

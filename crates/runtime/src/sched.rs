@@ -196,9 +196,10 @@ impl BankScheduler {
     }
 
     /// Like [`BankScheduler::issue_next`], but only considers banks the
-    /// `eligible` predicate accepts — the fault-aware scheduler passes an
-    /// in-flight cap so a failing bank cannot absorb unbounded work
-    /// before its health score catches up.
+    /// `eligible` predicate accepts — the classic scheduler excludes
+    /// banks of down shards and, when device faults are configured,
+    /// banks at the in-flight cap, so a failing bank cannot absorb
+    /// unbounded work before its health score catches up.
     pub fn issue_next_where<F: FnMut(usize) -> bool>(
         &mut self,
         mut eligible: F,

@@ -2,8 +2,9 @@
 //! watchdog, and the poison-job quarantine.
 //!
 //! Each worker shard runs under a [`Supervisor`]. A shard that panics is
-//! marked down, its queued dispatches are captured for re-dispatch, and
-//! a replacement worker is spawned after a bounded exponential backoff;
+//! marked down, the scheduler re-places its in-flight dispatches from
+//! its own records, and a replacement worker is spawned after a bounded
+//! exponential backoff;
 //! a shard whose in-flight attempt exceeds its watchdog budget is
 //! replaced immediately (the stalled thread is detached and its late
 //! results discarded by sequence number). Programs whose attempts keep
@@ -78,9 +79,10 @@ impl SuperviseOptions {
 /// `budget = (base_ms + per_step_us × steps) × slack_pct / 100`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogOptions {
-    /// Master switch. Off by default: the watchdog polls in-flight
-    /// attempts and detaches stalled threads, which only serves sessions
-    /// that want hung-attempt classification.
+    /// Master switch. Off by default: the watchdog puts the scheduler
+    /// on a ≈1 ms timer to scan in-flight attempts and detaches stalled
+    /// threads, which only serves sessions that want hung-attempt
+    /// classification.
     pub enabled: bool,
     /// Fixed budget floor in milliseconds.
     pub base_ms: u64,
@@ -234,18 +236,6 @@ pub(crate) enum DownCause {
     Hang,
 }
 
-/// What [`Supervisor::mark_down`] decided.
-pub(crate) enum Down<T> {
-    /// The report referred to an earlier incarnation of the shard —
-    /// a late panic from an already-replaced worker. Ignore it.
-    Stale,
-    /// The shard is down and will be restarted after its backoff.
-    Pending,
-    /// The shard exhausted its restart budget; any dispatches buffered
-    /// for it are returned so the scheduler can account them lost.
-    Retired(Vec<T>),
-}
-
 /// What one [`Supervisor::poll_restarts`] pass did.
 pub(crate) struct RestartEvent {
     pub shard: usize,
@@ -272,10 +262,6 @@ struct Slot<T> {
     generation: u64,
     restarts: u32,
     backoff: Duration,
-    /// Dispatches sent while the shard was down, flushed on restart (the
-    /// plain scheduler's recovery path; the fault-aware scheduler avoids
-    /// down shards instead).
-    buffer: Vec<T>,
 }
 
 struct Inner<T> {
@@ -309,7 +295,6 @@ impl<T: Send + 'static> Supervisor<T> {
                     generation: 0,
                     restarts: 0,
                     backoff: options.first_backoff(),
-                    buffer: Vec::new(),
                 }
             })
             .collect();
@@ -326,22 +311,14 @@ impl<T: Send + 'static> Supervisor<T> {
         }
     }
 
-    /// Sends `msg` to `shard`, buffering it if the shard is down (it is
-    /// flushed to the replacement worker on restart). Dispatches to a
-    /// retired shard are buffered too; the scheduler drains them through
-    /// [`Supervisor::mark_down`]'s retirement return or at close.
+    /// Sends `msg` to `shard`'s worker. A message for a shard that is
+    /// down — or whose worker died without having reported yet — is
+    /// dropped: the scheduler never issues to a shard it knows is down,
+    /// and re-places everything a dead worker owed from its own
+    /// in-flight records once the shard-down report arrives.
     pub fn send(&self, shard: usize, msg: T) {
-        let mut inner = sync::lock(&self.inner);
-        let slot = &mut inner.slots[shard];
-        match (&slot.state, &slot.tx) {
-            (SlotState::Up, Some(tx)) => {
-                if let Err(mpsc::SendError(msg)) = tx.send(msg) {
-                    // The worker died without reporting yet; hold the
-                    // dispatch for its replacement.
-                    slot.buffer.push(msg);
-                }
-            }
-            _ => slot.buffer.push(msg),
+        if let Some(tx) = &sync::lock(&self.inner).slots[shard].tx {
+            let _ = tx.send(msg);
         }
     }
 
@@ -363,14 +340,17 @@ impl<T: Send + 'static> Supervisor<T> {
         sync::lock(&self.inner).slots[shard].generation
     }
 
-    /// Takes `shard` down. `generation` guards against late reports from
-    /// already-replaced workers. Panicked shards wait out their backoff;
-    /// hung shards restart on the next poll (their thread is detached).
-    pub fn mark_down(&self, shard: usize, generation: u64, cause: DownCause) -> Down<T> {
+    /// Takes `shard` down, to be restarted after its backoff (a panicked
+    /// shard) or on the next poll (a hung one, whose thread is detached)
+    /// — or retired for good once its restart budget is spent. Returns
+    /// `false`, changing nothing, for a stale report: `generation`
+    /// names an earlier incarnation, i.e. a late panic from an
+    /// already-replaced worker.
+    pub fn mark_down(&self, shard: usize, generation: u64, cause: DownCause) -> bool {
         let mut inner = sync::lock(&self.inner);
         let slot = &mut inner.slots[shard];
         if generation != slot.generation || !matches!(slot.state, SlotState::Up) {
-            return Down::Stale;
+            return false;
         }
         if cause == DownCause::Panic {
             self.panics_caught.fetch_add(1, Ordering::Relaxed);
@@ -380,11 +360,10 @@ impl<T: Send + 'static> Supervisor<T> {
         if slot.restarts >= self.options.max_restarts {
             slot.state = SlotState::Retired;
             self.retired.fetch_add(1, Ordering::Relaxed);
-            let dropped = std::mem::take(&mut slot.buffer);
             if let Some(h) = handle {
                 inner.detached.push(h);
             }
-            return Down::Retired(dropped);
+            return true;
         }
         let backoff = match cause {
             // A hung shard's capacity is gone until a replacement runs;
@@ -399,12 +378,11 @@ impl<T: Send + 'static> Supervisor<T> {
         if let Some(h) = handle {
             inner.detached.push(h);
         }
-        Down::Pending
+        true
     }
 
-    /// Restarts every down shard whose backoff has elapsed, flushing its
-    /// buffered dispatches to the replacement worker. Returns what was
-    /// restarted (for trace events and stats).
+    /// Restarts every down shard whose backoff has elapsed. Returns what
+    /// was restarted (for trace events and stats).
     pub fn poll_restarts(&self) -> Vec<RestartEvent> {
         let mut inner = sync::lock(&self.inner);
         let Some(factory) = inner.factory.take() else {
@@ -422,9 +400,6 @@ impl<T: Send + 'static> Supervisor<T> {
             slot.generation += 1;
             slot.restarts += 1;
             let (tx, handle) = factory(shard, slot.generation);
-            for msg in slot.buffer.drain(..) {
-                let _ = tx.send(msg);
-            }
             slot.tx = Some(tx);
             slot.handle = Some(handle);
             slot.state = SlotState::Up;
@@ -438,27 +413,14 @@ impl<T: Send + 'static> Supervisor<T> {
         events
     }
 
-    /// Takes (and clears) whatever is buffered for `shard`. The
-    /// fault-aware scheduler calls this right after a mark-down: it
-    /// re-places in-flight work from its own records, so a restart
-    /// flushing the buffer too would double-send.
-    pub fn take_buffer(&self, shard: usize) -> Vec<T> {
-        std::mem::take(&mut sync::lock(&self.inner).slots[shard].buffer)
-    }
-
     /// Stops supervision: drops the factory (no further restarts) and
     /// every live sender so workers drain their channels and exit.
-    /// Returns dispatches still buffered for down/retired shards so the
-    /// caller can account them lost.
-    pub fn close(&self) -> Vec<T> {
+    pub fn close(&self) {
         let mut inner = sync::lock(&self.inner);
         inner.factory = None;
-        let mut dropped = Vec::new();
         for slot in &mut inner.slots {
             slot.tx = None;
-            dropped.append(&mut slot.buffer);
         }
-        dropped
     }
 
     /// Detached worker threads that are still running (stalled). While
@@ -551,32 +513,29 @@ mod tests {
     }
 
     #[test]
-    fn down_shard_buffers_until_restart() {
+    fn restart_after_backoff_stamps_a_new_generation() {
         let (out_tx, out_rx) = mpsc::channel();
         let options = SuperviseOptions {
             backoff_base_ms: 1,
             ..SuperviseOptions::default()
         };
         let sup = Supervisor::new(1, options, echo_factory(out_tx));
-        assert!(matches!(
-            sup.mark_down(0, 0, DownCause::Panic),
-            Down::Pending
-        ));
+        assert!(sup.mark_down(0, 0, DownCause::Panic));
         assert!(sup.is_down(0));
-        sup.send(0, 7);
-        // Wait out the backoff, then restart and observe the flush with
-        // the new generation stamp.
+        // A send to the down shard is dropped, not held for the restart.
+        sup.send(0, 6);
         std::thread::sleep(Duration::from_millis(5));
         let events = sup.poll_restarts();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].restarts, 1);
         assert!(!sup.is_down(0));
         assert_eq!(sup.generation(0), 1);
+        sup.send(0, 7);
         assert_eq!(out_rx.recv_timeout(Duration::from_secs(2)).unwrap(), 71);
-        let (panics, restarts, retired) = sup.counters();
-        assert_eq!((panics, restarts, retired), (1, 1, 0));
+        assert_eq!(sup.counters(), (1, 1, 0));
         sup.close();
         sup.join_all(Instant::now() + Duration::from_secs(2));
+        assert!(out_rx.try_recv().is_err(), "the dropped send never ran");
     }
 
     #[test]
@@ -587,40 +546,31 @@ mod tests {
             ..SuperviseOptions::default()
         };
         let sup = Supervisor::new(1, options, echo_factory(out_tx));
-        assert!(matches!(
-            sup.mark_down(0, 0, DownCause::Panic),
-            Down::Pending
-        ));
+        assert!(sup.mark_down(0, 0, DownCause::Panic));
         // A second report for the same incarnation is stale, as is any
         // report after the restart bumped the generation.
-        assert!(matches!(sup.mark_down(0, 0, DownCause::Panic), Down::Stale));
+        assert!(!sup.mark_down(0, 0, DownCause::Panic));
         sup.poll_restarts();
-        assert!(matches!(sup.mark_down(0, 0, DownCause::Hang), Down::Stale));
+        assert!(!sup.mark_down(0, 0, DownCause::Hang));
         sup.close();
         sup.join_all(Instant::now() + Duration::from_secs(2));
     }
 
     #[test]
-    fn exhausted_restart_budget_retires_with_buffered_work() {
+    fn exhausted_restart_budget_retires_the_shard() {
         let (out_tx, _out_rx) = mpsc::channel();
         let options = SuperviseOptions {
             max_restarts: 0,
             ..SuperviseOptions::default()
         };
         let sup = Supervisor::new(1, options, echo_factory(out_tx));
-        sup.mark_down(0, 0, DownCause::Panic);
-        // max_restarts = 0 retires immediately; nothing was buffered yet.
-        match sup.mark_down(0, 0, DownCause::Panic) {
-            Down::Stale => {}
-            _ => panic!("second report is stale"),
-        }
+        // max_restarts = 0 retires on the first report.
+        assert!(sup.mark_down(0, 0, DownCause::Panic));
+        assert!(!sup.mark_down(0, 0, DownCause::Panic));
         assert!(sup.is_down(0));
         assert!(sup.poll_restarts().is_empty(), "retired shards stay down");
-        sup.send(0, 9);
-        let dropped = sup.close();
-        assert_eq!(dropped, vec![9]);
-        let (_, _, retired) = sup.counters();
-        assert_eq!(retired, 1);
+        assert_eq!(sup.counters().2, 1);
+        sup.close();
         sup.join_all(Instant::now() + Duration::from_secs(2));
     }
 
@@ -647,10 +597,7 @@ mod tests {
         let sup = Supervisor::new(1, SuperviseOptions::default(), factory);
         sup.send(0, 0);
         std::thread::sleep(Duration::from_millis(10));
-        assert!(matches!(
-            sup.mark_down(0, 0, DownCause::Hang),
-            Down::Pending
-        ));
+        assert!(sup.mark_down(0, 0, DownCause::Hang));
         // Hang restarts need no backoff.
         assert_eq!(sup.poll_restarts().len(), 1);
         assert_eq!(sup.stalled_workers(), 1, "the old thread is detached");

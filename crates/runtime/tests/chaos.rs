@@ -15,12 +15,13 @@
 
 use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant_core::program::{PimProgram, Step};
-use coruscant_mem::{DbcLocation, MemoryConfig, RowAddress};
+use coruscant_mem::{DbcLocation, FaultPlan, MemoryConfig, RowAddress};
+use coruscant_racetrack::FaultConfig;
 use coruscant_runtime::{
-    install_quiet_hook, ChaosPlan, JobNotice, Placement, Runtime, RuntimeOptions, SuperviseOptions,
-    WatchdogOptions,
+    install_quiet_hook, ChaosPlan, HealthPolicy, JobNotice, Placement, ProtectionPolicy, Runtime,
+    RuntimeOptions, SuperviseOptions, WatchdogOptions,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -286,5 +287,93 @@ fn supervision_counters_reflect_injected_panics() {
     assert!(
         sup.crash_redispatches + sup.abandoned_jobs > 0,
         "crashed work was re-dispatched or abandoned"
+    );
+}
+
+/// A dispatch has one attempt number — verification re-dispatches plus
+/// crash retries — and its `FaultDetected` trace event carries the same
+/// one as its `Attempt` notice, also for a job that was crash-retried
+/// before a protected attempt of it detected a device fault.
+#[test]
+fn fault_detected_traces_the_attempt_that_was_issued() {
+    install_quiet_hook();
+    // Detected faults that followed a crash retry of the same job.
+    let mut after_crash_retry = 0;
+    for seed in 0..4u64 {
+        let path = std::env::temp_dir().join(format!("coruscant_chaos_attempts_{seed}.jsonl"));
+        let (tx, rx) = mpsc::channel::<JobNotice>();
+        let options = RuntimeOptions {
+            trace_path: Some(path.clone()),
+            ..campaign_options()
+        };
+        let runtime = Runtime::new(
+            eight_bank_config(),
+            options
+                .with_shards(4)
+                .with_chaos(ChaosPlan::panics(0xA77E + seed, 250))
+                .with_faults(
+                    FaultPlan::uniform(FaultConfig::NONE.with_tr_fault_rate(2e-3), seed).unwrap(),
+                )
+                // No in-place retry: every mismatching pair goes back to
+                // the scheduler unverified and is re-dispatched.
+                .with_protection(ProtectionPolicy::Reexecute { max_retries: 0 })
+                .with_health(HealthPolicy {
+                    suspect_after: 10_000,
+                    quarantine_after: 100_000,
+                    ..HealthPolicy::default()
+                })
+                .with_notify(tx),
+        )
+        .expect("runtime starts");
+        for tag in 0..64 {
+            runtime.submit(add_job(tag), Placement::Auto).unwrap();
+        }
+        runtime.finish().expect("supervised finish succeeds");
+
+        // Attempts that executed, as their notices number them (an
+        // attempt that died in a chaos panic sends none).
+        let executed: HashSet<(u64, u64)> = rx
+            .try_iter()
+            .filter_map(|notice| match notice {
+                JobNotice::Attempt {
+                    job_id, attempt, ..
+                } => Some((job_id, u64::from(attempt))),
+                _ => None,
+            })
+            .collect();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut redispatches: HashMap<u64, u64> = HashMap::new();
+        for line in text.lines() {
+            let serde::json::Value::Object(event) = serde::json::parse(line).unwrap() else {
+                panic!("trace line is not an object: {line}");
+            };
+            let (kind, serde::json::Value::Object(fields)) = &event[0] else {
+                continue;
+            };
+            let field = |name: &str| {
+                let (_, value) = fields.iter().find(|(k, _)| k == name).unwrap();
+                value.as_u64().unwrap()
+            };
+            match kind.as_str() {
+                "Redispatch" => *redispatches.entry(field("job")).or_insert(0) += 1,
+                "FaultDetected" => {
+                    let (job, attempt) = (field("job"), field("attempt"));
+                    assert!(
+                        executed.contains(&(job, attempt)),
+                        "seed {seed}: job {job} traced a fault on attempt {attempt}, \
+                         which never executed"
+                    );
+                    if attempt > redispatches.get(&job).copied().unwrap_or(0) {
+                        after_crash_retry += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        after_crash_retry > 0,
+        "the campaigns must detect a fault on a crash-retried job"
     );
 }

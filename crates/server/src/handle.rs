@@ -13,7 +13,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::sync;
+use coruscant_runtime::sync;
 use std::task::{Context, Poll, Waker};
 
 use crate::admission::Rejected;

@@ -43,7 +43,6 @@
 pub mod admission;
 pub mod handle;
 pub mod stats;
-mod sync;
 
 pub use admission::{AdmissionOptions, BucketConfig, Priority, Rejected};
 pub use handle::{Completion, JobDone, JobHandle, ResultStream, ServeError};
@@ -52,8 +51,8 @@ pub use stats::ServerStats;
 use coruscant_core::program::PimProgram;
 use coruscant_mem::MemoryConfig;
 use coruscant_runtime::{
-    ChainJob, ChaosAction, ChaosPlan, CrossingPoint, JobNotice, Placement, PushError, ResidentPin,
-    Runtime, RuntimeError, RuntimeOptions,
+    sync, ChainJob, ChaosAction, ChaosPlan, CrossingPoint, JobNotice, Placement, PushError,
+    ResidentPin, Runtime, RuntimeError, RuntimeOptions,
 };
 
 use admission::AdmissionController;

@@ -198,9 +198,9 @@ fn stalled_scheduler_expires_overdue_jobs_in_every_engine() {
     let configs: [(&str, RuntimeOptions); 3] = [
         ("classic", RuntimeOptions::default()),
         (
-            // The watchdog routes scheduling through the resilient
-            // (ack-polling) loop, exercising its expiry hook.
-            "resilient-classic",
+            // The one classic loop with its watchdog layer on: heartbeats
+            // and the ≈1 ms scan timer must not disturb issue-time expiry.
+            "classic+watchdog",
             RuntimeOptions::default().with_watchdog(WatchdogOptions {
                 enabled: true,
                 ..WatchdogOptions::default()
