@@ -54,6 +54,8 @@ pub struct NnBench {
     pub tiles: usize,
     /// Frames served per point.
     pub frames: usize,
+    /// Cores the measuring host offered: `fps_wall` depends on it.
+    pub host_cores: usize,
     /// Every model × precision × arm point.
     pub points: Vec<NnPoint>,
 }
@@ -156,6 +158,7 @@ pub fn run_full(config: &MemoryConfig, frames: usize) -> NnBench {
         banks: config.banks,
         tiles: config.banks * config.subarrays_per_bank * config.tiles_per_subarray,
         frames,
+        host_cores: crate::runtime_perf::host_cores(),
         points,
     }
 }

@@ -17,8 +17,6 @@
 //! for an 8-bit 5-operand add at TRD = 7 — independent of how many blocks
 //! are packed in the row, since all blocks advance in lock step.
 
-use crate::pimblock::PimBlock;
-use crate::sense::SenseLevels;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::{CostMeter, PortId};
@@ -148,24 +146,7 @@ impl MultiOperandAdder {
             }
             None => crate::bulk::ensure_right_slack(dbc, shifts as isize, meter)?,
         }
-        for (i, op) in operands.iter().enumerate() {
-            if op.width() != dbc.width() {
-                return Err(PimError::Mem(coruscant_mem::MemError::WidthMismatch {
-                    got: op.width(),
-                    expected: dbc.width(),
-                }));
-            }
-            let writes: Vec<(usize, PortId, bool)> = op
-                .iter()
-                .enumerate()
-                .map(|(w, b)| (w, PortId::LEFT, b))
-                .collect();
-            dbc.write_bits(&writes, meter)?;
-            let last = i + 1 == k;
-            if !last || self.trd >= 4 {
-                dbc.shift_all(1, meter)?;
-            }
-        }
+        crate::bulk::place_rows(dbc, operands, shifts, meter)?;
         // Preset every non-operand segment position (carry slots and any
         // unused operand slots) to the all-zero padding row.
         let zero = Row::zeros(dbc.width());
@@ -198,34 +179,32 @@ impl MultiOperandAdder {
     ) -> Result<Row> {
         validate_blocksize(blocksize, dbc.width())?;
         let width = dbc.width();
-        let blocks = width / blocksize;
-        let block_logic = PimBlock::new();
-
         for j in 0..blocksize {
-            // Parallel TR of wire j in every block.
-            let wires: Vec<usize> = (0..blocks).map(|b| b * blocksize + j).collect();
-            let outcomes = dbc.transverse_read_wires(&wires, meter)?;
+            // Parallel TR of wire j in every block: the PIM block's S, C
+            // and C' rows for all blocks at once.
+            let lanes = Row::lane_bit(width, blocksize, j);
+            let counts = dbc.transverse_read_wires(&lanes, meter)?;
 
-            // Compute S/C/C' per active wire and collect the simultaneous
-            // writes (to three different wires, all distinct per block).
-            let mut writes: Vec<(usize, PortId, bool)> = Vec::with_capacity(3 * blocks);
-            for (b, tr) in outcomes.into_iter().enumerate() {
-                let w = b * blocksize + j;
-                let o = block_logic.evaluate(SenseLevels::from_tr(tr));
-                writes.push((w, PortId::LEFT, o.sum));
-                if j + 1 < blocksize {
-                    writes.push((w + 1, PortId::RIGHT, o.carry));
-                }
-                if self.trd >= 4 && j + 2 < blocksize {
-                    writes.push((w + 2, PortId::LEFT, o.super_carry));
-                }
-            }
-            dbc.write_bits(&writes, meter)?;
+            // The simultaneous writes: S stays on wire j, C is routed to
+            // the right port of wire j + 1, C' to the left port of wire
+            // j + 2 (three distinct wires per block). At the top of a
+            // block the shifted lane masks run empty: nothing is routed.
+            let carry = counts.carry.shl_lanes(1, blocksize);
+            let carry_lanes = lanes.shl_lanes(1, blocksize);
+            let super_carry = counts.super_carry.shl_lanes(2, blocksize);
+            let super_lanes = lanes.shl_lanes(2, blocksize);
+            let writes = [
+                (PortId::LEFT, &counts.sum, &lanes),
+                (PortId::RIGHT, &carry, &carry_lanes),
+                (PortId::LEFT, &super_carry, &super_lanes),
+            ];
+            let routed = if self.trd >= 4 { 3 } else { 2 };
+            dbc.write_bits(&writes[..routed], meter)?;
         }
 
         // The sum sits at the left-port position of every wire; it is
         // forwarded directly through the sense path (no extra access).
-        Ok(dbc.peek_segment_rows().remove(0))
+        Ok(dbc.peek_segment_rows().swap_remove(0))
     }
 
     /// Full multi-operand addition: placement + carry chain.
@@ -265,22 +244,13 @@ impl MultiOperandAdder {
         self.add_in_place(dbc, blocksize, meter)
     }
 
-    /// Reference addition (oracle): lane-wise sum modulo `2^blocksize`.
+    /// Reference addition (oracle): lane-wise sum modulo `2^blocksize`,
+    /// for every block size the device path accepts.
     pub fn reference(operands: &[Row], blocksize: usize) -> Row {
-        let width = operands[0].width();
-        let lanes = width / blocksize;
-        let mask = if blocksize == 64 {
-            u64::MAX
-        } else {
-            (1u64 << blocksize) - 1
-        };
-        let mut sums = vec![0u64; lanes];
-        for op in operands {
-            for (lane, v) in op.unpack(blocksize).into_iter().enumerate() {
-                sums[lane] = (sums[lane] + v) & mask;
-            }
-        }
-        Row::pack(width, blocksize, &sums)
+        let zero = Row::zeros(operands[0].width());
+        operands
+            .iter()
+            .fold(zero, |sum, op| sum.lane_add(op, blocksize))
     }
 }
 

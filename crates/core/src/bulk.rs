@@ -7,11 +7,11 @@
 //! unused segment positions with preset constants (paper Fig. 7): `1`s for
 //! AND/NAND, `0`s for the rest.
 
-use crate::pimblock::{PimBlock, PimOutputs};
-use crate::sense::SenseLevels;
+use crate::pimblock::PimOutputs;
+use crate::sense::{at_least, full};
 use crate::{PimError, Result};
-use coruscant_mem::{Dbc, MemoryConfig, Row};
-use coruscant_racetrack::CostMeter;
+use coruscant_mem::{Dbc, MemoryConfig, Row, TrCounts};
+use coruscant_racetrack::{CostMeter, PortId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -43,9 +43,28 @@ pub(crate) fn ensure_right_slack(
     needed: isize,
     meter: &mut CostMeter,
 ) -> Result<()> {
-    let (_, right) = dbc.wire(0).shift_slack();
+    let (_, right) = dbc.shift_slack();
     if right < needed {
         dbc.shift_all(-(needed - right), meter)?;
+    }
+    Ok(())
+}
+
+/// The costed operand placement every PIM operation starts with: each row
+/// is written through the left port of every wire (one parallel write),
+/// and a one-domain shift follows each of the first `shifts` of them.
+pub(crate) fn place_rows(
+    dbc: &mut Dbc,
+    rows: &[Row],
+    shifts: usize,
+    meter: &mut CostMeter,
+) -> Result<()> {
+    let every_wire = Row::ones(dbc.width());
+    for (i, row) in rows.iter().enumerate() {
+        dbc.write_bits(&[(PortId::LEFT, row, &every_wire)], meter)?;
+        if i < shifts {
+            dbc.shift_all(1, meter)?;
+        }
     }
     Ok(())
 }
@@ -67,6 +86,20 @@ impl BulkOp {
             BulkOp::Xor => outputs.xor,
             BulkOp::Xnor => outputs.xnor,
             BulkOp::Not => outputs.nor,
+        }
+    }
+
+    /// Selects this operation's row from the count planes of one parallel
+    /// transverse read — [`BulkOp::select`] of the PIM block outputs, for
+    /// every bitline at once.
+    pub fn select_row(self, counts: &TrCounts) -> Row {
+        match self {
+            BulkOp::And => full(counts),
+            BulkOp::Nand => !&full(counts),
+            BulkOp::Or => at_least(counts, 1),
+            BulkOp::Nor | BulkOp::Not => !&at_least(counts, 1),
+            BulkOp::Xor => counts.sum.clone(),
+            BulkOp::Xnor => !&counts.sum,
         }
     }
 
@@ -176,38 +209,12 @@ impl BulkExecutor {
         }
         // Costed placement: write at the left port, then shift one domain,
         // for every operand except the last (which can stay at the port).
-        for (i, op) in operands.iter().enumerate() {
-            self.write_segment_row_via_port(dbc, op, meter)?;
-            if i + 1 < k {
-                dbc.shift_all(1, meter)?;
-            }
-        }
+        place_rows(dbc, operands, k - 1, meter)?;
         // Restore the padding constant on any position the shifts exposed
         // (the preloaded constant rows extend past the ports, Fig. 7).
         for s in k..self.trd {
             dbc.poke_segment_row(s, &pad_row)?;
         }
-        Ok(())
-    }
-
-    fn write_segment_row_via_port(
-        &self,
-        dbc: &mut Dbc,
-        row: &Row,
-        meter: &mut CostMeter,
-    ) -> Result<()> {
-        if row.width() != dbc.width() {
-            return Err(PimError::Mem(coruscant_mem::MemError::WidthMismatch {
-                got: row.width(),
-                expected: dbc.width(),
-            }));
-        }
-        let writes: Vec<(usize, coruscant_racetrack::PortId, bool)> = row
-            .iter()
-            .enumerate()
-            .map(|(w, b)| (w, coruscant_racetrack::PortId::LEFT, b))
-            .collect();
-        dbc.write_bits(&writes, meter)?;
         Ok(())
     }
 
@@ -224,12 +231,7 @@ impl BulkExecutor {
         op: BulkOp,
         meter: &mut CostMeter,
     ) -> Result<Row> {
-        let block = PimBlock::new();
-        let outs = dbc.transverse_read_all(meter)?;
-        Ok(outs
-            .into_iter()
-            .map(|tr| op.select(block.evaluate(SenseLevels::from_tr(tr))))
-            .collect())
+        Ok(op.select_row(&dbc.transverse_read_all(meter)?))
     }
 
     /// Full bulk-bitwise operation: placement + single-TR evaluation.

@@ -76,16 +76,15 @@ impl PimMachine {
     /// Returns [`PimError::NotPim`] when the source DBC lacks PIM
     /// capability, instruction-validation errors, or memory errors.
     pub fn execute(&mut self, instr: &CpimInstr) -> Result<ExecOutcome> {
-        let config = self.ctrl.config().clone();
+        let config = self.ctrl.config();
         instr
             .src
             .location
-            .validate(&config)
+            .validate(config)
             .map_err(PimError::from)?;
-        if instr.opcode != CpimOpcode::Copy && !instr.src.location.is_pim(&config) {
+        if instr.opcode != CpimOpcode::Copy && !instr.src.location.is_pim(config) {
             return Err(PimError::NotPim);
         }
-
         let mut meter = CostMeter::new();
         let k = instr.operands as usize;
         let base = instr.src.row;
@@ -108,14 +107,14 @@ impl PimMachine {
                     CpimOpcode::Xnor => BulkOp::Xnor,
                     _ => BulkOp::Not,
                 };
+                let exec = BulkExecutor::new(config);
                 let operands = self.gather(instr, k, &mut meter)?;
-                let exec = BulkExecutor::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(exec.execute(dbc, op, &operands, &mut meter)?)
             }
             CpimOpcode::Add => {
+                let adder = MultiOperandAdder::new(config);
                 let operands = self.gather(instr, k, &mut meter)?;
-                let adder = MultiOperandAdder::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(adder.add_rows(dbc, &operands, bs, &mut meter)?)
             }
@@ -131,14 +130,14 @@ impl PimMachine {
                         "mult needs 2 operands, got {k}"
                     )));
                 }
+                let mult = Multiplier::new(config);
                 let operands = self.gather(instr, 2, &mut meter)?;
-                let mult = Multiplier::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(mult.multiply_packed(dbc, &operands[0], &operands[1], bs / 2, &mut meter)?)
             }
             CpimOpcode::Max => {
+                let max = MaxExecutor::new(config);
                 let operands = self.gather(instr, k, &mut meter)?;
-                let max = MaxExecutor::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(max.max_rows(dbc, &operands, bs, &mut meter)?)
             }
@@ -147,8 +146,8 @@ impl PimMachine {
                 Some(relu_row(dbc, base, bs, &mut meter)?)
             }
             CpimOpcode::Vote => {
+                let voter = NmrVoter::new(config);
                 let operands = self.gather(instr, k, &mut meter)?;
-                let voter = NmrVoter::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(voter.vote_rows(dbc, &operands, &mut meter)?)
             }
@@ -158,14 +157,14 @@ impl PimMachine {
                         "sub needs 2 operands, got {k}"
                     )));
                 }
+                let unit = crate::arith::ArithmeticUnit::new(config);
                 let operands = self.gather(instr, 2, &mut meter)?;
-                let unit = crate::arith::ArithmeticUnit::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(unit.subtract(dbc, &operands[0], &operands[1], bs, &mut meter)?)
             }
             CpimOpcode::Min => {
+                let unit = crate::arith::ArithmeticUnit::new(config);
                 let operands = self.gather(instr, k, &mut meter)?;
-                let unit = crate::arith::ArithmeticUnit::new(&config);
                 let dbc = self.ctrl.dbc_mut(instr.src.location)?;
                 Some(unit.min_rows(dbc, &operands, bs, &mut meter)?)
             }
@@ -204,12 +203,9 @@ impl PimMachine {
 
     /// Reads the `k` operand rows starting at the instruction's source.
     fn gather(&mut self, instr: &CpimInstr, k: usize, meter: &mut CostMeter) -> Result<Vec<Row>> {
-        let mut out = Vec::with_capacity(k);
-        for i in 0..k {
-            let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-            out.push(dbc.read_row(instr.src.row + i, meter)?);
-        }
-        Ok(out)
+        let dbc = self.ctrl.dbc_mut(instr.src.location)?;
+        let rows = (0..k).map(|i| dbc.read_row(instr.src.row + i, meter));
+        Ok(rows.collect::<coruscant_mem::Result<_>>()?)
     }
 
     /// Executes a batch of instructions in the *high-throughput* dispatch

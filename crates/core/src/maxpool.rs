@@ -16,9 +16,18 @@
 //! the rest of the wire. After the LSB pass, a final `TR > 0` read yields
 //! the maximum regardless of where it sits (and regardless of ties).
 
+use crate::sense::at_least;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::{CostMeter, PortId};
+
+/// The predicated row-buffer reset of one elimination step: every
+/// `blocksize` lane of `word` whose bit `j` is `0` while some candidate has
+/// a `1` there (`positive`, the `TR > 0` row) is cleared.
+fn eliminate(word: &Row, positive: &Row, j: usize, blocksize: usize) -> Row {
+    let loses = (positive & &!word).spread_lanes(j, blocksize);
+    word & &!&loses
+}
 
 /// Executes max operations on a PIM-enabled DBC.
 #[derive(Debug, Clone)]
@@ -72,23 +81,7 @@ impl MaxExecutor {
         for s in 0..self.trd {
             dbc.poke_segment_row(s, &zero)?;
         }
-        for (i, c) in candidates.iter().enumerate() {
-            if c.width() != dbc.width() {
-                return Err(PimError::Mem(coruscant_mem::MemError::WidthMismatch {
-                    got: c.width(),
-                    expected: dbc.width(),
-                }));
-            }
-            let writes: Vec<(usize, PortId, bool)> = c
-                .iter()
-                .enumerate()
-                .map(|(w, b)| (w, PortId::LEFT, b))
-                .collect();
-            dbc.write_bits(&writes, meter)?;
-            if i + 1 < k {
-                dbc.shift_all(1, meter)?;
-            }
-        }
+        crate::bulk::place_rows(dbc, candidates, k - 1, meter)?;
         // Restore the zero preset on positions the shifts exposed.
         for s in k..self.trd {
             dbc.poke_segment_row(s, &zero)?;
@@ -113,51 +106,26 @@ impl MaxExecutor {
         meter: &mut CostMeter,
     ) -> Result<Row> {
         crate::add::validate_blocksize(blocksize, dbc.width())?;
-        let width = dbc.width();
-        let lanes = width / blocksize;
-
         for j in (0..blocksize).rev() {
             // One parallel TR; lane `l`'s verdict lives at wire l*bs + j.
-            let counts = dbc.transverse_read_all(meter)?;
-            let tr_positive: Vec<bool> = (0..lanes)
-                .map(|l| counts[l * blocksize + j].value > 0)
-                .collect();
+            let positive = at_least(&dbc.transverse_read_all(meter)?, 1);
 
             // Rotate all TRD words through the heads via read + TW.
             for _ in 0..self.trd {
                 // Read the word under the right head (parallel across
                 // wires: one read cycle).
-                let word = self.read_right_port_row(dbc, meter)?;
-                // Predicated row-buffer reset, per lane.
-                let mut updated = word.clone();
-                for (l, &positive) in tr_positive.iter().enumerate() {
-                    if positive && !word.get(l * blocksize + j).unwrap() {
-                        for w in l * blocksize..(l + 1) * blocksize {
-                            updated.set(w, false);
-                        }
-                    }
-                }
+                let mut read = CostMeter::new();
+                let word = dbc.read_port(PortId::RIGHT, &mut read)?;
+                meter.charge(read.total());
                 // Transverse write from the left head: segmented shift.
+                let updated = eliminate(&word, &positive, j, blocksize);
                 dbc.transverse_write_all(&updated, meter)?;
             }
         }
 
         // Extraction: TR > 0 per wire reads the max regardless of its
         // position or multiplicity (paper: ties still read correctly).
-        let counts = dbc.transverse_read_all(meter)?;
-        Ok(counts.into_iter().map(|c| c.value > 0).collect())
-    }
-
-    fn read_right_port_row(&self, dbc: &mut Dbc, meter: &mut CostMeter) -> Result<Row> {
-        let mut combined = coruscant_racetrack::Cost::ZERO;
-        let mut bits = Vec::with_capacity(dbc.width());
-        for w in 0..dbc.width() {
-            let mut local = CostMeter::new();
-            bits.push(dbc.wire_mut(w).read(PortId::RIGHT, &mut local)?);
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge(combined);
-        Ok(Row::from_bits(bits))
+        Ok(at_least(&dbc.transverse_read_all(meter)?, 1))
     }
 
     /// Full max operation: placement + in-place subroutine.
@@ -200,32 +168,16 @@ impl MaxExecutor {
                 max: self.trd,
             });
         }
-        let width = dbc.width();
-        let lanes = width / blocksize;
-
         for j in (0..blocksize).rev() {
             dbc.align_row(base, PortId::LEFT, meter)?;
-            let counts = dbc.transverse_read_all(meter)?;
-            let tr_positive: Vec<bool> = (0..lanes)
-                .map(|l| counts[l * blocksize + j].value > 0)
-                .collect();
-            for word_idx in 0..k {
-                let r = base + word_idx;
+            let positive = at_least(&dbc.transverse_read_all(meter)?, 1);
+            for r in base..base + k {
                 let word = dbc.read_row(r, meter)?;
-                let mut updated = word.clone();
-                for (l, &positive) in tr_positive.iter().enumerate() {
-                    if positive && !word.get(l * blocksize + j).unwrap() {
-                        for w in l * blocksize..(l + 1) * blocksize {
-                            updated.set(w, false);
-                        }
-                    }
-                }
-                dbc.write_row(r, &updated, meter)?;
+                dbc.write_row(r, &eliminate(&word, &positive, j, blocksize), meter)?;
             }
         }
         dbc.align_row(base, PortId::LEFT, meter)?;
-        let counts = dbc.transverse_read_all(meter)?;
-        Ok(counts.into_iter().map(|c| c.value > 0).collect())
+        Ok(at_least(&dbc.transverse_read_all(meter)?, 1))
     }
 
     /// Reference max (oracle): lane-wise maximum across the candidates.

@@ -17,8 +17,6 @@
 //! `C'` write = 4 cycles for TRD ≥ 4 (the paper's 4-cycle O(1) reduction),
 //! or 2 cycles for the `3 → 2` step.
 
-use crate::pimblock::PimBlock;
-use crate::sense::SenseLevels;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, Row};
 use coruscant_racetrack::{CostMeter, PortId};
@@ -120,35 +118,18 @@ impl CsaReducer {
         // Align the window: row `base` under the left port.
         dbc.align_row(base, PortId::LEFT, meter)?;
 
-        // One parallel transverse read across the window.
+        // One parallel transverse read across the window: the count
+        // planes are the S, C and C' rows. Carries are routed one and two
+        // bitlines over, dropped at lane tops.
         let counts = dbc.transverse_read_all(meter)?;
-        let block = PimBlock::new();
-        let width = dbc.width();
-
-        let mut s = Row::zeros(width);
-        let mut c = Row::zeros(width);
-        let mut cp = Row::zeros(width);
-        for (w, tr) in counts.iter().enumerate() {
-            let o = block.evaluate(SenseLevels::from_tr(*tr));
-            if o.sum {
-                s.set(w, true);
-            }
-            // Route carries one/two bitlines over, masked at lane tops.
-            let lane_top = (w / blocksize + 1) * blocksize;
-            if o.carry && w + 1 < lane_top {
-                c.set(w + 1, true);
-            }
-            if needs_cp && o.super_carry && w + 2 < lane_top {
-                cp.set(w + 2, true);
-            }
-        }
+        let carry = counts.carry.shl_lanes(1, blocksize);
+        let every_wire = Row::ones(dbc.width());
 
         // Simultaneous S (left port) and C (right port) writes: 1 cycle.
-        let mut writes: Vec<(usize, PortId, bool)> = Vec::with_capacity(2 * width);
-        for w in 0..width {
-            writes.push((w, PortId::LEFT, s.get(w).unwrap()));
-            writes.push((w, PortId::RIGHT, c.get(w).unwrap()));
-        }
+        let writes = [
+            (PortId::LEFT, &counts.sum, &every_wire),
+            (PortId::RIGHT, &carry, &every_wire),
+        ];
         dbc.write_bits(&writes, meter)?;
 
         let c_row = base + self.trd - 1;
@@ -163,10 +144,8 @@ impl CsaReducer {
         // Shift one domain so the left port covers row base − 1, then
         // write the super-carry row.
         dbc.shift_all(1, meter)?;
-        let cp_writes: Vec<(usize, PortId, bool)> = (0..width)
-            .map(|w| (w, PortId::LEFT, cp.get(w).unwrap()))
-            .collect();
-        dbc.write_bits(&cp_writes, meter)?;
+        let super_carry = counts.super_carry.shl_lanes(2, blocksize);
+        dbc.write_bits(&[(PortId::LEFT, &super_carry, &every_wire)], meter)?;
 
         Ok(Reduced {
             s: base,

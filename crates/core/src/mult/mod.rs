@@ -134,17 +134,9 @@ impl Multiplier {
         // before write-back. Cost per PP: one DW alignment shift plus one
         // (shifted, predicated) write — the paper's "k shifted read and
         // write operations and k DW shifts" accounting.
-        let b_lanes = b.unpack(lane);
         let mut cur = a.clone();
         for i in 0..n {
-            let mut masked = cur.clone();
-            for (l, bv) in b_lanes.iter().enumerate() {
-                if bv >> i & 1 == 0 {
-                    for w in l * lane..(l + 1) * lane {
-                        masked.set(w, false);
-                    }
-                }
-            }
+            let masked = &cur & &b.spread_lanes(i, lane);
             dbc.write_row(pool + i, &masked, meter)?;
             cur = shift_row_left(&cur, 1, lane);
         }

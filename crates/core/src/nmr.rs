@@ -9,10 +9,9 @@
 //! An uncorrectable error then requires ⌈N/2⌉ faults in the same bit
 //! position.
 
-use crate::sense::SenseLevels;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
-use coruscant_racetrack::{CostMeter, PortId};
+use coruscant_racetrack::CostMeter;
 
 /// Supported redundancy degrees.
 pub const SUPPORTED_N: [usize; 3] = [3, 5, 7];
@@ -96,26 +95,16 @@ impl NmrVoter {
                     expected: dbc.width(),
                 }));
             }
-            let writes: Vec<(usize, PortId, bool)> = r
-                .iter()
-                .enumerate()
-                .map(|(w, b)| (w, PortId::LEFT, b))
-                .collect();
-            // Temporarily write through the left port into the middle by
-            // poking directly at the target position — the voter replica
-            // placement is modeled as one write cycle per replica.
+            // The replica is poked directly at its target position — the
+            // voter replica placement is modeled as one write cycle per
+            // replica.
             meter.charge(coruscant_racetrack::Cost::new(1, 0.1 * dbc.width() as f64));
-            let _ = writes;
             dbc.poke_segment_row(pad + i, r)?;
         }
 
         // One transverse read; the median threshold is the majority.
-        let level = self.majority_level();
         let counts = dbc.transverse_read_all(meter)?;
-        Ok(counts
-            .into_iter()
-            .map(|tr| SenseLevels::from_tr(tr).at_least(level))
-            .collect())
+        Ok(crate::sense::at_least(&counts, self.majority_level()))
     }
 
     /// Reference bitwise majority (oracle).

@@ -29,17 +29,7 @@ pub fn relu_row(dbc: &mut Dbc, r: usize, blocksize: usize, meter: &mut CostMeter
 
 /// Pure ReLU on a packed row (oracle): lanes whose MSB is set become zero.
 pub fn relu_reference(row: &Row, blocksize: usize) -> Row {
-    let lanes = row.width() / blocksize;
-    let mut out = row.clone();
-    for l in 0..lanes {
-        let msb = l * blocksize + blocksize - 1;
-        if row.get(msb).unwrap_or(false) {
-            for w in l * blocksize..(l + 1) * blocksize {
-                out.set(w, false);
-            }
-        }
-    }
-    out
+    row & &!&row.spread_lanes(blocksize - 1, blocksize)
 }
 
 /// Interprets an unsigned lane value as signed two's complement of

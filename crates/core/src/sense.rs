@@ -6,6 +6,7 @@
 //! against seven references and outputs threshold bits `SA[j]` with
 //! `SA[j] = 1` iff the segment holds at least `j` ones, `j ∈ 1..=7`.
 
+use coruscant_mem::{Row, TrCounts};
 use coruscant_racetrack::TrOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -66,6 +67,44 @@ impl SenseLevels {
         }
         out
     }
+}
+
+/// Threshold output `SA[level]` of every bitline after a parallel
+/// transverse read: the row of wires that sensed at least `level` ones.
+///
+/// # Panics
+///
+/// Panics if `level` is 0 or exceeds 7.
+pub fn at_least(counts: &TrCounts, level: u8) -> Row {
+    let (above, equal) = compare(counts, level);
+    &above | &equal
+}
+
+/// The row of wires on which every spanned domain held a one (the AND
+/// output): the count equals the span.
+pub fn full(counts: &TrCounts) -> Row {
+    compare(counts, counts.span).1
+}
+
+/// Rows of the wires whose count is above `level` and equal to it: a
+/// bit-sliced comparator down the count digits, most significant first.
+fn compare(counts: &TrCounts, level: u8) -> (Row, Row) {
+    assert!((1..=7).contains(&level), "SA levels are 1..=7");
+    let width = counts.sum.width();
+    let (mut above, mut equal) = (Row::zeros(width), Row::ones(width));
+    for (digit, row) in [
+        (4, &counts.super_carry),
+        (2, &counts.carry),
+        (1, &counts.sum),
+    ] {
+        if level & digit != 0 {
+            equal = &equal & row;
+        } else {
+            above = &above | &(&equal & row);
+            equal = &equal & &!row;
+        }
+    }
+    (above, equal)
 }
 
 impl fmt::Display for SenseLevels {

@@ -16,18 +16,7 @@ use coruscant_racetrack::CostMeter;
 /// moves to bit `i + by`; vacated bits fill with zero and bits shifted
 /// past the lane top are dropped. This is the per-lane `<< by`.
 pub fn shift_row_left(row: &Row, by: usize, blocksize: usize) -> Row {
-    let width = row.width();
-    let mut out = Row::zeros(width);
-    for i in 0..width {
-        let lane = i / blocksize;
-        let pos = i % blocksize;
-        if pos >= by {
-            if let Some(true) = row.get(lane * blocksize + (pos - by)) {
-                out.set(i, true);
-            }
-        }
-    }
-    out
+    row.shl_lanes(by, blocksize)
 }
 
 /// Device-level shifted copy: materializes `src << by` (per `blocksize`

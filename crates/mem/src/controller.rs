@@ -766,8 +766,10 @@ mod tests {
             let mut m = CostMeter::new();
             let d = c.dbc_mut(DbcLocation::new(0, 0, 0, 0)).unwrap();
             let out: Vec<u8> = (0..20)
-                .flat_map(|_| d.transverse_read_all(&mut m).unwrap())
-                .map(|o| o.value)
+                .flat_map(|_| {
+                    let counts = d.transverse_read_all(&mut m).unwrap();
+                    (0..64).map(move |i| counts.value(i))
+                })
                 .collect();
             out
         };

@@ -5,10 +5,14 @@ use crate::error::MemError;
 use crate::fault::ScrubOutcome;
 use crate::row::Row;
 use crate::Result;
+use coruscant_racetrack::params::{EnergyParams, LatencyParams};
 use coruscant_racetrack::{
-    Alignment, Cost, CostMeter, FaultConfig, FaultInjector, Nanowire, NanowireSpec, OpClass,
-    PortId, PositionCode, TrOutcome,
+    walk_shift, Alignment, Cost, CostMeter, Error, FaultConfig, FaultInjector, Nanowire,
+    NanowireSpec, OpClass, PortId, PositionCode,
 };
+
+const LATENCY: LatencyParams = LatencyParams::PAPER;
+const ENERGY: EnergyParams = EnergyParams::PAPER;
 
 /// A domain-block cluster: `X` parallel nanowires that shift together and
 /// share sensing circuitry (paper Fig. 2d).
@@ -16,42 +20,131 @@ use coruscant_racetrack::{
 /// Bit `i` of every row is stored in nanowire `i`; the rows of the DBC are
 /// the distinct domain positions. Reading or writing a row first aligns it
 /// under an access port (a lock-step shift of all wires), then accesses all
-/// wires in parallel: the latency is that of a single wire, while the
-/// energy scales with the wire count.
+/// wires in parallel: one wire's latency, every wire's energy. PIM-enabled
+/// DBCs have the two-port CORUSCANT geometry and also expose transverse
+/// reads and writes, which `coruscant-core` composes into its operations.
 ///
-/// PIM-enabled DBCs are built with the two-port CORUSCANT wire geometry
-/// and additionally expose per-wire transverse reads/writes, which the
-/// `coruscant-core` crate composes into logic, addition, multiplication
-/// and max operations.
+/// The cluster is stored as **bit planes**: one packed word vector per
+/// *physical* domain position, bit `i` of a plane being that domain of
+/// wire `i`. The planes form a ring entered through one shared tape
+/// offset, so a lock-step shift renames the planes and zeroes the ones
+/// that enter from an extremity, a row access copies one plane, and a
+/// transverse read counts ones down the segment planes for every wire at
+/// once ([`TrCounts`]). With fault injectors attached wires stop moving
+/// together: each wire's shifts are walked step by step against its own
+/// fault stream, wire 0 first, and each wire's distance from the shared
+/// offset is kept in a side table that is empty otherwise.
 #[derive(Debug, Clone)]
 pub struct Dbc {
-    wires: Vec<Nanowire>,
-    rows: usize,
-    pim: bool,
+    spec: NanowireSpec,
+    width: usize,
+    /// `total_domains` planes of `width.div_ceil(64)` words each.
+    planes: Vec<u64>,
+    /// Ring index of the plane at physical position 0.
+    head: usize,
+    /// Physical position of data row 0 on every wire that has not drifted.
+    offset: isize,
+    /// One injector per wire; empty on a fault-free DBC.
+    injectors: Vec<FaultInjector>,
+    /// How far each wire's data window sits from the shared offset; empty
+    /// while the wires move in lock step.
+    drift: Vec<isize>,
     /// Position code installed on every wire (shift-fault scrubbing).
     code: Option<PositionCode>,
+    /// Energies of the operations that take every wire at once.
+    full_width: FullWidth,
+    /// Energy of a lock-step shift by `d` domains at index `d`, filled in
+    /// as distances come up (NaN until then); empty before the first shift.
+    shift_energy: Vec<f64>,
+    /// `(per-wire energy, wires, sum)` of the latest operations on some
+    /// of the wires, newest first: a carry chain or a multiplier's
+    /// reduction charges the same few lane counts on every step.
+    recent: [(f64, usize, f64); RECENT],
+}
+
+const RECENT: usize = 8;
+
+/// What a read, a write, a transverse write and a transverse read of the
+/// segment cost in energy on all `width` wires at once: see [`summed`].
+#[derive(Debug, Clone, Copy)]
+struct FullWidth {
+    read: f64,
+    write: f64,
+    transverse_write: f64,
+    transverse_read: f64,
+}
+
+/// The sense amplifier resolves seven levels (paper Fig. 4a), which is
+/// also what the three count digits of [`TrCounts`] can hold.
+const SENSE_LEVELS: usize = 7;
+
+/// The energy of one operation on `n` wires in parallel: `per_wire` added
+/// `n` times from zero, as DBC operations have always charged it.
+/// Floating-point addition does not round the way one multiplication
+/// does, so the sum is reproduced, not re-derived.
+fn summed(per_wire: f64, n: usize) -> f64 {
+    (0..n).fold(0.0, |sum, _| sum + per_wire)
+}
+
+/// The three binary digits of every wire's ones-count after a parallel
+/// transverse read: the `S`, `C` and `C'` rows the PIM block consumes
+/// (paper §III-F), from a carry-save reduction down the segment planes.
+/// Wires the read did not select count zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrCounts {
+    /// Bit 0 of each count: the sum row `S` (odd parity, XOR).
+    pub sum: Row,
+    /// Bit 1 of each count: the carry row `C`.
+    pub carry: Row,
+    /// Bit 2 of each count: the super-carry row `C'`.
+    pub super_carry: Row,
+    /// Domains spanned by the read.
+    pub span: u8,
+}
+
+impl TrCounts {
+    /// The ones-count sensed on wire `i` (0 for a wire out of range).
+    pub fn value(&self, i: usize) -> u8 {
+        let digit = |row: &Row| u8::from(row.get(i).unwrap_or(false));
+        digit(&self.sum) | digit(&self.carry) << 1 | digit(&self.super_carry) << 2
+    }
 }
 
 impl Dbc {
     /// Creates a PIM-enabled DBC (two ports, TR segment of `config.trd`).
     pub fn pim_enabled(config: &MemoryConfig) -> Dbc {
         let spec = NanowireSpec::coruscant(config.rows_per_dbc, config.trd);
-        Dbc::from_spec(spec, config.nanowires_per_dbc, config.rows_per_dbc, true)
+        Dbc::from_spec(spec, config.nanowires_per_dbc)
     }
 
     /// Creates a conventional storage DBC (single port, no PIM).
     pub fn storage(config: &MemoryConfig) -> Dbc {
         let spec = NanowireSpec::single_port(config.rows_per_dbc);
-        Dbc::from_spec(spec, config.nanowires_per_dbc, config.rows_per_dbc, false)
+        Dbc::from_spec(spec, config.nanowires_per_dbc)
     }
 
-    fn from_spec(spec: NanowireSpec, width: usize, rows: usize, pim: bool) -> Dbc {
-        let wires = (0..width).map(|_| Nanowire::new(spec.clone())).collect();
+    fn from_spec(spec: NanowireSpec, width: usize) -> Dbc {
+        spec.validate().expect("invalid nanowire spec");
         Dbc {
-            wires,
-            rows,
-            pim,
+            planes: vec![0; spec.total_domains * width.div_ceil(64)],
+            head: 0,
+            offset: spec.initial_offset as isize,
+            injectors: Vec::new(),
+            drift: Vec::new(),
             code: None,
+            full_width: FullWidth {
+                read: summed(ENERGY.read, width),
+                write: summed(ENERGY.write, width),
+                transverse_write: summed(ENERGY.transverse_write, width),
+                transverse_read: match spec.segment_len() {
+                    span @ 1..=SENSE_LEVELS => summed(ENERGY.transverse_read(span), width),
+                    _ => 0.0, // no transverse read succeeds on this geometry
+                },
+            },
+            shift_energy: Vec::new(),
+            recent: [(0.0, 0, 0.0); RECENT],
+            spec,
+            width,
         }
     }
 
@@ -59,44 +152,43 @@ impl Dbc {
     /// seed derived from `seed`).
     #[must_use]
     pub fn with_faults(mut self, config: FaultConfig, seed: u64) -> Dbc {
-        self.wires = self
-            .wires
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                // Spread per-wire seeds through the SplitMix64 finalizer.
-                // A bare additive walk is NOT enough: the injector's RNG
-                // advances its state by the same golden-ratio constant
-                // per draw, so `seed + i*G` would make wire i's draw k+1
-                // identical to wire i+1's draw k — consecutive program
-                // executions would replay each other's faults shifted by
-                // one wire, correlating re-execution compare-pairs.
-                w.with_fault_injector(FaultInjector::new(
-                    config,
-                    crate::fault::mix(
-                        seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
-                ))
-            })
+        // Spread per-wire seeds through the SplitMix64 finalizer. A bare
+        // additive walk is NOT enough: the injector's RNG advances its
+        // state by the same golden-ratio constant per draw, so
+        // `seed + i*G` would make wire i's draw k+1 identical to wire
+        // i+1's draw k — consecutive program executions would replay each
+        // other's faults shifted by one wire, correlating re-execution
+        // compare-pairs.
+        let wire_seed = |i: u64| seed.wrapping_add((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        self.injectors = (0..self.width as u64)
+            .map(|i| FaultInjector::new(config, crate::fault::mix(wire_seed(i))))
             .collect();
+        self.drift.resize(self.width, 0);
         self
     }
 
     /// Installs a position code on every wire for shift-fault scrubbing
     /// (paper §V-F / DSN'19 scheme): the widest even check window that
-    /// fits both the TRD and the left overhead. The wires must be at
-    /// their canonical alignment (they are at construction).
+    /// fits both the TRD and the left overhead.
     ///
     /// # Errors
     ///
     /// Returns a device error when the geometry leaves no room for a
-    /// code (e.g. single-port storage wires with no left overhead).
+    /// code (e.g. single-port storage wires with no left overhead) or a
+    /// wire is away from its canonical alignment.
     pub fn install_position_codes(&mut self) -> Result<()> {
-        let spec = self.wires[0].spec();
-        let window = spec.trd_limit.min(spec.initial_offset) & !1;
-        let code = PositionCode::plan(&self.wires[0], window)?;
-        for w in &mut self.wires {
-            code.install(w)?;
+        let canonical = self.spec.initial_offset;
+        let window = self.spec.trd_limit.min(canonical) & !1;
+        // Written on one wire (a drifted one, if any, so it is refused),
+        // then copied to all: the code owns the whole left overhead.
+        let drifted = (0..self.width).find(|&i| self.wire_offset(i) != canonical as isize);
+        let mut guard = self.wire(drifted.unwrap_or(0));
+        let code = PositionCode::plan(&guard, window)?;
+        code.install(&mut guard)?;
+        for pos in 0..canonical {
+            let bit = guard.peek_physical(pos).expect("on the wire");
+            let row = Row::from_bits(vec![bit; self.width]);
+            self.plane_mut(pos).copy_from_slice(row.words());
         }
         self.code = Some(code);
         Ok(())
@@ -109,78 +201,267 @@ impl Dbc {
 
     /// A maintenance scrub pass: commands every wire back to its
     /// canonical alignment (the realigning shifts themselves run under
-    /// fault injection) and, when position codes are installed, checks
-    /// and repairs each wire's alignment with one transverse read per
-    /// wire.
+    /// fault injection) and, with position codes installed, checks and
+    /// repairs each wire's alignment with one transverse read per wire.
+    /// Wires are serviced one at a time, as single [`Nanowire`]s.
     ///
     /// # Errors
     ///
     /// Propagates device errors from the checks.
     pub fn scrub(&mut self, meter: &mut CostMeter) -> Result<ScrubOutcome> {
-        let mut out = ScrubOutcome::default();
-        for w in &mut self.wires {
-            out.wires_checked += 1;
-            let delta = w.spec().initial_offset as isize - w.offset();
+        let mut out = ScrubOutcome {
+            wires_checked: self.width as u64,
+            ..ScrubOutcome::default()
+        };
+        let canonical = self.spec.initial_offset as isize;
+        if self.code.is_none() && (0..self.width).all(|i| self.wire_offset(i) == canonical) {
+            return Ok(out);
+        }
+        self.drift.resize(self.width, 0);
+        let mut outcome = Ok(());
+        for i in 0..self.width {
+            let mut w = self.wire(i);
+            let delta = canonical - w.offset();
             if delta != 0 {
                 out.realigned += 1;
                 if w.shift(delta, meter).is_err() {
                     w.force_shift(delta, meter);
                 }
             }
-            if let Some(code) = &self.code {
-                match code.check_and_repair(w, meter)? {
-                    Alignment::Aligned => {}
-                    Alignment::OutOfRange => out.out_of_range += 1,
-                    _ => out.repaired += 1,
+            let state = self.code.map(|code| code.check_and_repair(&mut w, meter));
+            // Back into the planes: column, offset, injector state.
+            for pos in 0..self.spec.total_domains {
+                let bit = w.peek_physical(pos).expect("same geometry");
+                self.set_bit(pos, i, bit);
+            }
+            self.drift[i] = w.offset() - self.offset;
+            if let Some(injector) = w.take_fault_injector() {
+                self.injectors[i] = injector;
+            }
+            match state {
+                None | Some(Ok(Alignment::Aligned)) => {}
+                Some(Ok(Alignment::OutOfRange)) => out.out_of_range += 1,
+                Some(Ok(_)) => out.repaired += 1,
+                Some(Err(e)) => {
+                    outcome = Err(e.into());
+                    break;
                 }
             }
         }
-        Ok(out)
+        // Wires without injectors that ended up together are in lock step
+        // again.
+        if self.injectors.is_empty() && self.drift.iter().all(|&d| d == self.drift[0]) {
+            self.offset += self.drift[0];
+            self.drift.clear();
+        }
+        outcome.map(|()| out)
     }
 
     /// Total faults injected so far across all wires.
     pub fn injected_fault_count(&self) -> u64 {
-        self.wires.iter().map(Nanowire::injected_fault_count).sum()
+        let counts = self.injectors.iter().map(FaultInjector::injected_count);
+        counts.sum()
     }
 
     /// Number of nanowires (bits per row).
     pub fn width(&self) -> usize {
-        self.wires.len()
+        self.width
     }
 
     /// Number of data rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.spec.data_domains
     }
 
     /// Whether this DBC carries the PIM extensions (second port, TR).
     pub fn is_pim(&self) -> bool {
-        self.pim
+        self.spec.ports.len() > 1
     }
 
     /// Length of the inter-port segment (0 for storage DBCs).
     pub fn segment_len(&self) -> usize {
-        self.wires[0].segment_len()
+        self.spec.segment_len()
     }
 
-    /// Immutable access to wire `i` (oracle inspection).
-    pub fn wire(&self, i: usize) -> &Nanowire {
-        &self.wires[i]
-    }
-
-    /// Mutable access to wire `i` (used by PIM algorithms for per-wire
-    /// micro-operations like the addition carry chain).
-    pub fn wire_mut(&mut self, i: usize) -> &mut Nanowire {
-        &mut self.wires[i]
-    }
-
-    fn check_row(&self, r: usize) -> Result<()> {
-        if r >= self.rows {
-            return Err(MemError::RowOutOfRange {
-                row: r,
-                rows: self.rows,
-            });
+    /// Wire `i` as a value: its column of the bit planes, its offset and a
+    /// copy of its fault injector (oracle inspection; the DBC does not see
+    /// what is done to the copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn wire(&self, i: usize) -> Nanowire {
+        assert!(i < self.width, "wire {i} of a {}-wire DBC", self.width);
+        let mut tape = vec![0u64; self.spec.total_domains.div_ceil(64)];
+        for pos in 0..self.spec.total_domains {
+            tape[pos / 64] |= (self.plane(pos)[i / 64] >> (i % 64) & 1) << (pos % 64);
         }
+        let wire = Nanowire::from_tape(self.spec.clone(), tape, self.wire_offset(i));
+        match self.injectors.get(i) {
+            Some(injector) => wire.with_fault_injector(injector.clone()),
+            None => wire,
+        }
+    }
+
+    /// Maximum legal lock-step shift in each direction from wire 0's
+    /// offset: `(left, right)` in domains.
+    pub fn shift_slack(&self) -> (isize, isize) {
+        (self.wire_offset(0), self.max_offset() - self.wire_offset(0))
+    }
+
+    fn max_offset(&self) -> isize {
+        (self.spec.total_domains - self.spec.data_domains) as isize
+    }
+
+    fn wire_offset(&self, i: usize) -> isize {
+        self.offset + self.drift.get(i).copied().unwrap_or(0)
+    }
+
+    fn words(&self) -> usize {
+        self.width.div_ceil(64)
+    }
+
+    /// Where the plane at physical position `pos` starts in `planes`.
+    fn plane_at(&self, pos: usize) -> usize {
+        (self.head + pos) % self.spec.total_domains * self.words()
+    }
+
+    fn plane(&self, pos: usize) -> &[u64] {
+        &self.planes[self.plane_at(pos)..][..self.words()]
+    }
+
+    fn plane_mut(&mut self, pos: usize) -> &mut [u64] {
+        let (at, words) = (self.plane_at(pos), self.words());
+        &mut self.planes[at..][..words]
+    }
+
+    fn plane_row(&self, pos: usize) -> Row {
+        Row::from_u64_words(self.width, self.plane(pos))
+    }
+
+    fn set_bit(&mut self, pos: usize, wire: usize, bit: bool) {
+        let word = &mut self.plane_mut(pos)[wire / 64];
+        *word = *word & !(1 << (wire % 64)) | u64::from(bit) << (wire % 64);
+    }
+
+    /// The position under `port`; with `write`, only if data can be
+    /// written through it.
+    fn port(&self, id: PortId, write: bool) -> Result<usize> {
+        let port = self.spec.ports.get(id.0).ok_or(Error::UnknownPort(id.0))?;
+        if write && !port.kind.can_write() {
+            let (port, needed) = (id.0, "write");
+            return Err(Error::PortCapability { port, needed }.into());
+        }
+        Ok(port.position)
+    }
+
+    /// The segment `[lo, hi]` a full transverse access spans.
+    fn segment(&self) -> Result<(usize, usize)> {
+        let lo = self.port(PortId::LEFT, false)?;
+        let hi = self.port(PortId::RIGHT, false)?;
+        let (span, limit) = (hi - lo + 1, self.spec.trd_limit);
+        if span > limit {
+            return Err(Error::TrdExceeded { span, limit }.into());
+        }
+        Ok((lo, hi))
+    }
+
+    fn check_row(&self, row: usize) -> Result<()> {
+        let rows = self.rows();
+        (row < rows)
+            .then_some(())
+            .ok_or(MemError::RowOutOfRange { row, rows })
+    }
+
+    fn check_width(&self, data: &Row) -> Result<()> {
+        let (got, expected) = (data.width(), self.width);
+        (got == expected)
+            .then_some(())
+            .ok_or(MemError::WidthMismatch { got, expected })
+    }
+
+    /// The energy of an operation on `n` wires in parallel that costs
+    /// `per_wire` on one and `full_width` on all of them.
+    fn energy(&mut self, full_width: f64, per_wire: f64, n: usize) -> f64 {
+        if n == self.width {
+            return full_width;
+        }
+        let known = |&&(e, wires, _): &&(f64, usize, f64)| e == per_wire && wires == n;
+        if let Some(&(_, _, sum)) = self.recent.iter().find(known) {
+            return sum;
+        }
+        let sum = summed(per_wire, n);
+        self.recent.rotate_right(1);
+        self.recent[0] = (per_wire, n, sum);
+        sum
+    }
+
+    /// Moves every wire `delta(wire offset)` domains in lock step and
+    /// charges the shift: latency of the longest wire, energies added
+    /// wire by wire.
+    fn shift_by(&mut self, delta: impl Fn(isize) -> isize, meter: &mut CostMeter) -> Result<()> {
+        let step_cost = Cost::new(LATENCY.shift_per_step, ENERGY.shift_per_step);
+        let (max_offset, total) = (self.max_offset(), self.spec.total_domains);
+        if self.drift.is_empty() {
+            let delta = delta(self.offset);
+            let mut walk = CostMeter::new();
+            walk_shift(self.offset, max_offset, delta, None, step_cost, &mut walk).1?;
+            for _ in 0..delta.unsigned_abs() {
+                // The plane pushed off one extremity re-enters, emptied,
+                // at the other.
+                let (turn, entering) = if delta > 0 {
+                    (total - 1, 0)
+                } else {
+                    (1, total - 1)
+                };
+                self.head = (self.head + turn) % total;
+                self.plane_mut(entering).fill(0);
+            }
+            self.offset += delta;
+            if self.shift_energy.is_empty() {
+                self.shift_energy = vec![f64::NAN; max_offset as usize + 1];
+            }
+            let energy = &mut self.shift_energy[delta.unsigned_abs()];
+            if energy.is_nan() {
+                *energy = summed(walk.total().energy_pj, self.width);
+            }
+            let energy = *energy;
+            meter.charge_class(OpClass::Shift, Cost::new(walk.total().cycles, energy));
+            return Ok(());
+        }
+        // Wire by wire, every step of a wire before the next wire: a wire
+        // that overruns keeps what it moved, the wires after it stay put
+        // and nothing is charged.
+        let (mut combined, mut outcome) = (Cost::ZERO, Ok(()));
+        let mut moves = vec![0; self.width];
+        for (i, moved) in moves.iter_mut().enumerate() {
+            let at = self.offset + self.drift[i];
+            let (mut walk, injector) = (CostMeter::new(), self.injectors.get_mut(i));
+            (*moved, outcome) =
+                walk_shift(at, max_offset, delta(at), injector, step_cost, &mut walk);
+            self.drift[i] += *moved;
+            if outcome.is_err() {
+                break;
+            }
+            combined = combined.in_parallel_with(walk.total());
+        }
+        // Every column moves its own distance: one masked pass over the
+        // planes per distinct distance.
+        let (lo, hi) = (*moves.iter().min().unwrap(), *moves.iter().max().unwrap());
+        let mut moved = vec![0u64; self.planes.len()];
+        for by in lo..=hi {
+            let lanes: Row = moves.iter().map(|&m| m == by).collect();
+            for pos in by.max(0)..(total as isize).min(total as isize + by) {
+                let to = &mut moved[pos as usize * self.words()..][..self.words()];
+                let from = self.plane((pos - by) as usize);
+                for ((to, from), lane) in to.iter_mut().zip(from).zip(lanes.words()) {
+                    *to |= from & lane;
+                }
+            }
+        }
+        (self.planes, self.head) = (moved, 0);
+        outcome?;
+        meter.charge_class(OpClass::Shift, combined);
         Ok(())
     }
 
@@ -189,16 +470,10 @@ impl Dbc {
     ///
     /// # Errors
     ///
-    /// Returns a device error if the shift would overrun the wires.
+    /// Returns a device error if the shift would overrun the wires; a
+    /// fault-free DBC is then unchanged.
     pub fn shift_all(&mut self, delta: isize, meter: &mut CostMeter) -> Result<()> {
-        let mut combined = Cost::ZERO;
-        for w in &mut self.wires {
-            let mut local = CostMeter::new();
-            w.shift(delta, &mut local)?;
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge_class(OpClass::Shift, combined);
-        Ok(())
+        self.shift_by(|_| delta, meter)
     }
 
     /// Aligns data row `r` under `port` on every wire.
@@ -209,14 +484,8 @@ impl Dbc {
     /// unreachable alignment.
     pub fn align_row(&mut self, r: usize, port: PortId, meter: &mut CostMeter) -> Result<()> {
         self.check_row(r)?;
-        let mut combined = Cost::ZERO;
-        for w in &mut self.wires {
-            let mut local = CostMeter::new();
-            w.align_row(r, port, &mut local)?;
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge_class(OpClass::Shift, combined);
-        Ok(())
+        let target = self.port(port, false)? as isize - r as isize;
+        self.shift_by(|offset| target - offset, meter)
     }
 
     /// Picks a feasible access port for row `r` (the one with the shortest
@@ -228,25 +497,12 @@ impl Dbc {
     /// Returns [`MemError::RowOutOfRange`] for a bad row.
     pub fn nearest_port(&self, r: usize) -> Result<PortId> {
         self.check_row(r)?;
-        let w = &self.wires[0];
-        let n_ports = w.spec().ports.len();
-        let mut best: Option<(PortId, isize)> = None;
-        for p in 0..n_ports {
-            let port = PortId(p);
-            let d = w.align_distance(r, port)?;
-            // Check feasibility: the resulting offset must stay in range.
-            let new_offset = w.offset() + d;
-            let max_offset = (w.spec().total_domains - w.spec().data_domains) as isize;
-            if new_offset < 0 || new_offset > max_offset {
-                continue;
-            }
-            match best {
-                Some((_, bd)) if bd.abs() <= d.abs() => {}
-                _ => best = Some((port, d)),
-            }
-        }
-        best.map(|(p, _)| p)
-            .ok_or_else(|| MemError::BadLocation(format!("row {r} unreachable from any port")))
+        let target = |p: &usize| self.spec.ports[*p].position as isize - r as isize;
+        let reachable = |p: &usize| (0..=self.max_offset()).contains(&target(p));
+        let ports = (0..self.spec.ports.len()).filter(reachable);
+        let best = ports.min_by_key(|p| (target(p) - self.wire_offset(0)).abs());
+        let none = || MemError::BadLocation(format!("row {r} unreachable from any port"));
+        best.map(PortId).ok_or_else(none)
     }
 
     /// Reads row `r`: aligns it under the nearest feasible port and senses
@@ -258,15 +514,20 @@ impl Dbc {
     pub fn read_row(&mut self, r: usize, meter: &mut CostMeter) -> Result<Row> {
         let port = self.nearest_port(r)?;
         self.align_row(r, port, meter)?;
-        let mut combined = Cost::ZERO;
-        let mut bits = Vec::with_capacity(self.wires.len());
-        for w in &mut self.wires {
-            let mut local = CostMeter::new();
-            bits.push(w.read(port, &mut local)?);
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge_class(OpClass::Read, combined);
-        Ok(Row::from_bits(bits))
+        self.read_port(port, meter)
+    }
+
+    /// Senses the row currently under `port` on all wires in parallel,
+    /// without aligning anything first.
+    ///
+    /// # Errors
+    ///
+    /// Returns a device error for a bad port.
+    pub fn read_port(&mut self, port: PortId, meter: &mut CostMeter) -> Result<Row> {
+        let row = self.plane_row(self.port(port, false)?);
+        let energy = self.full_width.read;
+        meter.charge_class(OpClass::Read, Cost::new(LATENCY.read, energy));
+        Ok(row)
     }
 
     /// Writes row `r` (align + parallel write).
@@ -276,22 +537,10 @@ impl Dbc {
     /// Returns [`MemError::WidthMismatch`] if `data` is not exactly one bit
     /// per wire, [`MemError::RowOutOfRange`], or a device error.
     pub fn write_row(&mut self, r: usize, data: &Row, meter: &mut CostMeter) -> Result<()> {
-        if data.width() != self.wires.len() {
-            return Err(MemError::WidthMismatch {
-                got: data.width(),
-                expected: self.wires.len(),
-            });
-        }
+        self.check_width(data)?;
         let port = self.nearest_port(r)?;
         self.align_row(r, port, meter)?;
-        let mut combined = Cost::ZERO;
-        for (w, bit) in self.wires.iter_mut().zip(data.iter()) {
-            let mut local = CostMeter::new();
-            w.write(port, bit, &mut local)?;
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge_class(OpClass::Write, combined);
-        Ok(())
+        self.write_bits(&[(port, data, &Row::ones(self.width))], meter)
     }
 
     /// Reads row `r` without device access or cost — an oracle for tests
@@ -302,11 +551,12 @@ impl Dbc {
     /// Returns [`MemError::RowOutOfRange`] for a bad row.
     pub fn peek_row(&self, r: usize) -> Result<Row> {
         self.check_row(r)?;
-        Ok(self
-            .wires
-            .iter()
-            .map(|w| w.row(r).expect("validated row"))
-            .collect())
+        if self.drift.is_empty() {
+            return Ok(self.plane_row((self.offset + r as isize) as usize));
+        }
+        let at = |i: usize| (self.wire_offset(i) + r as isize) as usize;
+        let bit = |i: usize| self.plane(at(i))[i / 64] >> (i % 64) & 1 == 1;
+        Ok((0..self.width).map(bit).collect())
     }
 
     /// Writes row `r` directly into the model (setup helper; no cost).
@@ -316,77 +566,110 @@ impl Dbc {
     /// Returns [`MemError::WidthMismatch`] or [`MemError::RowOutOfRange`].
     pub fn poke_row(&mut self, r: usize, data: &Row) -> Result<()> {
         self.check_row(r)?;
-        if data.width() != self.wires.len() {
-            return Err(MemError::WidthMismatch {
-                got: data.width(),
-                expected: self.wires.len(),
-            });
+        self.check_width(data)?;
+        if self.drift.is_empty() {
+            let pos = (self.offset + r as isize) as usize;
+            self.plane_mut(pos).copy_from_slice(data.words());
+            return Ok(());
         }
-        for (w, bit) in self.wires.iter_mut().zip(data.iter()) {
-            w.set_row(r, bit)?;
+        for (i, bit) in data.iter().enumerate() {
+            self.set_bit((self.wire_offset(i) + r as isize) as usize, i, bit);
         }
         Ok(())
     }
 
-    /// Transverse read on every wire in parallel, returning one ones-count
-    /// per wire. Latency of a single TR; energy scales with width.
+    /// Transverse read on every wire in parallel. Latency of a single TR;
+    /// energy scales with width.
     ///
     /// # Errors
     ///
     /// Returns a device error if the DBC has fewer than two ports or the
     /// segment exceeds the TRD.
-    pub fn transverse_read_all(&mut self, meter: &mut CostMeter) -> Result<Vec<TrOutcome>> {
-        let mut combined = Cost::ZERO;
-        let mut out = Vec::with_capacity(self.wires.len());
-        for w in &mut self.wires {
-            let mut local = CostMeter::new();
-            out.push(w.transverse_read(PortId::LEFT, PortId::RIGHT, &mut local)?);
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge_class(OpClass::TransverseRead, combined);
-        Ok(out)
+    pub fn transverse_read_all(&mut self, meter: &mut CostMeter) -> Result<TrCounts> {
+        self.transverse_read_wires(&Row::ones(self.width), meter)
     }
 
-    /// Transverse read on a subset of wires in parallel (one TR latency).
+    /// Transverse read on the wires `lanes` selects, in parallel (one TR
+    /// latency): the lane mask a carry-chain step works through.
     ///
     /// # Errors
     ///
-    /// As [`Dbc::transverse_read_all`]; also if a wire index is out of
-    /// range the missing wires are reported via panic in debug builds.
+    /// As [`Dbc::transverse_read_all`], or [`MemError::WidthMismatch`] for
+    /// a mask that is not one bit per wire.
     pub fn transverse_read_wires(
         &mut self,
-        wires: &[usize],
+        lanes: &Row,
         meter: &mut CostMeter,
-    ) -> Result<Vec<TrOutcome>> {
-        let mut combined = Cost::ZERO;
-        let mut out = Vec::with_capacity(wires.len());
-        for &i in wires {
-            let mut local = CostMeter::new();
-            out.push(self.wires[i].transverse_read(PortId::LEFT, PortId::RIGHT, &mut local)?);
-            combined = combined.in_parallel_with(local.total());
+    ) -> Result<TrCounts> {
+        self.check_width(lanes)?;
+        let selected = lanes.popcount();
+        let (lo, hi) = self.segment()?;
+        if hi - lo + 1 > SENSE_LEVELS {
+            let (span, limit) = (hi - lo + 1, SENSE_LEVELS);
+            return Err(Error::TrdExceeded { span, limit }.into());
         }
-        meter.charge_class(OpClass::TransverseRead, combined);
-        Ok(out)
+        let span = (hi - lo + 1) as u8;
+        // A bit-sliced counter: each plane ripples into the ones, twos and
+        // fours digits of every wire at once; unselected wires count zero.
+        let [mut sum, mut carry, mut super_carry] = [(); 3].map(|()| Row::zeros(self.width));
+        let (ones, twos, fours) = (sum.words_mut(), carry.words_mut(), super_carry.words_mut());
+        for pos in lo..=hi {
+            for (w, (domain, lane)) in self.plane(pos).iter().zip(lanes.words()).enumerate() {
+                let ripple = ones[w] & domain & lane;
+                ones[w] ^= domain & lane;
+                fours[w] ^= twos[w] & ripple;
+                twos[w] ^= ripple;
+            }
+        }
+        let mut counts = TrCounts {
+            sum,
+            carry,
+            super_carry,
+            span,
+        };
+        for (i, injector) in self.injectors.iter_mut().enumerate() {
+            if lanes.get(i) == Some(true) {
+                let sensed = injector.sense(counts.value(i), span);
+                counts.sum.set(i, sensed & 1 != 0);
+                counts.carry.set(i, sensed & 2 != 0);
+                counts.super_carry.set(i, sensed & 4 != 0);
+            }
+        }
+        let per_wire = ENERGY.transverse_read(span.into());
+        let energy = self.energy(self.full_width.transverse_read, per_wire, selected);
+        let cycles = LATENCY.transverse_read * u64::from(selected > 0);
+        meter.charge_class(OpClass::TransverseRead, Cost::new(cycles, energy));
+        Ok(counts)
     }
 
-    /// Parallel single-bit writes: each `(wire, port, bit)` triple is
-    /// written simultaneously (one write latency, energy per write).
+    /// Parallel masked writes: each `(port, data, lanes)` lands `data`
+    /// under `port` on the wires `lanes` selects, all simultaneously (one
+    /// write latency, energy per wire written).
     ///
     /// # Errors
     ///
-    /// Returns a device error for bad ports.
+    /// Returns [`MemError::WidthMismatch`] for data or a mask that is not
+    /// one bit per wire, or a device error for a bad port (the writes
+    /// listed before it land).
     pub fn write_bits(
         &mut self,
-        writes: &[(usize, PortId, bool)],
+        writes: &[(PortId, &Row, &Row)],
         meter: &mut CostMeter,
     ) -> Result<()> {
-        let mut combined = Cost::ZERO;
-        for &(i, port, bit) in writes {
-            let mut local = CostMeter::new();
-            self.wires[i].write(port, bit, &mut local)?;
-            combined = combined.in_parallel_with(local.total());
+        let mut written = 0;
+        for &(port, data, lanes) in writes {
+            self.check_width(data)?;
+            self.check_width(lanes)?;
+            let pos = self.port(port, true)?;
+            let plane = self.plane_mut(pos).iter_mut();
+            for ((word, data), lane) in plane.zip(data.words()).zip(lanes.words()) {
+                *word = *word & !lane | data & lane;
+            }
+            written += lanes.popcount();
         }
-        meter.charge_class(OpClass::Write, combined);
+        let energy = self.energy(self.full_width.write, ENERGY.write, written);
+        let cycles = LATENCY.write * u64::from(written > 0);
+        meter.charge_class(OpClass::Write, Cost::new(cycles, energy));
         Ok(())
     }
 
@@ -398,34 +681,27 @@ impl Dbc {
     ///
     /// Returns [`MemError::WidthMismatch`] or a device error.
     pub fn transverse_write_all(&mut self, row: &Row, meter: &mut CostMeter) -> Result<Row> {
-        if row.width() != self.wires.len() {
-            return Err(MemError::WidthMismatch {
-                got: row.width(),
-                expected: self.wires.len(),
-            });
+        self.check_width(row)?;
+        self.port(PortId::LEFT, true)?;
+        let (lo, hi) = self.segment()?;
+        let expelled = self.plane_row(hi);
+        for pos in (lo + 1..=hi).rev() {
+            let (from, to, words) = (self.plane_at(pos - 1), self.plane_at(pos), self.words());
+            self.planes.copy_within(from..from + words, to);
         }
-        let mut combined = Cost::ZERO;
-        let mut expelled = Vec::with_capacity(self.wires.len());
-        for (w, bit) in self.wires.iter_mut().zip(row.iter()) {
-            let mut local = CostMeter::new();
-            expelled.push(w.transverse_write(bit, &mut local)?);
-            combined = combined.in_parallel_with(local.total());
-        }
-        meter.charge_class(OpClass::TransverseWrite, combined);
-        Ok(Row::from_bits(expelled))
+        self.plane_mut(lo).copy_from_slice(row.words());
+        let energy = self.full_width.transverse_write;
+        let cost = Cost::new(LATENCY.transverse_write, energy);
+        meter.charge_class(OpClass::TransverseWrite, cost);
+        Ok(expelled)
     }
 
     /// The segment contents of every wire as rows: element `s` is the row
     /// formed by segment position `s` across all wires (oracle; no cost).
     pub fn peek_segment_rows(&self) -> Vec<Row> {
-        let seg = self.segment_len();
-        (0..seg)
-            .map(|s| {
-                self.wires
-                    .iter()
-                    .map(|w| w.segment_bit(s).expect("segment position"))
-                    .collect()
-            })
+        let base = self.spec.ports[0].position;
+        (base..base + self.segment_len())
+            .map(|pos| self.plane_row(pos))
             .collect()
     }
 
@@ -437,168 +713,13 @@ impl Dbc {
     /// Returns [`MemError::WidthMismatch`] or a device error for a bad
     /// segment position.
     pub fn poke_segment_row(&mut self, s: usize, data: &Row) -> Result<()> {
-        if data.width() != self.wires.len() {
-            return Err(MemError::WidthMismatch {
-                got: data.width(),
-                expected: self.wires.len(),
-            });
+        self.check_width(data)?;
+        let len = self.segment_len();
+        if s >= len {
+            return Err(Error::SegmentIndex { index: s, len }.into());
         }
-        for (w, bit) in self.wires.iter_mut().zip(data.iter()) {
-            w.set_segment_bit(s, bit)?;
-        }
+        let pos = self.spec.ports[0].position + s;
+        self.plane_mut(pos).copy_from_slice(data.words());
         Ok(())
-    }
-
-    /// The logical row index currently under the left port of wire 0, if
-    /// the port is over the data window.
-    pub fn row_under_left_port(&self) -> Option<usize> {
-        self.wires[0].row_under_port(PortId::LEFT).ok().flatten()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_pim() -> Dbc {
-        Dbc::pim_enabled(&MemoryConfig::tiny())
-    }
-
-    #[test]
-    fn geometry_matches_config() {
-        let c = MemoryConfig::tiny();
-        let d = Dbc::pim_enabled(&c);
-        assert_eq!(d.width(), 64);
-        assert_eq!(d.rows(), 32);
-        assert!(d.is_pim());
-        assert_eq!(d.segment_len(), 7);
-
-        let s = Dbc::storage(&c);
-        assert!(!s.is_pim());
-    }
-
-    #[test]
-    fn row_write_read_roundtrip() {
-        let mut d = tiny_pim();
-        let mut m = CostMeter::new();
-        let row = Row::from_u64_words(64, &[0xAAAA_5555_F0F0_0F0F]);
-        d.write_row(7, &row, &mut m).unwrap();
-        let got = d.read_row(7, &mut m).unwrap();
-        assert_eq!(got, row);
-        // Oracle agrees.
-        assert_eq!(d.peek_row(7).unwrap(), row);
-    }
-
-    #[test]
-    fn row_access_cost_is_shift_plus_one() {
-        let mut d = tiny_pim();
-        let mut m = CostMeter::new();
-        let row = Row::zeros(64);
-        d.write_row(0, &row, &mut m).unwrap();
-        let shift_then_write = m.take();
-        // Writing the same row again needs no realignment: 1 cycle.
-        d.write_row(0, &row, &mut m).unwrap();
-        assert_eq!(m.total().cycles, 1);
-        assert!(shift_then_write.cycles >= 1);
-        // Energy of the parallel write scales with width.
-        assert!(m.total().energy_pj > 0.1 * 63.0);
-    }
-
-    #[test]
-    fn width_mismatch_rejected() {
-        let mut d = tiny_pim();
-        let mut m = CostMeter::new();
-        let err = d.write_row(0, &Row::zeros(8), &mut m).unwrap_err();
-        assert!(matches!(err, MemError::WidthMismatch { .. }));
-        assert!(d.poke_row(0, &Row::zeros(8)).is_err());
-    }
-
-    #[test]
-    fn row_out_of_range_rejected() {
-        let mut d = tiny_pim();
-        let mut m = CostMeter::new();
-        assert!(matches!(
-            d.read_row(32, &mut m),
-            Err(MemError::RowOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn all_rows_reachable() {
-        let mut d = tiny_pim();
-        let mut m = CostMeter::new();
-        for r in 0..32 {
-            let mut row = Row::zeros(64);
-            row.set(r % 64, true);
-            d.write_row(r, &row, &mut m).unwrap();
-        }
-        for r in 0..32 {
-            let got = d.read_row(r, &mut m).unwrap();
-            assert_eq!(got.popcount(), 1, "row {r}");
-            assert_eq!(got.get(r % 64), Some(true));
-        }
-    }
-
-    #[test]
-    fn transverse_read_all_counts_segment_ones() {
-        let mut d = tiny_pim();
-        // Fill segment rows: positions 0..3 all ones, rest zeros.
-        for s in 0..4 {
-            d.poke_segment_row(s, &Row::ones(64)).unwrap();
-        }
-        let mut m = CostMeter::new();
-        let out = d.transverse_read_all(&mut m).unwrap();
-        assert!(out.iter().all(|o| o.value == 4 && o.span == 7));
-        assert_eq!(m.total().cycles, 1, "parallel TR is one cycle");
-    }
-
-    #[test]
-    fn transverse_write_all_shifts_segment() {
-        let mut d = tiny_pim();
-        let marker = Row::from_u64_words(64, &[0x1234_5678]);
-        d.poke_segment_row(6, &marker).unwrap(); // under the right port
-        let mut m = CostMeter::new();
-        let expelled = d.transverse_write_all(&Row::ones(64), &mut m).unwrap();
-        assert_eq!(expelled, marker);
-        let rows = d.peek_segment_rows();
-        assert_eq!(rows[0], Row::ones(64));
-    }
-
-    #[test]
-    fn write_bits_is_one_cycle() {
-        let mut d = tiny_pim();
-        let mut m = CostMeter::new();
-        d.write_bits(
-            &[
-                (0, PortId::LEFT, true),
-                (1, PortId::RIGHT, true),
-                (2, PortId::LEFT, false),
-            ],
-            &mut m,
-        )
-        .unwrap();
-        assert_eq!(m.total().cycles, 1);
-        assert!(d.wire(0).segment_bit(0).unwrap());
-        assert!(d.wire(1).segment_bit(6).unwrap());
-    }
-
-    #[test]
-    fn lockstep_shift_moves_all_wires() {
-        let mut d = tiny_pim();
-        let row = Row::ones(64);
-        d.poke_row(10, &row).unwrap();
-        let mut m = CostMeter::new();
-        d.shift_all(3, &mut m).unwrap();
-        assert_eq!(m.total().cycles, 3);
-        assert_eq!(d.peek_row(10).unwrap(), row, "data follows the shift");
-    }
-
-    #[test]
-    fn nearest_port_prefers_shorter_alignment() {
-        let d = tiny_pim();
-        // Row 0 is far left: the left port must win.
-        assert_eq!(d.nearest_port(0).unwrap(), PortId::LEFT);
-        // Row 31 is far right: the right port must win.
-        assert_eq!(d.nearest_port(31).unwrap(), PortId::RIGHT);
     }
 }

@@ -57,7 +57,7 @@ mod error;
 pub use address::{DbcLocation, RowAddress};
 pub use config::MemoryConfig;
 pub use controller::{MemoryController, Request};
-pub use dbc::Dbc;
+pub use dbc::{Dbc, TrCounts};
 pub use error::MemError;
 pub use fault::{FaultPlan, ScrubOutcome};
 pub use row::Row;

@@ -20,108 +20,134 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// assert_eq!((&a | &b).to_u64_words()[0], 0b1110);
 /// assert_eq!((&a ^ &b).to_u64_words()[0], 0b1100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The bits are packed into 64-bit words (bit `i` is bit `i % 64` of word
+/// `i / 64`; bits past `width` stay zero) — the layout of a DBC's bit
+/// planes, so a row moves in or out of a DBC as a word copy and every
+/// operator here works a word at a time. Rows up to the paper's 512 bits
+/// hold their words inline: the PIM algorithms make and drop several
+/// rows per device cycle, and none of them touches the heap.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Row {
-    bits: Vec<bool>,
+    width: usize,
+    store: Words,
+}
+
+/// The first `width.div_ceil(64)` words are the row; the rest stay zero.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline([u64; 8]),
+    Heap(Vec<u64>),
+}
+
+/// `unit` (a pattern in the low `blocksize` bits) repeated across a word;
+/// `blocksize` is a power of two of at most 64.
+fn replicate(unit: u64, blocksize: usize) -> u64 {
+    let (mut word, mut span) = (unit, blocksize);
+    while span < 64 {
+        word |= word << span;
+        span *= 2;
+    }
+    word
 }
 
 impl Row {
     /// Creates an all-zero row of `width` bits.
     pub fn zeros(width: usize) -> Row {
-        Row {
-            bits: vec![false; width],
+        let store = match width.div_ceil(64) {
+            0..=8 => Words::Inline([0; 8]),
+            n => Words::Heap(vec![0; n]),
+        };
+        Row { width, store }
+    }
+
+    /// Builds a row word by word (`f` sees the word index); bits past
+    /// `width` are cleared.
+    fn from_fn(width: usize, f: impl FnMut(usize) -> u64) -> Row {
+        let mut row = Row::zeros(width);
+        let words = row.words_mut();
+        words.iter_mut().zip((0..).map(f)).for_each(|(w, x)| *w = x);
+        if let Some(last) = words.last_mut() {
+            *last &= u64::MAX >> ((64 - width % 64) % 64);
         }
+        row
     }
 
     /// Creates an all-one row of `width` bits.
     pub fn ones(width: usize) -> Row {
-        Row {
-            bits: vec![true; width],
-        }
+        Row::from_fn(width, |_| u64::MAX)
     }
 
     /// Creates a row from raw bits (bit `i` → nanowire `i`).
     pub fn from_bits(bits: Vec<bool>) -> Row {
-        Row { bits }
+        bits.into_iter().collect()
     }
 
     /// Creates a `width`-bit row by packing little-endian 64-bit words:
     /// word `w` bit `b` lands at row bit `64 * w + b`. Missing words are
     /// zero-filled; excess bits beyond `width` are discarded.
     pub fn from_u64_words(width: usize, words: &[u64]) -> Row {
-        let mut bits = vec![false; width];
-        for (i, bit) in bits.iter_mut().enumerate() {
-            let w = i / 64;
-            let b = i % 64;
-            if let Some(word) = words.get(w) {
-                *bit = (word >> b) & 1 == 1;
-            }
-        }
-        Row { bits }
+        Row::from_fn(width, |w| words.get(w).copied().unwrap_or(0))
     }
 
     /// Packs fixed-width integers into a row: value `v` of `values` occupies
     /// bits `[v * blocksize, (v+1) * blocksize)`, little-endian within the
     /// block. Values wider than `blocksize` bits are truncated.
     pub fn pack(width: usize, blocksize: usize, values: &[u64]) -> Row {
-        assert!(
-            blocksize > 0 && blocksize <= 64,
-            "blocksize 1..=64 supported"
-        );
-        let mut bits = vec![false; width];
-        for (v, &value) in values.iter().enumerate() {
-            for b in 0..blocksize {
-                let i = v * blocksize + b;
-                if i >= width {
-                    break;
-                }
-                bits[i] = (value >> b) & 1 == 1;
+        assert!((1..=64).contains(&blocksize), "blocksize 1..=64 supported");
+        let mut words = vec![0u64; width.div_ceil(64) + 1];
+        for (v, &value) in values.iter().enumerate().take(width.div_ceil(blocksize)) {
+            let (at, value) = (v * blocksize, value & (u64::MAX >> (64 - blocksize)));
+            words[at / 64] |= value << (at % 64);
+            if at % 64 + blocksize > 64 {
+                words[at / 64 + 1] |= value >> (64 - at % 64);
             }
         }
-        Row { bits }
+        Row::from_u64_words(width, &words)
     }
 
     /// Unpacks the row into `width / blocksize` fixed-width integers.
     pub fn unpack(&self, blocksize: usize) -> Vec<u64> {
-        assert!(
-            blocksize > 0 && blocksize <= 64,
-            "blocksize 1..=64 supported"
-        );
-        let n = self.bits.len() / blocksize;
-        (0..n)
-            .map(|v| {
-                (0..blocksize).fold(0u64, |acc, b| {
-                    acc | (u64::from(self.bits[v * blocksize + b]) << b)
-                })
-            })
-            .collect()
+        assert!((1..=64).contains(&blocksize), "blocksize 1..=64 supported");
+        let lane = |v: usize| {
+            let at = v * blocksize;
+            let mut value = self.words()[at / 64] >> (at % 64);
+            if at % 64 + blocksize > 64 {
+                value |= self.words()[at / 64 + 1] << (64 - at % 64);
+            }
+            value & (u64::MAX >> (64 - blocksize))
+        };
+        (0..self.width / blocksize).map(lane).collect()
     }
 
     /// The row as little-endian 64-bit words (last word zero-padded).
     pub fn to_u64_words(&self) -> Vec<u64> {
-        let n = self.bits.len().div_ceil(64);
-        (0..n)
-            .map(|w| {
-                (0..64).fold(0u64, |acc, b| {
-                    let i = w * 64 + b;
-                    if i < self.bits.len() && self.bits[i] {
-                        acc | (1 << b)
-                    } else {
-                        acc
-                    }
-                })
-            })
-            .collect()
+        self.words().to_vec()
+    }
+
+    /// Borrows the packed words (last word zero-padded).
+    pub fn words(&self) -> &[u64] {
+        match &self.store {
+            Words::Inline(words) => &words[..self.width.div_ceil(64)],
+            Words::Heap(words) => words,
+        }
+    }
+
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.store {
+            Words::Inline(words) => &mut words[..self.width.div_ceil(64)],
+            Words::Heap(words) => words,
+        }
     }
 
     /// Width in bits.
     pub fn width(&self) -> usize {
-        self.bits.len()
+        self.width
     }
 
     /// Bit `i`, or `None` out of range.
     pub fn get(&self, i: usize) -> Option<bool> {
-        self.bits.get(i).copied()
+        (i < self.width).then(|| self.words()[i / 64] >> (i % 64) & 1 == 1)
     }
 
     /// Sets bit `i`.
@@ -130,35 +156,127 @@ impl Row {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, bit: bool) {
-        self.bits[i] = bit;
+        assert!(i < self.width, "bit {i} of a {}-bit row", self.width);
+        let word = &mut self.words_mut()[i / 64];
+        *word = *word & !(1 << (i % 64)) | u64::from(bit) << (i % 64);
     }
 
     /// Number of `1` bits.
     pub fn popcount(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterates over the bits, nanowire order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        self.bits.iter().copied()
+        (0..self.width).map(|i| self.words()[i / 64] >> (i % 64) & 1 == 1)
     }
 
-    /// Borrows the raw bits.
-    pub fn as_bits(&self) -> &[bool] {
-        &self.bits
+    /// The row with bit `j` of every `blocksize`-bit lane set and nothing
+    /// else: the lane mask one carry-chain step works through. Like every
+    /// lane operation, for power-of-two lanes from one bit to the row.
+    pub fn lane_bit(width: usize, blocksize: usize, j: usize) -> Row {
+        assert!(blocksize.is_power_of_two() && j < blocksize, "bad lane bit");
+        if blocksize <= 64 {
+            let word = replicate(1 << j, blocksize);
+            return Row::from_fn(width, |_| word);
+        }
+        let per = blocksize / 64;
+        Row::from_fn(width, |w| u64::from(w % per == j / 64) << (j % 64))
     }
 
-    /// Consumes the row, returning the raw bits.
-    pub fn into_bits(self) -> Vec<bool> {
-        self.bits
+    /// Per-lane `<< by`: within each `blocksize`-bit lane bit `i` moves to
+    /// bit `i + by`, vacated bits fill with zero and bits shifted past the
+    /// lane top are dropped — the neighbour-forwarding interconnect.
+    pub fn shl_lanes(&self, by: usize, blocksize: usize) -> Row {
+        assert!(blocksize.is_power_of_two(), "bad lane width");
+        if by >= blocksize {
+            return Row::zeros(self.width);
+        }
+        if blocksize <= 64 {
+            let keep = !replicate((1 << by) - 1, blocksize);
+            return Row::from_fn(self.width, |w| self.words()[w] << by & keep);
+        }
+        let (per, skip, bits) = (blocksize / 64, by / 64, (by % 64) as u32);
+        // Word `w` takes from `back` words below it, if still in its lane.
+        let from = |w: usize, back: usize| match w % per >= back {
+            true => self.words()[w - back],
+            false => 0,
+        };
+        Row::from_fn(self.width, |w| {
+            from(w, skip) << bits | from(w, skip + 1).checked_shr(64 - bits).unwrap_or(0)
+        })
+    }
+
+    /// Every lane filled with its own bit `j` — all ones where the lane has
+    /// that bit set, all zeros where not: the per-lane predicate of the
+    /// predicated row-buffer reset.
+    pub fn spread_lanes(&self, j: usize, blocksize: usize) -> Row {
+        assert!(blocksize.is_power_of_two() && j < blocksize, "bad lane bit");
+        if blocksize <= 64 {
+            let (lsbs, full) = (replicate(1, blocksize), u64::MAX >> (64 - blocksize));
+            return Row::from_fn(self.width, |w| {
+                (self.words()[w] >> j & lsbs).wrapping_mul(full)
+            });
+        }
+        let per = blocksize / 64;
+        let bit = |w: usize| {
+            self.words()
+                .get(w / per * per + j / 64)
+                .map_or(0, |x| x >> (j % 64) & 1)
+        };
+        Row::from_fn(self.width, |w| 0u64.wrapping_sub(bit(w)))
+    }
+
+    /// Lane-wise wrapping sum: each `blocksize`-bit lane of the result is
+    /// the sum of the two operands' lanes modulo `2^blocksize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rows of different widths.
+    pub fn lane_add(&self, rhs: &Row, blocksize: usize) -> Row {
+        assert!(blocksize.is_power_of_two(), "bad lane width");
+        assert_eq!(self.width, rhs.width, "lane sums need equal-width rows");
+        if blocksize < 64 {
+            // Add everything below each lane's top bit, then fold the top
+            // bits in without letting a carry cross into the next lane.
+            let top = replicate(1 << (blocksize - 1), blocksize);
+            return Row::from_fn(self.width, |w| {
+                let (a, b) = (self.words()[w], rhs.words()[w]);
+                ((a & !top) + (b & !top)) ^ ((a ^ b) & top)
+            });
+        }
+        let (per, mut carry) = (blocksize / 64, false);
+        Row::from_fn(self.width, |w| {
+            let (sum, c1) = self.words()[w].overflowing_add(rhs.words()[w]);
+            let (sum, c2) = sum.overflowing_add(u64::from(carry && w % per != 0));
+            carry = c1 || c2;
+            sum
+        })
     }
 }
 
 impl FromIterator<bool> for Row {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Row {
-        Row {
-            bits: iter.into_iter().collect(),
-        }
+        let bits: Vec<bool> = iter.into_iter().collect();
+        let word = |w: usize| bits[w * 64..].iter().take(64).rev();
+        Row::from_fn(bits.len(), |w| {
+            word(w).fold(0, |x, &b| x << 1 | u64::from(b))
+        })
+    }
+}
+
+/// The wire format stays one boolean per nanowire, `{"bits":[…]}`,
+/// whatever the in-memory packing.
+impl Serialize for Row {
+    fn to_value(&self) -> serde::json::Value {
+        let bits: Vec<bool> = self.iter().collect();
+        serde::json::Value::Object(vec![("bits".into(), bits.to_value())])
+    }
+}
+
+impl Deserialize for Row {
+    fn from_value(value: &serde::json::Value) -> Result<Row, serde::json::Error> {
+        serde::de::field::<Vec<bool>>(value, "bits").map(Row::from_bits)
     }
 }
 
@@ -167,19 +285,8 @@ macro_rules! rowwise_binop {
         impl $trait for &Row {
             type Output = Row;
             fn $method(self, rhs: &Row) -> Row {
-                assert_eq!(
-                    self.bits.len(),
-                    rhs.bits.len(),
-                    "bitwise ops need equal-width rows"
-                );
-                Row {
-                    bits: self
-                        .bits
-                        .iter()
-                        .zip(&rhs.bits)
-                        .map(|(&a, &b)| a $op b)
-                        .collect(),
-                }
+                assert_eq!(self.width, rhs.width, "bitwise ops need equal-width rows");
+                Row::from_fn(self.width, |w| self.words()[w] $op rhs.words()[w])
             }
         }
     };
@@ -192,82 +299,12 @@ rowwise_binop!(BitXor, bitxor, ^);
 impl Not for &Row {
     type Output = Row;
     fn not(self) -> Row {
-        Row {
-            bits: self.bits.iter().map(|&b| !b).collect(),
-        }
+        Row::from_fn(self.width, |w| !self.words()[w])
     }
 }
 
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Row[{} bits, {} ones]", self.bits.len(), self.popcount())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let values = [1u64, 200, 37, 255, 0, 128, 99, 64];
-        let row = Row::pack(64, 8, &values);
-        assert_eq!(row.unpack(8), values.to_vec());
-    }
-
-    #[test]
-    fn pack_truncates_oversized_values() {
-        let row = Row::pack(16, 8, &[300, 5]); // 300 = 0b1_0010_1100 -> 0x2C
-        assert_eq!(row.unpack(8), vec![300 & 0xFF, 5]);
-    }
-
-    #[test]
-    fn word_roundtrip() {
-        let words = [0xDEAD_BEEF_CAFE_F00D, 0x0123_4567_89AB_CDEF];
-        let row = Row::from_u64_words(128, &words);
-        assert_eq!(row.to_u64_words(), words.to_vec());
-    }
-
-    #[test]
-    fn bitwise_ops_match_u64() {
-        let a = 0xF0F0_1234u64;
-        let b = 0x0FF0_4321u64;
-        let ra = Row::from_u64_words(64, &[a]);
-        let rb = Row::from_u64_words(64, &[b]);
-        assert_eq!((&ra & &rb).to_u64_words()[0], a & b);
-        assert_eq!((&ra | &rb).to_u64_words()[0], a | b);
-        assert_eq!((&ra ^ &rb).to_u64_words()[0], a ^ b);
-        assert_eq!((!&ra).to_u64_words()[0], !a);
-    }
-
-    #[test]
-    fn popcount_and_get_set() {
-        let mut r = Row::zeros(32);
-        assert_eq!(r.popcount(), 0);
-        r.set(3, true);
-        r.set(30, true);
-        assert_eq!(r.popcount(), 2);
-        assert_eq!(r.get(3), Some(true));
-        assert_eq!(r.get(4), Some(false));
-        assert_eq!(r.get(32), None);
-        assert_eq!(Row::ones(10).popcount(), 10);
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let r: Row = (0..8).map(|i| i % 2 == 0).collect();
-        assert_eq!(r.width(), 8);
-        assert_eq!(r.popcount(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-width")]
-    fn mismatched_widths_panic() {
-        let _ = &Row::zeros(8) & &Row::zeros(16);
-    }
-
-    #[test]
-    fn display_nonempty() {
-        assert!(!Row::zeros(4).to_string().is_empty());
+        write!(f, "Row[{} bits, {} ones]", self.width, self.popcount())
     }
 }

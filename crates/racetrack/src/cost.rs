@@ -143,7 +143,7 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// All classes, in display order.
+    /// All classes, in declaration order: `ALL[c as usize]` is `c`.
     pub const ALL: [OpClass; 6] = [
         OpClass::Shift,
         OpClass::Read,
@@ -206,11 +206,7 @@ impl CostMeter {
     pub fn charge_class(&mut self, class: OpClass, cost: Cost) {
         self.total += cost;
         self.ops += 1;
-        let idx = OpClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("known class");
-        self.by_class[idx] += cost;
+        self.by_class[class as usize] += cost;
     }
 
     /// The accumulated cost.
@@ -220,11 +216,7 @@ impl CostMeter {
 
     /// The accumulated cost of one micro-operation class.
     pub fn class_total(&self, class: OpClass) -> Cost {
-        let idx = OpClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("known class");
-        self.by_class[idx]
+        self.by_class[class as usize]
     }
 
     /// Number of individual operations charged.

@@ -228,6 +228,13 @@ impl FaultInjector {
             0
         }
     }
+
+    /// What a transverse read over `span` domains holding `count` ones
+    /// senses: one [`FaultInjector::tr_perturbation`] draw applied and
+    /// clamped to the levels the span can produce.
+    pub fn sense(&mut self, count: u8, span: u8) -> u8 {
+        (count as i8 + self.tr_perturbation()).clamp(0, span as i8) as u8
+    }
 }
 
 #[cfg(test)]

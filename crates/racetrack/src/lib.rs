@@ -63,7 +63,7 @@ pub use cost::{Cost, CostMeter, OpClass, PortGeometry};
 pub use error::Error;
 pub use fault::{FaultConfig, FaultInjector, FaultKind};
 pub use magnet::Magnetization;
-pub use nanowire::{Nanowire, NanowireSpec, TrOutcome};
+pub use nanowire::{walk_shift, Nanowire, NanowireSpec, TrOutcome};
 pub use port::{AccessPort, PortId, PortKind};
 
 /// Result alias used across the crate.

@@ -161,9 +161,9 @@ impl TrOutcome {
 
 /// A simulated DWM nanowire.
 ///
-/// The wire owns its domain train, tracks the current shift offset of the
-/// data window, and charges every operation to a caller-provided
-/// [`CostMeter`].
+/// The wire owns its domain train (one bit per domain, packed into 64-bit
+/// words), tracks the current shift offset of the data window, and charges
+/// every operation to a caller-provided [`CostMeter`].
 ///
 /// # Example
 ///
@@ -185,7 +185,9 @@ impl TrOutcome {
 #[derive(Debug, Clone)]
 pub struct Nanowire {
     spec: NanowireSpec,
-    domains: Vec<bool>,
+    /// Domain `p` is bit `p % 64` of word `p / 64`; bits past
+    /// `total_domains` stay zero.
+    domains: Vec<u64>,
     offset: isize,
     injector: Option<FaultInjector>,
     latency: LatencyParams,
@@ -200,17 +202,50 @@ impl Nanowire {
     /// Panics if the specification is invalid; use
     /// [`NanowireSpec::validate`] to check first.
     pub fn new(spec: NanowireSpec) -> Nanowire {
-        spec.validate().expect("invalid nanowire spec");
-        let domains = vec![false; spec.total_domains];
         let offset = spec.initial_offset as isize;
+        let tape = vec![0; spec.total_domains.div_ceil(64)];
+        Nanowire::from_tape(spec, tape, offset)
+    }
+
+    /// Rebuilds a wire from a packed domain train (domain `p` is bit
+    /// `p % 64` of word `p / 64`) and the offset its data window sits at —
+    /// how a DBC hands out one of its wires as a value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid specification, a train of the wrong length or
+    /// an offset that leaves the data window off the wire.
+    pub fn from_tape(spec: NanowireSpec, mut tape: Vec<u64>, offset: isize) -> Nanowire {
+        spec.validate().expect("invalid nanowire spec");
+        assert_eq!(tape.len(), spec.total_domains.div_ceil(64), "tape length");
+        assert!(
+            (0..=(spec.total_domains - spec.data_domains) as isize).contains(&offset),
+            "data window off the wire"
+        );
+        let last = tape.len() - 1;
+        tape[last] &= tail_mask(spec.total_domains);
         Nanowire {
             spec,
-            domains,
+            domains: tape,
             offset,
             injector: None,
             latency: LatencyParams::PAPER,
             energy: EnergyParams::PAPER,
         }
+    }
+
+    /// Detaches and returns the fault injector, if one is attached.
+    pub fn take_fault_injector(&mut self) -> Option<FaultInjector> {
+        self.injector.take()
+    }
+
+    fn bit(&self, pos: usize) -> bool {
+        self.domains[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    fn set_bit(&mut self, pos: usize, bit: bool) {
+        let word = &mut self.domains[pos / 64];
+        *word = *word & !(1 << (pos % 64)) | u64::from(bit) << (pos % 64);
     }
 
     /// Attaches a fault injector; subsequent shifts and transverse reads may
@@ -264,8 +299,7 @@ impl Nanowire {
         if r >= self.spec.data_domains {
             return None;
         }
-        let idx = self.offset + r as isize;
-        self.domains.get(idx as usize).copied()
+        Some(self.bit((self.offset + r as isize) as usize))
     }
 
     /// Writes logical data row `r` directly into the model (no device
@@ -281,8 +315,7 @@ impl Nanowire {
                 len: self.spec.data_domains,
             });
         }
-        let idx = (self.offset + r as isize) as usize;
-        self.domains[idx] = bit;
+        self.set_bit((self.offset + r as isize) as usize, bit);
         Ok(())
     }
 
@@ -306,8 +339,7 @@ impl Nanowire {
         if i >= len {
             return Err(Error::SegmentIndex { index: i, len });
         }
-        let base = self.spec.ports[0].position;
-        Ok(self.domains[base + i])
+        Ok(self.bit(self.spec.ports[0].position + i))
     }
 
     /// Writes the `i`-th domain of the inter-port segment directly (setup
@@ -321,15 +353,16 @@ impl Nanowire {
         if i >= len {
             return Err(Error::SegmentIndex { index: i, len });
         }
-        let base = self.spec.ports[0].position;
-        self.domains[base + i] = bit;
+        self.set_bit(self.spec.ports[0].position + i, bit);
         Ok(())
     }
 
     /// All segment bits, left to right (oracle; no cost).
     pub fn segment_bits(&self) -> Vec<bool> {
         let base = self.spec.ports[0].position;
-        self.domains[base..base + self.segment_len()].to_vec()
+        (base..base + self.segment_len())
+            .map(|p| self.bit(p))
+            .collect()
     }
 
     /// Maximum legal shift in each direction from the current offset:
@@ -349,72 +382,50 @@ impl Nanowire {
     /// Returns [`Error::ShiftOverrun`] if the data window would leave the
     /// wire; the wire state is unchanged in that case.
     pub fn shift(&mut self, delta: isize, meter: &mut CostMeter) -> Result<()> {
-        if delta == 0 {
-            return Ok(());
-        }
-        let steps = delta.unsigned_abs();
-        // Pre-validate the nominal move; faults may still overrun (handled
-        // per-step below, saturating at the extremity like a real wire
-        // losing bits — but we treat data loss as an error).
-        let (left, right) = self.shift_slack();
-        if delta > 0 && delta > right {
-            return Err(Error::ShiftOverrun {
-                requested: delta,
-                available: right,
-            });
-        }
-        if delta < 0 && -delta > left {
-            return Err(Error::ShiftOverrun {
-                requested: delta,
-                available: -left,
-            });
-        }
-        let dir = delta.signum();
-        for _ in 0..steps {
-            let mut step = dir;
-            if let Some(inj) = &mut self.injector {
-                step += dir * inj.shift_perturbation();
-            }
-            self.apply_shift_steps(step)?;
-            meter.charge_class(
-                OpClass::Shift,
-                Cost::new(self.latency.shift_per_step, self.energy.shift_per_step),
-            );
-        }
-        Ok(())
+        let step_cost = Cost::new(self.latency.shift_per_step, self.energy.shift_per_step);
+        let max_offset = (self.spec.total_domains - self.spec.data_domains) as isize;
+        let (moved, outcome) = walk_shift(
+            self.offset,
+            max_offset,
+            delta,
+            self.injector.as_mut(),
+            step_cost,
+            meter,
+        );
+        self.move_train(moved);
+        outcome
     }
 
-    /// Moves the physical train by `step` (already fault-adjusted), keeping
-    /// data inside the wire.
-    fn apply_shift_steps(&mut self, step: isize) -> Result<()> {
-        if step == 0 {
-            return Ok(());
-        }
-        let new_offset = self.offset + step;
-        if new_offset < 0 || new_offset as usize + self.spec.data_domains > self.spec.total_domains
-        {
-            return Err(Error::ShiftOverrun {
-                requested: step,
-                available: if step > 0 {
-                    (self.spec.total_domains - self.spec.data_domains) as isize - self.offset
+    /// Moves the physical train by `by` domains (positive toward higher
+    /// positions): what is pushed past an extremity is lost, what enters
+    /// reads zero. The caller keeps the data window on the wire.
+    fn move_train(&mut self, by: isize) {
+        let n = self.domains.len();
+        let (w, b) = (by.unsigned_abs() / 64, (by.unsigned_abs() % 64) as u32);
+        let d = &mut self.domains;
+        if by > 0 {
+            for i in (0..n).rev() {
+                let hi = if i >= w { d[i - w] << b } else { 0 };
+                let lo = if b > 0 && i > w {
+                    d[i - w - 1] >> (64 - b)
                 } else {
-                    -self.offset
-                },
-            });
-        }
-        if step > 0 {
-            for _ in 0..step {
-                self.domains.pop();
-                self.domains.insert(0, false);
+                    0
+                };
+                d[i] = hi | lo;
             }
-        } else {
-            for _ in 0..(-step) {
-                self.domains.remove(0);
-                self.domains.push(false);
+        } else if by < 0 {
+            for i in 0..n {
+                let lo = if i + w < n { d[i + w] >> b } else { 0 };
+                let hi = if b > 0 && i + w + 1 < n {
+                    d[i + w + 1] << (64 - b)
+                } else {
+                    0
+                };
+                d[i] = lo | hi;
             }
         }
-        self.offset = new_offset;
-        Ok(())
+        d[n - 1] &= tail_mask(self.spec.total_domains);
+        self.offset += by;
     }
 
     /// Shifts so that logical data row `r` sits under `port`.
@@ -460,8 +471,7 @@ impl Nanowire {
     ///
     /// Returns [`Error::UnknownPort`] for a bad port id.
     pub fn read(&mut self, port: PortId, meter: &mut CostMeter) -> Result<bool> {
-        let p = self.port(port)?;
-        let bit = self.domains[p.position];
+        let bit = self.bit(self.port(port)?.position);
         meter.charge_class(
             OpClass::Read,
             Cost::new(self.latency.read, self.energy.read),
@@ -484,7 +494,7 @@ impl Nanowire {
                 needed: "write",
             });
         }
-        self.domains[p.position] = bit;
+        self.set_bit(p.position, bit);
         meter.charge_class(
             OpClass::Write,
             Cost::new(self.latency.write, self.energy.write),
@@ -556,10 +566,9 @@ impl Nanowire {
                 limit: self.spec.trd_limit,
             });
         }
-        let mut count = self.domains[lo..=hi].iter().filter(|&&b| b).count() as i16;
+        let mut count = (lo..=hi).filter(|&p| self.bit(p)).count() as u8;
         if let Some(inj) = &mut self.injector {
-            count += i16::from(inj.tr_perturbation());
-            count = count.clamp(0, span as i16);
+            count = inj.sense(count, span as u8);
         }
         meter.charge_class(
             OpClass::TransverseRead,
@@ -569,7 +578,7 @@ impl Nanowire {
             ),
         );
         Ok(TrOutcome {
-            value: count as u8,
+            value: count,
             span: span as u8,
         })
     }
@@ -601,11 +610,11 @@ impl Nanowire {
                 limit: self.spec.trd_limit,
             });
         }
-        let expelled = self.domains[right.position];
+        let expelled = self.bit(right.position);
         for i in (left.position + 1..=right.position).rev() {
-            self.domains[i] = self.domains[i - 1];
+            self.set_bit(i, self.bit(i - 1));
         }
-        self.domains[left.position] = bit;
+        self.set_bit(left.position, bit);
         meter.charge_class(
             OpClass::TransverseWrite,
             Cost::new(self.latency.transverse_write, self.energy.transverse_write),
@@ -644,7 +653,7 @@ impl Nanowire {
     /// Reads a physical domain directly (oracle/maintenance access; no
     /// device cost). Returns `None` out of range.
     pub fn peek_physical(&self, pos: usize) -> Option<bool> {
-        self.domains.get(pos).copied()
+        (pos < self.spec.total_domains).then(|| self.bit(pos))
     }
 
     /// Writes a physical domain directly (maintenance access used when
@@ -660,7 +669,7 @@ impl Nanowire {
                 len: self.spec.total_domains,
             });
         }
-        self.domains[pos] = bit;
+        self.set_bit(pos, bit);
         Ok(())
     }
 
@@ -670,8 +679,7 @@ impl Nanowire {
     /// logic that must move a misaligned wire back into range.
     pub fn force_shift(&mut self, steps: isize, meter: &mut CostMeter) {
         let max_offset = (self.spec.total_domains - self.spec.data_domains) as isize;
-        let clamped = (self.offset + steps).clamp(0, max_offset) - self.offset;
-        let _ = self.apply_shift_steps(clamped);
+        self.move_train((self.offset + steps).clamp(0, max_offset) - self.offset);
         meter.charge_class(
             OpClass::Shift,
             Cost::new(
@@ -680,6 +688,59 @@ impl Nanowire {
             ),
         );
     }
+}
+
+/// The valid bits of the last word of a `total`-bit packed train.
+fn tail_mask(total: usize) -> u64 {
+    u64::MAX >> ((64 - total % 64) % 64)
+}
+
+/// Walks one wire through a commanded shift of `delta` domains without
+/// touching any tape. The nominal move is validated against the window
+/// limits `0..=max_offset` first (an overrun moves nothing); then every
+/// step draws one perturbation from `injector`, stops at the first step
+/// that would push the data window off the wire, and charges `step_cost`
+/// to `meter` once completed. Returns the distance moved — all in the
+/// commanded direction, so one move by that distance reproduces it — and
+/// the error that cut the walk short, if any. [`Nanowire::shift`] and a
+/// DBC's lock-step shifts under fault injection both walk wires with this.
+pub fn walk_shift(
+    offset: isize,
+    max_offset: isize,
+    delta: isize,
+    mut injector: Option<&mut FaultInjector>,
+    step_cost: Cost,
+    meter: &mut CostMeter,
+) -> (isize, Result<()>) {
+    let (left, right) = (offset, max_offset - offset);
+    if delta > right || -delta > left {
+        let available = if delta > 0 { right } else { -left };
+        return (
+            0,
+            Err(Error::ShiftOverrun {
+                requested: delta,
+                available,
+            }),
+        );
+    }
+    let dir = delta.signum();
+    let mut at = offset;
+    for _ in 0..delta.unsigned_abs() {
+        let step = dir + dir * injector.as_mut().map_or(0, |inj| inj.shift_perturbation());
+        if !(0..=max_offset).contains(&(at + step)) {
+            let available = if step > 0 { max_offset - at } else { -at };
+            return (
+                at - offset,
+                Err(Error::ShiftOverrun {
+                    requested: step,
+                    available,
+                }),
+            );
+        }
+        at += step;
+        meter.charge_class(OpClass::Shift, step_cost);
+    }
+    (at - offset, Ok(()))
 }
 
 #[cfg(test)]
@@ -867,7 +928,7 @@ mod tests {
         }
         // Mark a domain outside the segment to check it is untouched.
         let left_pos = w.spec().ports[0].position;
-        w.domains[left_pos - 1] = true;
+        w.poke_physical(left_pos - 1, true).unwrap();
         let mut m = meter();
         let expelled = w.transverse_write(true, &mut m).unwrap();
         assert!(expelled, "segment bit 6 was 1");
@@ -875,7 +936,11 @@ mod tests {
             w.segment_bits(),
             vec![true, true, false, true, false, true, false]
         );
-        assert!(w.domains[left_pos - 1], "outside-segment domain disturbed");
+        assert_eq!(
+            w.peek_physical(left_pos - 1),
+            Some(true),
+            "outside-segment domain disturbed"
+        );
         assert_eq!(w.offset(), w.spec().initial_offset as isize);
     }
 
