@@ -8,20 +8,23 @@
 //! issues in pure circular-bank order and reports bit-identically across
 //! runs and shard counts, while crash recovery — re-placement from the
 //! in-flight records — is the same code for every session.
+//! The loop also accounts the session live: the ack stage marks each
+//! member's attempt final or not and feeds the completion, in issue
+//! order, to the replay ([`crate::report`]).
 
 use crate::chaos::ChaosPlan;
 use crate::cputime;
-use crate::deps::{DepOutputs, DepTracker, Released};
+use crate::deps::{DepTracker, Released};
 use crate::events::{Event, EventTrace};
-use crate::exec::{Dispatch, Dispatcher};
+use crate::exec::{demux, Dispatch, Dispatcher};
 use crate::health::{HealthTracker, Transition};
 use crate::job::{PimJob, Placement};
 use crate::notify::JobNotice;
 use crate::options::RuntimeOptions;
 use crate::queue::{JobQueue, Pop};
-use crate::report::{SchedProfile, SchedulerOutput};
+use crate::report::{Reorder, Replay, Retired, SchedProfile, SchedulerOutput};
 use crate::sched::{BankScheduler, DispatchMode, IssuedBatch};
-use crate::session::{AckMsg, Canceller, Submission, WorkMsg};
+use crate::session::{AckMsg, Canceller, Completion, Submission, WorkMsg};
 use crate::supervise::{DownCause, PoisonRegistry, Supervisor};
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, MemoryConfig};
@@ -102,6 +105,7 @@ pub(crate) struct ClassicCtx {
     /// originates itself.
     pub next_id: Arc<AtomicU64>,
     pub poison: Option<Arc<PoisonRegistry>>,
+    pub retired: Retired,
 }
 
 /// The classic scheduler's state.
@@ -131,6 +135,11 @@ pub(crate) struct ClassicSched {
     /// Residency id → (hosting unit, pin program kept for
     /// re-materialization after quarantine).
     residents: HashMap<u64, (DbcLocation, Arc<PimProgram>)>,
+    /// Every seq the bank scheduler hands out settles here exactly once —
+    /// acked, or skipped (`None`) the moment it is known to produce no
+    /// completion — and what the watermark passes goes to `replay`.
+    reorder: Reorder<Completion>,
+    replay: Replay,
     /// What the thread hands back, accumulated as the session runs: the
     /// counters kept here directly (`cascaded` counts jobs dropped for
     /// an unknown residency until `run` adds the dependency cascades;
@@ -158,6 +167,8 @@ impl ClassicSched {
             scrubs_outstanding: vec![0; shards],
             deps: DepTracker::new(),
             residents: HashMap::new(),
+            reorder: Reorder::new(),
+            replay: Replay::new(&ctx.config, ctx.trace.clone(), Arc::clone(&ctx.retired)),
             out: SchedulerOutput {
                 profile: SchedProfile {
                     per_shard_issued: vec![0; shards],
@@ -248,7 +259,7 @@ impl ClassicSched {
                     // Unknown residency: the job can never run.
                     self.out.cascaded += 1;
                     self.ctx.canceller.drop_cascaded(job.id);
-                    self.finalize(job.id, true, Vec::new());
+                    self.finalize(job.id, true, &[]);
                     return;
                 }
             },
@@ -269,7 +280,8 @@ impl ClassicSched {
 
     /// Records a job's final attempt with the dependency tracker and
     /// handles whatever that set free.
-    fn finalize(&mut self, id: u64, errored: bool, outputs: DepOutputs) {
+    fn finalize(&mut self, id: u64, errored: bool, outputs: &[(String, Vec<u64>)]) {
+        self.ctx.canceller.retire(id);
         let rel = self.deps.on_final(id, errored, outputs);
         self.process_released(rel);
     }
@@ -324,7 +336,7 @@ impl ClassicSched {
         let armed = self.ctx.canceller.armed();
         while let Some(job) = self.ready.pop_front() {
             if armed && self.ctx.canceller.drop_if_cancelled(job.id) {
-                self.finalize(job.id, true, Vec::new());
+                self.finalize(job.id, true, &[]);
                 continue;
             }
             self.place(job);
@@ -398,11 +410,15 @@ impl ClassicSched {
                 })
         {
             for id in self.ctx.canceller.filter_issue(&mut issue.jobs) {
-                self.finalize(id, true, Vec::new());
+                self.finalize(id, true, &[]);
             }
             // With every member dropped nothing dispatches, and nothing
-            // counts toward `issued` or the bank's in-flight cap.
-            if !issue.jobs.is_empty() {
+            // counts toward `issued` or the bank's in-flight cap; the seq
+            // is spent all the same.
+            if issue.jobs.is_empty() {
+                self.reorder
+                    .settle(issue.seq, None, |c| self.replay.push(c));
+            } else {
                 self.dispatch_issue(issue);
             }
         }
@@ -472,36 +488,37 @@ impl ClassicSched {
                     });
                 }
             }
-            AckMsg::Job {
-                seq,
-                bank,
-                faults,
-                verified,
-                errored,
-                members,
-            } => {
-                let Some(rec) = self.inflight.remove(&seq) else {
+            AckMsg::Job(mut done) => {
+                let Some(rec) = self.inflight.remove(&done.seq) else {
                     // A detached (hung, since replaced) worker finally
-                    // reported; its attempt was already re-routed.
+                    // reported; its attempt was already re-routed and its
+                    // seq skipped.
                     self.out.supervision.stale_acks += 1;
                     return;
                 };
+                let bank = done.unit.bank;
+                let errored = done.out.error.is_some();
                 self.inflight_per_bank[bank] -= 1;
                 if self.fault_aware {
+                    let faults = done.out.faults_detected + u64::from(errored);
                     self.record_health(bank, faults, &rec.jobs);
                 }
                 // Per-member finality: a member re-dispatches if the
                 // dispatch failed verification and it has attempts left;
-                // otherwise this ack was its final attempt and its gate
-                // (if any dependent waits) resolves now. Members and
-                // their outputs are both in slot order.
-                let redispatch = !verified && self.options.protection.is_active();
-                for (member, outputs) in rec.jobs.into_iter().zip(members) {
+                // otherwise this ack was its final attempt — the one the
+                // replay reports — and its gate (if any dependent waits)
+                // resolves now. Members and slots are in the same order.
+                let redispatch = !done.out.verified && self.options.protection.is_active();
+                let slots = demux(&mut done.slots, &done.out.outputs);
+                for (member, (slot, outputs)) in rec.jobs.into_iter().zip(slots) {
                     let id = member.id;
-                    if !(redispatch && self.redispatch(member, bank)) {
+                    slot.last = !(redispatch && self.redispatch(member, bank));
+                    if slot.last {
                         self.finalize(id, errored, outputs);
                     }
                 }
+                self.reorder
+                    .settle(done.seq, Some(done), |c| self.replay.push(c));
             }
         }
     }
@@ -629,12 +646,12 @@ impl ClassicSched {
         if let Some(tx) = &self.ctx.canceller.notify {
             let _ = tx.send(JobNotice::Abandoned { job_id: id, hung });
         }
-        self.finalize(id, true, Vec::new());
+        self.finalize(id, true, &[]);
     }
 
     /// Takes a worker shard down: marks it with the supervisor and
     /// re-routes every in-flight attempt it owned through normal
-    /// placement and issue (under a new seq; the old one joins `lost`).
+    /// placement and issue (under a new seq; the old one is skipped).
     /// The attempt that actually crashed or hung burns a crash retry per
     /// member — over budget the member is abandoned; attempts merely
     /// queued behind it re-place for free.
@@ -664,7 +681,7 @@ impl ClassicSched {
         for seq in seqs {
             let rec = self.inflight.remove(&seq).expect("seq collected above");
             self.inflight_per_bank[rec.bank] -= 1;
-            self.out.lost.push(seq);
+            self.reorder.settle(seq, None, |c| self.replay.push(c));
             let failed = Some(seq) == failed_seq;
             for member in rec.jobs {
                 if !failed
@@ -742,7 +759,7 @@ impl ClassicSched {
         for seq in seqs {
             let rec = self.inflight.remove(&seq).expect("seq collected above");
             self.inflight_per_bank[rec.bank] -= 1;
-            self.out.lost.push(seq);
+            self.reorder.settle(seq, None, |c| self.replay.push(c));
             for member in rec.jobs {
                 self.abandon_job(member.id, false);
             }
@@ -785,8 +802,8 @@ impl ClassicSched {
     }
 
     /// The scheduler thread's body: runs the session to completion and
-    /// hands its counters back.
-    pub fn run(mut self) -> SchedulerOutput {
+    /// hands back its counters and the replay it drove.
+    pub fn run(mut self) -> (SchedulerOutput, Replay) {
         let queue = Arc::clone(&self.ctx.queue);
         let mut drained: Vec<Submission> = Vec::new();
         let mut closed = false;
@@ -886,7 +903,7 @@ impl ClassicSched {
 
         self.out.profile.wall_micros = wall_start.elapsed().as_micros() as u64;
         (self.out.splice_hits, self.out.splice_misses) = self.disp.splice_counts();
-        SchedulerOutput {
+        let out = SchedulerOutput {
             depth_hist: self.sched.depth_histogram().clone(),
             issued: self.disp.issued,
             batches: self.disp.batches,
@@ -900,6 +917,7 @@ impl ClassicSched {
             released: self.deps.released,
             cascaded: self.deps.cascade_cancelled + self.out.cascaded,
             ..self.out
-        }
+        };
+        (out, self.replay)
     }
 }

@@ -11,6 +11,7 @@
 //! dependencies (activation hand-off between pipeline stages).
 
 use crate::job::{PimJob, Placement};
+use crate::sync::IdSet;
 use coruscant_core::program::PimProgram;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -72,8 +73,9 @@ pub(crate) struct DepTracker {
     outputs: HashMap<u64, DepOutputs>,
     /// dep id → deferred waiters still needing its outputs.
     watchers: HashMap<u64, usize>,
-    /// Final state of every retired job: `true` = errored/cancelled.
-    retired: HashMap<u64, bool>,
+    /// Final state of every retired job, two bits per id: `2 * id`
+    /// retired, `2 * id + 1` errored/cancelled.
+    retired: IdSet,
     /// Jobs that entered the waiting state.
     pub deferred: u64,
     /// Jobs released after waiting.
@@ -105,11 +107,7 @@ impl DepTracker {
 
     fn admit_one(&mut self, job: GatedJob, out: &mut Released) {
         // A predecessor that already failed dooms the job outright.
-        if job
-            .after
-            .iter()
-            .any(|d| matches!(self.retired.get(d), Some(true)))
-        {
+        if job.after.iter().any(|d| self.retired.contains(2 * d + 1)) {
             self.fail(job.id, out);
             return;
         }
@@ -117,7 +115,7 @@ impl DepTracker {
             .after
             .iter()
             .copied()
-            .filter(|d| !self.retired.contains_key(d))
+            .filter(|d| !self.retired.contains(2 * d))
             .collect();
         if let GatedSource::Deferred { dep_ids, .. } = &job.source {
             // A data dependency that retired before this chain was
@@ -126,7 +124,7 @@ impl DepTracker {
             // unreachable, but fail safe rather than bind garbage.
             if dep_ids
                 .iter()
-                .any(|d| self.retired.contains_key(d) && !self.outputs.contains_key(d))
+                .any(|d| self.retired.contains(2 * d) && !self.outputs.contains_key(d))
             {
                 self.fail(job.id, out);
                 return;
@@ -173,19 +171,20 @@ impl DepTracker {
 
     /// Records that `id`'s final attempt retired (or that it was
     /// cancelled, with `errored = true`) and returns whatever that set
-    /// free. Idempotent per id.
-    pub fn on_final(&mut self, id: u64, errored: bool, outputs: DepOutputs) -> Released {
+    /// free. Idempotent per id. `outputs` are copied only if a deferred
+    /// waiter still needs them.
+    pub fn on_final(&mut self, id: u64, errored: bool, outputs: &[(String, Vec<u64>)]) -> Released {
         let mut out = Released::default();
-        if self.retired.contains_key(&id) {
+        if !self.retired.insert(2 * id) {
             return out;
         }
-        self.retired.insert(id, errored);
         if errored {
+            self.retired.insert(2 * id + 1);
             self.fail_dependents(id, &mut out);
             return out;
         }
         if self.watchers.contains_key(&id) {
-            self.outputs.insert(id, outputs);
+            self.outputs.insert(id, outputs.to_vec());
         }
         let Some(dependents) = self.dependents.remove(&id) else {
             return out;
@@ -255,7 +254,8 @@ impl DepTracker {
 
     /// Marks `id` failed and cascades to everything waiting on it.
     fn fail(&mut self, id: u64, out: &mut Released) {
-        self.retired.insert(id, true);
+        self.retired.insert(2 * id);
+        self.retired.insert(2 * id + 1);
         self.cascade_cancelled += 1;
         out.failed.push(id);
         self.fail_dependents(id, out);
@@ -306,7 +306,7 @@ mod tests {
         let rel = t.admit(vec![gated(0, &[]), gated(1, &[0])]);
         assert_eq!(rel.ready.len(), 1);
         assert!(!t.is_empty());
-        let rel = t.on_final(0, false, Vec::new());
+        let rel = t.on_final(0, false, &[]);
         assert_eq!(rel.ready.len(), 1);
         assert_eq!(rel.ready[0].id, 1);
         assert!(t.is_empty());
@@ -317,7 +317,7 @@ mod tests {
         let mut t = DepTracker::new();
         let rel = t.admit(vec![gated(0, &[]), gated(1, &[0]), gated(2, &[1])]);
         assert_eq!(rel.ready.len(), 1);
-        let rel = t.on_final(0, true, Vec::new());
+        let rel = t.on_final(0, true, &[]);
         assert!(rel.ready.is_empty());
         assert_eq!(rel.failed, vec![1, 2]);
         assert_eq!(t.cascade_cancelled, 2);
@@ -353,8 +353,8 @@ mod tests {
         ];
         let rel = t.admit(chain);
         assert_eq!(rel.ready.len(), 2);
-        t.on_final(0, false, vec![("a".into(), vec![1])]);
-        let rel = t.on_final(1, false, vec![("b".into(), vec![2])]);
+        t.on_final(0, false, &[("a".into(), vec![1])]);
+        let rel = t.on_final(1, false, &[("b".into(), vec![2])]);
         assert_eq!(rel.ready.len(), 1);
         assert_eq!(rel.ready[0].id, 2);
         // dep order [1, 0] → labels b then a.
@@ -380,7 +380,7 @@ mod tests {
             gated(2, &[1]),
         ];
         t.admit(chain);
-        let rel = t.on_final(0, false, Vec::new());
+        let rel = t.on_final(0, false, &[]);
         assert!(rel.ready.is_empty());
         assert_eq!(rel.failed, vec![1, 2]);
     }
@@ -397,12 +397,12 @@ mod tests {
     #[test]
     fn already_retired_predecessors_count_as_satisfied() {
         let mut t = DepTracker::new();
-        t.on_final(7, false, Vec::new());
+        t.on_final(7, false, &[]);
         let rel = t.admit(vec![gated(9, &[7])]);
         assert_eq!(rel.ready.len(), 1);
         let rel = t.admit(vec![gated(10, &[9])]);
         assert!(rel.ready.is_empty(), "9 has not retired yet");
-        let rel = t.on_final(9, false, Vec::new());
+        let rel = t.on_final(9, false, &[]);
         assert_eq!(rel.ready[0].id, 10);
     }
 }

@@ -46,7 +46,8 @@ pub enum Event {
         /// Worker shard the job went to.
         shard: usize,
     },
-    /// A job completed, with its modeled times.
+    /// A job's attempt was accounted: its modeled times. Written as the
+    /// live replay passes it, so these interleave with `Issue` records.
     Complete {
         /// Job id.
         job: u64,

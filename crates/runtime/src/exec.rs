@@ -5,7 +5,6 @@
 use crate::cache::BatchCache;
 use crate::chaos::{self, ChaosAction, ChaosPlan, CrossingPoint};
 use crate::cputime;
-use crate::deps::DepOutputs;
 use crate::events::{Event, EventTrace};
 use crate::health::ProtectionPolicy;
 use crate::job::PimJob;
@@ -13,7 +12,7 @@ use crate::notify::JobNotice;
 use crate::options::RuntimeOptions;
 use crate::queue::JobQueue;
 use crate::sched::IssuedBatch;
-use crate::session::{AckMsg, DoneMsg, SlotMeta, Submission, WorkMsg};
+use crate::session::{AckMsg, Completion, SlotMeta, Submission, WorkMsg};
 use coruscant_compiler::{splice_programs, Compiler};
 use coruscant_core::dispatch::PimMachine;
 use coruscant_core::nmr::NmrVoter;
@@ -170,6 +169,7 @@ impl Dispatcher {
                 job_id: j.id,
                 readouts: count_readouts(&j.program),
                 attempt: self.attempt_of(j.id),
+                last: false,
             })
             .collect();
         self.issued += 1;
@@ -215,15 +215,18 @@ fn take_retry(spent: &mut HashMap<u64, u32>, job_id: u64, max: u32) -> bool {
 /// Readout counts were recorded at dispatch and passes neither remove
 /// nor reorder readouts, so the slices are exact — and live notices,
 /// dependency gates and the final report all see the same bytes.
-pub(crate) fn demux<'a>(
-    slots: &'a [SlotMeta],
+/// `slots` may be shared or mutable borrows (the classic ack stage marks
+/// each slot final or not as it walks them).
+pub(crate) fn demux<'a, S: std::borrow::Borrow<SlotMeta>>(
+    slots: impl IntoIterator<Item = S> + 'a,
     outputs: &'a [(String, Vec<u64>)],
-) -> impl Iterator<Item = (&'a SlotMeta, &'a [(String, Vec<u64>)])> {
+) -> impl Iterator<Item = (S, &'a [(String, Vec<u64>)])> {
     let mut cursor = 0usize;
-    slots.iter().map(move |slot| {
+    slots.into_iter().map(move |slot| {
+        let readouts = slot.borrow().readouts;
         let start = cursor.min(outputs.len());
-        let end = (cursor + slot.readouts).min(outputs.len());
-        cursor += slot.readouts;
+        let end = (cursor + readouts).min(outputs.len());
+        cursor += readouts;
         (slot, &outputs[start..end])
     })
 }
@@ -352,7 +355,6 @@ pub(crate) fn worker_loop(
     config: &MemoryConfig,
     options: &RuntimeOptions,
     rx: &mpsc::Receiver<WorkMsg>,
-    done: &mpsc::Sender<DoneMsg>,
     ack: &mpsc::Sender<AckMsg>,
     ctx: &WorkerCtx,
 ) {
@@ -415,23 +417,12 @@ pub(crate) fn worker_loop(
                         let _ = notify.send(notice);
                     }
                 }
-                let members: Vec<DepOutputs> = demux(&slots, &out.outputs)
-                    .map(|(_, outputs)| outputs.to_vec())
-                    .collect();
-                send_ack(AckMsg::Job {
-                    seq,
-                    bank: unit.bank,
-                    faults: out.faults_detected + u64::from(out.error.is_some()),
-                    verified: out.verified,
-                    errored: out.error.is_some(),
-                    members,
-                });
-                let _ = done.send(DoneMsg {
+                send_ack(AckMsg::Job(Completion {
                     seq,
                     unit,
                     slots,
                     out,
-                });
+                }));
             }
         }
         ctx.busy[ctx.shard].fetch_add(clock.lap(), Ordering::Relaxed);

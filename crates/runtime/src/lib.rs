@@ -28,7 +28,9 @@
 //!   cost, and one [`MemoryController`](coruscant_mem::MemoryController)
 //!   replays them in issue order, so the modeled completion times are
 //!   exactly what sequential controller accounting produces: different
-//!   banks overlap, same-bank jobs serialize.
+//!   banks overlap, same-bank jobs serialize. The replay runs live, as
+//!   soon as every earlier issue has completed, so finished jobs' records
+//!   can be taken before `finish` ([`Runtime::take_outcomes`]).
 //! * **Observability** — serializable [`RuntimeStats`] with per-bank
 //!   occupancy, queue-depth and wait-time histograms, plus an optional
 //!   JSONL [event trace](events::EventTrace).
@@ -98,8 +100,8 @@ use deps::{GatedJob, GatedSource};
 use events::{Event, EventTrace};
 use exec::{worker_loop, WorkerCtx};
 use parallel::ParEngine;
-use report::SchedulerOutput;
-use session::{AckMsg, CancelSet, Canceller, DoneMsg, Gate, Submission, WorkMsg};
+use report::{Replay, Retired, SchedulerOutput};
+use session::{AckMsg, CancelSet, Canceller, Gate, Submission, WorkMsg};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -116,15 +118,13 @@ pub struct Runtime {
     next_id: Arc<AtomicU64>,
     next_res: AtomicU64,
     // Classic-mode engine state (`None` under `SchedMode::Parallel`).
-    scheduler: Option<JoinHandle<SchedulerOutput>>,
+    scheduler: Option<JoinHandle<(SchedulerOutput, Replay)>>,
     supervisor: Option<Arc<Supervisor<WorkMsg>>>,
-    // Behind a mutex only so `Runtime` stays `Sync` (an `mpsc::Receiver`
-    // is not); `finish` takes it by value.
-    done_rx: Option<Mutex<mpsc::Receiver<DoneMsg>>>,
     /// Per-shard worker busy CPU micros (classic mode; empty otherwise).
     worker_busy: Arc<Vec<AtomicU64>>,
     // Parallel-mode engine state (`None` under `SchedMode::Classic`).
     par: Option<ParEngine>,
+    retired: Retired,
     trace: Option<Arc<EventTrace>>,
     shards: usize,
     protection: ProtectionPolicy,
@@ -181,9 +181,9 @@ impl Runtime {
             next_res: AtomicU64::new(0),
             scheduler: None,
             supervisor: None,
-            done_rx: None,
             worker_busy: Arc::new(Vec::new()),
             par: None,
+            retired: Retired::default(),
             trace,
             protection: options.protection,
             supervise: options.supervise,
@@ -214,13 +214,11 @@ impl Runtime {
             .watchdog
             .enabled
             .then(|| Arc::new(PoisonRegistry::new(options.watchdog.poison_strikes)));
-        let (done_tx, done_rx) = mpsc::channel::<DoneMsg>();
         let (ack_tx, ack_rx) = mpsc::channel::<AckMsg>();
-        self.done_rx = Some(Mutex::new(done_rx));
         self.worker_busy = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
         // Workers are spawned (and re-spawned after a panic) through this
         // factory; the supervisor owns it, so dropping the supervisor's
-        // state at `finish` also closes the done/ack channels.
+        // state at `finish` also closes the ack channel.
         let factory: supervise::Factory<WorkMsg> = {
             let cfg = self.config.clone();
             let options = Arc::clone(&options);
@@ -228,7 +226,7 @@ impl Runtime {
             let kick = Arc::clone(&self.queue);
             Box::new(move |shard, generation| {
                 let (tx, rx) = mpsc::channel::<WorkMsg>();
-                let (done, ack) = (done_tx.clone(), ack_tx.clone());
+                let ack = ack_tx.clone();
                 let (cfg, options) = (cfg.clone(), Arc::clone(&options));
                 let ctx = WorkerCtx {
                     shard,
@@ -237,7 +235,7 @@ impl Runtime {
                     kick: Arc::clone(&kick),
                 };
                 let handle = std::thread::spawn(move || {
-                    worker_loop(&cfg, &options, &rx, &done, &ack, &ctx);
+                    worker_loop(&cfg, &options, &rx, &ack, &ctx);
                 });
                 (tx, handle)
             })
@@ -257,6 +255,7 @@ impl Runtime {
             ),
             next_id: Arc::clone(&self.next_id),
             poison: self.poison.clone(),
+            retired: Arc::clone(&self.retired),
         };
         let gate = Arc::clone(&self.gate);
         self.supervisor = Some(supervisor);
@@ -333,9 +332,23 @@ impl Runtime {
     /// queue or a bank FIFO when the request is observed; a job already
     /// issued to a worker runs to completion and reports an outcome as
     /// usual. Cancelled jobs produce no [`JobOutcome`] and count in
-    /// [`RuntimeStats::cancelled`].
+    /// [`RuntimeStats::cancelled`]. Cancelling a job that is already gone
+    /// does nothing.
     pub fn cancel(&self, job_id: u64) {
         sync::lock(&self.cancels).insert(job_id);
+    }
+
+    /// Takes the records of every job that retired since the last call,
+    /// in issue order. A job retires once its final attempt and every
+    /// dispatch issued before it have completed, so a record is final
+    /// and carries its modeled times; an errored, cancelled or abandoned
+    /// job has none. Records taken here are left out of
+    /// [`RuntimeReport::outcomes`] — together they are every outcome of
+    /// the session, each once — and [`RuntimeStats`] counts them all the
+    /// same. Returns nothing under [`SchedMode::Parallel`], whose
+    /// accounting still runs at [`Runtime::finish`].
+    pub fn take_outcomes(&self) -> Vec<JobOutcome> {
+        std::mem::take(&mut *sync::lock(&self.retired))
     }
 
     /// Serializable snapshot of the poison-job quarantine (empty when the
@@ -645,14 +658,14 @@ impl Runtime {
     }
 
     /// Closes the queue, drains all pending work, joins the scheduler and
-    /// workers, replays the timing accounting, and returns the report.
+    /// workers, closes the timing accounting, and returns the report.
     ///
     /// Worker panics do **not** fail the session: the supervisor caught
     /// them live, their jobs were re-dispatched or abandoned, and the
     /// report is built from every completion the scheduler accounted for
     /// ([`SupervisionStats`] records what was lost along the way). A
     /// permanently stalled worker cannot wedge this call either — the
-    /// collection is bounded by [`SuperviseOptions::drain_deadline_ms`].
+    /// drain is bounded by [`SuperviseOptions::drain_deadline_ms`].
     ///
     /// # Errors
     ///
@@ -801,6 +814,68 @@ mod tests {
             Err(RuntimeError::Pim(PimError::NotPim)) => {}
             other => panic!("expected NotPim, got {other:?}"),
         }
+    }
+
+    /// Blocks until `job`'s final attempt was noticed.
+    fn await_final(rx: &mpsc::Receiver<JobNotice>, job: u64) {
+        loop {
+            let notice = rx.recv().expect("the runtime holds a sender");
+            if notice.job_id() == job && notice.is_final() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn a_consumed_cancel_disarms_and_repeating_it_does_nothing() {
+        let (tx, rx) = mpsc::channel();
+        let options = RuntimeOptions::default().paused().with_notify(tx);
+        let rt = Runtime::new(MemoryConfig::tiny(), options).unwrap();
+        let dropped = rt.submit(single_add_program(), Placement::Auto).unwrap();
+        let kept = rt.submit(single_add_program(), Placement::Auto).unwrap();
+        rt.cancel(dropped);
+        assert!(!sync::lock(&rt.cancels).is_empty(), "armed");
+        rt.resume();
+        await_final(&rx, dropped);
+        assert!(
+            sync::lock(&rt.cancels).is_empty(),
+            "dropping the job consumed the request"
+        );
+        // The job is gone: cancelling it again finds nothing to drop, and
+        // the next scheduling pass forgets the request.
+        rt.cancel(dropped);
+        let later = rt.submit(single_add_program(), Placement::Auto).unwrap();
+        await_final(&rx, later);
+        assert!(sync::lock(&rt.cancels).is_empty(), "disarmed again");
+        let report = rt.finish().unwrap();
+        assert_eq!(report.stats.cancelled, 1);
+        let ids: Vec<u64> = report.outcomes.iter().map(|o| o.job_id).collect();
+        assert_eq!(ids, vec![kept, later]);
+        let cancelled = rx
+            .try_iter()
+            .filter(|n| matches!(n, JobNotice::Cancelled { .. }))
+            .count();
+        assert_eq!(cancelled, 0, "the one Cancelled notice was awaited above");
+    }
+
+    #[test]
+    fn a_cancel_that_finds_its_job_already_run_is_forgotten() {
+        let (tx, rx) = mpsc::channel();
+        let options = RuntimeOptions::default().with_notify(tx);
+        let rt = Runtime::new(MemoryConfig::tiny(), options).unwrap();
+        let ran = rt.submit(single_add_program(), Placement::Auto).unwrap();
+        await_final(&rx, ran);
+        rt.cancel(ran);
+        // The scheduler forgets it on a pass after the job's ack; acks and
+        // submissions wake it, and it never sleeps longer than 50 ms.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !sync::lock(&rt.cancels).is_empty() {
+            assert!(Instant::now() < deadline, "the late request stayed armed");
+            std::thread::yield_now();
+        }
+        let report = rt.finish().unwrap();
+        assert_eq!(report.stats.cancelled, 0);
+        assert_eq!(report.outcomes.len(), 1, "a job that ran reports as usual");
     }
 
     #[test]

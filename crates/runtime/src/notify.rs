@@ -1,24 +1,27 @@
 //! Live per-job completion notices.
 //!
-//! The runtime's [`RuntimeReport`](crate::RuntimeReport) is batch-shaped:
-//! every outcome materializes at [`Runtime::finish`](crate::Runtime).
-//! A serving frontend needs to learn about completions *while the
-//! session is live* — as banks retire jobs — so it can resolve client
+//! A job's [`JobOutcome`](crate::JobOutcome) — reported at `finish` or
+//! taken earlier with
+//! [`Runtime::take_outcomes`](crate::Runtime::take_outcomes) — exists
+//! only once every dispatch issued before it has completed: modeled
+//! times are accounted in issue order. A serving frontend needs to learn
+//! about completions *as banks retire jobs*, so it can resolve client
 //! futures and stream results. Configuring
 //! [`RuntimeOptions::notify`](crate::RuntimeOptions) gives it that feed:
 //! workers send one [`JobNotice::Attempt`] per member job of every
-//! dispatch they execute (outputs demuxed exactly as `finish` demuxes
-//! them), and the scheduler sends one [`JobNotice::Cancelled`] for every
-//! job it drops from its queues after a
+//! dispatch they execute (outputs demuxed exactly as the outcome's are),
+//! and the scheduler sends one [`JobNotice::Cancelled`] for every job it
+//! drops from its queues after a
 //! [`Runtime::cancel`](crate::Runtime::cancel).
 //!
 //! Attempt notices are *per dispatch attempt*: under an active
 //! protection policy an unverified attempt may be superseded by a
-//! re-dispatch with a higher `attempt` number, and only the latest
-//! attempt matches what the final report records. A consumer that wants
-//! final results should treat a notice as settled when `verified` is
-//! true, when the policy is inactive, or when no further re-dispatch can
-//! follow (see [`JobNotice::is_final`]).
+//! re-dispatch with a higher `attempt` number, and only the final
+//! attempt matches the job's outcome. A consumer that wants final
+//! results should treat a notice as settled when `verified` is true,
+//! when the policy is inactive, or when no further re-dispatch can
+//! follow (see [`JobNotice::is_final`]); its outcome settles the rare
+//! job none of whose notices reads final.
 
 use coruscant_core::PimError;
 

@@ -165,10 +165,12 @@ pub enum SchedMode {
     /// scheduler+executor domains owns the banks `bank % shards == d`
     /// (its own FIFOs, placement cursor, batch splicer, and injector
     /// queue), executes dispatches inline, and pushes completions into a
-    /// per-domain ring that [`Runtime::finish`] merges and replays
-    /// through one [`MemoryController`] — so `RuntimeStats` and the
-    /// event-trace `Complete` records stay exactly as accounted on the
-    /// classic path. Idle domains steal [`Placement::Auto`] submissions
+    /// per-domain ring that [`Runtime::finish`] merges by seq and feeds
+    /// to the same replay the classic scheduler drives live (one
+    /// [`MemoryController`], issue order) — so `RuntimeStats` and the
+    /// event-trace `Complete` records are accounted exactly as on the
+    /// classic path, but only at `finish`: until then a parallel session
+    /// buffers every completion. Idle domains steal [`Placement::Auto`] submissions
     /// from sibling injectors. Produces the same *set* of per-job
     /// outcomes as classic (not the same seqs/banks); rejects dependency
     /// chains, resident pins, the watchdog, and chaos stall injection
@@ -212,7 +214,7 @@ pub struct RuntimeOptions {
     pub batch: BatchOptions,
     /// When set, the runtime sends live [`JobNotice`]s here: one
     /// [`JobNotice::Attempt`] per member job of every executed dispatch
-    /// (as banks retire them, before [`Runtime::finish`]), and one
+    /// (as banks retire them, before the job's outcome exists), and one
     /// [`JobNotice::Cancelled`] per job dropped by [`Runtime::cancel`].
     pub notify: Option<mpsc::Sender<JobNotice>>,
     /// Start with the scheduler gated: submitted jobs accumulate in the

@@ -10,7 +10,7 @@ use crate::notify::JobNotice;
 use crate::options::{RuntimeError, RuntimeOptions};
 use crate::queue::{JobQueue, Pop};
 use crate::sched::{BankScheduler, DispatchMode, IssuedBatch};
-use crate::session::{Canceller, DoneMsg, Gate, Submission};
+use crate::session::{Canceller, Completion, Gate, Submission};
 use crate::stats::Histogram;
 use crate::{sync, Runtime};
 use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController};
@@ -28,8 +28,8 @@ pub(crate) struct ParEngine {
     /// Per-domain submission injectors (domain `d` owns `injectors[d]`;
     /// siblings steal `Placement::Auto` entries from it when idle).
     pub injectors: Vec<Arc<JobQueue<Submission>>>,
-    /// Per-domain completion rings, drained and merged by `finish`.
-    pub rings: Vec<Arc<Mutex<Vec<DoneMsg>>>>,
+    /// Per-domain completion rings, merged and replayed by `finish`.
+    pub rings: Vec<Arc<Mutex<Vec<Completion>>>>,
     pub handles: Vec<JoinHandle<DomainOutput>>,
     /// Round-robin router cursor for `Placement::Auto` submissions.
     pub route_cursor: AtomicUsize,
@@ -76,8 +76,8 @@ struct DomainCtx {
     /// All domains' injectors: `injectors[domain]` is this domain's own;
     /// the rest are steal victims.
     injectors: Vec<Arc<JobQueue<Submission>>>,
-    /// This domain's completion ring, merged by `finish`.
-    ring: Arc<Mutex<Vec<DoneMsg>>>,
+    /// This domain's completion ring, merged and replayed by `finish`.
+    ring: Arc<Mutex<Vec<Completion>>>,
     gate: Arc<Gate>,
     trace: Option<Arc<EventTrace>>,
     canceller: Canceller,
@@ -138,7 +138,7 @@ struct Domain {
     owned_units: Vec<DbcLocation>,
     owned_cursor: usize,
     sched: BankScheduler,
-    ring_buf: Vec<DoneMsg>,
+    ring_buf: Vec<Completion>,
     out: DomainOutput,
 }
 
@@ -256,9 +256,11 @@ impl Domain {
             }
             self.out.admit_micros += clock.lap();
 
-            // 4. Place onto owned banks.
+            // 4. Place onto owned banks (a cancellation that lands
+            //    mid-pass is caught at issue time).
+            let armed = self.ctx.canceller.armed();
             for job in ready.drain(..) {
-                if self.ctx.canceller.armed() && self.ctx.canceller.drop_if_cancelled(job.id) {
+                if armed && self.ctx.canceller.drop_if_cancelled(job.id) {
                     continue;
                 }
                 self.place(job);
@@ -394,10 +396,11 @@ impl Domain {
 
     /// Executes one issued dispatch inline on the domain's machine and
     /// does what the classic ack path does for it, as function calls:
-    /// coalesce the member notices into one channel send, push the
-    /// completion to the ring, and re-dispatch unverified members.
+    /// coalesce the member notices into one channel send, re-dispatch
+    /// unverified members (marking every other member's attempt final),
+    /// and push the completion to the ring.
     fn execute_dispatch(&mut self, issue: IssuedBatch, clock: &mut cputime::StageClock) {
-        let dispatch = self.disp.prepare(&issue, self.ctx.domain);
+        let mut dispatch = self.disp.prepare(&issue, self.ctx.domain);
         let IssuedBatch { seq, jobs, bank } = issue;
         self.out.jobs_done += jobs.len() as u64;
         let executed = self.exec.attempt(&dispatch.program, &dispatch.slots);
@@ -426,32 +429,32 @@ impl Domain {
             };
         }
         let redispatch = protection.is_active() && !out.verified;
-        self.ring_push(DoneMsg {
+        for (member, slot) in jobs.into_iter().zip(&mut dispatch.slots) {
+            slot.last = !redispatch
+                || matches!(member.placement, Placement::Fixed(_))
+                || !self.disp.take_redispatch(member.id, max_redispatch);
+            if slot.last {
+                self.ctx.canceller.retire(member.id);
+                continue;
+            }
+            self.out.redispatches += 1;
+            let unit = self.pick_owned_unit(Some(bank));
+            if let Some(trace) = &self.ctx.trace {
+                trace.record(&Event::Redispatch {
+                    job: member.id,
+                    from_bank: bank,
+                    to_bank: unit.bank,
+                    attempt: self.disp.attempt_of(member.id),
+                });
+            }
+            self.enqueue_on(member, unit);
+        }
+        self.ring_push(Completion {
             seq,
             unit: dispatch.unit,
             slots: dispatch.slots,
             out,
         });
-        if redispatch {
-            for member in jobs {
-                if matches!(member.placement, Placement::Fixed(_))
-                    || !self.disp.take_redispatch(member.id, max_redispatch)
-                {
-                    continue;
-                }
-                self.out.redispatches += 1;
-                let unit = self.pick_owned_unit(Some(bank));
-                if let Some(trace) = &self.ctx.trace {
-                    trace.record(&Event::Redispatch {
-                        job: member.id,
-                        from_bank: bank,
-                        to_bank: unit.bank,
-                        attempt: self.disp.attempt_of(member.id),
-                    });
-                }
-                self.enqueue_on(member, unit);
-            }
-        }
         self.out.ack_micros += clock.lap();
     }
 
@@ -467,6 +470,7 @@ impl Domain {
             self.place(member);
         } else {
             self.out.abandoned_jobs += 1;
+            self.ctx.canceller.retire(member.id);
             if let Some(tx) = &self.ctx.options.notify {
                 let _ = tx.send(JobNotice::Abandoned {
                     job_id: member.id,
@@ -476,7 +480,7 @@ impl Domain {
         }
     }
 
-    fn ring_push(&mut self, msg: DoneMsg) {
+    fn ring_push(&mut self, msg: Completion) {
         self.ring_buf.push(msg);
         if self.ring_buf.len() >= RING_FLUSH {
             self.flush_ring();
@@ -527,7 +531,7 @@ impl Runtime {
         let injectors: Vec<Arc<JobQueue<Submission>>> = (0..domains)
             .map(|_| Arc::new(JobQueue::new(options.queue_capacity)))
             .collect();
-        let rings: Vec<Arc<Mutex<Vec<DoneMsg>>>> = (0..domains)
+        let rings: Vec<Arc<Mutex<Vec<Completion>>>> = (0..domains)
             .map(|_| Arc::new(Mutex::new(Vec::new())))
             .collect();
         let handles: Vec<JoinHandle<DomainOutput>> = (0..domains)

@@ -1,26 +1,196 @@
-//! Draining a session and assembling its report: what each engine
-//! hands back on shutdown, the completion-stream collection, and the
-//! engine-agnostic timing replay that turns it into [`RuntimeStats`].
+//! Accounting: the one [`Replay`] that turns executed dispatches into
+//! modeled times and [`RuntimeStats`], and the drain that assembles the
+//! report. The classic scheduler drives the replay live — acks park in a
+//! [`Reorder`] buffer and are replayed and dropped as the issue-order
+//! watermark passes them — so a session holds what is in flight, not
+//! what it has served. Parallel domains still collect completions for
+//! [`Runtime::drain_parallel`] to merge and replay: a live merge of
+//! their strided seqs would stall behind an idle domain's next seq.
 
 use crate::cache::ProgramCache;
-use crate::events::Event;
-use crate::exec::demux;
+use crate::events::{Event, EventTrace};
 use crate::job::JobOutcome;
 use crate::options::RuntimeError;
 use crate::parallel::{DomainOutput, ParEngine};
-use crate::session::DoneMsg;
+use crate::session::Completion;
 use crate::stats::{
     BankOccupancy, BatchStats, DomainStats, FaultStats, Histogram, PipelineStats, RuntimeStats,
     SchedStats,
 };
 use crate::supervise::SupervisionStats;
 use crate::{sync, Runtime};
-use coruscant_core::PimError;
 use coruscant_mem::controller::Request;
-use coruscant_mem::{MemoryController, ScrubOutcome};
-use std::collections::{HashMap, HashSet};
+use coruscant_mem::{MemoryConfig, MemoryController, ScrubOutcome};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Final outcomes retired by the replay and not yet taken through the
+/// [`Runtime`] handle.
+pub(crate) type Retired = Arc<Mutex<Vec<JobOutcome>>>;
+
+/// A seq-keyed reorder buffer: items settle in any order, and leave in
+/// ascending seq as a watermark advances over every contiguous settled
+/// seq. Seqs must be dense from 0; a seq that will never produce an
+/// item settles as `None` and the watermark skips it.
+pub(crate) struct Reorder<T> {
+    /// The watermark: every seq below it was passed on or skipped.
+    next: u64,
+    /// Seqs settled ahead of the watermark (`None`: skipped).
+    parked: BTreeMap<u64, Option<T>>,
+}
+
+impl<T> Reorder<T> {
+    pub fn new() -> Reorder<T> {
+        Reorder {
+            next: 0,
+            parked: BTreeMap::new(),
+        }
+    }
+
+    /// Settles `seq` and hands `sink` every item the watermark now
+    /// passes, in seq order. The first settle of a seq wins: a late
+    /// report of a seq already skipped (or already passed) is dropped.
+    pub fn settle(&mut self, seq: u64, mut item: Option<T>, mut sink: impl FnMut(T)) {
+        if seq != self.next {
+            if seq > self.next {
+                self.parked.entry(seq).or_insert(item);
+            }
+            return;
+        }
+        loop {
+            if let Some(item) = item {
+                sink(item);
+            }
+            self.next += 1;
+            match self.parked.remove(&self.next) {
+                Some(parked) => item = parked,
+                None => return,
+            }
+        }
+    }
+}
+
+/// The merged-accounting replay: every instruction's measured device
+/// cost goes through one [`MemoryController`] in issue order — the same
+/// accounting a sequential dispatcher would produce, so bank conflicts
+/// serialize and distinct banks overlap. Every attempt (retries and
+/// re-dispatches included) is replayed, so wasted work honestly degrades
+/// the modeled throughput; only a member's *final* attempt becomes its
+/// reported outcome.
+pub(crate) struct Replay {
+    timing: MemoryController,
+    trace: Option<Arc<EventTrace>>,
+    retired: Retired,
+    /// `jobs`, `instructions`, `device_cycles`, `per_bank`, `wait` and
+    /// the replay's fault counters; `assemble_report` fills in the rest.
+    stats: RuntimeStats,
+    /// The first error in issue order (of a final attempt, or of the
+    /// controller): it fails the session.
+    error: Option<RuntimeError>,
+}
+
+impl Replay {
+    pub fn new(config: &MemoryConfig, trace: Option<Arc<EventTrace>>, retired: Retired) -> Replay {
+        let per_bank = (0..config.banks).map(|bank| BankOccupancy {
+            bank,
+            ..BankOccupancy::default()
+        });
+        Replay {
+            timing: MemoryController::new(config.clone()),
+            trace,
+            retired,
+            stats: RuntimeStats {
+                per_bank: per_bank.collect(),
+                ..RuntimeStats::default()
+            },
+            error: None,
+        }
+    }
+
+    /// Accounts one executed dispatch; call in ascending issue seq.
+    pub fn push(&mut self, c: Completion) {
+        let (stats, bank, out) = (&mut self.stats, c.unit.bank, c.out);
+        let wait = self
+            .timing
+            .bank_free_at(bank)
+            .saturating_sub(self.timing.now());
+        let mut done = 0;
+        let mut batch_device = 0;
+        for cost in &out.instr_costs {
+            match self.timing.submit(Request::Pim {
+                location: c.unit,
+                device_cycles: cost.cycles,
+                energy_pj: cost.energy_pj,
+            }) {
+                Ok(t) => done = done.max(t),
+                Err(e) => {
+                    self.error.get_or_insert(e.into());
+                    return;
+                }
+            }
+            batch_device += cost.cycles;
+        }
+        stats.instructions += out.instr_costs.len() as u64;
+        stats.device_cycles += batch_device;
+        stats.faults.replicas_run += u64::from(out.replicas);
+        stats.faults.faults_detected += out.faults_detected;
+        stats.faults.retries += u64::from(out.retries);
+        stats.faults.votes_overturned += out.votes_overturned;
+        // Demux the batched output stream back into per-job outputs and
+        // apportion the batch's measured device cycles evenly, with the
+        // remainder on the first member.
+        let members = c.slots.len();
+        let share = batch_device / members.max(1) as u64;
+        let mut remainder = batch_device - share * members as u64;
+        let mut rest = out.outputs;
+        for slot in c.slots {
+            let job_device = share + remainder;
+            remainder = 0;
+            stats.wait.record(wait);
+            stats.per_bank[bank].jobs += 1;
+            stats.per_bank[bank].wait_cycles += wait;
+            if let Some(trace) = &self.trace {
+                trace.record(&Event::Complete {
+                    job: slot.job_id,
+                    bank,
+                    wait,
+                    done,
+                });
+            }
+            // Moved, not copied: only a batch's later members allocate.
+            let tail = rest.split_off(slot.readouts.min(rest.len()));
+            let outputs = std::mem::replace(&mut rest, tail);
+            if !slot.last {
+                continue;
+            }
+            if let Some(err) = &out.error {
+                self.error.get_or_insert(RuntimeError::Pim(err.clone()));
+                continue;
+            }
+            stats.jobs += 1;
+            stats.faults.unverified_jobs += u64::from(!out.verified);
+            sync::lock(&self.retired).push(JobOutcome {
+                job_id: slot.job_id,
+                seq: c.seq,
+                unit: c.unit,
+                bank,
+                outputs,
+                device_cycles: job_device,
+                wait_cycles: wait,
+                completion: done,
+                attempt: slot.attempt,
+                replicas: out.replicas,
+                faults_detected: out.faults_detected,
+                retries: out.retries,
+                votes_overturned: out.votes_overturned,
+                verified: out.verified,
+                batch: members as u32,
+            });
+        }
+    }
+}
 
 /// Per-stage occupancy counters a scheduler loop accumulates as it
 /// runs. Stage busy times are thread-CPU micros (see [`crate::cputime`]), so
@@ -66,24 +236,19 @@ pub(crate) struct SchedulerOutput {
     /// Scheduler-side supervision counters (the supervisor itself keeps
     /// the panic/restart/retire counts; `finish` merges both).
     pub supervision: SupervisionStats,
-    /// Issue sequence numbers that will never produce a completion: the
-    /// dispatch died with its shard (and was re-issued under a new seq,
-    /// abandoned, or declared hung). `finish` excludes them from the
-    /// expected completion count and discards late results under them.
-    pub lost: Vec<u64>,
     /// Scheduler-occupancy counters (stage busy CPU micros, per-shard
     /// issue counts).
     pub profile: SchedProfile,
 }
 
 /// What either scheduling engine hands `finish` once fully drained:
-/// the merged scheduler output, the completion stream sorted by seq,
-/// the assembled supervision counters, and the occupancy profile. The
-/// replay and stats assembly downstream are engine-agnostic — that is
+/// the merged scheduler output, the replay its completions went
+/// through, the assembled supervision counters, and the occupancy
+/// profile. The stats assembly downstream is engine-agnostic — that is
 /// the "merged accounting" half of sharded scheduling.
 pub(crate) struct DrainedSession {
     sched_out: SchedulerOutput,
-    completions: Vec<DoneMsg>,
+    replay: Replay,
     supervision: SupervisionStats,
     sched_stats: SchedStats,
 }
@@ -91,23 +256,24 @@ pub(crate) struct DrainedSession {
 /// The report a finished session produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
-    /// Per-job completion records, ordered by job id.
+    /// Per-job completion records, ordered by job id — those not already
+    /// taken with [`Runtime::take_outcomes`].
     pub outcomes: Vec<JobOutcome>,
     /// Aggregate statistics.
     pub stats: RuntimeStats,
 }
 
 impl Runtime {
-    /// Classic drain: close the queue, join the single scheduler thread,
-    /// collect the done-channel stream (bounded when supervision is
-    /// dirty), and fold the scheduler's stage profile plus the per-worker
-    /// busy meters into [`SchedStats`].
+    /// Classic drain: close the queue, join the single scheduler thread —
+    /// which hands back the replay it drove live — stop the workers, and
+    /// fold the scheduler's stage profile plus the per-worker busy meters
+    /// into [`SchedStats`].
     pub(crate) fn drain_classic(&mut self) -> Result<DrainedSession, RuntimeError> {
         self.queue.close();
         // A paused runtime drains on finish: open the gate so the
         // scheduler can run the backlog down.
         self.gate.open();
-        let sched_out = self
+        let (sched_out, replay) = self
             .scheduler
             .take()
             .expect("scheduler joined only once")
@@ -118,46 +284,7 @@ impl Runtime {
         // Stop supervision: drop the factory and every live sender so
         // workers drain their channels and exit.
         supervisor.close();
-        let lost: HashSet<u64> = sched_out.lost.iter().copied().collect();
-        let done_rx = self
-            .done_rx
-            .take()
-            .expect("classic mode")
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stalled = supervisor.stalled_workers();
-        let mut completions: Vec<DoneMsg> = if stalled == 0 && lost.is_empty() {
-            // Every worker has exited (or exits as its channel drains):
-            // the completion stream ends when the last sender drops.
-            done_rx.iter().collect()
-        } else {
-            // A stalled or abandoned-but-undetached worker still holds a
-            // `done` sender, so the stream never disconnects. Collect
-            // exactly the completions the scheduler accounted for,
-            // bounded by the drain deadline. The lost filter drops late
-            // results of replaced or given-up workers.
-            let expected = (sched_out.issued as usize).saturating_sub(lost.len());
-            let deadline = Instant::now() + self.supervise.drain_deadline();
-            let mut collected = Vec::with_capacity(expected);
-            while collected.len() < expected {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match done_rx.recv_timeout(deadline - now) {
-                    Ok(c) => {
-                        if !lost.contains(&c.seq) {
-                            collected.push(c);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            collected
-        };
-        drop(done_rx);
         let workers_lost = supervisor.join_all(Instant::now() + self.supervise.drain_deadline());
-        completions.sort_by_key(|c| c.seq);
 
         let (panics_caught, shard_restarts, shards_retired) = supervisor.counters();
         let supervision = SupervisionStats {
@@ -215,16 +342,17 @@ impl Runtime {
         };
         Ok(DrainedSession {
             sched_out,
-            completions,
+            replay,
             supervision,
             sched_stats,
         })
     }
 
     /// Parallel drain: close every injector, join the domain threads,
-    /// merge their completion rings into one seq-ordered stream, and sum
-    /// their counters — the merged-accounting step that lets the shared
-    /// replay treat a sharded session exactly like a classic one.
+    /// merge their completion rings into one seq-ordered stream, feed it
+    /// to the shared replay, and sum their counters — the
+    /// merged-accounting step that lets a sharded session report exactly
+    /// like a classic one.
     pub(crate) fn drain_parallel(
         &mut self,
         par: ParEngine,
@@ -237,13 +365,17 @@ impl Runtime {
         for handle in par.handles {
             outs.push(handle.join().map_err(|_| RuntimeError::WorkerLost)?);
         }
-        let mut completions: Vec<DoneMsg> = Vec::new();
+        let mut completions: Vec<Completion> = Vec::new();
         for ring in &par.rings {
             completions.append(&mut sync::lock(ring));
         }
         // Domain seqs are strided (`seq ≡ domain (mod domains)`), so a
         // plain sort restores one globally consistent issue order.
         completions.sort_by_key(|c| c.seq);
+        let mut replay = Replay::new(&self.config, self.trace.clone(), Arc::clone(&self.retired));
+        for completion in completions {
+            replay.push(completion);
+        }
 
         let mut sched_out = SchedulerOutput::default();
         let mut supervision = SupervisionStats::default();
@@ -304,166 +436,75 @@ impl Runtime {
         };
         Ok(DrainedSession {
             sched_out,
-            completions,
+            replay,
             supervision,
             sched_stats,
         })
     }
 
-    /// Engine-agnostic report assembly: replays the merged completion
-    /// stream through one [`MemoryController`] and builds the final
-    /// stats. Both scheduling engines end here, which is what keeps
-    /// their accounting identical.
+    /// Engine-agnostic report assembly: closes the replay both engines
+    /// fed and builds the final stats from it, which is what keeps their
+    /// accounting identical.
     pub(crate) fn assemble_report(
         self,
         drained: DrainedSession,
     ) -> Result<RuntimeReport, RuntimeError> {
         let DrainedSession {
             sched_out,
-            completions,
+            replay,
             supervision,
             sched_stats,
         } = drained;
-
-        // Timing accounting: replay every instruction's measured device
-        // cost through one MemoryController in issue order — the same
-        // accounting a sequential dispatcher would produce, so bank
-        // conflicts serialize and distinct banks overlap. Every attempt
-        // (retries and re-dispatches included) is replayed, so wasted
-        // work honestly degrades the modeled throughput; only the final
-        // attempt per job becomes its reported outcome.
-        let mut timing = MemoryController::new(self.config.clone());
-        let mut wait_hist = Histogram::new();
-        let mut per_bank: Vec<BankOccupancy> = (0..self.config.banks)
-            .map(|bank| BankOccupancy {
-                bank,
-                ..BankOccupancy::default()
-            })
-            .collect();
-        let mut instructions = 0u64;
-        let mut device_cycles = 0u64;
-        let mut fstats = FaultStats {
-            redispatches: sched_out.redispatches,
-            scrubs: sched_out.scrubs,
-            scrub: sched_out.scrub_total,
-            suspect_banks: sched_out.suspect_banks,
-            quarantined_banks: sched_out.quarantined_banks,
-            degraded_capacity: sched_out.degraded_capacity,
-            ..FaultStats::default()
-        };
-        // Winning (latest-seq) attempt per job id, with any error it hit.
-        let mut winners: HashMap<u64, (JobOutcome, Option<PimError>)> = HashMap::new();
-        for c in completions {
-            let bank = c.unit.bank;
-            let wait = timing.bank_free_at(bank).saturating_sub(timing.now());
-            let mut done = 0;
-            let mut batch_device = 0;
-            for cost in &c.out.instr_costs {
-                let t = timing.submit(Request::Pim {
-                    location: c.unit,
-                    device_cycles: cost.cycles,
-                    energy_pj: cost.energy_pj,
-                })?;
-                done = done.max(t);
-                batch_device += cost.cycles;
-            }
-            instructions += c.out.instr_costs.len() as u64;
-            device_cycles += batch_device;
-            fstats.replicas_run += u64::from(c.out.replicas);
-            fstats.faults_detected += c.out.faults_detected;
-            fstats.retries += u64::from(c.out.retries);
-            fstats.votes_overturned += c.out.votes_overturned;
-            // Demux the batched output stream back into per-job outputs
-            // and apportion the batch's measured device cycles evenly,
-            // with the remainder on the first member.
-            let members = c.slots.len();
-            let share = batch_device / members.max(1) as u64;
-            let mut remainder = batch_device - share * members as u64;
-            for (slot, outputs) in demux(&c.slots, &c.out.outputs) {
-                let job_device = share + remainder;
-                remainder = 0;
-                wait_hist.record(wait);
-                per_bank[bank].jobs += 1;
-                per_bank[bank].wait_cycles += wait;
-                if let Some(trace) = &self.trace {
-                    trace.record(&Event::Complete {
-                        job: slot.job_id,
-                        bank,
-                        wait,
-                        done,
-                    });
-                }
-                let outcome = JobOutcome {
-                    job_id: slot.job_id,
-                    seq: c.seq,
-                    unit: c.unit,
-                    bank,
-                    outputs: outputs.to_vec(),
-                    device_cycles: job_device,
-                    wait_cycles: wait,
-                    completion: done,
-                    attempt: slot.attempt,
-                    replicas: c.out.replicas,
-                    faults_detected: c.out.faults_detected,
-                    retries: c.out.retries,
-                    votes_overturned: c.out.votes_overturned,
-                    verified: c.out.verified,
-                    batch: members as u32,
-                };
-                // Attempts arrive in seq order, so a later re-dispatch of
-                // the same job replaces the unverified earlier outcome.
-                winners.insert(slot.job_id, (outcome, c.out.error.clone()));
-            }
+        let Replay {
+            mut timing,
+            mut stats,
+            error,
+            ..
+        } = replay;
+        if let Some(err) = error {
+            return Err(err);
         }
         let makespan = timing.drain();
         for (bank, busy) in timing.bank_stats().busy_cycles.iter().enumerate() {
-            per_bank[bank].busy_cycles = *busy;
+            stats.per_bank[bank].busy_cycles = *busy;
         }
-        // Surface the first (issue-order) error among winning attempts.
-        let mut first_err: Option<(u64, PimError)> = None;
-        let mut outcomes = Vec::with_capacity(winners.len());
-        for (outcome, error) in winners.into_values() {
-            if let Some(err) = error {
-                if first_err.as_ref().is_none_or(|(seq, _)| outcome.seq < *seq) {
-                    first_err = Some((outcome.seq, err));
-                }
-                continue;
-            }
-            outcomes.push(outcome);
-        }
-        if let Some((_, err)) = first_err {
-            return Err(RuntimeError::Pim(err));
-        }
+        // Without a policy no outcome counts as protected or unverified.
+        let (protected_jobs, unverified_jobs) = if self.protection.is_active() {
+            (stats.jobs, stats.faults.unverified_jobs)
+        } else {
+            (0, 0)
+        };
+        let mut outcomes = self.take_outcomes();
         outcomes.sort_by_key(|o| o.job_id);
-        if self.protection.is_active() {
-            fstats.protected_jobs = outcomes.len() as u64;
-            fstats.unverified_jobs = outcomes.iter().filter(|o| !o.verified).count() as u64;
-        }
 
-        let jobs = outcomes.len() as u64;
         let modeled_us = makespan as f64 * self.config.memory_cycle_ns / 1000.0;
         let stats = RuntimeStats {
-            jobs,
             cancelled: sched_out.cancelled,
             expired: sched_out.expired,
-            instructions,
             shards: self.shards,
             optimized_jobs: self.optimized_jobs.load(Ordering::Relaxed),
             instructions_eliminated: self.instructions_eliminated.load(Ordering::Relaxed),
             est_device_cycles_saved: self.est_device_cycles_saved.load(Ordering::Relaxed),
             makespan_cycles: makespan,
-            device_cycles,
             jobs_per_us: if modeled_us > 0.0 {
-                jobs as f64 / modeled_us
+                stats.jobs as f64 / modeled_us
             } else {
                 0.0
             },
-            per_bank,
             queue_depth: sched_out.depth_hist,
-            wait: wait_hist,
             controller: *timing.stats(),
             bank_stats: timing.bank_stats().clone(),
-            faults: fstats,
+            faults: FaultStats {
+                protected_jobs,
+                unverified_jobs,
+                redispatches: sched_out.redispatches,
+                scrubs: sched_out.scrubs,
+                scrub: sched_out.scrub_total,
+                suspect_banks: sched_out.suspect_banks,
+                quarantined_banks: sched_out.quarantined_banks,
+                degraded_capacity: sched_out.degraded_capacity,
+                ..stats.faults
+            },
             cache: self
                 .cache
                 .as_ref()
@@ -484,10 +525,87 @@ impl Runtime {
             },
             supervision,
             sched: sched_stats,
+            ..stats
         };
         if let Some(trace) = &self.trace {
             trace.flush();
         }
         Ok(RuntimeReport { outcomes, stats })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Reorder;
+
+    /// Settles `(seq, item)` pairs in the given order and returns what
+    /// left the buffer, in the order it left.
+    fn passed(settles: &[(u64, Option<&'static str>)]) -> Vec<&'static str> {
+        let mut reorder = Reorder::new();
+        let mut out = Vec::new();
+        for &(seq, item) in settles {
+            reorder.settle(seq, item, |x| out.push(x));
+        }
+        out
+    }
+
+    #[test]
+    fn acks_arriving_in_reverse_leave_in_seq_order() {
+        let got = passed(&[
+            (3, Some("d")),
+            (2, Some("c")),
+            (1, Some("b")),
+            (0, Some("a")),
+        ]);
+        assert_eq!(got, ["a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn a_lost_seq_in_the_middle_is_skipped() {
+        let got = passed(&[(0, Some("a")), (2, Some("c")), (1, None), (3, Some("d"))]);
+        assert_eq!(got, ["a", "c", "d"]);
+        // Lost before anything behind it settled, and lost at the head.
+        assert_eq!(
+            passed(&[(1, None), (0, Some("a")), (2, Some("c"))]),
+            ["a", "c"]
+        );
+        assert_eq!(passed(&[(0, None), (1, Some("b"))]), ["b"]);
+    }
+
+    #[test]
+    fn one_slow_seq_holds_the_watermark_until_it_settles() {
+        let mut reorder = Reorder::new();
+        let mut out = Vec::new();
+        for seq in 1..=5u64 {
+            reorder.settle(seq, Some(seq), |x| out.push(x));
+        }
+        assert!(out.is_empty(), "seq 0 has not settled");
+        assert_eq!((reorder.next, reorder.parked.len()), (0, 5));
+        reorder.settle(0, Some(0), |x| out.push(x));
+        assert_eq!(out, [0, 1, 2, 3, 4, 5]);
+        assert_eq!((reorder.next, reorder.parked.len()), (6, 0));
+        // In order from here on, nothing parks.
+        reorder.settle(6, Some(6), |x| out.push(x));
+        assert_eq!((out.len(), reorder.next, reorder.parked.len()), (7, 7, 0));
+    }
+
+    #[test]
+    fn a_stale_ack_of_a_skipped_seq_is_dropped() {
+        // Skipped while still ahead of the watermark, then reported late.
+        let got = passed(&[
+            (1, None),
+            (1, Some("stale")),
+            (0, Some("a")),
+            (2, Some("c")),
+        ]);
+        assert_eq!(got, ["a", "c"]);
+        // Reported after the watermark passed it.
+        let got = passed(&[
+            (0, Some("a")),
+            (1, None),
+            (2, Some("c")),
+            (1, Some("stale")),
+        ]);
+        assert_eq!(got, ["a", "c"]);
     }
 }

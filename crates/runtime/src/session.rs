@@ -1,13 +1,13 @@
-//! What flows between a session's threads — submissions, dispatches,
-//! acks and completions — plus the pause gate and the cancellation /
-//! expiry filter both scheduling engines consult.
+//! What flows between a session's threads — submissions, dispatches and
+//! the acks that carry their completions — plus the pause gate and the
+//! cancellation / expiry filter both scheduling engines consult.
 
-use crate::deps::{Binder, DepOutputs, GatedJob};
+use crate::deps::{Binder, GatedJob};
 use crate::events::{Event, EventTrace};
 use crate::exec::ExecOutcome;
 use crate::job::{PimJob, Placement};
 use crate::notify::JobNotice;
-use crate::sync;
+use crate::sync::{self, IdSet};
 use coruscant_core::program::PimProgram;
 use coruscant_mem::{DbcLocation, ScrubOutcome};
 use std::collections::HashSet;
@@ -25,6 +25,9 @@ pub(crate) struct SlotMeta {
     pub job_id: u64,
     pub readouts: usize,
     pub attempt: u32,
+    /// Whether this is the member's final attempt: set by the engine
+    /// when the attempt comes back and it does not re-dispatch.
+    pub last: bool,
 }
 
 /// What the scheduler sends each worker.
@@ -41,20 +44,16 @@ pub(crate) enum WorkMsg {
     Scrub { bank: usize },
 }
 
-/// What an executor reports back to [`Runtime::finish`], once per
-/// dispatch attempt.
-pub(crate) struct DoneMsg {
+/// One executed dispatch attempt, as the accounting replay
+/// ([`crate::report::Replay`]) consumes it.
+pub(crate) struct Completion {
     pub seq: u64,
     pub unit: DbcLocation,
     pub slots: Vec<SlotMeta>,
     pub out: ExecOutcome,
 }
 
-/// What a worker reports back to the scheduler after every dispatch:
-/// it frees the attempt's in-flight record, feeds bank-health
-/// accounting and re-dispatch when device faults are configured, and
-/// carries the per-member outputs that resolve dependency gates and
-/// feed deferred binders.
+/// What a worker reports back to the scheduler.
 pub(crate) enum AckMsg {
     /// Heartbeat: the worker dequeued dispatch `seq` and is about to
     /// execute it. Sent only when the watchdog is enabled; it stamps the
@@ -62,16 +61,10 @@ pub(crate) enum AckMsg {
     Started {
         seq: u64,
     },
-    Job {
-        seq: u64,
-        bank: usize,
-        faults: u64,
-        verified: bool,
-        /// Whether the dispatch hit an execution error.
-        errored: bool,
-        /// Per-member demuxed outputs, in slot order.
-        members: Vec<DepOutputs>,
-    },
+    /// A dispatch finished executing: frees its in-flight record, feeds
+    /// bank health and re-dispatch, resolves dependency gates and
+    /// binders from the members' outputs, then is accounted by the replay.
+    Job(Completion),
     Scrub {
         bank: usize,
         outcome: ScrubOutcome,
@@ -181,17 +174,20 @@ impl Gate {
     }
 }
 
-/// The set of job ids whose cancellation was requested. Cancellation is
-/// best-effort: the scheduler consults the set at placement and at issue
-/// time and drops matches (sending [`JobNotice::Cancelled`] and counting
-/// them); a job already dispatched to a worker always runs to
-/// completion.
+/// The set of job ids whose cancellation was requested and not yet
+/// acted on. Cancellation is best-effort: the scheduler consults the set
+/// at placement and at issue time and drops matches (sending
+/// [`JobNotice::Cancelled`] and counting them); a job already dispatched
+/// to a worker always runs to completion. Either way the id leaves the
+/// set, so an empty set again means "nothing to check".
 pub(crate) type CancelSet = Arc<Mutex<HashSet<u64>>>;
 
 /// Shared bookkeeping for cancellation and expiry checks in both
 /// scheduling engines.
 pub(crate) struct Canceller {
     set: CancelSet,
+    /// Jobs this engine retired: a request for one of them came too late.
+    retired: IdSet,
     pub notify: Option<mpsc::Sender<JobNotice>>,
     trace: Option<Arc<EventTrace>>,
     pub cancelled: u64,
@@ -207,6 +203,7 @@ impl Canceller {
     ) -> Canceller {
         Canceller {
             set,
+            retired: IdSet::default(),
             notify,
             cancelled: 0,
             expired: 0,
@@ -214,17 +211,28 @@ impl Canceller {
         }
     }
 
-    /// Whether any cancellation has ever been requested — a cheap guard
-    /// that keeps the per-job check off the hot path in the common
-    /// (no-cancellation) case.
+    /// Whether any requested cancellation is still outstanding — a cheap
+    /// guard that keeps the per-job check off the hot path in the common
+    /// (no-cancellation) case. Requests for retired jobs are forgotten
+    /// here, so one that came too late cannot keep the guard up.
     pub fn armed(&self) -> bool {
-        !sync::lock(&self.set).is_empty()
+        let mut set = sync::lock(&self.set);
+        if !set.is_empty() {
+            set.retain(|id| !self.retired.contains(*id));
+        }
+        !set.is_empty()
     }
 
-    /// If `job_id` was cancelled, record the drop (notice + trace +
-    /// counter) and return `true`.
+    /// Records that `job_id` retired: its final attempt came back, or it
+    /// was dropped or abandoned.
+    pub fn retire(&mut self, job_id: u64) {
+        self.retired.insert(job_id);
+    }
+
+    /// If `job_id` was cancelled, consume the request, record the drop
+    /// (notice + trace + counter) and return `true`.
     pub fn drop_if_cancelled(&mut self, job_id: u64) -> bool {
-        if !sync::lock(&self.set).contains(&job_id) {
+        if !sync::lock(&self.set).remove(&job_id) {
             return false;
         }
         self.cancelled += 1;

@@ -423,9 +423,8 @@ impl<T: Send + 'static> Supervisor<T> {
         }
     }
 
-    /// Detached worker threads that are still running (stalled). While
-    /// this is nonzero, collectors must not block indefinitely on
-    /// channels those threads hold senders of.
+    /// Detached worker threads that are still running (stalled).
+    #[cfg(test)]
     pub fn stalled_workers(&self) -> usize {
         sync::lock(&self.inner)
             .detached

@@ -1,4 +1,5 @@
-//! Poison-tolerant locking helpers.
+//! Poison-tolerant locking helpers, and the dense-id bitset the
+//! session-long "seen this job" records are kept in.
 //!
 //! A `Mutex` is *poisoned* when a thread panics while holding it; every
 //! later `lock().unwrap()` then propagates the panic, so one software
@@ -49,10 +50,49 @@ pub fn wait_timeout<'a, T>(
     }
 }
 
+/// A growable set of small integers, one bit each: what a session-long
+/// per-job record costs instead of a hash-table entry. Memory follows
+/// the *largest* member, so only dense ids (job ids) belong in it.
+#[derive(Debug, Default)]
+pub struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    /// Adds `id`; `true` if it was not yet a member.
+    pub fn insert(&mut self, id: u64) -> bool {
+        let (word, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    /// Whether `id` is a member.
+    pub fn contains(&self, id: u64) -> bool {
+        self.words
+            .get((id / 64) as usize)
+            .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn id_set_inserts_once_and_never_grows_on_a_probe() {
+        let mut set = IdSet::default();
+        assert!(!set.contains(0) && !set.contains(u64::MAX));
+        assert!(set.insert(130));
+        assert!(!set.insert(130), "second insert is not fresh");
+        assert!(set.contains(130) && !set.contains(129) && !set.contains(131));
+        assert!(set.insert(0) && set.insert(63) && set.insert(64));
+        assert_eq!(set.words.len(), 3, "130 / 64 + 1 words, probes added none");
+    }
 
     #[test]
     fn poisoned_mutex_recovers_instead_of_cascading() {

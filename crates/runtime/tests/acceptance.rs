@@ -7,7 +7,8 @@ use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::controller::Request;
 use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController, RowAddress};
 use coruscant_runtime::{
-    run_batch, DispatchMode, Placement, Runtime, RuntimeOptions, RuntimeReport,
+    run_batch, DispatchMode, Histogram, JobOutcome, Placement, Runtime, RuntimeOptions,
+    RuntimeReport, RuntimeStats, SchedStats,
 };
 
 /// Eight banks so circular dispatch has room to spread a burst.
@@ -229,4 +230,70 @@ fn explicit_placements_are_honored() {
     assert_eq!(report.outcomes[1].bank, 5);
     assert_eq!(report.outcomes[0].outputs[0].1, vec![3; 8]);
     assert_eq!(report.outcomes[1].outputs[0].1, vec![7; 8]);
+}
+
+/// `Runtime::take_outcomes` partitions a session's outcomes: whatever
+/// the harvest points, taken ∪ reported is every outcome of the same
+/// session never harvested, each once, and the stats do not notice.
+#[test]
+fn harvested_and_reported_outcomes_partition_the_session() {
+    /// The stats minus what depends on thread timing: the scheduler's
+    /// wall-clock profile and the FIFO depths seen at enqueue.
+    fn modeled(mut stats: RuntimeStats) -> RuntimeStats {
+        stats.sched = SchedStats::default();
+        stats.queue_depth = Histogram::new();
+        stats
+    }
+    let config = eight_bank_config();
+    let jobs = 240u64;
+    for (seed, shards) in [(1u64, 1usize), (2, 4), (3, 8), (4, 2)] {
+        let options = || RuntimeOptions::default().with_shards(shards);
+        let rt = Runtime::new(config.clone(), options()).unwrap();
+        for i in 0..jobs {
+            rt.submit(add_job(i % 100, seed), Placement::Auto).unwrap();
+        }
+        let baseline = rt.finish().unwrap();
+        assert_eq!(baseline.outcomes.len() as u64, jobs);
+
+        let rt = Runtime::new(config.clone(), options()).unwrap();
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut taken: Vec<JobOutcome> = Vec::new();
+        let mut harvests = 0;
+        for i in 0..jobs {
+            rt.submit(add_job(i % 100, seed), Placement::Auto).unwrap();
+            // xorshift: harvest after about one submission in eight.
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            if rng % 8 != 0 {
+                continue;
+            }
+            // Something submitted is not taken yet, so it will retire.
+            let mut batch = rt.take_outcomes();
+            while batch.is_empty() {
+                std::thread::yield_now();
+                batch = rt.take_outcomes();
+            }
+            assert!(
+                batch.windows(2).all(|w| w[0].seq < w[1].seq),
+                "a harvest is in issue order"
+            );
+            taken.append(&mut batch);
+            harvests += 1;
+        }
+        assert!(harvests > 10, "seed {seed}: {harvests} harvest points");
+        let report = rt.finish().unwrap();
+        assert!(
+            (report.outcomes.len() as u64) < jobs,
+            "taken outcomes are not reported again"
+        );
+        taken.extend(report.outcomes);
+        taken.sort_by_key(|o| o.job_id);
+        assert_eq!(taken, baseline.outcomes, "seed {seed}, shards {shards}");
+        assert_eq!(
+            modeled(report.stats),
+            modeled(baseline.stats),
+            "seed {seed}, shards {shards}"
+        );
+    }
 }

@@ -377,3 +377,38 @@ fn fault_detected_traces_the_attempt_that_was_issued() {
         "the campaigns must detect a fault on a crash-retried job"
     );
 }
+
+/// An outcome is its job's final attempt by construction, so a job the
+/// supervisor gave up reports no outcome — also when an earlier,
+/// unverified attempt of it had completed before it was re-dispatched.
+/// (The drain-time "latest completed seq wins" reported that superseded
+/// attempt next to the `Abandoned` notice.) `run_campaign` fails on any
+/// job that resolves both ways.
+#[test]
+fn an_abandoned_job_reports_no_superseded_outcome() {
+    let mut abandoned = 0;
+    for seed in 0..4u64 {
+        // No crash retry and no in-place compare retry: a panic abandons
+        // the attempt's job, a mismatching pair re-dispatches it.
+        let options = campaign_options()
+            .with_supervise(SuperviseOptions {
+                max_job_retries: 0,
+                ..campaign_options().supervise
+            })
+            .with_faults(
+                FaultPlan::uniform(FaultConfig::NONE.with_tr_fault_rate(4e-3), seed).unwrap(),
+            )
+            .with_protection(ProtectionPolicy::Reexecute { max_retries: 0 })
+            .with_health(HealthPolicy {
+                suspect_after: 10_000,
+                quarantine_after: 100_000,
+                ..HealthPolicy::default()
+            });
+        let fates = run_campaign(4, ChaosPlan::panics(0xAB + seed, 250), 64, options);
+        abandoned += fates
+            .values()
+            .filter(|f| matches!(f, Fate::Abandoned { .. }))
+            .count();
+    }
+    assert!(abandoned > 0, "the campaigns must abandon a job");
+}

@@ -1,11 +1,11 @@
 //! The CORUSCANT serving frontend: an async request API over the
-//! batch-shaped execution runtime.
+//! session-shaped execution runtime.
 //!
 //! The runtime (`coruscant-runtime`) is session-shaped: submissions go
-//! into a bounded queue and every result materializes at
-//! [`Runtime::finish`]. That fits batch campaigns, not serving. This
-//! crate wraps a runtime in a [`Server`] that keeps the session live and
-//! gives clients a per-job completion surface:
+//! into a bounded queue and outcomes are read off the session. That
+//! fits batch campaigns, not serving. This crate wraps a runtime in a
+//! [`Server`] that keeps the session live, gives clients a per-job
+//! completion surface, and holds what is in flight, not what it served:
 //!
 //! * **Submission** — [`Client::submit`] returns a [`JobHandle`] that
 //!   resolves when the job's bank retires it (the runtime's live
@@ -30,10 +30,14 @@
 //!   the scheduler issues the job, the job is cancelled (never touches a
 //!   bank) and the handle resolves [`ServeError::Expired`]; a job whose
 //!   execution already began completes normally.
+//! * **Harvest** — the router thread keeps taking the runtime's retired
+//!   outcomes ([`Runtime::take_outcomes`]), resolves any handle whose
+//!   notices were not final (an outcome is, by construction), and drops
+//!   them.
 //! * **Drain** — [`Server::shutdown`] stops accepting, flushes all
 //!   in-flight work through [`Runtime::finish`], resolves every
-//!   outstanding handle (from the final report if its live notice was
-//!   not final), and returns [`ServerStats`] whose accounting always
+//!   outstanding handle (from the final report if nothing resolved it
+//!   live), and returns [`ServerStats`] whose accounting always
 //!   balances: `submitted == accepted + rejected` and every accepted job
 //!   resolves exactly once.
 
@@ -51,8 +55,8 @@ pub use stats::ServerStats;
 use coruscant_core::program::PimProgram;
 use coruscant_mem::MemoryConfig;
 use coruscant_runtime::{
-    sync, ChainJob, ChaosAction, ChaosPlan, CrossingPoint, JobNotice, Placement, PushError,
-    ResidentPin, Runtime, RuntimeError, RuntimeOptions,
+    sync, sync::IdSet, ChainJob, ChaosAction, ChaosPlan, CrossingPoint, JobNotice, JobOutcome,
+    Placement, PushError, ResidentPin, Runtime, RuntimeError, RuntimeOptions,
 };
 
 use admission::AdmissionController;
@@ -171,11 +175,12 @@ struct Registry {
     /// notice for these resolves [`ServeError::Expired`] instead of
     /// [`ServeError::Cancelled`].
     expire_intent: HashSet<u64>,
-    /// Jobs already routed to a resolution. Under supervision one job can
-    /// emit two final signals — e.g. an `Abandoned` notice when the
-    /// watchdog gives it up, then a late `Attempt` notice when the
-    /// detached worker finally completes — and only the first may count.
-    resolved: HashSet<u64>,
+    /// Jobs already routed to a resolution. One job can emit two final
+    /// signals — a final notice and its harvested outcome, or under
+    /// supervision an `Abandoned` notice when the watchdog gives it up,
+    /// then a late `Attempt` notice when the detached worker finally
+    /// completes — and only the first may count.
+    resolved: IdSet,
     /// QoS identities of pending jobs, inserted with the handle
     /// registration and consumed (to release the client's backlog in the
     /// fair queue) when the job resolves.
@@ -228,6 +233,41 @@ impl Shared {
                 // yet (tags are inserted with the registration), so the
                 // register path settles the QoS accounting synchronously.
                 reg.early.insert(job_id, completion);
+            }
+        }
+    }
+
+    /// Takes what the runtime has retired so far and settles it (once
+    /// shutdown has taken the runtime, its report carries the rest).
+    fn harvest(&self) {
+        let outcomes = match sync::read(&self.runtime).as_ref() {
+            Some(rt) => rt.take_outcomes(),
+            None => return,
+        };
+        self.settle(outcomes);
+    }
+
+    /// Resolves from its outcome — its final attempt by construction —
+    /// every job no final notice has resolved (e.g. a `Fixed`-placement
+    /// job whose last attempt stayed unverified); drops the rest.
+    fn settle(&self, outcomes: Vec<JobOutcome>) {
+        // One lock for the batch; dropping and routing happen outside it.
+        let open: Vec<bool> = {
+            let reg = sync::lock(&self.registry);
+            let open = outcomes.iter().map(|o| !reg.resolved.contains(o.job_id));
+            open.collect()
+        };
+        for (outcome, open) in outcomes.into_iter().zip(open) {
+            if open {
+                let completion = Ok(JobDone {
+                    job_id: outcome.job_id,
+                    outputs: outcome.outputs,
+                    bank: outcome.bank,
+                    attempt: outcome.attempt,
+                    batch: outcome.batch,
+                    verified: outcome.verified,
+                });
+                self.route(outcome.job_id, completion);
             }
         }
     }
@@ -319,14 +359,34 @@ impl Shared {
     }
 }
 
+/// Notices between two harvests: bounds what a busy session retains.
+const HARVEST_EVERY: usize = 256;
+/// Quiet time on the notice feed before a harvest: bounds how long a job
+/// that only its outcome can resolve stays pending.
+const HARVEST_IDLE: Duration = Duration::from_millis(10);
+
 /// The router: turns the runtime's live notice feed into handle
-/// resolutions. Exits on the [`JobNotice::Drained`] sentinel the server
-/// sends after [`Runtime::finish`] returns, or when every notice sender
-/// (workers + scheduler) hangs up — the sentinel matters under
-/// supervision, where a permanently stalled worker may never drop its
-/// sender.
+/// resolutions, and harvests its retired outcomes every
+/// [`HARVEST_EVERY`] notices and after [`HARVEST_IDLE`] of quiet. Exits on the [`JobNotice::Drained`] sentinel
+/// the server sends after [`Runtime::finish`] returns, or when every
+/// notice sender (workers + scheduler) hangs up — the sentinel matters
+/// under supervision, where a permanently stalled worker may never drop
+/// its sender.
 fn router_loop(shared: &Shared, rx: &mpsc::Receiver<JobNotice>, chaos: Option<ChaosPlan>) {
-    'recv: for notice in rx.iter() {
+    let mut routed = 0usize;
+    'recv: loop {
+        let notice = match rx.recv_timeout(HARVEST_IDLE) {
+            Ok(notice) => notice,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                shared.harvest();
+                continue;
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        routed += 1;
+        if routed.is_multiple_of(HARVEST_EVERY) {
+            shared.harvest();
+        }
         // Flatten batched notices (the parallel scheduling engine
         // coalesces every member of a dispatch into one channel send);
         // each inner notice is handled exactly as if it arrived alone.
@@ -343,8 +403,8 @@ fn router_loop(shared: &Shared, rx: &mpsc::Receiver<JobNotice>, chaos: Option<Ch
             }
             if !notice.is_final() {
                 // A superseded attempt under an active protection policy;
-                // the re-dispatched attempt (or the drain fallback) resolves
-                // the handle.
+                // the re-dispatched attempt (or the job's harvested
+                // outcome) resolves the handle.
                 continue;
             }
             match notice {
@@ -381,7 +441,7 @@ fn router_loop(shared: &Shared, rx: &mpsc::Receiver<JobNotice>, chaos: Option<Ch
                         let mut reg = sync::lock(&shared.registry);
                         // Claim the intent only if this notice will win the
                         // route (a resolved job's late cancel is moot).
-                        !reg.resolved.contains(&job_id) && reg.expire_intent.remove(&job_id)
+                        !reg.resolved.contains(job_id) && reg.expire_intent.remove(&job_id)
                     };
                     let completion = if expired {
                         Err(ServeError::Expired)
@@ -547,29 +607,9 @@ impl Server {
         }
         match result {
             Ok(report) => {
+                // What retired after the router's last harvest.
+                self.shared.settle(report.outcomes);
                 let mut reg = sync::lock(&self.shared.registry);
-                // Jobs that completed without a *final* live notice (for
-                // example a Fixed-placement job whose last attempt stayed
-                // unverified) resolve from the final report — the
-                // report's winner is exactly the winning attempt.
-                for outcome in &report.outcomes {
-                    if let Some(resolver) = reg.pending.remove(&outcome.job_id) {
-                        reg.resolved.insert(outcome.job_id);
-                        let completion = Ok(JobDone {
-                            job_id: outcome.job_id,
-                            outputs: outcome.outputs.clone(),
-                            bank: outcome.bank,
-                            attempt: outcome.attempt,
-                            batch: outcome.batch,
-                            verified: outcome.verified,
-                        });
-                        self.shared.count(&completion);
-                        if let Some(tag) = reg.qos_tags.remove(&outcome.job_id) {
-                            self.shared.qos_record(&tag, &completion);
-                        }
-                        resolver.resolve(completion);
-                    }
-                }
                 let leftover_tags: Vec<(u64, QosTag)> = reg.qos_tags.drain().collect();
                 for (_, resolver) in reg.pending.drain() {
                     let completion = Err(ServeError::Lost);
@@ -867,5 +907,63 @@ impl Client {
         sync::read(&self.shared.runtime)
             .as_ref()
             .map_or(0, Runtime::queue_len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use coruscant_mem::DbcLocation;
+
+    fn outcome(job_id: u64) -> JobOutcome {
+        JobOutcome {
+            job_id,
+            seq: job_id,
+            unit: DbcLocation::new(0, 0, 0, 0),
+            bank: 0,
+            outputs: vec![("out".into(), vec![job_id])],
+            device_cycles: 1,
+            wait_cycles: 0,
+            completion: 1,
+            attempt: 0,
+            replicas: 1,
+            faults_detected: 0,
+            retries: 0,
+            votes_overturned: 0,
+            verified: false,
+            batch: 1,
+        }
+    }
+
+    fn notice(job_id: u64) -> Completion {
+        Ok(JobDone {
+            job_id,
+            outputs: vec![("out".into(), vec![job_id])],
+            bank: 0,
+            attempt: 0,
+            batch: 1,
+            verified: false,
+        })
+    }
+
+    /// A job's final notice and its harvested outcome are two final
+    /// signals: whichever arrives first resolves the handle and counts,
+    /// the other is dropped.
+    #[test]
+    fn a_notice_and_an_outcome_of_one_job_count_once_in_either_order() {
+        let server = Server::start(MemoryConfig::tiny(), ServerOptions::default()).unwrap();
+        let shared = &server.shared;
+        let (outcome_first, notice_first) = (shared.register(7), shared.register(8));
+        shared.settle(vec![outcome(7)]);
+        shared.route(7, notice(7));
+        shared.route(8, notice(8));
+        shared.settle(vec![outcome(8), outcome(7)]);
+        assert_eq!(shared.counters.completed.load(Ordering::Relaxed), 2);
+        assert_eq!(outcome_first.wait().unwrap().outputs[0].1, [7]);
+        assert_eq!(notice_first.wait().unwrap().outputs[0].1, [8]);
+        // An outcome that beats its handle's registration is kept for it.
+        shared.settle(vec![outcome(9)]);
+        assert_eq!(shared.register(9).wait().unwrap().job_id, 9);
+        assert_eq!(shared.counters.completed.load(Ordering::Relaxed), 3);
     }
 }

@@ -2,14 +2,14 @@
 //! over the full workload corpus: determinism versus the direct runtime
 //! path, overload shedding, deadline expiry, and explicit cancellation.
 
-use coruscant::mem::{FaultPlan, MemoryConfig};
+use coruscant::mem::{DbcLocation, FaultPlan, MemoryConfig};
 use coruscant::racetrack::FaultConfig;
-use coruscant::runtime::{run_batch, HealthPolicy, ProtectionPolicy, RuntimeOptions};
+use coruscant::runtime::{run_batch, HealthPolicy, Placement, ProtectionPolicy, RuntimeOptions};
 use coruscant::server::{
     AdmissionOptions, Priority, Rejected, ServeError, Server, ServerOptions, SubmitOptions,
 };
 use coruscant::workloads::serve::{all_workload_programs, serve_programs_streamed};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs the corpus both ways — direct [`run_batch`] and through a
 /// [`coruscant::server::Client`] stream — and asserts bit-identical
@@ -261,4 +261,61 @@ fn handles_are_pollable_futures() {
     assert!(done.is_ok());
     let stats = server.shutdown().unwrap();
     assert_eq!(stats.completed, 1);
+}
+
+/// A job that only its outcome can resolve — its last attempt stayed
+/// unverified and `Placement::Fixed` keeps it from being re-dispatched,
+/// so none of its notices is final — resolves while the server is live,
+/// from the router's harvest, not at shutdown.
+#[test]
+fn unverified_fixed_job_resolves_before_shutdown() {
+    let config = MemoryConfig::tiny();
+    let program = all_workload_programs(&config).swap_remove(0);
+    // TR faults frequent enough that compare pairs keep mismatching, and
+    // no in-place retry: a mismatching pair surfaces unverified.
+    let runtime = RuntimeOptions::default()
+        .with_faults(FaultPlan::uniform(FaultConfig::NONE.with_tr_fault_rate(5e-2), 7).unwrap())
+        .with_protection(ProtectionPolicy::Reexecute { max_retries: 0 })
+        .with_health(HealthPolicy {
+            suspect_after: 10_000,
+            quarantine_after: 100_000,
+            scrub_on_suspect: false,
+            ..HealthPolicy::default()
+        });
+    let server = Server::start(
+        config,
+        ServerOptions {
+            runtime,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    let pinned = SubmitOptions {
+        placement: Placement::Fixed(DbcLocation::new(0, 0, 0, 0)),
+        ..SubmitOptions::default()
+    };
+    let mut unverified = 0u64;
+    for _ in 0..64 {
+        let mut handle = client.submit_with(program.clone(), pinned.clone()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !handle.is_done() {
+            assert!(
+                Instant::now() < deadline,
+                "job {} waits for shutdown to resolve it",
+                handle.id()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let done = handle
+            .try_take()
+            .unwrap()
+            .expect("TR faults raise no error");
+        unverified += u64::from(!done.verified);
+    }
+    assert!(unverified > 0, "the fault rate must leave a job unverified");
+    let stats = server.shutdown().unwrap();
+    assert_eq!(stats.completed, 64);
+    assert_eq!(stats.runtime.faults.unverified_jobs, unverified);
+    assert!(stats.balanced() && stats.lost == 0, "{stats:?}");
 }

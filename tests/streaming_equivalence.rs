@@ -1,0 +1,268 @@
+//! Streaming accounting ≡ the batch replay it replaced.
+//!
+//! `tests/fixtures/streaming_equivalence.txt` was recorded from the
+//! drain-time replay (every completion buffered until `finish`, sorted
+//! by seq, latest seq per job wins) before it was deleted: one line per
+//! seeded session holding the session's `RuntimeStats` as serde JSON —
+//! wall-clock scheduler fields zeroed — and a digest of its outcomes.
+//! The live replay must reproduce every line, for both engines.
+//!
+//! Every session is staged so that nothing in it depends on thread
+//! timing: submissions queue behind the pause gate (or go in one at a
+//! time where acks steer issue order), fault and chaos arms run on one
+//! worker shard, and parallel arms pin every job to a unit so nothing is
+//! stolen. On a mismatch the test prints what it computed; replace the
+//! fixture only when a PR means to move the accounting and says so.
+
+use coruscant::core::isa::{BlockSize, CpimInstr, CpimOpcode};
+use coruscant::core::program::{PimProgram, Step};
+use coruscant::mem::{DbcLocation, FaultPlan, MemoryConfig, RowAddress};
+use coruscant::racetrack::FaultConfig;
+use coruscant::runtime::{
+    install_quiet_hook, BatchOptions, ChaosPlan, HealthPolicy, JobNotice, Placement,
+    ProtectionPolicy, Runtime, RuntimeOptions, RuntimeReport, SchedMode, SuperviseOptions,
+};
+use coruscant::workloads::serve::all_workload_programs;
+use std::fmt::Write as _;
+use std::sync::mpsc;
+
+fn eight_bank_config() -> MemoryConfig {
+    MemoryConfig {
+        banks: 8,
+        subarrays_per_bank: 2,
+        tiles_per_subarray: 2,
+        dbcs_per_tile: 4,
+        pim_dbcs_per_tile: 1,
+        nanowires_per_dbc: 64,
+        rows_per_dbc: 32,
+        trd: 7,
+        bus_mhz: 1000,
+        memory_cycle_ns: 1.25,
+    }
+}
+
+/// A self-contained add job whose outputs identify it.
+fn add_job(tag: u64) -> PimProgram {
+    let loc = DbcLocation::new(0, 0, 0, 0);
+    PimProgram {
+        steps: vec![
+            Step::Load {
+                addr: RowAddress::new(loc, 4),
+                values: vec![tag & 0x7F; 8],
+                lane: 8,
+            },
+            Step::Load {
+                addr: RowAddress::new(loc, 5),
+                values: vec![3; 8],
+                lane: 8,
+            },
+            Step::Exec(
+                CpimInstr::new(
+                    CpimOpcode::Add,
+                    RowAddress::new(loc, 4),
+                    2,
+                    BlockSize::new(8).unwrap(),
+                    Some(RowAddress::new(loc, 20)),
+                )
+                .unwrap(),
+            ),
+            Step::Readout {
+                label: format!("sum{tag}"),
+                addr: RowAddress::new(loc, 20),
+                lane: 8,
+            },
+        ],
+    }
+}
+
+/// The serving corpus four times over, interleaved with add jobs.
+fn programs() -> Vec<PimProgram> {
+    let base = all_workload_programs(&eight_bank_config());
+    let mut out = Vec::new();
+    for round in 0..4u64 {
+        for (i, program) in base.iter().enumerate() {
+            out.push(program.clone());
+            out.push(add_job(round * 16 + i as u64));
+        }
+    }
+    out
+}
+
+/// Staged session: everything queues behind the pause gate, so the
+/// scheduler admits, places and issues the whole backlog in one pass.
+fn staged(options: RuntimeOptions) -> RuntimeOptions {
+    RuntimeOptions {
+        queue_capacity: 4096,
+        ..options
+    }
+    .paused()
+}
+
+fn run_staged(
+    options: RuntimeOptions,
+    programs: &[PimProgram],
+    placement: impl Fn(usize) -> Placement,
+) -> RuntimeReport {
+    let runtime = Runtime::new(eight_bank_config(), staged(options)).expect("runtime starts");
+    for (i, program) in programs.iter().enumerate() {
+        runtime
+            .submit(program.clone(), placement(i))
+            .expect("submission accepted");
+    }
+    runtime.finish().expect("session drains")
+}
+
+/// One job in the system at a time: the next is submitted once the
+/// previous one's final attempt was noticed, so verification
+/// re-dispatches (whose issue order otherwise follows ack timing) land
+/// in one order.
+fn run_one_at_a_time(options: RuntimeOptions, programs: &[PimProgram]) -> RuntimeReport {
+    let (tx, rx) = mpsc::channel::<JobNotice>();
+    let runtime =
+        Runtime::new(eight_bank_config(), options.with_notify(tx)).expect("runtime starts");
+    for program in programs {
+        let id = runtime
+            .submit(program.clone(), Placement::Auto)
+            .expect("submission accepted");
+        loop {
+            let notice = rx.recv().expect("the runtime holds a sender");
+            if notice.job_id() == id && notice.is_final() {
+                break;
+            }
+        }
+    }
+    runtime.finish().expect("session drains")
+}
+
+/// FNV-1a.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// One fixture line: the stats with wall-clock fields zeroed, and the
+/// outcome count and digest.
+fn line(name: &str, mut report: RuntimeReport, out: &mut String) {
+    let sched = &mut report.stats.sched;
+    sched.pop_micros = 0;
+    sched.admit_micros = 0;
+    sched.place_micros = 0;
+    sched.dispatch_micros = 0;
+    sched.ack_micros = 0;
+    sched.busy_micros = 0;
+    sched.wall_micros = 0;
+    sched.occupancy_pct = 0.0;
+    for domain in &mut sched.per_domain {
+        domain.busy_micros = 0;
+    }
+    writeln!(
+        out,
+        "{name} outcomes={}:{:016x} stats={}",
+        report.outcomes.len(),
+        digest(&serde::json::to_string(&report.outcomes)),
+        serde::json::to_string(&report.stats)
+    )
+    .unwrap();
+}
+
+/// Device faults frequent enough that compare pairs mismatch, with no
+/// in-place retry, so unverified attempts go back to the scheduler.
+fn faulty(options: RuntimeOptions) -> RuntimeOptions {
+    options
+        .with_faults(FaultPlan::uniform(FaultConfig::NONE.with_tr_fault_rate(4e-3), 5).unwrap())
+        .with_protection(ProtectionPolicy::Reexecute { max_retries: 0 })
+        .with_health(HealthPolicy {
+            suspect_after: 10_000,
+            quarantine_after: 100_000,
+            max_inflight_per_bank: usize::MAX,
+            ..HealthPolicy::default()
+        })
+}
+
+fn computed() -> String {
+    install_quiet_hook();
+    let programs = programs();
+    let mut out = String::new();
+    for shards in [1usize, 2, 4, 8] {
+        let report = run_staged(
+            RuntimeOptions::default().with_shards(shards),
+            &programs,
+            |_| Placement::Auto,
+        );
+        line(&format!("plain/s{shards}"), report, &mut out);
+    }
+
+    // Runs of four same-unit jobs, so consecutive grouping batches.
+    let report = run_staged(
+        RuntimeOptions::default()
+            .with_shards(2)
+            .with_batch(BatchOptions::enabled()),
+        &programs,
+        |i| Placement::Unit(i / 4 % 32),
+    );
+    assert!(report.stats.batch.batches > 0, "the batch arm must batch");
+    line("batch/s2", report, &mut out);
+
+    for shards in [1usize, 4] {
+        let report = run_one_at_a_time(
+            faulty(RuntimeOptions::default().with_shards(shards)),
+            &programs,
+        );
+        assert!(
+            report.stats.faults.redispatches > 0,
+            "the fault arm must re-dispatch"
+        );
+        line(&format!("faults/s{shards}"), report, &mut out);
+    }
+
+    // One worker shard: every crash takes the whole in-flight window
+    // with it (lost seqs), and a budget of one retry abandons the jobs
+    // whose first two attempts both panic.
+    let report = run_staged(
+        RuntimeOptions::default()
+            .with_shards(1)
+            .with_chaos(ChaosPlan::panics(0xC0FFEE, 250))
+            .with_supervise(SuperviseOptions {
+                max_restarts: u32::MAX,
+                backoff_base_ms: 1,
+                backoff_max_ms: 2,
+                max_job_retries: 1,
+                drain_deadline_ms: 20_000,
+            }),
+        &programs,
+        |_| Placement::Auto,
+    );
+    let sup = report.stats.supervision;
+    assert!(
+        sup.crash_redispatches > 0 && sup.abandoned_jobs > 0,
+        "the chaos arm must lose seqs and abandon a job: {sup:?}"
+    );
+    line("chaos/s1", report, &mut out);
+
+    for shards in [2usize, 4] {
+        let options = RuntimeOptions::default()
+            .with_shards(shards)
+            .with_sched_mode(SchedMode::Parallel);
+        let report = run_staged(options.clone(), &programs, |i| Placement::Unit(i % 32));
+        line(&format!("parallel/s{shards}"), report, &mut out);
+        let report = run_staged(faulty(options), &programs, |i| Placement::Unit(i % 32));
+        assert!(
+            report.stats.faults.redispatches > 0,
+            "the parallel fault arm must re-dispatch"
+        );
+        line(&format!("parallel-faults/s{shards}"), report, &mut out);
+    }
+    out
+}
+
+#[test]
+fn streaming_replay_reproduces_the_recorded_batch_replay() {
+    let got = computed();
+    let want = include_str!("fixtures/streaming_equivalence.txt");
+    for (g, w) in got.lines().zip(want.lines()) {
+        let name = g.split(' ').next().unwrap_or_default();
+        assert!(g == w, "{name} moved; computed:\n{g}\nrecorded:\n{w}");
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "arm count");
+}
