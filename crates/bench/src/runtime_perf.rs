@@ -69,7 +69,7 @@ pub struct StagePct {
     pub pop: f64,
     /// Admission: compile-cache front, gating, chain admission.
     pub admit: f64,
-    /// Placement resolution and program retargeting.
+    /// Placement resolution (unit choice and bank queueing).
     pub place: f64,
     /// Batching, splicing, and dispatch (inline execution, parallel mode).
     pub dispatch: f64,
@@ -192,8 +192,23 @@ fn run_session(
     options: RuntimeOptions,
 ) -> (RuntimeReport, f64) {
     let start = Instant::now();
+    // Whether a batch cell batches must not hang on how fast the
+    // scheduler drains the queue: its first queue-full lines up behind
+    // the pause gate, so the first issue pass finds whole same-unit runs.
+    let staged = if options.batch.enabled {
+        options.queue_capacity
+    } else {
+        0
+    };
+    let options = RuntimeOptions {
+        start_paused: staged > 0,
+        ..options
+    };
     let rt = Runtime::new(config.clone(), options).expect("runtime options are valid");
-    for (program, placement) in programs.iter().zip(placements) {
+    for (i, (program, placement)) in programs.iter().zip(placements).enumerate() {
+        if i == staged {
+            rt.resume();
+        }
         rt.submit(program.clone(), *placement)
             .expect("submission succeeds");
     }

@@ -3,12 +3,12 @@
 //!
 //! Programs are what clients hand to the execution runtime: the compiler
 //! (or a user) builds a [`PimProgram`], and either [`execute`] replays it
-//! on a fresh [`PimMachine`] or the
-//! `coruscant-runtime` scheduler retargets it onto a PIM unit and runs it
-//! bank-parallel (paper §V-C). Placement is first-class: a program can be
-//! [retargeted](PimProgram::retarget) onto any PIM-enabled DBC, and its
-//! [target banks](PimProgram::target_banks) tell the scheduler which bank
-//! FIFOs it occupies.
+//! on a fresh [`PimMachine`] or the `coruscant-runtime` scheduler picks a
+//! PIM unit for it and its executor maps every address onto that unit as
+//! it steps (paper §V-C). Placement is first-class: a program can be
+//! [moved](PimProgram::place_on) onto any PIM-enabled DBC in place, and
+//! its [target banks](PimProgram::target_banks) tell which banks it
+//! occupies as written.
 
 use crate::dispatch::PimMachine;
 use crate::isa::CpimInstr;
@@ -51,27 +51,15 @@ impl Step {
         }
     }
 
-    /// The same step re-placed onto `location`, preserving row offsets.
-    /// Instruction destinations move with the source.
-    pub fn retarget(&self, location: DbcLocation) -> Step {
-        let mv = |a: &RowAddress| RowAddress::new(location, a.row);
+    /// Rewrites every row address the step names, in place: an
+    /// instruction's destination goes through `f` like its source.
+    pub fn map_addrs(&mut self, f: impl Fn(RowAddress) -> RowAddress) {
         match self {
-            Step::Load { addr, values, lane } => Step::Load {
-                addr: mv(addr),
-                values: values.clone(),
-                lane: *lane,
-            },
+            Step::Load { addr, .. } | Step::Readout { addr, .. } => *addr = f(*addr),
             Step::Exec(i) => {
-                let mut i = *i;
-                i.src = mv(&i.src);
-                i.dst = i.dst.map(|d| mv(&d));
-                Step::Exec(i)
+                i.src = f(i.src);
+                i.dst = i.dst.map(f);
             }
-            Step::Readout { label, addr, lane } => Step::Readout {
-                label: label.clone(),
-                addr: mv(addr),
-                lane: *lane,
-            },
         }
     }
 }
@@ -106,14 +94,22 @@ impl PimProgram {
         self.steps.is_empty()
     }
 
-    /// The program with every step re-placed onto `location` (data
-    /// placement: operands, instructions, and readouts move together so
-    /// the program runs self-contained on one PIM unit).
-    #[must_use]
-    pub fn retarget(&self, location: DbcLocation) -> PimProgram {
-        PimProgram {
-            steps: self.steps.iter().map(|s| s.retarget(location)).collect(),
+    /// Moves every step onto `location` in place, preserving row offsets
+    /// (data placement: operands, instructions, and readouts move
+    /// together so the program runs self-contained on one PIM unit).
+    /// Allocates nothing.
+    pub fn place_on(&mut self, location: DbcLocation) {
+        for step in &mut self.steps {
+            step.map_addrs(|a| RowAddress::new(location, a.row));
         }
+    }
+
+    /// The single DBC every step targets, or `None` for an empty or
+    /// multi-DBC program.
+    pub fn single_location(&self) -> Option<DbcLocation> {
+        let mut steps = self.steps.iter();
+        let first = steps.next()?.target();
+        steps.all(|s| s.target() == first).then_some(first)
     }
 
     /// The distinct banks this program's steps touch, ascending.
@@ -247,31 +243,33 @@ mod tests {
     }
 
     #[test]
-    fn retarget_moves_every_step() {
+    fn place_on_moves_every_step() {
         let src = DbcLocation::new(0, 0, 0, 0);
         let dst = DbcLocation::new(1, 0, 0, 0);
-        let p = sample_program(src).retarget(dst);
+        let mut p = sample_program(src);
+        assert_eq!(p.single_location(), Some(src));
+        p.place_on(dst);
         assert_eq!(p.target_banks(), vec![1]);
-        for step in &p.steps {
-            assert_eq!(step.target(), dst);
-        }
+        assert_eq!(p.single_location(), Some(dst));
         // Instruction destination moved with the source.
         let Step::Exec(i) = &p.steps[2] else {
             panic!("expected exec")
         };
         assert_eq!(i.dst.unwrap().location, dst);
         assert_eq!(i.dst.unwrap().row, 20, "row offsets preserved");
+        // A step elsewhere makes the program multi-DBC; none, empty.
+        p.steps[3].map_addrs(|a| RowAddress::new(src, a.row));
+        assert_eq!(p.single_location(), None);
+        assert_eq!(PimProgram::default().single_location(), None);
     }
 
     #[test]
-    fn retargeted_program_computes_the_same_result() {
+    fn moved_program_computes_the_same_result() {
         let config = MemoryConfig::tiny();
         let a = execute(&sample_program(DbcLocation::new(0, 0, 0, 0)), &config).unwrap();
-        let b = execute(
-            &sample_program(DbcLocation::new(0, 0, 0, 0)).retarget(DbcLocation::new(1, 0, 0, 0)),
-            &config,
-        )
-        .unwrap();
+        let mut moved = sample_program(DbcLocation::new(0, 0, 0, 0));
+        moved.place_on(DbcLocation::new(1, 0, 0, 0));
+        let b = execute(&moved, &config).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs[0].1[0], 7);
         assert_eq!(a.device_cycles, b.device_cycles);

@@ -24,7 +24,7 @@ use coruscant_server::{Rejected, ServeError, Server, ServerError, ServerOptions}
 use std::fmt;
 
 /// First operand row of a fill job (mirrors the serving workloads'
-/// scratch convention; retargeting preserves row offsets).
+/// scratch convention; binding to a unit preserves row offsets).
 const OPERAND_BASE: usize = 4;
 /// Result row of the filter op.
 const RESULT_ROW: usize = 20;
@@ -167,7 +167,7 @@ fn fill_program(
     jobs: &JobConfig,
     width: usize,
 ) -> Result<PimProgram, PimError> {
-    let loc = DbcLocation::new(0, 0, 0, 0); // nominal; the scheduler retargets
+    let loc = DbcLocation::new(0, 0, 0, 0); // nominal; the executor binds it to a unit
     let mut steps = Vec::with_capacity(4);
     steps.push(Step::Load {
         addr: RowAddress::new(loc, OPERAND_BASE),

@@ -105,8 +105,8 @@ pub(crate) struct Geom {
 }
 
 impl Geom {
-    /// The tile-relative PIM DBC every compute step targets; placement
-    /// relocation maps it onto the hosting unit.
+    /// The tile-relative PIM DBC every compute step targets; the
+    /// executor binds it to the hosting unit's tile.
     fn pim(&self) -> DbcLocation {
         DbcLocation::new(0, 0, 0, 0)
     }

@@ -3,23 +3,26 @@
 //!
 //! Serving campaigns submit the same query program thousands of times;
 //! without a cache every submission pays the full pass pipeline (and the
-//! differential verifier, when enabled). The cache keys each submission
-//! by a structural hash of its steps. Programs confined to a *single*
-//! DBC — every workload chunk the front ends emit — are normalized to a
-//! canonical location before hashing, so the same logical program lands
-//! on one entry regardless of where the client compiled it; on a hit the
-//! cached optimized artifact is retargeted back to the submission's home
-//! DBC, so distinct placements can never observe each other's addresses.
-//! Programs spanning multiple DBCs are keyed with their concrete
-//! locations untouched (no normalization is sound there).
+//! differential verifier, when enabled). Placement is data beside a job,
+//! never part of its program, so the cache works in one *canonical
+//! frame*: `submit` moves a program confined to a single DBC — every
+//! workload chunk the front ends emit — onto the canonical DBC
+//! `(0,0,0,0)` in place, hashes it once and carries that key with the
+//! job; the same logical program therefore lands on one
+//! entry wherever its client compiled it, a hit is an [`Arc::clone`] of
+//! the stored artifact, and on a miss the submitted program itself moves
+//! into the entry. Programs spanning several DBCs, and tile-relative
+//! ([`Placement::Resident`]) ones whose DBC indices carry meaning, stay
+//! as written and are keyed with their concrete locations.
 //!
 //! A full structural equality check against the stored original guards
 //! every hit, so a 64-bit hash collision degrades to a miss, never to a
 //! wrong artifact. Within each shard, eviction is LRU by a per-shard
 //! access stamp.
 
+use crate::job::{PimJob, Placement};
 use coruscant_core::program::{PimProgram, Step};
-use coruscant_mem::{DbcLocation, RowAddress};
+use coruscant_mem::DbcLocation;
 use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -62,23 +65,22 @@ pub struct CacheStats {
     pub est_cycles_saved: u64,
 }
 
-/// What a cache hit hands back to the submit path.
+/// One pipeline run's artifact: what a miss stores and a hit hands back.
+#[derive(Clone)]
 pub(crate) struct CachedCompile {
-    /// The optimized program, retargeted to the submission's home DBC.
+    /// The optimized program, shared with the entry.
     pub program: Arc<PimProgram>,
-    /// Instructions the cached pipeline run removed.
+    /// Instructions the pipeline run removed.
     pub instructions_saved: u64,
-    /// Estimated device cycles the cached pipeline run removed.
+    /// Estimated device cycles the pipeline run removed.
     pub cycles_saved: u64,
 }
 
 struct Entry {
-    /// The canonicalized original, compared in full on every hit so hash
+    /// The submitted program, compared in full on every hit so hash
     /// collisions degrade to misses.
     original: PimProgram,
-    optimized: Arc<PimProgram>,
-    instructions_saved: u64,
-    cycles_saved: u64,
+    compiled: CachedCompile,
     stamp: u64,
 }
 
@@ -99,48 +101,50 @@ pub(crate) struct ProgramCache {
 }
 
 /// The canonical home every single-DBC program is normalized to.
-const CANON: DbcLocation = DbcLocation {
+pub(crate) const CANON: DbcLocation = DbcLocation {
     bank: 0,
     subarray: 0,
     tile: 0,
     dbc: 0,
 };
 
-/// The single DBC a program is confined to, if any (`None` for empty or
-/// multi-DBC programs).
-fn single_location(program: &PimProgram) -> Option<DbcLocation> {
-    let mut steps = program.steps.iter();
-    let first = steps.next()?.target();
-    steps.all(|s| s.target() == first).then_some(first)
+/// Brings a program into the canonical frame, in place: bound to a DBC
+/// and confined to one, it moves onto [`CANON`] (rows kept; under that
+/// binding every address lands on the job's unit anyway). Anything else
+/// stays as written.
+pub(crate) fn canonicalize(program: &mut PimProgram, placement: Placement) {
+    let home = program.single_location();
+    if !placement.tile_relative() && home.is_some_and(|home| home != CANON) {
+        program.place_on(CANON);
+    }
 }
 
-fn hash_addr(addr: &RowAddress, replace: Option<DbcLocation>, h: &mut DefaultHasher) {
-    replace.unwrap_or(addr.location).hash(h);
-    addr.row.hash(h);
-}
-
-/// Structural hash of a program, with every DBC location optionally
-/// replaced by a canonical one.
-fn structural_hash(program: &PimProgram, replace: Option<DbcLocation>) -> u64 {
+/// A job's structural key — the compile cache's, the splice cache's
+/// (per member) and the poison registry's: the hash of its program's
+/// steps. Taken of a program in the canonical frame (see
+/// [`canonicalize`]), where a single-DBC program bound to a DBC sits on
+/// [`CANON`], it is one key per logical program wherever that was
+/// compiled or placed.
+pub(crate) fn fingerprint(program: &PimProgram) -> u64 {
     let mut h = DefaultHasher::new();
     for step in &program.steps {
         match step {
             Step::Load { addr, values, lane } => {
                 0u8.hash(&mut h);
-                hash_addr(addr, replace, &mut h);
+                addr.hash(&mut h);
                 values.hash(&mut h);
                 lane.hash(&mut h);
             }
             Step::Exec(i) => {
                 1u8.hash(&mut h);
                 i.opcode.hash(&mut h);
-                hash_addr(&i.src, replace, &mut h);
+                i.src.hash(&mut h);
                 i.operands.hash(&mut h);
                 i.blocksize.hash(&mut h);
                 match &i.dst {
                     Some(d) => {
                         1u8.hash(&mut h);
-                        hash_addr(d, replace, &mut h);
+                        d.hash(&mut h);
                     }
                     None => 0u8.hash(&mut h),
                 }
@@ -148,7 +152,7 @@ fn structural_hash(program: &PimProgram, replace: Option<DbcLocation>) -> u64 {
             Step::Readout { label, addr, lane } => {
                 2u8.hash(&mut h);
                 label.hash(&mut h);
-                hash_addr(addr, replace, &mut h);
+                addr.hash(&mut h);
                 lane.hash(&mut h);
             }
         }
@@ -156,12 +160,10 @@ fn structural_hash(program: &PimProgram, replace: Option<DbcLocation>) -> u64 {
     h.finish()
 }
 
-/// The poison registry's program fingerprint: the same structural,
-/// placement-normalized hash the cache keys on, so one pathological
-/// program maps to one quarantine entry wherever it is placed.
-pub(crate) fn fingerprint(program: &PimProgram) -> u64 {
-    let home = single_location(program);
-    structural_hash(program, home.map(|_| CANON))
+/// Drops the entry with the oldest stamp; `false` for an empty map.
+fn evict_oldest<E>(map: &mut HashMap<u64, E>, stamp: impl Fn(&E) -> u64) -> bool {
+    let oldest = map.iter().min_by_key(|(_, e)| stamp(e)).map(|(k, _)| *k);
+    oldest.is_some_and(|key| map.remove(&key).is_some())
 }
 
 impl ProgramCache {
@@ -177,51 +179,26 @@ impl ProgramCache {
         }
     }
 
-    /// The home DBC (for single-DBC programs) and canonical key of a
-    /// submission.
-    fn key_of(&self, program: &PimProgram) -> (Option<DbcLocation>, u64) {
-        let home = single_location(program);
-        let key = structural_hash(program, home.map(|_| CANON));
-        (home, key)
-    }
-
     fn shard_of(&self, key: u64) -> &Mutex<Shard> {
         &self.shards[(key as usize) % self.shards.len()]
     }
 
-    /// Looks a submission up; on a hit, returns the cached optimized
-    /// program retargeted to the submission's home DBC. Counts neither
-    /// hits nor misses for the caller — it does so itself.
-    pub fn get(&self, program: &PimProgram) -> Option<CachedCompile> {
-        let (home, key) = self.key_of(program);
+    /// Looks a canonical-frame submission up under its key; a hit shares
+    /// the entry's optimized program. Counts the hit or miss itself.
+    pub fn get(&self, key: u64, program: &PimProgram) -> Option<CachedCompile> {
         let mut shard = crate::sync::lock(self.shard_of(key));
         shard.stamp += 1;
         let stamp = shard.stamp;
-        let hit = match shard.map.get_mut(&key) {
-            Some(entry) => {
-                // Structural equality against the canonicalized original:
-                // a colliding key serves nothing.
-                let canonical_matches = match home {
-                    Some(loc) if loc != CANON => entry.original == program.retarget(CANON),
-                    _ => entry.original == *program,
-                };
-                if !canonical_matches {
-                    None
-                } else {
-                    entry.stamp = stamp;
-                    let out = match home {
-                        Some(loc) if loc != CANON => Arc::new(entry.optimized.retarget(loc)),
-                        _ => Arc::clone(&entry.optimized),
-                    };
-                    Some(CachedCompile {
-                        program: out,
-                        instructions_saved: entry.instructions_saved,
-                        cycles_saved: entry.cycles_saved,
-                    })
-                }
-            }
-            None => None,
-        };
+        // Structural equality against the stored original: a colliding
+        // key serves nothing.
+        let hit = shard
+            .map
+            .get_mut(&key)
+            .filter(|entry| entry.original == *program)
+            .map(|entry| {
+                entry.stamp = stamp;
+                entry.compiled.clone()
+            });
         drop(shard);
         match &hit {
             Some(cached) => {
@@ -236,45 +213,21 @@ impl ProgramCache {
         hit
     }
 
-    /// Stores a freshly compiled artifact (canonicalized), evicting the
-    /// least-recently-used entry of the shard when over capacity.
-    pub fn insert(
-        &self,
-        program: &PimProgram,
-        optimized: &Arc<PimProgram>,
-        instructions_saved: u64,
-        cycles_saved: u64,
-    ) {
-        let (home, key) = self.key_of(program);
-        let (original, optimized) = match home {
-            Some(loc) if loc != CANON => {
-                (program.retarget(CANON), Arc::new(optimized.retarget(CANON)))
-            }
-            _ => (program.clone(), Arc::clone(optimized)),
-        };
+    /// Stores a freshly compiled artifact under the key its submission
+    /// carried, evicting the least-recently-used entry of the shard when
+    /// over capacity.
+    pub fn insert(&self, key: u64, original: PimProgram, compiled: CachedCompile) {
         let mut shard = crate::sync::lock(self.shard_of(key));
         shard.stamp += 1;
         let stamp = shard.stamp;
-        shard.map.insert(
-            key,
-            Entry {
-                original,
-                optimized,
-                instructions_saved,
-                cycles_saved,
-                stamp,
-            },
-        );
-        if shard.map.len() > self.per_shard_capacity {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        let entry = Entry {
+            original,
+            compiled,
+            stamp,
+        };
+        shard.map.insert(key, entry);
+        if shard.map.len() > self.per_shard_capacity && evict_oldest(&mut shard.map, |e| e.stamp) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -295,13 +248,13 @@ impl ProgramCache {
 /// Serving campaigns issue the same batch shapes over and over (the same
 /// query programs landing on the same-depth FIFOs), and without this
 /// cache every batched dispatch re-runs splice + the full cross-boundary
-/// pass pipeline. Keying follows the same rules as [`ProgramCache`]:
-/// members (always single-DBC after scheduler retargeting) are
-/// normalized to [`CANON`] before hashing, every hit is guarded by full
-/// structural equality against the stored canonical members, and the
-/// cached artifact is retargeted to the dispatch's home DBC on the way
-/// out. Unlike [`ProgramCache`] it is owned by the scheduler thread, so
-/// it needs no locking.
+/// pass pipeline. It is keyed on the members' carried keys
+/// ([`PimJob::key`]) and every hit is guarded by equality against the
+/// stored members — a pointer comparison when both came out of the
+/// compile cache. Members are placement-free, so the splice is too: one
+/// entry serves every unit, and a hit is an [`Arc::clone`]. Unlike
+/// [`ProgramCache`] it is owned by the scheduler thread, so it needs no
+/// locking.
 pub(crate) struct BatchCache {
     map: HashMap<u64, BatchEntry>,
     capacity: usize,
@@ -311,31 +264,19 @@ pub(crate) struct BatchCache {
 }
 
 struct BatchEntry {
-    /// Canonicalized member programs, in splice order; compared in full
-    /// on every hit so hash collisions degrade to misses.
-    members: Vec<PimProgram>,
-    /// The spliced + optimized batch, canonicalized.
+    /// Member programs, in splice order; compared on every hit so hash
+    /// collisions degrade to misses.
+    members: Vec<Arc<PimProgram>>,
+    /// The spliced + optimized batch.
     optimized: Arc<PimProgram>,
     stamp: u64,
 }
 
-/// The single DBC every member of the batch is confined to, if any.
-/// Scheduler-retargeted jobs always satisfy this; anything else is not
-/// safely normalizable and is simply not cached.
-fn batch_home(programs: &[&PimProgram]) -> Option<DbcLocation> {
-    let first = single_location(programs.first()?)?;
-    programs
-        .iter()
-        .skip(1)
-        .all(|p| single_location(p) == Some(first))
-        .then_some(first)
-}
-
-fn batch_key(programs: &[&PimProgram]) -> u64 {
+fn batch_key(members: &[PimJob]) -> u64 {
     let mut h = DefaultHasher::new();
-    programs.len().hash(&mut h);
-    for program in programs {
-        structural_hash(program, Some(CANON)).hash(&mut h);
+    members.len().hash(&mut h);
+    for member in members {
+        member.key().hash(&mut h);
     }
     h.finish()
 }
@@ -351,72 +292,40 @@ impl BatchCache {
         }
     }
 
-    /// Looks an ordered member sequence up; on a hit, returns the cached
-    /// optimized batch retargeted to the members' home DBC.
-    pub fn get(&mut self, members: &[&PimProgram]) -> Option<Arc<PimProgram>> {
-        let Some(home) = batch_home(members) else {
-            self.misses += 1;
-            return None;
-        };
+    /// The cached batch of an ordered member sequence, or — counted as a
+    /// miss — what `build` makes of it, stored under the members' key
+    /// (replacing a colliding shape). Evicts LRU over capacity.
+    pub fn get_or_build(
+        &mut self,
+        members: &[PimJob],
+        build: impl FnOnce() -> Arc<PimProgram>,
+    ) -> Arc<PimProgram> {
         let key = batch_key(members);
         self.stamp += 1;
         let stamp = self.stamp;
-        let hit = match self.map.get_mut(&key) {
-            Some(entry) if entry_matches(entry, members, home) => {
-                entry.stamp = stamp;
-                Some(match home {
-                    loc if loc != CANON => Arc::new(entry.optimized.retarget(loc)),
-                    _ => Arc::clone(&entry.optimized),
-                })
-            }
-            _ => None,
+        let same = |(stored, job): (&Arc<PimProgram>, &PimJob)| {
+            Arc::ptr_eq(stored, &job.program) || *stored == job.program
         };
-        if hit.is_some() {
+        let cached = self.map.get_mut(&key).filter(|e| {
+            e.members.len() == members.len() && e.members.iter().zip(members).all(same)
+        });
+        if let Some(entry) = cached {
+            entry.stamp = stamp;
             self.hits += 1;
-        } else {
-            self.misses += 1;
+            return Arc::clone(&entry.optimized);
         }
-        hit
-    }
-
-    /// Stores a freshly spliced+optimized batch under its member key,
-    /// unless the key is already occupied (the hit path, or a colliding
-    /// shape — either way the existing entry stays). Evicts LRU over
-    /// capacity.
-    pub fn insert_if_missed(&mut self, members: &[&PimProgram], optimized: &Arc<PimProgram>) {
-        let Some(home) = batch_home(members) else {
-            return;
+        self.misses += 1;
+        let entry = BatchEntry {
+            members: members.iter().map(|j| Arc::clone(&j.program)).collect(),
+            optimized: build(),
+            stamp,
         };
-        let key = batch_key(members);
-        if self.map.contains_key(&key) {
-            return;
-        }
-        self.stamp += 1;
-        let canonical = |p: &PimProgram| {
-            if home == CANON {
-                p.clone()
-            } else {
-                p.retarget(CANON)
-            }
-        };
-        self.map.insert(
-            key,
-            BatchEntry {
-                members: members.iter().map(|p| canonical(p)).collect(),
-                optimized: Arc::new(canonical(optimized)),
-                stamp: self.stamp,
-            },
-        );
+        let optimized = Arc::clone(&entry.optimized);
+        self.map.insert(key, entry);
         if self.map.len() > self.capacity {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                self.map.remove(&oldest);
-            }
+            evict_oldest(&mut self.map, |e| e.stamp);
         }
+        optimized
     }
 
     /// `(hits, misses)` so far.
@@ -425,21 +334,11 @@ impl BatchCache {
     }
 }
 
-fn entry_matches(entry: &BatchEntry, members: &[&PimProgram], home: DbcLocation) -> bool {
-    entry.members.len() == members.len()
-        && entry.members.iter().zip(members).all(|(stored, p)| {
-            if home == CANON {
-                stored == *p
-            } else {
-                *stored == p.retarget(CANON)
-            }
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
+    use coruscant_mem::RowAddress;
 
     fn program_at(loc: DbcLocation, value: u64) -> PimProgram {
         PimProgram {
@@ -458,54 +357,124 @@ mod tests {
         }
     }
 
+    /// A load on one DBC read out on another.
+    fn split(first: DbcLocation, second: DbcLocation) -> PimProgram {
+        let mut program = program_at(first, 1);
+        program.steps[1].map_addrs(|a| RowAddress::new(second, a.row));
+        program
+    }
+
+    fn and(loc: DbcLocation, operands: u8) -> PimProgram {
+        PimProgram {
+            steps: vec![Step::Exec(
+                CpimInstr::new(
+                    CpimOpcode::And,
+                    RowAddress::new(loc, 4),
+                    operands,
+                    BlockSize::new(64).unwrap(),
+                    Some(RowAddress::new(loc, 20)),
+                )
+                .unwrap(),
+            )],
+        }
+    }
+
+    /// What `submit` does with a DBC-bound program: canonical frame, one
+    /// hash, probe; on a miss the program moves into the entry (stored
+    /// as its own artifact here).
+    fn submit(cache: &ProgramCache, mut program: PimProgram) -> (Arc<PimProgram>, bool) {
+        canonicalize(&mut program, Placement::Auto);
+        let key = fingerprint(&program);
+        if let Some(hit) = cache.get(key, &program) {
+            return (hit.program, true);
+        }
+        let compiled = CachedCompile {
+            program: Arc::new(program.clone()),
+            instructions_saved: 0,
+            cycles_saved: 5,
+        };
+        cache.insert(key, program, compiled.clone());
+        (compiled.program, false)
+    }
+
     #[test]
-    fn single_dbc_programs_share_one_entry_across_locations() {
+    fn one_logical_program_from_two_homes_shares_one_artifact() {
         let cache = ProgramCache::new(&CacheOptions::default());
-        let a = program_at(DbcLocation::new(0, 0, 0, 0), 7);
-        let b = program_at(DbcLocation::new(1, 0, 0, 0), 7);
-        assert!(cache.get(&a).is_none());
-        cache.insert(&a, &Arc::new(a.clone()), 0, 5);
-        // The same logical program at another DBC hits, retargeted home.
-        let hit = cache.get(&b).expect("normalized hit");
-        assert_eq!(*hit.program, b);
-        assert_eq!(hit.cycles_saved, 5);
+        let (first, hit) = submit(&cache, program_at(DbcLocation::new(1, 0, 0, 0), 7));
+        assert!(!hit);
+        for home in [CANON, DbcLocation::new(5, 1, 1, 2)] {
+            let (again, hit) = submit(&cache, program_at(home, 7));
+            assert!(hit, "normalized hit from {home:?}");
+            assert!(Arc::ptr_eq(&first, &again), "a hit shares, never copies");
+        }
+        assert_eq!(*first, program_at(CANON, 7), "held in the canonical frame");
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.est_cycles_saved, 5);
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!(stats.est_cycles_saved, 10);
     }
 
     #[test]
     fn different_values_are_different_entries() {
         let cache = ProgramCache::new(&CacheOptions::default());
-        let a = program_at(CANON, 7);
-        cache.insert(&a, &Arc::new(a.clone()), 0, 0);
-        assert!(cache.get(&program_at(CANON, 8)).is_none());
+        submit(&cache, program_at(CANON, 7));
+        assert!(!submit(&cache, program_at(CANON, 8)).1);
     }
 
     #[test]
     fn multi_dbc_programs_key_on_concrete_locations() {
         let l0 = DbcLocation::new(0, 0, 0, 0);
         let l1 = DbcLocation::new(1, 0, 0, 0);
-        let split = |first: DbcLocation, second: DbcLocation| PimProgram {
-            steps: vec![
-                Step::Load {
-                    addr: RowAddress::new(first, 4),
-                    values: vec![1],
-                    lane: 64,
-                },
-                Step::Readout {
-                    label: "x".into(),
-                    addr: RowAddress::new(second, 4),
-                    lane: 64,
-                },
-            ],
-        };
         let cache = ProgramCache::new(&CacheOptions::default());
-        let a = split(l0, l1);
-        cache.insert(&a, &Arc::new(a.clone()), 0, 0);
-        assert!(cache.get(&a).is_some());
+        let (stored, _) = submit(&cache, split(l0, l1));
+        assert_eq!(*stored, split(l0, l1), "left as written");
+        assert!(submit(&cache, split(l0, l1)).1);
         // Swapped locations is a different program, not a hit.
-        assert!(cache.get(&split(l1, l0)).is_none());
+        assert!(!submit(&cache, split(l1, l0)).1);
+    }
+
+    /// The key `submit` would carry for `program` under `placement`.
+    fn key_of(mut program: PimProgram, placement: Placement) -> u64 {
+        canonicalize(&mut program, placement);
+        fingerprint(&program)
+    }
+
+    #[test]
+    fn tile_relative_programs_are_never_moved() {
+        // Under a resident placement the DBC index is part of the
+        // program: a pin program confined to storage DBC 1 stays there,
+        // and keys apart from its twin on DBC 2.
+        let storage = DbcLocation::new(0, 0, 0, 1);
+        let twin = DbcLocation::new(0, 0, 0, 2);
+        let resident = Placement::Resident(0);
+        let mut pin = program_at(storage, 3);
+        canonicalize(&mut pin, resident);
+        assert_eq!(pin, program_at(storage, 3));
+        assert_ne!(
+            key_of(pin.clone(), resident),
+            key_of(program_at(twin, 3), resident)
+        );
+        let unit = Placement::Unit(4);
+        assert_eq!(key_of(pin.clone(), unit), key_of(program_at(twin, 3), unit));
+        canonicalize(&mut pin, unit);
+        assert_eq!(pin, program_at(CANON, 3));
+    }
+
+    #[test]
+    fn keys_are_what_they_were_before_placement_became_data() {
+        // Recorded at the parent commit, where the hash read the
+        // location of a single-DBC program as canonical instead of the
+        // program moving there.
+        let far = DbcLocation::new(5, 1, 1, 2);
+        for home in [CANON, DbcLocation::new(1, 0, 0, 0), far] {
+            let key = key_of(program_at(home, 7), Placement::Auto);
+            assert_eq!(key, 0x849b_cd14_c437_8559, "{home:?}");
+        }
+        let multi = split(CANON, DbcLocation::new(1, 0, 0, 0));
+        assert_eq!(key_of(multi, Placement::Auto), 0x72bb_af21_ba26_e9aa);
+        assert_eq!(
+            key_of(and(far, 2), Placement::Unit(3)),
+            0x1071_35cd_edc7_c510
+        );
     }
 
     #[test]
@@ -516,33 +485,60 @@ mod tests {
             ..CacheOptions::default()
         };
         let cache = ProgramCache::new(&options);
-        let a = program_at(CANON, 1);
-        let b = program_at(CANON, 2);
-        cache.insert(&a, &Arc::new(a.clone()), 0, 0);
-        cache.insert(&b, &Arc::new(b.clone()), 0, 0);
+        submit(&cache, program_at(CANON, 1));
+        submit(&cache, program_at(CANON, 2));
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get(&a).is_none(), "a was evicted");
-        assert!(cache.get(&b).is_some(), "b survives");
+        assert!(submit(&cache, program_at(CANON, 2)).1, "b survives");
+        assert!(!submit(&cache, program_at(CANON, 1)).1, "a was evicted");
     }
 
     #[test]
     fn exec_structure_distinguishes_programs() {
-        let and = |k: u8| PimProgram {
-            steps: vec![Step::Exec(
-                CpimInstr::new(
-                    CpimOpcode::And,
-                    RowAddress::new(CANON, 4),
-                    k,
-                    BlockSize::new(64).unwrap(),
-                    Some(RowAddress::new(CANON, 20)),
-                )
-                .unwrap(),
-            )],
-        };
         let cache = ProgramCache::new(&CacheOptions::default());
-        let two = and(2);
-        cache.insert(&two, &Arc::new(two.clone()), 0, 0);
-        assert!(cache.get(&and(3)).is_none());
-        assert!(cache.get(&and(2)).is_some());
+        submit(&cache, and(CANON, 2));
+        assert!(!submit(&cache, and(CANON, 3)).1);
+        assert!(submit(&cache, and(CANON, 2)).1);
+    }
+
+    #[test]
+    fn a_cached_splice_serves_every_unit() {
+        let compile_cache = ProgramCache::new(&CacheOptions::default());
+        // The same two logical programs queued on two units, compiled at
+        // two homes: the members carry equal keys and shared artifacts.
+        let batch_from = |home: DbcLocation, first_id: u64| -> Vec<PimJob> {
+            [program_at(home, 1), and(home, 2)]
+                .into_iter()
+                .zip(first_id..)
+                .map(|(program, id)| PimJob {
+                    key: Some(key_of(program.clone(), Placement::Auto)),
+                    program: submit(&compile_cache, program).0,
+                    ..PimJob::verbatim(id, PimProgram::default(), Placement::Auto)
+                })
+                .collect()
+        };
+        let mut cache = BatchCache::new(4);
+        let built = Arc::new(program_at(CANON, 99));
+        let on_first_unit = cache.get_or_build(&batch_from(CANON, 0), || Arc::clone(&built));
+        let on_second_unit = cache
+            .get_or_build(&batch_from(DbcLocation::new(3, 1, 0, 0), 2), || {
+                panic!("the splice is cached")
+            });
+        assert!(Arc::ptr_eq(&on_first_unit, &built));
+        assert!(Arc::ptr_eq(&on_second_unit, &built), "the first unit's Arc");
+        assert_eq!(cache.counts(), (1, 1));
+
+        // Members that bypassed the compiler are keyed on demand and
+        // compared by value; another order is another shape.
+        let unkeyed = |ids: [u64; 2], values: [u64; 2]| -> Vec<PimJob> {
+            let job =
+                |i: usize| PimJob::verbatim(ids[i], program_at(CANON, values[i]), Placement::Auto);
+            vec![job(0), job(1)]
+        };
+        let other = Arc::new(program_at(CANON, 98));
+        let first = cache.get_or_build(&unkeyed([4, 5], [1, 2]), || Arc::clone(&other));
+        let again = cache.get_or_build(&unkeyed([6, 7], [1, 2]), || panic!("cached"));
+        assert!(Arc::ptr_eq(&first, &again));
+        cache.get_or_build(&unkeyed([8, 9], [2, 1]), || Arc::clone(&other));
+        assert_eq!(cache.counts(), (2, 3));
     }
 }

@@ -16,60 +16,21 @@ use crate::chaos::ChaosPlan;
 use crate::cputime;
 use crate::deps::{DepTracker, Released};
 use crate::events::{Event, EventTrace};
-use crate::exec::{demux, Dispatch, Dispatcher};
+use crate::exec::{demux, Dispatcher};
 use crate::health::{HealthTracker, Transition};
 use crate::job::{PimJob, Placement};
 use crate::notify::JobNotice;
 use crate::options::RuntimeOptions;
 use crate::queue::{JobQueue, Pop};
 use crate::report::{Reorder, Replay, Retired, SchedProfile, SchedulerOutput};
-use crate::sched::{BankScheduler, DispatchMode, IssuedBatch};
+use crate::sched::{BankScheduler, IssuedBatch, Placer};
 use crate::session::{AckMsg, Canceller, Completion, Submission, WorkMsg};
 use crate::supervise::{DownCause, PoisonRegistry, Supervisor};
-use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, MemoryConfig};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// Relocates a program onto `unit`'s tile: every address keeps its DBC
-/// index and row but moves to the unit's bank/subarray/tile. This is
-/// the multi-DBC analogue of [`PimProgram::retarget`] used for resident
-/// jobs, whose programs address both the tile's PIM DBC and its storage
-/// DBCs.
-fn relocate_to_tile(program: &PimProgram, unit: DbcLocation) -> PimProgram {
-    use coruscant_mem::RowAddress;
-    let mv = |a: &RowAddress| {
-        RowAddress::new(
-            DbcLocation::new(unit.bank, unit.subarray, unit.tile, a.location.dbc),
-            a.row,
-        )
-    };
-    let steps = program
-        .steps
-        .iter()
-        .map(|s| match s {
-            Step::Load { addr, values, lane } => Step::Load {
-                addr: mv(addr),
-                values: values.clone(),
-                lane: *lane,
-            },
-            Step::Exec(i) => {
-                let mut i = *i;
-                i.src = mv(&i.src);
-                i.dst = i.dst.map(|d| mv(&d));
-                Step::Exec(i)
-            }
-            Step::Readout { label, addr, lane } => Step::Readout {
-                label: label.clone(),
-                addr: mv(addr),
-                lane: *lane,
-            },
-        })
-        .collect();
-    PimProgram { steps }
-}
 
 /// A dispatched-but-unacknowledged attempt. The scheduler keeps it so it
 /// can re-route the member jobs if the attempt fails verification or
@@ -118,7 +79,7 @@ pub(crate) struct ClassicSched {
     /// The active chaos plan, if any.
     chaos: Option<ChaosPlan>,
     disp: Dispatcher,
-    unit_count: usize,
+    placer: Placer,
     sched: BankScheduler,
     health: HealthTracker,
     /// Jobs cleared for placement (admitted or released by a retirement).
@@ -127,14 +88,13 @@ pub(crate) struct ClassicSched {
     inflight_per_bank: Vec<usize>,
     /// Armed, once supervision is dirty, the first time the drain blocks.
     drain_deadline: Option<Instant>,
-    place_cursor: usize,
     /// Scrub passes awaiting an ack, per shard (zeroed when the shard
     /// goes down — its queued scrubs died with it).
     scrubs_outstanding: Vec<usize>,
     deps: DepTracker,
-    /// Residency id → (hosting unit, pin program kept for
-    /// re-materialization after quarantine).
-    residents: HashMap<u64, (DbcLocation, Arc<PimProgram>)>,
+    /// Residency id → (hosting unit, pin job kept for re-materialization
+    /// after quarantine).
+    residents: HashMap<u64, (DbcLocation, PimJob)>,
     /// Every seq the bank scheduler hands out settles here exactly once —
     /// acked, or skipped (`None`) the moment it is known to produce no
     /// completion — and what the watermark passes goes to `replay`.
@@ -155,7 +115,7 @@ impl ClassicSched {
         ClassicSched {
             fault_aware: options.fault_aware(),
             chaos: options.active_chaos(),
-            unit_count: disp.units.pim_unit_count(),
+            placer: Placer::new(&ctx.config, options.dispatch, |_| true),
             disp,
             sched: BankScheduler::new(banks).with_policy(options.issue_policy),
             health: HealthTracker::new(banks, options.health),
@@ -163,7 +123,6 @@ impl ClassicSched {
             inflight: HashMap::new(),
             inflight_per_bank: vec![0; banks],
             drain_deadline: None,
-            place_cursor: 0,
             scrubs_outstanding: vec![0; shards],
             deps: DepTracker::new(),
             residents: HashMap::new(),
@@ -194,62 +153,33 @@ impl ClassicSched {
         self.shards_touched() && self.ctx.supervisor.any_down()
     }
 
-    /// The unit under the placement cursor, which then advances
-    /// (bank-major unit indexing: consecutive jobs land on consecutive
-    /// banks, §V-C).
-    fn next_unit(&mut self) -> DbcLocation {
-        let unit = self
-            .disp
-            .units
-            .pim_unit(self.place_cursor % self.unit_count);
-        self.place_cursor += 1;
-        unit
-    }
-
     /// The next PIM unit in circular order, skipping quarantined banks,
     /// banks owned by a down worker shard, and `avoid` (when
-    /// alternatives exist). Falls back to plain circular order if every
-    /// unit is excluded.
+    /// alternatives exist).
     fn pick_unit(&mut self, avoid: Option<usize>) -> DbcLocation {
         // One lock for the whole scan instead of one per candidate.
         let shards_dirty = self.any_shard_down();
-        for _ in 0..self.unit_count {
-            let unit = self.next_unit();
-            let excluded = self.health.is_quarantined(unit.bank)
-                || (shards_dirty && self.ctx.supervisor.is_down(unit.bank % self.ctx.shards))
-                || (avoid == Some(unit.bank) && self.unit_count > 1);
-            if !excluded {
-                return unit;
-            }
-        }
-        self.next_unit()
+        let (health, supervisor, shards) = (&self.health, &self.ctx.supervisor, self.ctx.shards);
+        self.placer.pick(avoid, |unit| {
+            health.is_quarantined(unit.bank)
+                || (shards_dirty && supervisor.is_down(unit.bank % shards))
+        })
     }
 
-    /// `unit`, or the next healthy unit if its bank is quarantined.
-    fn unless_quarantined(&mut self, unit: DbcLocation) -> DbcLocation {
-        if self.health.is_quarantined(unit.bank) {
-            self.pick_unit(None)
-        } else {
-            unit
-        }
+    /// The unit `placement` names, or the next healthy unit if it names
+    /// none or one on a quarantined bank ([`Placement::Fixed`] alone is
+    /// not quarantine-aware).
+    fn resolve(&mut self, placement: Placement) -> DbcLocation {
+        let health = &self.health;
+        self.placer
+            .named(placement, |unit| health.is_quarantined(unit.bank))
+            .unwrap_or_else(|| self.pick_unit(None))
     }
 
-    /// Resolves a job's placement (quarantine-aware for anything but
-    /// [`Placement::Fixed`]) and enqueues it into the bank FIFOs.
+    /// Resolves a job's placement and queues it, beside the unit, on the
+    /// unit's bank.
     fn place(&mut self, job: PimJob) {
         let unit = match job.placement {
-            Placement::Auto => match self.options.dispatch {
-                DispatchMode::Circular => self.pick_unit(None),
-                DispatchMode::SingleBank => {
-                    let unit = self.disp.units.pim_unit(0);
-                    self.unless_quarantined(unit)
-                }
-            },
-            Placement::Unit(idx) => {
-                let unit = self.disp.units.pim_unit(idx % self.unit_count);
-                self.unless_quarantined(unit)
-            }
-            Placement::Fixed(loc) => loc,
             // The residency map is kept current by re-materialization
             // (quarantine moves residents before re-placing their
             // dependents), so the hosting unit is always usable here.
@@ -263,19 +193,9 @@ impl ClassicSched {
                     return;
                 }
             },
+            placement => self.resolve(placement),
         };
-        self.enqueue_on(job, unit);
-    }
-
-    /// Moves `job`'s program onto `unit` — tile-relative for resident
-    /// jobs, whose programs also address the tile's storage DBCs — and
-    /// queues it on the unit's bank.
-    fn enqueue_on(&mut self, job: PimJob, unit: DbcLocation) {
-        let program = Arc::new(match job.placement {
-            Placement::Resident(_) => relocate_to_tile(&job.program, unit),
-            _ => job.program.retarget(unit),
-        });
-        self.sched.enqueue(PimJob { program, ..job }, unit.bank);
+        self.sched.enqueue(job, unit);
     }
 
     /// Records a job's final attempt with the dependency tracker and
@@ -313,9 +233,8 @@ impl ClassicSched {
                 self.process_released(rel);
             }
             Submission::Pin { res, unit_idx, job } => {
-                let requested = self.disp.units.pim_unit(unit_idx % self.unit_count);
-                let unit = self.unless_quarantined(requested);
-                self.residents.insert(res, (unit, Arc::clone(&job.program)));
+                let unit = self.resolve(Placement::Unit(unit_idx));
+                self.residents.insert(res, (unit, job.clone()));
                 self.out.pins += 1;
                 if let Some(trace) = &self.ctx.trace {
                     trace.record(&Event::ResidentPinned {
@@ -349,14 +268,14 @@ impl ClassicSched {
     /// re-placed, so per-bank FIFO order guarantees the weights reload
     /// before any dependent job runs on the new bank.
     fn rematerialize_off(&mut self, bank: usize) {
-        let mut moved: Vec<(u64, Arc<PimProgram>)> = self
+        let mut moved: Vec<u64> = self
             .residents
             .iter()
             .filter(|(_, (unit, _))| unit.bank == bank)
-            .map(|(res, (_, program))| (*res, Arc::clone(program)))
+            .map(|(res, _)| *res)
             .collect();
-        moved.sort_by_key(|(res, _)| *res);
-        for (res, program) in moved {
+        moved.sort_unstable();
+        for res in moved {
             let unit = self.pick_unit(Some(bank));
             let id = self.ctx.next_id.fetch_add(1, Ordering::Relaxed);
             self.out.remats += 1;
@@ -368,14 +287,10 @@ impl ClassicSched {
                     to_bank: unit.bank,
                 });
             }
-            self.residents.insert(res, (unit, Arc::clone(&program)));
-            let job = PimJob {
-                id,
-                program,
-                placement: Placement::Resident(res),
-                deadline: None,
-            };
-            self.enqueue_on(job, unit);
+            let (hosting, pin) = self.residents.get_mut(&res).expect("collected above");
+            *hosting = unit;
+            let job = PimJob { id, ..pin.clone() };
+            self.sched.enqueue(job, unit);
         }
     }
 
@@ -426,28 +341,20 @@ impl ClassicSched {
 
     /// Sends one issued dispatch to its shard and records it in flight.
     fn dispatch_issue(&mut self, issue: IssuedBatch) {
-        let shard = issue.bank % self.ctx.shards;
-        let Dispatch {
-            unit,
-            program,
-            slots,
-        } = self.disp.prepare(&issue, shard);
-        let IssuedBatch { seq, jobs, bank } = issue;
+        let bank = issue.unit.bank;
+        let shard = bank % self.ctx.shards;
+        let dispatch = self.disp.prepare(&issue, shard);
+        let IssuedBatch { seq, jobs, .. } = issue;
         self.out.profile.per_shard_issued[shard] += 1;
         self.out.profile.per_shard_jobs[shard] += jobs.len() as u64;
         self.inflight_per_bank[bank] += 1;
-        let budget = self.options.watchdog.budget(program.steps.len() as u64);
+        let steps = dispatch.program.steps.len() as u64;
+        let budget = self.options.watchdog.budget(steps);
         // A send that finds the worker already dead is dropped: its
         // shard-down report re-places the dispatch from the record below.
-        self.ctx.supervisor.send(
-            shard,
-            WorkMsg::Job {
-                seq,
-                unit,
-                program,
-                slots,
-            },
-        );
+        self.ctx
+            .supervisor
+            .send(shard, WorkMsg::Job { seq, dispatch });
         self.inflight.insert(
             seq,
             InflightRec {
@@ -566,11 +473,7 @@ impl ClassicSched {
                 // Re-route the quarantined bank's backlog; only
                 // explicitly pinned jobs stay.
                 for queued in self.sched.drain_bank(bank) {
-                    if matches!(queued.placement, Placement::Fixed(_)) {
-                        self.sched.enqueue(queued, bank);
-                    } else {
-                        self.place(queued);
-                    }
+                    self.place(queued);
                 }
             }
             Transition::None | Transition::Recovered => {}
@@ -609,7 +512,7 @@ impl ClassicSched {
                 attempt: self.disp.attempt_of(member.id),
             });
         }
-        self.enqueue_on(member, unit);
+        self.sched.enqueue(member, unit);
         true
     }
 
@@ -733,7 +636,7 @@ impl ClassicSched {
                     });
                 }
                 if let Some(poison) = &self.ctx.poison {
-                    let fingerprint = crate::cache::fingerprint(&job.program);
+                    let fingerprint = job.key();
                     let (strikes, crossed) = poison.strike(fingerprint);
                     if crossed {
                         self.out.supervision.quarantined_programs += 1;

@@ -14,7 +14,6 @@ use crate::job::{PimJob, Placement};
 use crate::sync::IdSet;
 use coruscant_core::program::PimProgram;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Labeled outputs of one finished job, as its dependents see them.
 pub type DepOutputs = Vec<(String, Vec<u64>)>;
@@ -26,8 +25,8 @@ pub type Binder = Box<dyn FnOnce(&[DepOutputs]) -> Result<PimProgram, String> + 
 
 /// Where a gated job's program comes from.
 pub(crate) enum GatedSource {
-    /// The program is known at submission; it only waits for ordering.
-    Ready(Arc<PimProgram>),
+    /// The job is complete at submission; it only waits for ordering.
+    Ready(PimJob),
     /// The program is built once the listed jobs' outputs are known.
     Deferred {
         /// Data dependencies (global job ids), in binder-argument order.
@@ -227,12 +226,7 @@ impl DepTracker {
 
     fn release(&mut self, id: u64, source: GatedSource, placement: Placement, out: &mut Released) {
         match source {
-            GatedSource::Ready(program) => out.ready.push(PimJob {
-                id,
-                program,
-                placement,
-                deadline: None,
-            }),
+            GatedSource::Ready(job) => out.ready.push(job),
             GatedSource::Deferred { dep_ids, build } => {
                 let inputs: Vec<DepOutputs> = dep_ids
                     .iter()
@@ -240,12 +234,7 @@ impl DepTracker {
                     .collect();
                 self.unregister_watches(&dep_ids);
                 match build(&inputs) {
-                    Ok(program) => out.ready.push(PimJob {
-                        id,
-                        program: Arc::new(program),
-                        placement,
-                        deadline: None,
-                    }),
+                    Ok(program) => out.ready.push(PimJob::verbatim(id, program, placement)),
                     Err(_) => self.fail(id, out),
                 }
             }
@@ -280,12 +269,16 @@ impl DepTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coruscant_core::program::PimProgram;
+    use std::sync::Arc;
 
     fn gated(id: u64, after: &[u64]) -> GatedJob {
         GatedJob {
             id,
-            source: GatedSource::Ready(Arc::new(PimProgram::default())),
+            source: GatedSource::Ready(PimJob::verbatim(
+                id,
+                PimProgram::default(),
+                Placement::Auto,
+            )),
             placement: Placement::Auto,
             after: after.to_vec(),
         }

@@ -7,7 +7,7 @@ use crate::chaos::{self, ChaosAction, ChaosPlan, CrossingPoint};
 use crate::cputime;
 use crate::events::{Event, EventTrace};
 use crate::health::ProtectionPolicy;
-use crate::job::PimJob;
+use crate::job::{Binding, PimJob};
 use crate::notify::JobNotice;
 use crate::options::RuntimeOptions;
 use crate::queue::JobQueue;
@@ -15,29 +15,21 @@ use crate::sched::IssuedBatch;
 use crate::session::{AckMsg, Completion, SlotMeta, Submission, WorkMsg};
 use coruscant_compiler::{splice_programs, Compiler};
 use coruscant_core::dispatch::PimMachine;
+use coruscant_core::isa::CpimInstr;
 use coruscant_core::nmr::NmrVoter;
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_core::PimError;
-use coruscant_mem::{Dbc, DbcLocation, MemoryConfig, MemoryController, Row};
+use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::{Cost, CostMeter};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Readouts a program contributes to its dispatch's output stream.
-fn count_readouts(program: &PimProgram) -> usize {
-    program
-        .steps
-        .iter()
-        .filter(|s| matches!(s, Step::Readout { .. }))
-        .count()
-}
-
 /// The program one dispatch executes: a single member's program shared
 /// as-is, or the cross-boundary-optimized splice of all members (falling
 /// back to the plain splice — still semantics-preserving — if the batch
-/// pipeline fails).
+/// pipeline fails). Members are placement-free, so the splice is too.
 fn batch_program(jobs: &[PimJob], compiler: &Compiler) -> Arc<PimProgram> {
     if jobs.len() == 1 {
         return Arc::clone(&jobs[0].program);
@@ -49,32 +41,13 @@ fn batch_program(jobs: &[PimJob], compiler: &Compiler) -> Arc<PimProgram> {
     }
 }
 
-/// [`batch_program`] with the batched-splice cache in front: repeated
-/// same-shape batches skip splice + cross-boundary optimization.
-fn batch_program_cached(
-    jobs: &[PimJob],
-    compiler: &Compiler,
-    cache: &mut Option<BatchCache>,
-) -> Arc<PimProgram> {
-    if jobs.len() >= 2 {
-        if let Some(cache) = cache.as_mut() {
-            let members: Vec<&PimProgram> = jobs.iter().map(|j| j.program.as_ref()).collect();
-            if let Some(hit) = cache.get(&members) {
-                return hit;
-            }
-            let program = batch_program(jobs, compiler);
-            cache.insert_if_missed(&members, &program);
-            return program;
-        }
-    }
-    batch_program(jobs, compiler)
-}
-
-/// One prepared dispatch: what [`Dispatcher::prepare`] makes of an
-/// issued batch.
+/// One prepared dispatch — what [`Dispatcher::prepare`] makes of an
+/// issued batch, and what an [`Executor`] runs: a single job's program,
+/// or a batched splice of several same-unit jobs.
 pub(crate) struct Dispatch {
-    /// The PIM unit the program targets.
-    pub unit: DbcLocation,
+    /// The unit the members were placed on, and how the program's
+    /// addresses bind to it.
+    pub bind: Binding,
     /// A single member's program, or the splice of all members.
     pub program: Arc<PimProgram>,
     /// Per-member demux records, in member order.
@@ -82,13 +55,11 @@ pub(crate) struct Dispatch {
 }
 
 /// Turns issued batches into dispatches, once for both scheduling
-/// engines: the (spliced) program and its target unit, each member's
-/// slot with its attempt number, the `Batch`/`Issue` trace events, and
-/// the issue and batch counters. Also owns the two per-job retry
-/// budgets the attempt number is made of.
+/// engines: the (spliced) program and its binding, each member's slot
+/// with its attempt number, the `Batch`/`Issue` trace events, and the
+/// issue and batch counters. Also owns the two per-job retry budgets the
+/// attempt number is made of.
 pub(crate) struct Dispatcher {
-    /// Used only for PIM-unit geometry (bank-major indexing).
-    pub units: MemoryController,
     /// Optimizes *across* spliced program boundaries; per-job
     /// optimization already happened at submit.
     compiler: Compiler,
@@ -114,7 +85,6 @@ impl Dispatcher {
         trace: Option<Arc<EventTrace>>,
     ) -> Dispatcher {
         Dispatcher {
-            units: MemoryController::new(config.clone()),
             compiler: Compiler::new(config.clone(), &options.compile),
             splice_cache: options.batch.splice_cache(),
             trace,
@@ -126,13 +96,17 @@ impl Dispatcher {
         }
     }
 
+    /// Verification re-dispatches of `job_id` so far.
+    fn redispatches_of(&self, job_id: u64) -> u32 {
+        self.redispatched.get(&job_id).copied().unwrap_or(0)
+    }
+
     /// The dispatch attempt `job_id` is on: verification re-dispatches
     /// and crash/hang re-placements share one axis (each restart of the
     /// job is a distinct attempt). This is the number the job's slot,
     /// its notices, its chaos draws and its trace events all carry.
     pub fn attempt_of(&self, job_id: u64) -> u32 {
-        self.redispatched.get(&job_id).copied().unwrap_or(0)
-            + self.crash_retries.get(&job_id).copied().unwrap_or(0)
+        self.redispatches_of(job_id) + self.crash_retries.get(&job_id).copied().unwrap_or(0)
     }
 
     /// Spends one verification re-dispatch of `job_id`; `false` once
@@ -157,18 +131,21 @@ impl Dispatcher {
     /// Prepares `issue` for execution on `shard` (a worker shard or a
     /// parallel domain) and accounts for it.
     pub fn prepare(&mut self, issue: &IssuedBatch, shard: usize) -> Dispatch {
-        let IssuedBatch { seq, jobs, bank } = issue;
-        let program = batch_program_cached(jobs, &self.compiler, &mut self.splice_cache);
-        let unit = program
-            .steps
-            .first()
-            .map_or_else(|| self.units.pim_unit(*bank), Step::target);
+        let IssuedBatch { seq, jobs, unit } = issue;
+        let bank = unit.bank;
+        let program = match &mut self.splice_cache {
+            Some(cache) if jobs.len() >= 2 => {
+                cache.get_or_build(jobs, || batch_program(jobs, &self.compiler))
+            }
+            _ => batch_program(jobs, &self.compiler),
+        };
         let slots = jobs
             .iter()
             .map(|j| SlotMeta {
                 job_id: j.id,
-                readouts: count_readouts(&j.program),
+                readouts: j.readouts,
                 attempt: self.attempt_of(j.id),
+                redispatches: self.redispatches_of(j.id),
                 last: false,
             })
             .collect();
@@ -181,7 +158,7 @@ impl Dispatcher {
             if jobs.len() >= 2 {
                 trace.record(&Event::Batch {
                     seq: *seq,
-                    bank: *bank,
+                    bank,
                     jobs: jobs.iter().map(|j| j.id).collect(),
                 });
             }
@@ -189,13 +166,17 @@ impl Dispatcher {
                 trace.record(&Event::Issue {
                     job: job.id,
                     seq: *seq,
-                    bank: *bank,
+                    bank,
                     shard,
                 });
             }
         }
         Dispatch {
-            unit,
+            // Members of one dispatch share one binding kind.
+            bind: Binding {
+                unit: *unit,
+                tile_relative: jobs[0].placement.tile_relative(),
+            },
             program,
             slots,
         }
@@ -244,6 +225,7 @@ pub(crate) fn attempt_notices(
         .map(|(slot, outputs)| JobNotice::Attempt {
             job_id: slot.job_id,
             attempt: slot.attempt,
+            redispatches: slot.redispatches,
             bank,
             batch: slots.len() as u32,
             outputs: outputs.to_vec(),
@@ -304,12 +286,9 @@ impl Executor {
     /// identically, and both engines draw alike. Chaos fires only at the
     /// two crossings — before execution and after it — never inside, so
     /// a caught panic leaves the machine untouched.
-    pub fn attempt(
-        &mut self,
-        program: &PimProgram,
-        slots: &[SlotMeta],
-    ) -> std::thread::Result<ExecOutcome> {
-        let (job, attempt) = slots.first().map_or((0, 0), |s| (s.job_id, s.attempt));
+    pub fn attempt(&mut self, dispatch: &Dispatch) -> std::thread::Result<ExecOutcome> {
+        let first = dispatch.slots.first();
+        let (job, attempt) = first.map_or((0, 0), |s| (s.job_id, s.attempt));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(plan) = self.chaos {
                 match plan.decide(CrossingPoint::WorkerStart, job, attempt) {
@@ -322,7 +301,8 @@ impl Executor {
             let out = execute_protected(
                 &mut self.machine,
                 self.protection,
-                program,
+                &dispatch.program,
+                dispatch.bind,
                 self.voter.as_mut(),
             );
             if let Some(plan) = self.chaos {
@@ -395,20 +375,17 @@ pub(crate) fn worker_loop(
                 };
                 send_ack(AckMsg::Scrub { bank, outcome });
             }
-            WorkMsg::Job {
-                seq,
-                unit,
-                program,
-                slots,
-            } => {
+            WorkMsg::Job { seq, dispatch } => {
+                let unit = dispatch.bind.unit;
                 // Heartbeat, only useful when the watchdog reads it.
                 if options.watchdog.enabled {
                     let _ = ack.send(AckMsg::Started { seq });
                 }
-                let Ok(out) = exec.attempt(&program, &slots) else {
+                let Ok(out) = exec.attempt(&dispatch) else {
                     report_down(Some(seq));
                     return;
                 };
+                let slots = dispatch.slots;
                 if let Some(notify) = &options.notify {
                     let max_redispatch = options.health.max_redispatch;
                     for notice in
@@ -434,11 +411,12 @@ fn execute_protected(
     machine: &mut PimMachine,
     protection: ProtectionPolicy,
     program: &PimProgram,
+    bind: Binding,
     voter: Option<&mut (NmrVoter, Dbc)>,
 ) -> ExecOutcome {
     match protection {
         ProtectionPolicy::None => {
-            let (readouts, instr_costs, error) = run_once(machine, program);
+            let (readouts, instr_costs, error) = run_once(machine, program, bind);
             ExecOutcome {
                 outputs: unpack_readouts(&readouts),
                 instr_costs,
@@ -457,8 +435,8 @@ fn execute_protected(
             let mut retries = 0u32;
             let mut pairs = 0u32;
             loop {
-                let (ro_a, c_a, e_a) = run_once(machine, program);
-                let (ro_b, c_b, e_b) = run_once(machine, program);
+                let (ro_a, c_a, e_a) = run_once(machine, program, bind);
+                let (ro_b, c_b, e_b) = run_once(machine, program, bind);
                 replicas += 2;
                 instr_costs.extend(c_a);
                 instr_costs.extend(c_b);
@@ -506,7 +484,7 @@ fn execute_protected(
             let mut instr_costs = Vec::new();
             let mut runs = Vec::with_capacity(n);
             for i in 0..n {
-                let (readouts, costs, error) = run_once(machine, program);
+                let (readouts, costs, error) = run_once(machine, program, bind);
                 instr_costs.extend(costs);
                 if let Some(err) = error {
                     return ExecOutcome {
@@ -574,12 +552,15 @@ fn readout_rows_equal(a: &Readouts, b: &Readouts) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.2 == y.2)
 }
 
-/// Executes a program once on a shard machine, collecting raw readout
-/// rows (for verification) and per-instruction device costs (for the
-/// central timing replay).
+/// Executes a placement-free program once on a shard machine, mapping
+/// each address through `bind` as it steps — the only place a job's
+/// concrete addresses exist — and collecting raw readout rows (for
+/// verification) and per-instruction device costs (for the central
+/// timing replay).
 fn run_once(
     machine: &mut PimMachine,
     program: &PimProgram,
+    bind: Binding,
 ) -> (Readouts, Vec<Cost>, Option<PimError>) {
     let width = machine.controller().config().nanowires_per_dbc;
     let mut meter = CostMeter::new();
@@ -592,14 +573,20 @@ fn run_once(
                     let row = Row::pack(width, *lane, values);
                     machine
                         .controller_mut()
-                        .store_row(*addr, &row, &mut meter)?;
+                        .store_row(bind.map(*addr), &row, &mut meter)?;
                 }
                 Step::Exec(instr) => {
-                    let out = machine.execute(instr)?;
+                    let instr = CpimInstr {
+                        src: bind.map(instr.src),
+                        dst: instr.dst.map(|d| bind.map(d)),
+                        ..*instr
+                    };
+                    let out = machine.execute(&instr)?;
                     instr_costs.push(out.cost);
                 }
                 Step::Readout { label, addr, lane } => {
-                    let row = machine.controller_mut().load_row(*addr, &mut meter)?;
+                    let addr = bind.map(*addr);
+                    let row = machine.controller_mut().load_row(addr, &mut meter)?;
                     readouts.push((label.clone(), *lane, row));
                 }
             }
@@ -610,4 +597,48 @@ fn run_once(
         }
     }
     (readouts, instr_costs, None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn attempt_notices_carry_the_slots_redispatch_count() {
+        let slot = |job_id, attempt, redispatches| SlotMeta {
+            job_id,
+            readouts: 1,
+            attempt,
+            redispatches,
+            last: false,
+        };
+        let out = ExecOutcome {
+            outputs: vec![("a".into(), vec![1]), ("b".into(), vec![2])],
+            instr_costs: Vec::new(),
+            error: None,
+            replicas: 2,
+            faults_detected: 1,
+            retries: 0,
+            votes_overturned: 0,
+            verified: false,
+        };
+        // Job 4 crashed once and was re-dispatched once; job 5 was
+        // re-dispatched twice, which is the whole budget.
+        let slots = [slot(4, 2, 1), slot(5, 2, 2)];
+        let policy = ProtectionPolicy::Reexecute { max_retries: 0 };
+        let notices = attempt_notices(&slots, &out, 3, policy, 2);
+        let seen: Vec<(u64, u32, u32, bool)> = notices
+            .iter()
+            .map(|notice| match notice {
+                JobNotice::Attempt {
+                    job_id,
+                    attempt,
+                    redispatches,
+                    ..
+                } => (*job_id, *attempt, *redispatches, notice.is_final()),
+                other => panic!("not an attempt: {other:?}"),
+            })
+            .collect();
+        assert_eq!(seen, [(4, 2, 1, false), (5, 2, 2, true)]);
+    }
 }

@@ -1,12 +1,20 @@
-//! Jobs: programs plus placement, and what the runtime reports back.
+//! Jobs: placement-free programs plus a placement, and what the runtime
+//! reports back.
 
-use coruscant_core::program::PimProgram;
-use coruscant_mem::DbcLocation;
+use crate::cache;
+use coruscant_core::program::{PimProgram, Step};
+use coruscant_mem::{DbcLocation, RowAddress};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where a job's program should run.
+/// Where a job's program should run. A placement never rewrites the
+/// program: the scheduler resolves it to a PIM unit that travels beside
+/// the job, and the executor maps each address onto that unit as it
+/// steps. Every placement but [`Placement::Resident`] binds the job to
+/// the unit's DBC: *every* address lands there, rows kept — so a program
+/// that names several DBCs collapses onto the one unit (compile such a
+/// program for a resident placement instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
     /// The scheduler picks the next PIM unit in circular-bank order
@@ -21,12 +29,43 @@ pub enum Placement {
     Fixed(DbcLocation),
     /// Run on the PIM unit currently hosting the resident pin with this
     /// id (see [`Runtime::pin_resident`](crate::Runtime::pin_resident)).
-    /// Unlike the other placements the job's program is *not* retargeted
-    /// onto a single DBC: its addresses are relocated tile-relative
-    /// (DBC index and row preserved) so it can copy pinned weights out
-    /// of the tile's storage DBCs. If quarantine moves the residency,
-    /// queued and re-dispatched jobs follow it to the new unit.
+    /// The job binds to the unit's *tile*: each address takes the unit's
+    /// bank, subarray and tile and keeps its own DBC index and row, so
+    /// the program can copy pinned weights out of the tile's storage
+    /// DBCs. If quarantine moves the residency, queued and re-dispatched
+    /// jobs follow it to the new unit.
     Resident(u64),
+}
+
+impl Placement {
+    /// Whether jobs so placed bind tile-relative (see [`Binding`]).
+    pub(crate) fn tile_relative(self) -> bool {
+        matches!(self, Placement::Resident(_))
+    }
+}
+
+/// How the addresses of a dispatch's program bind to the unit it runs
+/// on. Only the executor applies it; everything above holds programs
+/// that name no real location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Binding {
+    /// The PIM unit placement chose.
+    pub unit: DbcLocation,
+    /// Keep each address's DBC index (resident jobs) instead of taking
+    /// the unit's.
+    pub tile_relative: bool,
+}
+
+impl Binding {
+    /// The concrete address `addr` names under this binding.
+    pub fn map(self, addr: RowAddress) -> RowAddress {
+        let dbc = if self.tile_relative {
+            addr.location.dbc
+        } else {
+            self.unit.dbc
+        };
+        RowAddress::new(DbcLocation { dbc, ..self.unit }, addr.row)
+    }
 }
 
 /// One unit of work: a program to run at some placement.
@@ -34,10 +73,12 @@ pub enum Placement {
 pub struct PimJob {
     /// Runtime-assigned id, returned by `submit`.
     pub id: u64,
-    /// The program (addresses are relative to its compiled placement; the
-    /// scheduler retargets them onto the chosen unit). Shared behind an
-    /// [`Arc`] so retries, NMR replicas, and in-flight records reference
-    /// one allocation instead of cloning the step stream.
+    /// The program, in the canonical frame: a single-DBC program bound
+    /// to a DBC sits on DBC `(0,0,0,0)` wherever its client compiled
+    /// it; a multi-DBC or tile-relative one keeps the locations it was
+    /// written with. Shared behind an [`Arc`] with the compile cache,
+    /// retries, NMR replicas and in-flight records — nothing between
+    /// `submit` and the executor copies or rewrites a step.
     pub program: Arc<PimProgram>,
     /// Requested placement.
     pub placement: Placement,
@@ -47,6 +88,43 @@ pub struct PimJob {
     /// being dispatched. `None` means no deadline (sorts last under
     /// EDF, never expires).
     pub deadline: Option<Instant>,
+    /// The structural key `submit` probed the compile cache with (that
+    /// of the program as submitted, before optimization); `None` for a
+    /// job that bypassed the compiler, whose key is computed on demand.
+    pub key: Option<u64>,
+    /// Readouts the program contributes to its dispatch's output stream.
+    pub readouts: usize,
+}
+
+impl PimJob {
+    /// A job around a program that bypasses the compiler — a chain
+    /// member, a pin, a binder-built program — brought into the
+    /// canonical frame.
+    pub(crate) fn verbatim(id: u64, mut program: PimProgram, placement: Placement) -> PimJob {
+        cache::canonicalize(&mut program, placement);
+        PimJob {
+            id,
+            readouts: count_readouts(&program),
+            program: Arc::new(program),
+            placement,
+            deadline: None,
+            key: None,
+        }
+    }
+
+    /// The job's structural key: the one it carries, or — for a job that
+    /// bypassed the compiler — its program's fingerprint, computed when
+    /// the splice cache or the poison registry asks.
+    pub(crate) fn key(&self) -> u64 {
+        self.key
+            .unwrap_or_else(|| cache::fingerprint(&self.program))
+    }
+}
+
+/// Readout steps of a program (passes neither add nor remove any).
+pub(crate) fn count_readouts(program: &PimProgram) -> usize {
+    let readout = |s: &&Step| matches!(s, Step::Readout { .. });
+    program.steps.iter().filter(readout).count()
 }
 
 /// The completion record of one job.
@@ -92,4 +170,42 @@ pub struct JobOutcome {
     /// (1 = the job ran alone; ≥2 = same-bank batch fusion spliced it
     /// with co-located jobs).
     pub batch: u32,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_binding_maps_addresses_onto_its_unit() {
+        let unit = DbcLocation::new(3, 1, 0, 0);
+        let addr = RowAddress::new(DbcLocation::new(6, 0, 1, 2), 9);
+        let bind = |tile_relative| Binding {
+            unit,
+            tile_relative,
+        };
+        assert_eq!(bind(false).map(addr), RowAddress::new(unit, 9));
+        let in_tile = DbcLocation::new(3, 1, 0, 2);
+        assert_eq!(bind(true).map(addr), RowAddress::new(in_tile, 9));
+    }
+
+    #[test]
+    fn a_verbatim_job_is_canonical_and_keyed_on_demand() {
+        let readout_at = |home| PimProgram {
+            steps: vec![Step::Readout {
+                label: "x".into(),
+                addr: RowAddress::new(home, 4),
+                lane: 8,
+            }],
+        };
+        let home = DbcLocation::new(2, 1, 1, 3);
+        let job = PimJob::verbatim(7, readout_at(home), Placement::Unit(5));
+        assert_eq!(*job.program, readout_at(cache::CANON));
+        assert_eq!((job.readouts, job.key), (1, None));
+        assert_eq!(job.key(), cache::fingerprint(&readout_at(cache::CANON)));
+        // A tile-relative program keeps the DBC it names.
+        let pin = PimJob::verbatim(8, readout_at(home), Placement::Resident(0));
+        assert_eq!(*pin.program, readout_at(home));
+        assert_ne!(pin.key(), job.key());
+    }
 }

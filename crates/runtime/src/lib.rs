@@ -11,10 +11,11 @@
 //! * **Jobs** — a [`PimProgram`] plus a [`Placement`], submitted through
 //!   a bounded [`JobQueue`] that applies backpressure to open-loop
 //!   clients.
-//! * **Scheduling** — the [`BankScheduler`] resolves each job to a PIM
-//!   unit, decodes its target bank, keeps per-bank FIFO queues, and
-//!   issues in circular-bank order so consecutive issues hit different
-//!   banks (§V-C).
+//! * **Scheduling** — placement resolves each job to a PIM unit that
+//!   travels beside its (never rewritten) program; the [`BankScheduler`]
+//!   keeps per-bank FIFO queues and issues in circular-bank order so
+//!   consecutive issues hit different banks (§V-C). Only the executor
+//!   turns the unit into addresses.
 //! * **Execution** — worker threads (*shards*) each own a
 //!   [`coruscant_core::dispatch::PimMachine`]; banks are
 //!   partitioned across shards (`bank % shards`), so same-bank jobs stay
@@ -90,7 +91,7 @@ pub use supervise::{
     PoisonEntry, PoisonRegistry, PoisonReport, SuperviseOptions, SupervisionStats, WatchdogOptions,
 };
 
-use cache::ProgramCache;
+use cache::{CachedCompile, ProgramCache};
 use classic::{ClassicCtx, ClassicSched};
 use coruscant_compiler::{CompileError, Compiler};
 use coruscant_core::nmr::NmrVoter;
@@ -137,6 +138,29 @@ pub struct Runtime {
     optimized_jobs: AtomicU64,
     instructions_eliminated: AtomicU64,
     est_device_cycles_saved: AtomicU64,
+}
+
+/// What the submit path makes of a program: the shared canonical-frame
+/// artifact and what it learned on the way, everything a [`PimJob`]
+/// carries besides its identity.
+struct Compiled {
+    program: Arc<PimProgram>,
+    key: u64,
+    readouts: usize,
+    cache_hit: bool,
+}
+
+impl Compiled {
+    fn into_job(self, id: u64, placement: Placement, deadline: Option<Instant>) -> PimJob {
+        PimJob {
+            id,
+            program: self.program,
+            placement,
+            deadline,
+            key: Some(self.key),
+            readouts: self.readouts,
+        }
+    }
 }
 
 impl Runtime {
@@ -265,27 +289,47 @@ impl Runtime {
         }));
     }
 
-    /// Runs a program through the on-enqueue compiler, consulting the
-    /// compiled-program cache first; a hit skips the whole pass pipeline.
-    /// Returns the shared optimized program and whether it was a hit.
-    /// The optimization counters accumulate either way, so the reported
-    /// savings are identical with and without the cache.
-    fn compile(&self, program: &PimProgram) -> Result<(Arc<PimProgram>, bool), CompileError> {
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(program) {
-                self.credit_optimization(hit.instructions_saved, hit.cycles_saved);
-                return Ok((hit.program, true));
-            }
-        }
-        let (optimized, report) = self.compiler.optimize(program)?;
-        let instructions_saved = report.instructions_saved();
-        let cycles_saved = report.cycles_saved();
-        self.credit_optimization(instructions_saved, cycles_saved);
-        let optimized = Arc::new(optimized);
-        if let Some(cache) = &self.cache {
-            cache.insert(program, &optimized, instructions_saved, cycles_saved);
-        }
-        Ok((optimized, false))
+    /// Brings a submission into the canonical frame, hashes it — the one
+    /// structural hash it ever gets — and runs it through the on-enqueue
+    /// compiler, consulting the compiled-program cache first: a hit
+    /// shares the cached artifact and skips the whole pass pipeline, a
+    /// miss moves the submitted program into the new entry. The
+    /// optimization counters accumulate either way, so the reported
+    /// savings are identical with and without the cache. A program the
+    /// compiler rejects comes back beside the error, unoptimized.
+    fn compile(
+        &self,
+        mut program: PimProgram,
+        placement: Placement,
+    ) -> Result<Compiled, (CompileError, Compiled)> {
+        cache::canonicalize(&mut program, placement);
+        let key = cache::fingerprint(&program);
+        let readouts = job::count_readouts(&program);
+        let compiled = |program, cache_hit| Compiled {
+            program,
+            key,
+            readouts,
+            cache_hit,
+        };
+        let (artifact, cache_hit) = match self.cache.as_ref().and_then(|c| c.get(key, &program)) {
+            Some(hit) => (hit, true),
+            None => match self.compiler.optimize(&program) {
+                Ok((optimized, report)) => {
+                    let artifact = CachedCompile {
+                        program: Arc::new(optimized),
+                        instructions_saved: report.instructions_saved(),
+                        cycles_saved: report.cycles_saved(),
+                    };
+                    if let Some(cache) = &self.cache {
+                        cache.insert(key, program, artifact.clone());
+                    }
+                    (artifact, false)
+                }
+                Err(e) => return Err((e, compiled(Arc::new(program), false))),
+            },
+        };
+        self.credit_optimization(artifact.instructions_saved, artifact.cycles_saved);
+        Ok(compiled(artifact.program, cache_hit))
     }
 
     fn credit_optimization(&self, instructions_saved: u64, cycles_saved: u64) {
@@ -314,9 +358,14 @@ impl Runtime {
         }
     }
 
-    /// Capacity of the bounded submission queue.
+    /// Capacity of the bounded submission queue — under
+    /// [`SchedMode::Parallel`] of every domain's injector together, the
+    /// same sum [`Runtime::queue_len`] reports a depth against.
     pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
+        match &self.par {
+            Some(par) => par.injectors.iter().map(|q| q.capacity()).sum(),
+            None => self.queue.capacity(),
+        }
     }
 
     /// Opens the scheduler gate of a runtime created with
@@ -357,19 +406,13 @@ impl Runtime {
         self.poison.as_ref().map(|p| p.report()).unwrap_or_default()
     }
 
-    /// Refuses a program whose fingerprint the poison registry has
-    /// quarantined. Checked after compilation so the fingerprint matches
-    /// what the watchdog strikes (the dispatched, optimized program;
-    /// structural hashing is placement-normalized, so retargeting does
-    /// not change it).
-    fn check_poison(&self, program: &PimProgram) -> Result<(), u64> {
-        if let Some(poison) = &self.poison {
-            let fingerprint = cache::fingerprint(program);
-            if poison.is_quarantined(fingerprint) {
-                return Err(fingerprint);
-            }
+    /// Refuses a program whose key the poison registry has quarantined:
+    /// the key the job carries is the one the watchdog strikes.
+    fn check_poison(&self, key: u64) -> Result<(), u64> {
+        match &self.poison {
+            Some(poison) if poison.is_quarantined(key) => Err(key),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// The queue a submission with `placement` enters: the classic
@@ -427,17 +470,14 @@ impl Runtime {
         placement: Placement,
         deadline: Option<Instant>,
     ) -> Result<u64, RuntimeError> {
-        let (program, cache_hit) = self.compile(&program).map_err(RuntimeError::Compile)?;
-        self.check_poison(&program)
+        let compiled = self
+            .compile(program, placement)
+            .map_err(|(e, _)| RuntimeError::Compile(e))?;
+        self.check_poison(compiled.key)
             .map_err(|fingerprint| RuntimeError::Poisoned { fingerprint })?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.trace_submit(id, cache_hit);
-        let sub = Submission::Job(PimJob {
-            id,
-            program,
-            placement,
-            deadline,
-        });
+        self.trace_submit(id, compiled.cache_hit);
+        let sub = Submission::Job(compiled.into_job(id, placement, deadline));
         self.inlet(placement)
             .push(sub)
             .map_err(|_| RuntimeError::QueueClosed)?;
@@ -470,22 +510,15 @@ impl Runtime {
         placement: Placement,
         deadline: Option<Instant>,
     ) -> Result<u64, PushError> {
-        // On compile failure the original program is submitted verbatim;
-        // no defensive clone is needed because the compiler borrows it.
-        let (program, cache_hit) = match self.compile(&program) {
-            Ok(compiled) => compiled,
-            Err(_) => (Arc::new(program), false),
-        };
-        if let Err(fingerprint) = self.check_poison(&program) {
+        let compiled = self
+            .compile(program, placement)
+            .unwrap_or_else(|(_, unoptimized)| unoptimized);
+        if let Err(fingerprint) = self.check_poison(compiled.key) {
             return Err(PushError::Poisoned { fingerprint });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let sub = Submission::Job(PimJob {
-            id,
-            program,
-            placement,
-            deadline,
-        });
+        let cache_hit = compiled.cache_hit;
+        let sub = Submission::Job(compiled.into_job(id, placement, deadline));
         self.inlet(placement).try_push(sub)?;
         self.trace_submit(id, cache_hit);
         Ok(id)
@@ -545,7 +578,11 @@ impl Runtime {
             .map(|(i, member)| {
                 let mut after: Vec<u64> = member.after.iter().map(|&d| base + d as u64).collect();
                 let source = match member.source {
-                    ProgramSource::Ready(program) => GatedSource::Ready(Arc::new(program)),
+                    ProgramSource::Ready(program) => GatedSource::Ready(PimJob::verbatim(
+                        base + i as u64,
+                        program,
+                        member.placement,
+                    )),
                     ProgramSource::Deferred { deps, build } => {
                         let dep_ids: Vec<u64> = deps.iter().map(|&d| base + d as u64).collect();
                         after.extend(&dep_ids);
@@ -589,7 +626,9 @@ impl Runtime {
         after: &[u64],
     ) -> Result<u64, RuntimeError> {
         self.classic_only("submit_after", "cross-domain gates are not sharded")?;
-        let (program, cache_hit) = self.compile(&program).map_err(RuntimeError::Compile)?;
+        let compiled = self
+            .compile(program, placement)
+            .map_err(|(e, _)| RuntimeError::Compile(e))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         for &d in after {
             if d >= id {
@@ -598,14 +637,14 @@ impl Runtime {
                 )));
             }
         }
-        self.trace_submit(id, cache_hit);
+        self.trace_submit(id, compiled.cache_hit);
         let mut after = after.to_vec();
         after.sort_unstable();
         after.dedup();
         self.queue
             .push(Submission::Chain(vec![GatedJob {
                 id,
-                source: GatedSource::Ready(program),
+                source: GatedSource::Ready(compiled.into_job(id, placement, None)),
                 placement,
                 after,
             }]))
@@ -617,8 +656,8 @@ impl Runtime {
     /// index `unit_idx` (modulo the unit count) and registers a residency
     /// there. Jobs submitted with [`Placement::Resident`] and the
     /// returned `res` id run on the hosting unit with their addresses
-    /// relocated tile-relative — DBC index and row preserved — so they
-    /// can copy the pinned rows out of the tile's storage DBCs. If the
+    /// bound tile-relative — DBC index and row preserved — so they can
+    /// copy the pinned rows out of the tile's storage DBCs. If the
     /// hosting bank is quarantined, the scheduler re-runs the pin program
     /// on a healthy unit *before* re-placing any dependent job there
     /// (counted in [`PipelineStats::rematerializations`]).
@@ -646,12 +685,7 @@ impl Runtime {
             .push(Submission::Pin {
                 res,
                 unit_idx,
-                job: PimJob {
-                    id,
-                    program: Arc::new(program),
-                    placement: Placement::Resident(res),
-                    deadline: None,
-                },
+                job: PimJob::verbatim(id, program, Placement::Resident(res)),
             })
             .map_err(|_| RuntimeError::QueueClosed)?;
         Ok(ResidentPin { res, job: id })
@@ -781,12 +815,11 @@ mod tests {
         let queue = Arc::clone(&rt.queue);
         rt.finish().unwrap();
         assert_eq!(
-            queue.push(Submission::Job(PimJob {
-                id: 0,
-                program: Arc::new(PimProgram::default()),
-                placement: Placement::Auto,
-                deadline: None,
-            })),
+            queue.push(Submission::Job(PimJob::verbatim(
+                0,
+                PimProgram::default(),
+                Placement::Auto
+            ))),
             Err(PushError::Closed)
         );
     }
@@ -876,6 +909,34 @@ mod tests {
         let report = rt.finish().unwrap();
         assert_eq!(report.stats.cancelled, 0);
         assert_eq!(report.outcomes.len(), 1, "a job that ran reports as usual");
+    }
+
+    #[test]
+    fn queue_capacity_is_what_queue_len_can_reach() {
+        let options = RuntimeOptions {
+            queue_capacity: 16,
+            ..RuntimeOptions::default().with_shards(4).paused()
+        };
+        let classic = Runtime::new(MemoryConfig::tiny(), options.clone()).unwrap();
+        assert_eq!(classic.queue_capacity(), 16);
+        classic.finish().unwrap();
+        // Four domains, four injectors of 16: a frontend shedding at a
+        // fraction of the capacity must measure against all of them.
+        let config = MemoryConfig {
+            banks: 4,
+            ..MemoryConfig::tiny()
+        };
+        let parallel = Runtime::new(config, options.with_sched_mode(SchedMode::Parallel)).unwrap();
+        assert_eq!(parallel.queue_capacity(), 64);
+        for _ in 0..64 {
+            parallel
+                .try_submit(single_add_program(), Placement::Auto)
+                .expect("round-robin routing fills every injector");
+        }
+        assert_eq!(parallel.queue_len(), parallel.queue_capacity());
+        let refused = parallel.try_submit(single_add_program(), Placement::Auto);
+        assert!(matches!(refused, Err(PushError::Full)), "{refused:?}");
+        assert_eq!(parallel.finish().unwrap().stats.jobs, 64);
     }
 
     #[test]

@@ -33,8 +33,13 @@ pub enum JobNotice {
     Attempt {
         /// The job's id (as returned by `submit`).
         job_id: u64,
-        /// Dispatch attempt (0 = first placement).
+        /// Dispatch attempt (0 = first placement): every restart of the
+        /// job counts, verification re-dispatches and crash/hang
+        /// re-placements alike.
         attempt: u32,
+        /// The verification re-dispatches among those restarts — what
+        /// `max_redispatch` bounds.
+        redispatches: u32,
         /// Bank the attempt ran on.
         bank: usize,
         /// Jobs sharing the batched dispatch this attempt came from.
@@ -48,10 +53,10 @@ pub enum JobNotice {
         /// policy (always `false` when protection is off).
         verified: bool,
         /// Whether the runtime's protection policy is active — together
-        /// with `verified` and `attempt` this decides finality.
+        /// with `verified` and `redispatches` this decides finality.
         protection_active: bool,
-        /// The policy's re-dispatch bound (attempts beyond it are final
-        /// even when unverified).
+        /// The policy's re-dispatch bound (an attempt that has used it up
+        /// is final even when unverified).
         max_redispatch: u32,
     },
     /// The job was cancelled while still queued: it was dropped before
@@ -110,7 +115,8 @@ impl JobNotice {
     /// cancellations and abandonments are always final; an attempt is
     /// final when it verified, when no protection policy (and therefore
     /// no re-dispatch) is active, or when the re-dispatch budget is
-    /// exhausted.
+    /// exhausted — by verification re-dispatches: a crash retry spends
+    /// none of it.
     pub fn is_final(&self) -> bool {
         match self {
             JobNotice::Cancelled { .. }
@@ -120,12 +126,46 @@ impl JobNotice {
             JobNotice::Attempt {
                 verified,
                 protection_active,
-                attempt,
+                redispatches,
                 max_redispatch,
                 ..
-            } => *verified || !protection_active || attempt >= max_redispatch,
+            } => *verified || !protection_active || redispatches >= max_redispatch,
             // Finality is per inner notice; consumers flatten first.
             JobNotice::Batch(inner) => inner.iter().any(JobNotice::is_final),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::JobNotice;
+
+    fn unverified(attempt: u32, redispatches: u32) -> JobNotice {
+        JobNotice::Attempt {
+            job_id: 7,
+            attempt,
+            redispatches,
+            bank: 0,
+            batch: 1,
+            outputs: Vec::new(),
+            error: None,
+            verified: false,
+            protection_active: true,
+            max_redispatch: 2,
+        }
+    }
+
+    #[test]
+    fn a_crash_retry_spends_no_redispatch_budget() {
+        // Attempt 2 = one crash retry + one re-dispatch: the scheduler
+        // still has a re-dispatch to give, so the notice is not final.
+        assert!(!unverified(2, 1).is_final());
+        // The same attempt number made of two re-dispatches is.
+        assert!(unverified(2, 2).is_final());
+        assert!(
+            unverified(5, 2).is_final(),
+            "crash retries on top change nothing"
+        );
+        assert!(!unverified(0, 0).is_final());
     }
 }

@@ -92,8 +92,6 @@ pub struct BatchOptions {
     /// issue-order determinism for higher same-bank throughput (outputs
     /// stay exact under any grouping).
     pub enabled: bool,
-    /// Most jobs one batched dispatch splices together.
-    pub max_jobs: usize,
     /// How members are gathered from a bank FIFO:
     /// [`BatchGrouping::Consecutive`] (default) only fuses the same-unit
     /// run at the head, [`BatchGrouping::SameUnit`] also gathers
@@ -110,7 +108,6 @@ impl Default for BatchOptions {
     fn default() -> BatchOptions {
         BatchOptions {
             enabled: false,
-            max_jobs: 8,
             grouping: BatchGrouping::Consecutive,
             splice_cache: 128,
         }
@@ -118,7 +115,10 @@ impl Default for BatchOptions {
 }
 
 impl BatchOptions {
-    /// Options with batching on at the default batch size.
+    /// Most jobs one batched dispatch splices together.
+    pub const MAX_JOBS: usize = 8;
+
+    /// Options with batching on.
     pub fn enabled() -> BatchOptions {
         BatchOptions {
             enabled: true,
@@ -138,7 +138,7 @@ impl BatchOptions {
     /// The effective per-dispatch job cap (1 when disabled).
     pub(crate) fn cap(&self) -> usize {
         if self.enabled {
-            self.max_jobs.max(1)
+            BatchOptions::MAX_JOBS
         } else {
             1
         }

@@ -9,11 +9,11 @@ use crate::job::{PimJob, Placement};
 use crate::notify::JobNotice;
 use crate::options::{RuntimeError, RuntimeOptions};
 use crate::queue::{JobQueue, Pop};
-use crate::sched::{BankScheduler, DispatchMode, IssuedBatch};
+use crate::sched::{BankScheduler, DispatchMode, IssuedBatch, Placer};
 use crate::session::{Canceller, Completion, Gate, Submission};
 use crate::stats::Histogram;
 use crate::{sync, Runtime};
-use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController};
+use coruscant_mem::{MemoryConfig, MemoryController};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -133,10 +133,8 @@ struct Domain {
     /// The active chaos plan, if any (admit-time delays; the executor
     /// holds its own copy for the attempt crossings).
     chaos: Option<ChaosPlan>,
-    unit_count: usize,
-    /// PIM units on owned banks, in global circular order.
-    owned_units: Vec<DbcLocation>,
-    owned_cursor: usize,
+    /// Walks the PIM units on owned banks, in global circular order.
+    placer: Placer,
     sched: BankScheduler,
     ring_buf: Vec<Completion>,
     out: DomainOutput,
@@ -147,11 +145,10 @@ fn domain_loop(ctx: DomainCtx) -> DomainOutput {
     ctx.gate.wait_open();
     let options = &ctx.options;
     let disp = Dispatcher::new(&ctx.config, options, ctx.trace.clone());
-    let unit_count = disp.units.pim_unit_count();
-    let owned_units: Vec<DbcLocation> = (0..unit_count)
-        .map(|i| disp.units.pim_unit(i))
-        .filter(|u| u.bank % ctx.domains == ctx.domain)
-        .collect();
+    let (domain, domains) = (ctx.domain, ctx.domains);
+    let placer = Placer::new(&ctx.config, options.dispatch, |u| {
+        u.bank % domains == domain
+    });
     let exec = Executor::new(&ctx.config, options);
     // Strided seqs: domain d issues d, d+S, d+2S, … — globally unique,
     // so `finish` restores one total issue order with a plain sort.
@@ -166,9 +163,7 @@ fn domain_loop(ctx: DomainCtx) -> DomainOutput {
         disp,
         exec,
         chaos: options.active_chaos(),
-        unit_count,
-        owned_units,
-        owned_cursor: 0,
+        placer,
         sched,
         ring_buf: Vec::new(),
         out,
@@ -338,45 +333,14 @@ impl Domain {
         }
     }
 
-    /// The next owned PIM unit in circular order, skipping `avoid`'s
-    /// bank when the domain owns an alternative.
-    fn pick_owned_unit(&mut self, avoid: Option<usize>) -> DbcLocation {
-        let n = self.owned_units.len();
-        for _ in 0..n {
-            let unit = self.owned_units[self.owned_cursor % n];
-            self.owned_cursor += 1;
-            if avoid == Some(unit.bank) && n > 1 {
-                continue;
-            }
-            return unit;
-        }
-        let unit = self.owned_units[self.owned_cursor % n];
-        self.owned_cursor += 1;
-        unit
-    }
-
-    /// Resolves a job's placement onto this domain's banks and enqueues
-    /// it. `Placement::Unit`/`Fixed` jobs were routed here because their
-    /// bank is owned; `Auto` jobs (routed or stolen) take the owned
-    /// cursor.
+    /// Resolves a job's placement onto this domain's banks and queues it
+    /// beside its unit. `Placement::Unit`/`Fixed` jobs were routed here
+    /// because their bank is owned; `Auto` jobs (routed or stolen) take
+    /// the owned cursor — in single-bank mode too when unit 0 is not
+    /// ours, where stealing intentionally spreads them.
     fn place(&mut self, job: PimJob) {
+        let (domain, domains) = (self.ctx.domain, self.ctx.domains);
         let unit = match job.placement {
-            Placement::Auto => match self.ctx.options.dispatch {
-                DispatchMode::SingleBank => {
-                    // As classic: everything on unit 0 — unless this job
-                    // was stolen and unit 0 isn't ours, in which case
-                    // stealing intentionally spreads it.
-                    let u0 = self.disp.units.pim_unit(0);
-                    if u0.bank % self.ctx.domains == self.ctx.domain {
-                        u0
-                    } else {
-                        self.pick_owned_unit(None)
-                    }
-                }
-                DispatchMode::Circular => self.pick_owned_unit(None),
-            },
-            Placement::Unit(idx) => self.disp.units.pim_unit(idx % self.unit_count),
-            Placement::Fixed(loc) => loc,
             Placement::Resident(_) => {
                 // Pins are rejected under Parallel, so every residency
                 // is unknown: drop as cascaded, exactly like classic.
@@ -384,14 +348,12 @@ impl Domain {
                 self.ctx.canceller.drop_cascaded(job.id);
                 return;
             }
+            placement => self
+                .placer
+                .named(placement, |u| u.bank % domains != domain)
+                .unwrap_or_else(|| self.placer.pick(None, |_| false)),
         };
-        self.enqueue_on(job, unit);
-    }
-
-    /// Retargets `job` onto `unit` and queues it on the unit's bank.
-    fn enqueue_on(&mut self, job: PimJob, unit: DbcLocation) {
-        let program = Arc::new(job.program.retarget(unit));
-        self.sched.enqueue(PimJob { program, ..job }, unit.bank);
+        self.sched.enqueue(job, unit);
     }
 
     /// Executes one issued dispatch inline on the domain's machine and
@@ -401,9 +363,10 @@ impl Domain {
     /// and push the completion to the ring.
     fn execute_dispatch(&mut self, issue: IssuedBatch, clock: &mut cputime::StageClock) {
         let mut dispatch = self.disp.prepare(&issue, self.ctx.domain);
-        let IssuedBatch { seq, jobs, bank } = issue;
+        let IssuedBatch { seq, jobs, unit } = issue;
+        let bank = unit.bank;
         self.out.jobs_done += jobs.len() as u64;
-        let executed = self.exec.attempt(&dispatch.program, &dispatch.slots);
+        let executed = self.exec.attempt(&dispatch);
         self.out.dispatch_micros += clock.lap();
         let Ok(out) = executed else {
             // The attempt died exactly as a crashed worker's would have:
@@ -438,7 +401,7 @@ impl Domain {
                 continue;
             }
             self.out.redispatches += 1;
-            let unit = self.pick_owned_unit(Some(bank));
+            let unit = self.placer.pick(Some(bank), |_| false);
             if let Some(trace) = &self.ctx.trace {
                 trace.record(&Event::Redispatch {
                     job: member.id,
@@ -447,11 +410,11 @@ impl Domain {
                     attempt: self.disp.attempt_of(member.id),
                 });
             }
-            self.enqueue_on(member, unit);
+            self.sched.enqueue(member, unit);
         }
         self.ring_push(Completion {
             seq,
-            unit: dispatch.unit,
+            unit,
             slots: dispatch.slots,
             out,
         });

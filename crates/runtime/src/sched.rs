@@ -1,18 +1,20 @@
 //! The bank-parallel scheduler: per-bank FIFOs issued in circular-bank
 //! order (paper §V-C).
 //!
-//! Jobs land in the FIFO of the bank their placement resolves to. Issue
-//! then walks the banks in a circular fashion — one job from each
+//! Placement resolves a job to a PIM unit in one place — the `Placer`,
+//! which both scheduling engines consult — and the unit travels beside
+//! the job from then on: into the FIFO of the unit's bank, out with the
+//! issued dispatch, and on to the executor, which alone turns it into
+//! addresses. Issue walks the banks in a circular fashion — one job from each
 //! non-empty FIFO per sweep — so consecutive issues target *different*
 //! banks whenever possible and their internal PIM latencies overlap.
 //! Same-bank jobs stay FIFO within their queue and therefore serialize,
 //! exactly as the bank-occupancy model in the memory controller charges
 //! them.
 
-use crate::job::PimJob;
+use crate::job::{PimJob, Placement};
 use crate::stats::Histogram;
-use coruscant_core::program::Step;
-use coruscant_mem::DbcLocation;
+use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController};
 use std::collections::VecDeque;
 
 /// How the runtime places `Placement::Auto` jobs.
@@ -46,46 +48,94 @@ pub enum IssuePolicy {
     Edf,
 }
 
-/// A job bound to its resolved bank, carrying its issue sequence number
-/// once the scheduler emits it.
-#[derive(Debug)]
-pub struct IssuedJob {
-    /// Issue sequence number (global, dense from 0).
-    pub seq: u64,
-    /// The job, already retargeted to its unit.
-    pub job: PimJob,
-    /// Resolved bank.
-    pub bank: usize,
-}
-
 /// A group of jobs issued together under one sequence number: either a
-/// single job, or ≥2 consecutive same-unit jobs the batch fuser splices
-/// into one program.
+/// single job, or ≥2 same-unit jobs the batch fuser splices into one
+/// program.
 #[derive(Debug)]
 pub struct IssuedBatch {
     /// Issue sequence number (global, dense from 0) shared by the group.
     pub seq: u64,
-    /// Member jobs, in FIFO order; every member targets the same unit
-    /// when `jobs.len() >= 2`.
+    /// Member jobs, in FIFO order.
     pub jobs: Vec<PimJob>,
-    /// Resolved bank.
-    pub bank: usize,
+    /// The PIM unit placement chose for every member (its bank is the
+    /// FIFO the group left). Members also share one binding kind: all
+    /// bound to the unit's DBC, or all tile-relative.
+    pub unit: DbcLocation,
 }
 
-/// The PIM unit a placed job's program targets (`None` for an empty
-/// program).
-fn job_unit(job: &PimJob) -> Option<DbcLocation> {
-    job.program.steps.first().map(Step::target)
+/// Picks PIM units: a circular cursor over a unit list, shared by the
+/// classic scheduler (over every unit) and each parallel domain (over
+/// the units on its banks).
+pub(crate) struct Placer {
+    /// Every PIM unit, bank-major (what [`Placement::Unit`] indexes).
+    units: Vec<DbcLocation>,
+    /// The units the cursor walks, in the same order.
+    ring: Vec<DbcLocation>,
+    cursor: usize,
+    dispatch: DispatchMode,
 }
 
-/// The single PIM unit *every* step of the job targets, or `None` for an
-/// empty or multi-unit program. Gathering non-consecutive jobs reorders
-/// them past interveners, so it needs this stronger confinement check —
-/// a first-step match is not enough.
-fn confined_unit(job: &PimJob) -> Option<DbcLocation> {
-    let mut steps = job.program.steps.iter();
-    let first = steps.next().map(Step::target)?;
-    steps.all(|s| s.target() == first).then_some(first)
+impl Placer {
+    /// A placer whose cursor walks the units `owned` accepts.
+    pub fn new(
+        config: &MemoryConfig,
+        dispatch: DispatchMode,
+        owned: impl Fn(&DbcLocation) -> bool,
+    ) -> Placer {
+        let geometry = MemoryController::new(config.clone());
+        let count = geometry.pim_unit_count();
+        let units: Vec<DbcLocation> = (0..count).map(|i| geometry.pim_unit(i)).collect();
+        Placer {
+            ring: units.iter().copied().filter(owned).collect(),
+            units,
+            cursor: 0,
+            dispatch,
+        }
+    }
+
+    /// The unit `placement` names outright, if it names a usable one:
+    /// [`Placement::Fixed`] always, [`Placement::Unit`] and single-bank
+    /// [`Placement::Auto`] unless `blocked`. `None` asks for a
+    /// [`Placer::pick`].
+    pub fn named(
+        &self,
+        placement: Placement,
+        blocked: impl Fn(DbcLocation) -> bool,
+    ) -> Option<DbcLocation> {
+        let unit = match placement {
+            Placement::Fixed(loc) => return Some(loc),
+            Placement::Unit(idx) => self.units[idx % self.units.len()],
+            Placement::Auto if self.dispatch == DispatchMode::SingleBank => self.units[0],
+            Placement::Auto | Placement::Resident(_) => return None,
+        };
+        (!blocked(unit)).then_some(unit)
+    }
+
+    /// The next unit in circular order (bank-major: consecutive picks
+    /// land on consecutive banks, §V-C), skipping `excluded` units and —
+    /// when the ring has alternatives — `avoid`'s bank. Falls back to
+    /// plain circular order if every unit is skipped.
+    pub fn pick(
+        &mut self,
+        avoid: Option<usize>,
+        excluded: impl Fn(DbcLocation) -> bool,
+    ) -> DbcLocation {
+        let n = self.ring.len();
+        for _ in 0..n {
+            let unit = self.advance();
+            if !(excluded(unit) || (avoid == Some(unit.bank) && n > 1)) {
+                return unit;
+            }
+        }
+        self.advance()
+    }
+
+    /// The unit under the cursor, which then moves on.
+    fn advance(&mut self) -> DbcLocation {
+        let unit = self.ring[self.cursor % self.ring.len()];
+        self.cursor += 1;
+        unit
+    }
 }
 
 /// How [`BankScheduler::issue_next_batch_grouped`] collects the members
@@ -99,18 +149,20 @@ pub enum BatchGrouping {
     Consecutive,
     /// Additionally gather non-consecutive same-unit jobs from deeper in
     /// the FIFO, hopping over intervening jobs that are provably
-    /// hazard-free (confined to a *different* unit, so the reorder
-    /// cannot change what either job observes). Any job not confined to
-    /// a single unit is a barrier that stops the scan. Deterministic for
-    /// a given enqueue order, but the issue order differs from
-    /// [`BatchGrouping::Consecutive`] — hence opt-in.
+    /// hazard-free: bound to the DBC of a *different* unit, so the
+    /// reorder cannot change what either job observes. A tile-relative
+    /// job, which reaches its whole tile, or an empty one is a barrier
+    /// that stops the scan. Deterministic for a given enqueue order, but
+    /// the issue order differs from [`BatchGrouping::Consecutive`] —
+    /// hence opt-in.
     SameUnit,
 }
 
 /// Per-bank FIFO queues plus the circular issue cursor.
 #[derive(Debug)]
 pub struct BankScheduler {
-    fifos: Vec<VecDeque<PimJob>>,
+    /// Each job beside the unit placement chose for it.
+    fifos: Vec<VecDeque<(PimJob, DbcLocation)>>,
     /// Next bank the circular sweep starts from.
     cursor: usize,
     /// Next issue sequence number.
@@ -165,77 +217,39 @@ impl BankScheduler {
         &self.depth_hist
     }
 
-    /// Adds a job to its bank's queue: at the back under
+    /// Queues a job for `unit` on the unit's bank: at the back under
     /// [`IssuePolicy::Fifo`], or stably sorted by deadline under
     /// [`IssuePolicy::Edf`].
-    pub fn enqueue(&mut self, job: PimJob, bank: usize) {
-        let fifo = &mut self.fifos[bank];
-        match self.policy {
-            IssuePolicy::Fifo => fifo.push_back(job),
-            IssuePolicy::Edf => {
-                let pos = match job.deadline {
-                    None => fifo.len(),
-                    Some(d) => fifo
-                        .iter()
-                        .position(|queued| queued.deadline.is_none_or(|qd| qd > d))
-                        .unwrap_or(fifo.len()),
-                };
-                fifo.insert(pos, job);
-            }
-        }
+    pub fn enqueue(&mut self, job: PimJob, unit: DbcLocation) {
+        let fifo = &mut self.fifos[unit.bank];
+        let pos = match (self.policy, job.deadline) {
+            (IssuePolicy::Fifo, _) | (IssuePolicy::Edf, None) => fifo.len(),
+            (IssuePolicy::Edf, Some(d)) => fifo
+                .iter()
+                .position(|(queued, _)| queued.deadline.is_none_or(|qd| qd > d))
+                .unwrap_or(fifo.len()),
+        };
+        fifo.insert(pos, (job, unit));
         self.depth_hist.record(fifo.len() as u64);
         self.pending += 1;
     }
 
-    /// Issues the next job in circular-bank order: scan banks starting at
-    /// the cursor, take the head of the first non-empty FIFO, and advance
-    /// the cursor past that bank so the next issue prefers a *different*
-    /// bank.
-    pub fn issue_next(&mut self) -> Option<IssuedJob> {
-        self.issue_next_where(|_| true)
-    }
-
-    /// Like [`BankScheduler::issue_next`], but only considers banks the
-    /// `eligible` predicate accepts — the classic scheduler excludes
-    /// banks of down shards and, when device faults are configured,
-    /// banks at the in-flight cap, so a failing bank cannot absorb
-    /// unbounded work before its health score catches up.
-    pub fn issue_next_where<F: FnMut(usize) -> bool>(
-        &mut self,
-        mut eligible: F,
-    ) -> Option<IssuedJob> {
-        let banks = self.fifos.len();
-        for off in 0..banks {
-            let bank = (self.cursor + off) % banks;
-            if !eligible(bank) {
-                continue;
-            }
-            if let Some(job) = self.fifos[bank].pop_front() {
-                self.cursor = (bank + 1) % banks;
-                self.pending -= 1;
-                let seq = self.next_seq;
-                self.next_seq += self.seq_stride;
-                return Some(IssuedJob { seq, job, bank });
-            }
-        }
-        None
-    }
-
-    /// Like [`BankScheduler::issue_next_where`], but greedily groups up
-    /// to `max_jobs` consecutive head-of-FIFO jobs that target the *same
-    /// PIM unit* into one [`IssuedBatch`] under a single sequence number.
-    /// With `max_jobs <= 1` every batch is a singleton, reproducing the
-    /// unbatched issue order exactly.
-    pub fn issue_next_batch_where<F: FnMut(usize) -> bool>(
-        &mut self,
-        max_jobs: usize,
-        eligible: F,
-    ) -> Option<IssuedBatch> {
-        self.issue_next_batch_grouped(max_jobs, BatchGrouping::Consecutive, eligible)
-    }
-
-    /// Like [`BankScheduler::issue_next_batch_where`], with the member
-    /// collection strategy chosen by `grouping` (see [`BatchGrouping`]).
+    /// Issues the next dispatch in circular-bank order: scan the banks
+    /// the `eligible` predicate accepts starting at the cursor, take the
+    /// head of the first non-empty FIFO, and advance the cursor past
+    /// that bank so the next issue prefers a *different* bank. The
+    /// classic scheduler excludes banks of down shards and, when device
+    /// faults are configured, banks at the in-flight cap, so a failing
+    /// bank cannot absorb unbounded work before its health score catches
+    /// up.
+    ///
+    /// Up to `max_jobs` jobs queued for the *same PIM unit under the
+    /// same binding* join the head in one [`IssuedBatch`] under a single
+    /// sequence number: its consecutive successors always, jobs deeper
+    /// in the FIFO as `grouping` allows (see [`BatchGrouping`]). An
+    /// empty program never shares a dispatch. With `max_jobs <= 1` every
+    /// batch is a singleton, reproducing the unbatched issue order
+    /// exactly.
     pub fn issue_next_batch_grouped<F: FnMut(usize) -> bool>(
         &mut self,
         max_jobs: usize,
@@ -248,83 +262,70 @@ impl BankScheduler {
             if !eligible(bank) {
                 continue;
             }
-            let Some(first) = self.fifos[bank].pop_front() else {
+            let fifo = &mut self.fifos[bank];
+            let Some((first, unit)) = fifo.pop_front() else {
                 continue;
             };
             self.cursor = (bank + 1) % banks;
-            self.pending -= 1;
             let seq = self.next_seq;
             self.next_seq += self.seq_stride;
-            let unit = job_unit(&first);
+            let tile_relative = first.placement.tile_relative();
+            // Whether a queued job may share the head's dispatch.
+            let joins = |(job, at): &(PimJob, DbcLocation)| {
+                *at == unit
+                    && job.placement.tile_relative() == tile_relative
+                    && !job.program.is_empty()
+            };
             let mut jobs = vec![first];
-            if unit.is_some() {
+            if !jobs[0].program.is_empty() {
                 // Head run: consecutive same-unit jobs never reorder.
-                while jobs.len() < max_jobs
-                    && self.fifos[bank]
-                        .front()
-                        .is_some_and(|j| job_unit(j) == unit)
-                {
-                    jobs.push(self.fifos[bank].pop_front().expect("front checked"));
-                    self.pending -= 1;
+                while jobs.len() < max_jobs && fifo.front().is_some_and(joins) {
+                    jobs.push(fifo.pop_front().expect("front checked").0);
                 }
-                if grouping == BatchGrouping::SameUnit {
-                    // Gather past hazard-free interveners: a candidate
-                    // must be *confined* to the batch unit, every hopped
-                    // job confined to a different unit (disjoint state),
-                    // and any non-confined job is a barrier.
-                    let mut idx = 0;
-                    while jobs.len() < max_jobs && idx < self.fifos[bank].len() {
-                        match confined_unit(&self.fifos[bank][idx]) {
-                            Some(u) if Some(u) == unit => {
-                                jobs.push(
-                                    self.fifos[bank].remove(idx).expect("index bounds checked"),
-                                );
-                                self.pending -= 1;
-                            }
-                            Some(_) => idx += 1,
-                            None => break,
-                        }
+                // Gather past hazard-free interveners: every hopped job
+                // is confined to another unit's DBC (disjoint state).
+                let mut idx = 0;
+                while grouping == BatchGrouping::SameUnit
+                    && !tile_relative
+                    && jobs.len() < max_jobs
+                    && idx < fifo.len()
+                {
+                    let (job, _) = &fifo[idx];
+                    if job.placement.tile_relative() || job.program.is_empty() {
+                        break;
+                    }
+                    if joins(&fifo[idx]) {
+                        jobs.push(fifo.remove(idx).expect("index bounds checked").0);
+                    } else {
+                        idx += 1;
                     }
                 }
             }
-            return Some(IssuedBatch { seq, jobs, bank });
+            self.pending -= jobs.len();
+            return Some(IssuedBatch { seq, jobs, unit });
         }
         None
     }
 
     /// Removes and returns every queued job of `bank`, in FIFO order —
-    /// used when a bank is quarantined and its backlog must be re-routed.
+    /// used when a bank is quarantined and its backlog must be re-routed
+    /// (which assigns each job a new unit).
     pub fn drain_bank(&mut self, bank: usize) -> Vec<PimJob> {
-        let drained: Vec<PimJob> = self.fifos[bank].drain(..).collect();
+        let drained: Vec<PimJob> = self.fifos[bank].drain(..).map(|(job, _)| job).collect();
         self.pending -= drained.len();
         drained
-    }
-
-    /// Issues everything pending, in circular-bank order.
-    pub fn issue_all(&mut self) -> Vec<IssuedJob> {
-        let mut out = Vec::with_capacity(self.pending);
-        while let Some(issued) = self.issue_next() {
-            out.push(issued);
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Placement;
-    use coruscant_core::program::PimProgram;
+    use coruscant_core::program::{PimProgram, Step};
     use coruscant_mem::RowAddress;
-    use std::sync::Arc;
 
+    /// A job with an empty program (it never batches).
     fn job(id: u64) -> PimJob {
-        PimJob {
-            id,
-            program: Arc::new(PimProgram::default()),
-            placement: Placement::Auto,
-            deadline: None,
-        }
+        PimJob::verbatim(id, PimProgram::default(), Placement::Auto)
     }
 
     fn job_due(id: u64, deadline_ms: u64) -> PimJob {
@@ -341,34 +342,59 @@ mod tests {
         *BASE.get_or_init(std::time::Instant::now)
     }
 
-    /// A one-step program pinned to `unit`, so batch grouping sees it.
-    fn job_at(id: u64, unit: DbcLocation) -> PimJob {
-        PimJob {
-            id,
-            program: Arc::new(PimProgram {
-                steps: vec![Step::Readout {
-                    label: format!("j{id}"),
-                    addr: RowAddress::new(unit, 4),
-                    lane: 8,
-                }],
-            }),
-            placement: Placement::Fixed(unit),
-            deadline: None,
+    /// A one-step job, so batch grouping sees it. Its program names no
+    /// unit; the one it is enqueued for decides the grouping.
+    fn job_with(id: u64, placement: Placement) -> PimJob {
+        let program = PimProgram {
+            steps: vec![Step::Readout {
+                label: format!("j{id}"),
+                addr: RowAddress::new(DbcLocation::new(0, 0, 0, 0), 4),
+                lane: 8,
+            }],
+        };
+        PimJob::verbatim(id, program, placement)
+    }
+
+    fn step_job(id: u64) -> PimJob {
+        job_with(id, Placement::Auto)
+    }
+
+    /// Some unit of `bank`.
+    fn on(bank: usize) -> DbcLocation {
+        DbcLocation::new(bank, 0, 0, 0)
+    }
+
+    fn next(s: &mut BankScheduler, max_jobs: usize, grouping: BatchGrouping) -> IssuedBatch {
+        s.issue_next_batch_grouped(max_jobs, grouping, |_| true)
+            .expect("work is queued")
+    }
+
+    /// Issues everything pending one job at a time, in circular-bank
+    /// order: `(seq, job id, bank)` per issue.
+    fn issue_all(s: &mut BankScheduler) -> Vec<(u64, u64, usize)> {
+        let mut out = Vec::new();
+        while let Some(b) = s.issue_next_batch_grouped(1, BatchGrouping::Consecutive, |_| true) {
+            out.push((b.seq, b.jobs[0].id, b.unit.bank));
         }
+        out
+    }
+
+    fn ids(batch: &IssuedBatch) -> Vec<u64> {
+        batch.jobs.iter().map(|j| j.id).collect()
     }
 
     #[test]
     fn circular_issue_interleaves_banks() {
         let mut s = BankScheduler::new(4);
         // Two jobs per bank on banks 0 and 1, one on bank 3.
-        s.enqueue(job(0), 0);
-        s.enqueue(job(1), 0);
-        s.enqueue(job(2), 1);
-        s.enqueue(job(3), 1);
-        s.enqueue(job(4), 3);
+        s.enqueue(job(0), on(0));
+        s.enqueue(job(1), on(0));
+        s.enqueue(job(2), on(1));
+        s.enqueue(job(3), on(1));
+        s.enqueue(job(4), on(3));
         assert_eq!(s.pending(), 5);
 
-        let order: Vec<(u64, usize)> = s.issue_all().iter().map(|i| (i.job.id, i.bank)).collect();
+        let order: Vec<(u64, usize)> = issue_all(&mut s).iter().map(|i| (i.1, i.2)).collect();
         // Sweep 1: bank 0 (job 0), bank 1 (job 2), bank 3 (job 4);
         // sweep 2: bank 0 (job 1), bank 1 (job 3).
         assert_eq!(order, vec![(0, 0), (2, 1), (4, 3), (1, 0), (3, 1)]);
@@ -379,9 +405,9 @@ mod tests {
     fn same_bank_jobs_stay_fifo() {
         let mut s = BankScheduler::new(2);
         for id in 0..5 {
-            s.enqueue(job(id), 1);
+            s.enqueue(job(id), on(1));
         }
-        let ids: Vec<u64> = s.issue_all().iter().map(|i| i.job.id).collect();
+        let ids: Vec<u64> = issue_all(&mut s).iter().map(|i| i.1).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
@@ -389,26 +415,28 @@ mod tests {
     fn seq_numbers_are_dense_and_ordered() {
         let mut s = BankScheduler::new(3);
         for id in 0..7 {
-            s.enqueue(job(id), (id % 3) as usize);
+            s.enqueue(job(id), on((id % 3) as usize));
         }
-        let seqs: Vec<u64> = s.issue_all().iter().map(|i| i.seq).collect();
+        let seqs: Vec<u64> = issue_all(&mut s).iter().map(|i| i.0).collect();
         assert_eq!(seqs, (0..7).collect::<Vec<_>>());
     }
 
     #[test]
     fn ineligible_banks_are_skipped_until_allowed() {
         let mut s = BankScheduler::new(3);
-        s.enqueue(job(0), 0);
-        s.enqueue(job(1), 1);
+        s.enqueue(job(0), on(0));
+        s.enqueue(job(1), on(1));
         // Bank 0 gated: the sweep starts at the cursor but takes bank 1.
-        let first = s.issue_next_where(|b| b != 0).unwrap();
-        assert_eq!((first.job.id, first.bank), (1, 1));
+        let gated = |s: &mut BankScheduler| {
+            s.issue_next_batch_grouped(1, BatchGrouping::Consecutive, |b| b != 0)
+        };
+        let first = gated(&mut s).unwrap();
+        assert_eq!((ids(&first), first.unit), (vec![1], on(1)));
         // Nothing else is eligible.
-        assert!(s.issue_next_where(|b| b != 0).is_none());
+        assert!(gated(&mut s).is_none());
         assert_eq!(s.pending(), 1);
         // Once ungated, bank 0's job issues with the next dense seq.
-        let second = s.issue_next().unwrap();
-        assert_eq!((second.job.id, second.bank, second.seq), (0, 0, 1));
+        assert_eq!(issue_all(&mut s), vec![(1, 0, 0)]);
     }
 
     #[test]
@@ -417,11 +445,11 @@ mod tests {
         let mut a = BankScheduler::with_seq_stride(2, 0, 2);
         let mut b = BankScheduler::with_seq_stride(2, 1, 2);
         for id in 0..4 {
-            a.enqueue(job(id), (id % 2) as usize);
-            b.enqueue(job(10 + id), (id % 2) as usize);
+            a.enqueue(job(id), on((id % 2) as usize));
+            b.enqueue(job(10 + id), on((id % 2) as usize));
         }
-        let sa: Vec<u64> = a.issue_all().iter().map(|i| i.seq).collect();
-        let sb: Vec<u64> = b.issue_all().iter().map(|i| i.seq).collect();
+        let sa: Vec<u64> = issue_all(&mut a).iter().map(|i| i.0).collect();
+        let sb: Vec<u64> = issue_all(&mut b).iter().map(|i| i.0).collect();
         assert_eq!(sa, vec![0, 2, 4, 6]);
         assert_eq!(sb, vec![1, 3, 5, 7]);
     }
@@ -429,13 +457,13 @@ mod tests {
     #[test]
     fn drain_bank_empties_only_that_bank() {
         let mut s = BankScheduler::new(2);
-        s.enqueue(job(0), 0);
-        s.enqueue(job(1), 1);
-        s.enqueue(job(2), 1);
+        s.enqueue(job(0), on(0));
+        s.enqueue(job(1), on(1));
+        s.enqueue(job(2), on(1));
         let drained: Vec<u64> = s.drain_bank(1).iter().map(|j| j.id).collect();
         assert_eq!(drained, vec![1, 2]);
         assert_eq!(s.pending(), 1);
-        assert_eq!(s.issue_next().unwrap().job.id, 0);
+        assert_eq!(issue_all(&mut s), vec![(0, 0, 0)]);
         assert!(s.drain_bank(1).is_empty());
     }
 
@@ -444,59 +472,32 @@ mod tests {
         let u0 = DbcLocation::new(0, 0, 0, 0);
         let u1 = DbcLocation::new(0, 1, 0, 0); // same bank, different unit
         let mut s = BankScheduler::new(2);
-        s.enqueue(job_at(0, u0), 0);
-        s.enqueue(job_at(1, u0), 0);
-        s.enqueue(job_at(2, u1), 0);
-        s.enqueue(job_at(3, u0), 0);
+        s.enqueue(step_job(0), u0);
+        s.enqueue(step_job(1), u0);
+        s.enqueue(step_job(2), u1);
+        s.enqueue(step_job(3), u0);
         // First batch: jobs 0 and 1 (same unit); job 2 breaks the run.
-        let b = s.issue_next_batch_where(8, |_| true).unwrap();
-        let ids: Vec<u64> = b.jobs.iter().map(|j| j.id).collect();
-        assert_eq!((b.seq, b.bank, ids), (0, 0, vec![0, 1]));
-        let b = s.issue_next_batch_where(8, |_| true).unwrap();
-        assert_eq!(b.jobs.len(), 1);
-        assert_eq!((b.seq, b.jobs[0].id), (1, 2));
-        let b = s.issue_next_batch_where(8, |_| true).unwrap();
-        assert_eq!((b.seq, b.jobs[0].id), (2, 3));
+        let b = next(&mut s, 8, BatchGrouping::Consecutive);
+        assert_eq!((b.seq, b.unit, ids(&b)), (0, u0, vec![0, 1]));
+        let b = next(&mut s, 8, BatchGrouping::Consecutive);
+        assert_eq!((b.seq, b.unit, ids(&b)), (1, u1, vec![2]));
+        let b = next(&mut s, 8, BatchGrouping::Consecutive);
+        assert_eq!((b.seq, b.unit, ids(&b)), (2, u0, vec![3]));
         assert_eq!(s.pending(), 0);
     }
 
     #[test]
     fn batch_issue_respects_max_jobs_and_singleton_mode() {
-        let u0 = DbcLocation::new(0, 0, 0, 0);
         let mut s = BankScheduler::new(1);
         for id in 0..5 {
-            s.enqueue(job_at(id, u0), 0);
+            s.enqueue(step_job(id), on(0));
         }
-        let b = s.issue_next_batch_where(3, |_| true).unwrap();
+        let b = next(&mut s, 3, BatchGrouping::Consecutive);
         assert_eq!(b.jobs.len(), 3, "cap respected");
         // max_jobs = 1 degenerates to unbatched issue.
-        let b = s.issue_next_batch_where(1, |_| true).unwrap();
-        assert_eq!(b.jobs.len(), 1);
-        assert_eq!(b.jobs[0].id, 3);
+        let b = next(&mut s, 1, BatchGrouping::Consecutive);
+        assert_eq!(ids(&b), vec![3]);
         assert_eq!(s.pending(), 1);
-    }
-
-    /// A program with steps on two units — a grouping hazard barrier.
-    fn job_spanning(id: u64, a: DbcLocation, b: DbcLocation) -> PimJob {
-        PimJob {
-            id,
-            program: Arc::new(PimProgram {
-                steps: vec![
-                    Step::Readout {
-                        label: format!("j{id}a"),
-                        addr: RowAddress::new(a, 4),
-                        lane: 8,
-                    },
-                    Step::Readout {
-                        label: format!("j{id}b"),
-                        addr: RowAddress::new(b, 4),
-                        lane: 8,
-                    },
-                ],
-            }),
-            placement: Placement::Fixed(a),
-            deadline: None,
-        }
     }
 
     #[test]
@@ -504,41 +505,52 @@ mod tests {
         let u0 = DbcLocation::new(0, 0, 0, 0);
         let u1 = DbcLocation::new(0, 1, 0, 0);
         let mut s = BankScheduler::new(1);
-        s.enqueue(job_at(0, u0), 0);
-        s.enqueue(job_at(1, u1), 0); // intervener confined to another unit
-        s.enqueue(job_at(2, u0), 0);
-        s.enqueue(job_at(3, u0), 0);
-        let b = s
-            .issue_next_batch_grouped(8, BatchGrouping::SameUnit, |_| true)
-            .unwrap();
-        let ids: Vec<u64> = b.jobs.iter().map(|j| j.id).collect();
-        assert_eq!(ids, vec![0, 2, 3], "u0 jobs gathered past the u1 job");
+        s.enqueue(step_job(0), u0);
+        s.enqueue(step_job(1), u1); // intervener confined to another unit
+        s.enqueue(step_job(2), u0);
+        s.enqueue(step_job(3), u0);
+        let b = next(&mut s, 8, BatchGrouping::SameUnit);
+        assert_eq!(ids(&b), vec![0, 2, 3], "u0 jobs gathered past the u1 job");
         // The hopped intervener issues next, still FIFO.
-        let b = s
-            .issue_next_batch_grouped(8, BatchGrouping::SameUnit, |_| true)
-            .unwrap();
-        assert_eq!(b.jobs.len(), 1);
-        assert_eq!(b.jobs[0].id, 1);
+        let b = next(&mut s, 8, BatchGrouping::SameUnit);
+        assert_eq!(ids(&b), vec![1]);
         assert_eq!(s.pending(), 0);
     }
 
     #[test]
-    fn same_unit_grouping_stops_at_multi_unit_barrier() {
+    fn same_unit_grouping_stops_at_a_tile_relative_barrier() {
         let u0 = DbcLocation::new(0, 0, 0, 0);
         let u1 = DbcLocation::new(0, 1, 0, 0);
         let mut s = BankScheduler::new(1);
-        s.enqueue(job_at(0, u0), 0);
-        s.enqueue(job_spanning(1, u1, u0), 0); // touches u0: hazard
-        s.enqueue(job_at(2, u0), 0);
-        let b = s
-            .issue_next_batch_grouped(8, BatchGrouping::SameUnit, |_| true)
-            .unwrap();
+        s.enqueue(step_job(0), u0);
+        // Hosted on u1, but it reaches every DBC of its tile: a hazard.
+        s.enqueue(job_with(1, Placement::Resident(0)), u1);
+        s.enqueue(step_job(2), u0);
+        let b = next(&mut s, 8, BatchGrouping::SameUnit);
         assert_eq!(
-            b.jobs.len(),
-            1,
-            "job 2 must not be pulled ahead of the spanning job"
+            ids(&b),
+            vec![0],
+            "job 2 must not be pulled ahead of the tile-relative job"
         );
-        assert_eq!(b.jobs[0].id, 0);
+    }
+
+    #[test]
+    fn a_dispatch_holds_one_binding_kind() {
+        let u0 = DbcLocation::new(0, 0, 0, 0);
+        let mut s = BankScheduler::new(1);
+        s.enqueue(job_with(0, Placement::Resident(0)), u0);
+        s.enqueue(job_with(1, Placement::Resident(0)), u0);
+        s.enqueue(step_job(2), u0);
+        s.enqueue(step_job(3), u0);
+        s.enqueue(job_with(4, Placement::Resident(0)), u0);
+        // Tile-relative jobs run together, but only as a head run: the
+        // gather never moves one.
+        let b = next(&mut s, 8, BatchGrouping::SameUnit);
+        assert_eq!(ids(&b), vec![0, 1]);
+        let b = next(&mut s, 8, BatchGrouping::SameUnit);
+        assert_eq!(ids(&b), vec![2, 3], "the gather stops at job 4");
+        let b = next(&mut s, 8, BatchGrouping::SameUnit);
+        assert_eq!(ids(&b), vec![4]);
     }
 
     #[test]
@@ -546,29 +558,28 @@ mod tests {
         let u0 = DbcLocation::new(0, 0, 0, 0);
         let u1 = DbcLocation::new(0, 1, 0, 0);
         let mut s = BankScheduler::new(1);
-        s.enqueue(job_at(0, u0), 0);
-        s.enqueue(job_at(1, u1), 0);
-        s.enqueue(job_at(2, u0), 0);
-        let b = s
-            .issue_next_batch_grouped(8, BatchGrouping::Consecutive, |_| true)
-            .unwrap();
+        s.enqueue(step_job(0), u0);
+        s.enqueue(step_job(1), u1);
+        s.enqueue(step_job(2), u0);
+        let b = next(&mut s, 8, BatchGrouping::Consecutive);
         assert_eq!(b.jobs.len(), 1, "default grouping never reorders");
     }
 
     #[test]
     fn empty_programs_never_batch() {
         let mut s = BankScheduler::new(1);
-        s.enqueue(job(0), 0);
-        s.enqueue(job(1), 0);
-        let b = s.issue_next_batch_where(8, |_| true).unwrap();
-        assert_eq!(b.jobs.len(), 1, "unit-less jobs issue alone");
+        s.enqueue(job(0), on(0));
+        s.enqueue(job(1), on(0));
+        let b = next(&mut s, 8, BatchGrouping::Consecutive);
+        assert_eq!(b.jobs.len(), 1, "empty jobs issue alone");
+        assert_eq!(s.pending(), 1);
     }
 
     #[test]
     fn depth_histogram_sees_queue_buildup() {
         let mut s = BankScheduler::new(1);
         for id in 0..4 {
-            s.enqueue(job(id), 0);
+            s.enqueue(job(id), on(0));
         }
         let h = s.depth_histogram();
         assert_eq!(h.count(), 4);
@@ -578,22 +589,22 @@ mod tests {
     #[test]
     fn edf_issues_earliest_deadline_first_within_a_bank() {
         let mut s = BankScheduler::new(1).with_policy(IssuePolicy::Edf);
-        s.enqueue(job_due(0, 300), 0);
-        s.enqueue(job_due(1, 100), 0);
-        s.enqueue(job(2), 0); // deadline-free: sorts last
-        s.enqueue(job_due(3, 200), 0);
-        let ids: Vec<u64> = s.issue_all().iter().map(|i| i.job.id).collect();
+        s.enqueue(job_due(0, 300), on(0));
+        s.enqueue(job_due(1, 100), on(0));
+        s.enqueue(job(2), on(0)); // deadline-free: sorts last
+        s.enqueue(job_due(3, 200), on(0));
+        let ids: Vec<u64> = issue_all(&mut s).iter().map(|i| i.1).collect();
         assert_eq!(ids, vec![1, 3, 0, 2]);
     }
 
     #[test]
     fn edf_breaks_deadline_ties_in_arrival_order() {
         let mut s = BankScheduler::new(1).with_policy(IssuePolicy::Edf);
-        s.enqueue(job_due(0, 100), 0);
-        s.enqueue(job_due(1, 100), 0);
-        s.enqueue(job_due(2, 50), 0);
-        s.enqueue(job_due(3, 100), 0);
-        let ids: Vec<u64> = s.issue_all().iter().map(|i| i.job.id).collect();
+        s.enqueue(job_due(0, 100), on(0));
+        s.enqueue(job_due(1, 100), on(0));
+        s.enqueue(job_due(2, 50), on(0));
+        s.enqueue(job_due(3, 100), on(0));
+        let ids: Vec<u64> = issue_all(&mut s).iter().map(|i| i.1).collect();
         assert_eq!(ids, vec![2, 0, 1, 3], "equal deadlines stay FIFO");
     }
 
@@ -602,20 +613,10 @@ mod tests {
         let mut fifo = BankScheduler::new(3);
         let mut edf = BankScheduler::new(3).with_policy(IssuePolicy::Edf);
         for id in 0..12 {
-            fifo.enqueue(job(id), (id % 3) as usize);
-            edf.enqueue(job(id), (id % 3) as usize);
+            fifo.enqueue(job(id), on((id % 3) as usize));
+            edf.enqueue(job(id), on((id % 3) as usize));
         }
-        let a: Vec<(u64, u64, usize)> = fifo
-            .issue_all()
-            .iter()
-            .map(|i| (i.seq, i.job.id, i.bank))
-            .collect();
-        let b: Vec<(u64, u64, usize)> = edf
-            .issue_all()
-            .iter()
-            .map(|i| (i.seq, i.job.id, i.bank))
-            .collect();
-        assert_eq!(a, b);
+        assert_eq!(issue_all(&mut fifo), issue_all(&mut edf));
     }
 
     #[test]
@@ -623,28 +624,84 @@ mod tests {
         // EDF reorders only *within* a bank; the circular sweep still
         // alternates banks.
         let mut s = BankScheduler::new(2).with_policy(IssuePolicy::Edf);
-        s.enqueue(job_due(0, 500), 0);
-        s.enqueue(job_due(1, 10), 0);
-        s.enqueue(job_due(2, 900), 1);
-        let order: Vec<(u64, usize)> = s.issue_all().iter().map(|i| (i.job.id, i.bank)).collect();
+        s.enqueue(job_due(0, 500), on(0));
+        s.enqueue(job_due(1, 10), on(0));
+        s.enqueue(job_due(2, 900), on(1));
+        let order: Vec<(u64, usize)> = issue_all(&mut s).iter().map(|i| (i.1, i.2)).collect();
         assert_eq!(order, vec![(1, 0), (2, 1), (0, 0)]);
     }
 
     #[test]
     fn edf_batch_grouping_runs_in_deadline_order() {
-        let u0 = DbcLocation::new(0, 0, 0, 0);
         let mut s = BankScheduler::new(1).with_policy(IssuePolicy::Edf);
         let due_at = |id: u64, ms: u64| PimJob {
             deadline: Some(base_instant() + std::time::Duration::from_millis(ms)),
-            ..job_at(id, u0)
+            ..step_job(id)
         };
-        s.enqueue(due_at(0, 300), 0);
-        s.enqueue(due_at(1, 100), 0);
-        s.enqueue(due_at(2, 200), 0);
+        s.enqueue(due_at(0, 300), on(0));
+        s.enqueue(due_at(1, 100), on(0));
+        s.enqueue(due_at(2, 200), on(0));
         // The head run groups same-unit jobs in the deadline-sorted
         // queue order.
-        let b = s.issue_next_batch_where(8, |_| true).unwrap();
-        let ids: Vec<u64> = b.jobs.iter().map(|j| j.id).collect();
-        assert_eq!(ids, vec![1, 2, 0]);
+        let b = next(&mut s, 8, BatchGrouping::Consecutive);
+        assert_eq!(ids(&b), vec![1, 2, 0]);
+    }
+
+    fn tiny_placer(dispatch: DispatchMode, owned: impl Fn(&DbcLocation) -> bool) -> Placer {
+        // 4 banks × 2 subarrays × 1 tile × 1 PIM DBC: eight units.
+        let config = MemoryConfig {
+            banks: 4,
+            tiles_per_subarray: 1,
+            ..MemoryConfig::tiny()
+        };
+        Placer::new(&config, dispatch, owned)
+    }
+
+    #[test]
+    fn the_placer_walks_its_ring_in_bank_major_order() {
+        let mut p = tiny_placer(DispatchMode::Circular, |_| true);
+        let n = p.units.len();
+        let picks: Vec<DbcLocation> = (0..n + 1).map(|_| p.pick(None, |_| false)).collect();
+        assert_eq!(picks[..n], p.units[..], "one lap is every unit in order");
+        assert_eq!(picks[n], p.units[0], "and it wraps");
+        assert!(picks.windows(2).all(|w| w[1].bank == (w[0].bank + 1) % 4));
+        // A domain's ring holds only the units on its banks.
+        let mut odd = tiny_placer(DispatchMode::Circular, |u| u.bank % 2 == 1);
+        assert!((0..n).all(|_| odd.pick(None, |_| false).bank % 2 == 1));
+    }
+
+    #[test]
+    fn picks_skip_excluded_and_avoided_units_while_alternatives_exist() {
+        let mut p = tiny_placer(DispatchMode::Circular, |_| true);
+        let n = p.units.len();
+        assert!((0..n).all(|_| [0, 3].contains(&p.pick(Some(1), |u| u.bank == 2).bank)));
+        // Everything excluded: plain circular order, one full lap spent.
+        let before = p.cursor;
+        assert_eq!(p.pick(None, |_| true), p.units[before % n]);
+        assert_eq!(p.cursor, before + n + 1);
+        // A one-unit ring cannot avoid its only bank.
+        let only = p.units[0];
+        let mut one = tiny_placer(DispatchMode::Circular, |u| *u == only);
+        assert_eq!(one.pick(Some(only.bank), |_| false), only);
+    }
+
+    #[test]
+    fn placements_name_their_unit_unless_it_is_blocked() {
+        let p = tiny_placer(DispatchMode::Circular, |_| true);
+        let far = DbcLocation::new(3, 1, 0, 0);
+        assert_eq!(p.named(Placement::Fixed(far), |_| true), Some(far));
+        assert_eq!(p.named(Placement::Unit(5), |_| false), Some(p.units[5]));
+        assert_eq!(
+            p.named(Placement::Unit(5 + p.units.len()), |_| false),
+            Some(p.units[5]),
+            "unit indices wrap"
+        );
+        assert_eq!(p.named(Placement::Unit(5), |u| u == p.units[5]), None);
+        assert_eq!(p.named(Placement::Auto, |_| false), None);
+        assert_eq!(p.named(Placement::Resident(7), |_| false), None);
+        // Single-bank mode names unit 0 for every `Auto` job.
+        let single = tiny_placer(DispatchMode::SingleBank, |_| true);
+        assert_eq!(single.named(Placement::Auto, |_| false), Some(p.units[0]));
+        assert_eq!(single.named(Placement::Auto, |_| true), None);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::deps::{Binder, GatedJob};
 use crate::events::{Event, EventTrace};
-use crate::exec::ExecOutcome;
+use crate::exec::{Dispatch, ExecOutcome};
 use crate::job::{PimJob, Placement};
 use crate::notify::JobNotice;
 use crate::sync::{self, IdSet};
@@ -24,7 +24,12 @@ use crate::{deps::GatedSource, job::JobOutcome, options::RuntimeOptions, Runtime
 pub(crate) struct SlotMeta {
     pub job_id: u64,
     pub readouts: usize,
+    /// Restarts of the job so far: verification re-dispatches plus
+    /// crash/hang re-placements.
     pub attempt: u32,
+    /// The verification re-dispatches among them — the count the
+    /// re-dispatch budget bounds.
+    pub redispatches: u32,
     /// Whether this is the member's final attempt: set by the engine
     /// when the attempt comes back and it does not re-dispatch.
     pub last: bool,
@@ -32,14 +37,8 @@ pub(crate) struct SlotMeta {
 
 /// What the scheduler sends each worker.
 pub(crate) enum WorkMsg {
-    /// Execute one dispatch: a single job's program, or a batched splice
-    /// of several same-unit jobs. `slots` demuxes the outputs per job.
-    Job {
-        seq: u64,
-        unit: DbcLocation,
-        program: Arc<PimProgram>,
-        slots: Vec<SlotMeta>,
-    },
+    /// Execute one dispatch, issued under `seq`.
+    Job { seq: u64, dispatch: Dispatch },
     /// Run a position-code scrub pass over one bank's materialized DBCs.
     Scrub { bank: usize },
 }

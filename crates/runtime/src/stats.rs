@@ -197,7 +197,7 @@ pub struct SchedStats {
     /// Microseconds spent admitting submissions (compile-cache front,
     /// dependency gating, chain admission).
     pub admit_micros: u64,
-    /// Microseconds spent resolving placements and retargeting programs.
+    /// Microseconds spent resolving placements to units and queueing.
     pub place_micros: u64,
     /// Microseconds spent batching, splicing, and dispatching work.
     pub dispatch_micros: u64,

@@ -28,7 +28,7 @@ fn eight_bank_config() -> MemoryConfig {
 }
 
 /// A self-contained one-instruction job: load two rows, add, read back.
-/// The placement is nominal — the scheduler retargets it.
+/// The placement is nominal — the executor binds it to the job's unit.
 fn add_job(a: u64, b: u64) -> PimProgram {
     let loc = DbcLocation::new(0, 0, 0, 0);
     PimProgram {

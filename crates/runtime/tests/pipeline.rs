@@ -63,7 +63,9 @@ fn add_job(a: u64, b: u64) -> PimProgram {
 /// the pipeline counters record the deferral.
 #[test]
 fn submit_after_gates_on_predecessor() {
-    let rt = Runtime::new(eight_bank_config(), RuntimeOptions::default()).unwrap();
+    // Paused until `finish`, so the predecessor cannot retire before the
+    // successor is admitted (it would then never count as deferred).
+    let rt = Runtime::new(eight_bank_config(), RuntimeOptions::default().paused()).unwrap();
     let a = rt.submit(add_job(1, 2), Placement::Unit(0)).unwrap();
     let b = rt
         .submit_after(add_job(10, 20), Placement::Unit(1), &[a])
@@ -164,8 +166,8 @@ fn cancelled_predecessor_cascades_through_the_chain() {
 }
 
 /// Pinned weights live in a tile's storage DBC; a `Placement::Resident`
-/// job is relocated tile-relative so it can copy them into the PIM DBC
-/// and compute against them.
+/// job binds tile-relative so it can copy them into the PIM DBC and
+/// compute against them.
 #[test]
 fn resident_pin_serves_jobs_on_its_unit() {
     let config = eight_bank_config();
@@ -239,6 +241,10 @@ fn resident_pin_serves_jobs_on_its_unit() {
     let job_out = report.outcomes.iter().find(|o| o.job_id == job).unwrap();
     assert_eq!(pin_out.bank, 3, "unit 3 is bank-major bank 3");
     assert_eq!(job_out.bank, 3, "the consumer followed the residency");
+    // Each reports the PIM unit placement chose, though both programs
+    // open on the tile's storage DBC.
+    let hosting = DbcLocation::new(3, 0, 0, 0);
+    assert_eq!((pin_out.unit, job_out.unit), (hosting, hosting));
     assert_eq!(pin_out.outputs[0].1, vec![11; 8]);
     assert_eq!(job_out.outputs[0].1, vec![18; 8], "11 pinned + 7 request");
     assert_eq!(report.stats.pipeline.residents, 1);

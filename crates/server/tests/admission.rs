@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// A minimal two-operand AND job: load, fuse, read back. The readout is
 /// `a & b`, so completions are checkable.
 fn and_program(config: &MemoryConfig, a: u64, b: u64) -> PimProgram {
-    let loc = DbcLocation::new(0, 0, 0, 0); // nominal; the scheduler retargets
+    let loc = DbcLocation::new(0, 0, 0, 0); // nominal; the executor binds it to a unit
     let width = config.nanowires_per_dbc;
     let lanes = width.div_ceil(64);
     let bs = BlockSize::new(64.min(width)).unwrap();

@@ -20,7 +20,7 @@ use coruscant_server::{
 };
 
 /// First operand row of a query-chunk program (clear of controller
-/// scratch conventions; retargeting preserves row offsets).
+/// scratch conventions; binding to a unit preserves row offsets).
 const OPERAND_BASE: usize = 4;
 /// Result row of a query-chunk program.
 const RESULT_ROW: usize = 20;
@@ -64,7 +64,7 @@ pub fn compile_bitmap_query_with(
     let operands = dataset.operands(w);
     let width = config.nanowires_per_dbc;
     let chunks = dataset.users().div_ceil(width);
-    let loc = DbcLocation::new(0, 0, 0, 0); // nominal; the scheduler retargets
+    let loc = DbcLocation::new(0, 0, 0, 0); // nominal; the executor binds it to a unit
     let bs = BlockSize::new(64.min(width))?;
 
     let mut programs = Vec::with_capacity(chunks);

@@ -13,16 +13,24 @@
 //! worker shard, and parallel arms pin every job to a unit so nothing is
 //! stolen. On a mismatch the test prints what it computed; replace the
 //! fixture only when a PR means to move the accounting and says so.
+//!
+//! The last three lines were recorded later, at the last commit whose
+//! scheduler rewrote a program's addresses at every placement, before
+//! placement became a value carried beside a placement-free program: a
+//! resident session, grouped batching over every placement kind from
+//! non-canonical homes, and the parallel engine with batching on.
 
 use coruscant::core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant::core::program::{PimProgram, Step};
-use coruscant::mem::{DbcLocation, FaultPlan, MemoryConfig, RowAddress};
+use coruscant::mem::{DbcLocation, FaultPlan, MemoryConfig, MemoryController, RowAddress};
 use coruscant::racetrack::FaultConfig;
 use coruscant::runtime::{
-    install_quiet_hook, BatchOptions, ChaosPlan, HealthPolicy, JobNotice, Placement,
-    ProtectionPolicy, Runtime, RuntimeOptions, RuntimeReport, SchedMode, SuperviseOptions,
+    install_quiet_hook, BatchOptions, ChainJob, ChaosPlan, HealthPolicy, JobNotice, Placement,
+    ProgramSource, ProtectionPolicy, Runtime, RuntimeOptions, RuntimeReport, SchedMode,
+    SuperviseOptions,
 };
 use coruscant::workloads::serve::all_workload_programs;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::mpsc;
 
@@ -129,6 +137,182 @@ fn run_one_at_a_time(options: RuntimeOptions, programs: &[PimProgram]) -> Runtim
             if notice.job_id() == id && notice.is_final() {
                 break;
             }
+        }
+    }
+    runtime.finish().expect("session drains")
+}
+
+/// Blocks until every job in `ids` has had a final notice.
+fn await_final(rx: &mpsc::Receiver<JobNotice>, ids: &[u64]) {
+    let mut waiting: HashSet<u64> = ids.iter().copied().collect();
+    while !waiting.is_empty() {
+        let notice = rx.recv().expect("the runtime holds a sender");
+        if notice.is_final() {
+            waiting.remove(&notice.job_id());
+        }
+    }
+}
+
+/// `program` with every address moved to `home`, rows kept: the same
+/// logical program as a client that compiled it there would submit
+/// (spelled out, so this file also builds at the recording commit).
+fn at_home(program: &PimProgram, home: DbcLocation) -> PimProgram {
+    let mv = |a: &RowAddress| RowAddress::new(home, a.row);
+    let steps = program.steps.iter().map(|step| match step {
+        Step::Load { addr, values, lane } => Step::Load {
+            addr: mv(addr),
+            values: values.clone(),
+            lane: *lane,
+        },
+        Step::Exec(i) => {
+            let mut i = *i;
+            i.src = mv(&i.src);
+            i.dst = i.dst.map(|d| mv(&d));
+            Step::Exec(i)
+        }
+        Step::Readout { label, addr, lane } => Step::Readout {
+            label: label.clone(),
+            addr: mv(addr),
+            lane: *lane,
+        },
+    });
+    PimProgram {
+        steps: steps.collect(),
+    }
+}
+
+/// A resident session, one job in the system at a time on one worker
+/// shard: two pins (one on a bank whose faults get it quarantined, so
+/// its weights re-materialize elsewhere), chains of a tile-relative
+/// consumer, a binder-built second consumer fed the first one's sum, and
+/// a unit-pinned tail, plus consumers submitted through the compiler.
+/// Compare pairs never retry in place, so a final notice always comes
+/// from a fault-free attempt and no bank-health transition can race the
+/// next submission.
+fn run_resident_session() -> RuntimeReport {
+    let storage = DbcLocation::new(0, 0, 0, 1);
+    let pim = DbcLocation::new(0, 0, 0, 0);
+    let bs = BlockSize::new(8).unwrap();
+    // Both programs open on the PIM DBC: the recording commit reported a
+    // job's unit as the DBC of its first step, so one that began on the
+    // storage DBC would have recorded that instead of its hosting unit.
+    let pin_program = |weight: u64| PimProgram {
+        steps: vec![
+            Step::Load {
+                addr: RowAddress::new(pim, 30),
+                values: vec![0; 8],
+                lane: 8,
+            },
+            Step::Load {
+                addr: RowAddress::new(storage, 5),
+                values: vec![weight; 8],
+                lane: 8,
+            },
+            Step::Readout {
+                label: "pinned".into(),
+                addr: RowAddress::new(storage, 5),
+                lane: 8,
+            },
+        ],
+    };
+    // Copies the pinned row next to a per-request operand and adds them.
+    let consumer = move |operand: Vec<u64>| PimProgram {
+        steps: vec![
+            Step::Load {
+                addr: RowAddress::new(pim, 5),
+                values: operand,
+                lane: 8,
+            },
+            Step::Exec(
+                CpimInstr::new(
+                    CpimOpcode::Copy,
+                    RowAddress::new(storage, 5),
+                    1,
+                    bs,
+                    Some(RowAddress::new(pim, 4)),
+                )
+                .unwrap(),
+            ),
+            Step::Exec(
+                CpimInstr::new(
+                    CpimOpcode::Add,
+                    RowAddress::new(pim, 4),
+                    2,
+                    bs,
+                    Some(RowAddress::new(pim, 20)),
+                )
+                .unwrap(),
+            ),
+            Step::Readout {
+                label: "sum".into(),
+                addr: RowAddress::new(pim, 20),
+                lane: 8,
+            },
+        ],
+    };
+    let poisoned_bank = 3;
+    let plan = FaultPlan::healthy(0xDEC0DE)
+        .with_bank(poisoned_bank, FaultConfig::NONE.with_tr_fault_rate(0.5))
+        .unwrap();
+    let (tx, rx) = mpsc::channel::<JobNotice>();
+    let options = RuntimeOptions::default()
+        .with_shards(1)
+        .with_faults(plan)
+        .with_protection(ProtectionPolicy::Reexecute { max_retries: 0 })
+        .with_health(HealthPolicy {
+            suspect_after: 1,
+            quarantine_after: 3,
+            scrub_on_suspect: false,
+            max_inflight_per_bank: 1,
+            max_redispatch: 64,
+        })
+        .with_notify(tx);
+    let runtime = Runtime::new(eight_bank_config(), options).expect("runtime starts");
+    // Unit index == bank index for the first eight units.
+    let pins = [
+        runtime
+            .pin_resident(pin_program(0x11), poisoned_bank)
+            .unwrap(),
+        runtime.pin_resident(pin_program(0x22), 5).unwrap(),
+    ];
+    await_final(&rx, &[pins[0].job, pins[1].job]);
+    for round in 0..8u64 {
+        let pin = pins[round as usize % 2];
+        let ids = runtime
+            .submit_chain(vec![
+                ChainJob {
+                    source: ProgramSource::Ready(consumer(vec![round + 1; 8])),
+                    placement: Placement::Resident(pin.res),
+                    after: vec![],
+                },
+                ChainJob {
+                    source: ProgramSource::Deferred {
+                        deps: vec![0],
+                        build: Box::new(move |deps| {
+                            let sum = deps[0]
+                                .iter()
+                                .find(|(label, _)| label == "sum")
+                                .ok_or("no sum")?;
+                            Ok(consumer(sum.1.iter().map(|v| v & 0x3F).collect()))
+                        }),
+                    },
+                    placement: Placement::Resident(pin.res),
+                    after: vec![],
+                },
+                ChainJob {
+                    source: ProgramSource::Ready(add_job(round)),
+                    placement: Placement::Unit(round as usize),
+                    after: vec![1],
+                },
+            ])
+            .expect("chain accepted");
+        await_final(&rx, &ids);
+        // The same consumer twice through the compiler: a miss, then a hit.
+        for _ in 0..2 {
+            let id = runtime
+                .submit(consumer(vec![round + 9; 8]), Placement::Resident(pin.res))
+                .expect("submission accepted");
+            await_final(&rx, &[id]);
         }
     }
     runtime.finish().expect("session drains")
@@ -253,16 +437,74 @@ fn computed() -> String {
         );
         line(&format!("parallel-faults/s{shards}"), report, &mut out);
     }
+
+    // Recorded before placement stopped rewriting programs.
+    let report = run_resident_session();
+    let pipeline = report.stats.pipeline;
+    assert!(
+        pipeline.rematerializations > 0 && pipeline.released_jobs > 0,
+        "the resident arm must move a residency and release gated jobs: {pipeline:?}"
+    );
+    line("resident/s1", report, &mut out);
+
+    // Every placement kind, each submission compiled at a different home
+    // (storage DBCs included). Job `j` lands on unit `j / 3 % 32` whatever
+    // its kind — the circular cursor only advances on `Auto` — so every
+    // unit queues the same three-job pattern four times, interleaved on
+    // its bank with three other units', and units four apart queue the
+    // same logical programs: batches form by gathering, and their shapes
+    // repeat from unit to unit.
+    let units = MemoryController::new(eight_bank_config());
+    let corpus = all_workload_programs(&eight_bank_config());
+    let picks = [0, corpus.len() / 3, 2 * corpus.len() / 3, corpus.len() - 1];
+    let homed: Vec<PimProgram> = (0..384)
+        .map(|j| {
+            let home = DbcLocation::new(j % 8, j / 8 % 2, j / 16 % 2, j % 4);
+            at_home(&corpus[picks[j % 4]], home)
+        })
+        .collect();
+    let report = run_staged(
+        RuntimeOptions::default()
+            .with_shards(2)
+            .with_batch(BatchOptions::enabled_grouped()),
+        &homed,
+        |j| match j % 3 {
+            0 => Placement::Auto,
+            1 => Placement::Unit(j / 3 % 32),
+            _ => Placement::Fixed(units.pim_unit(j / 3 % 32)),
+        },
+    );
+    let batch = report.stats.batch;
+    assert!(
+        batch.batches > 0 && batch.splice_hits > 0,
+        "the grouped arm must batch and hit the splice cache: {batch:?}"
+    );
+    line("grouped-mixed/s2", report, &mut out);
+
+    let report = run_staged(
+        RuntimeOptions::default()
+            .with_shards(2)
+            .with_sched_mode(SchedMode::Parallel)
+            .with_batch(BatchOptions::enabled()),
+        &programs,
+        |i| Placement::Unit(i / 4 % 32),
+    );
+    assert!(
+        report.stats.batch.batches > 0,
+        "the parallel batch arm must batch"
+    );
+    line("parallel-batch/s2", report, &mut out);
     out
 }
 
 #[test]
 fn streaming_replay_reproduces_the_recorded_batch_replay() {
     let got = computed();
-    let want = include_str!("fixtures/streaming_equivalence.txt");
-    for (g, w) in got.lines().zip(want.lines()) {
+    let mut want = include_str!("fixtures/streaming_equivalence.txt").lines();
+    for g in got.lines() {
         let name = g.split(' ').next().unwrap_or_default();
+        let w = want.next().unwrap_or("(nothing: a new arm)");
         assert!(g == w, "{name} moved; computed:\n{g}\nrecorded:\n{w}");
     }
-    assert_eq!(got.lines().count(), want.lines().count(), "arm count");
+    assert_eq!(want.next(), None, "a recorded arm was not computed");
 }
