@@ -16,10 +16,14 @@
 //! numbers: 19 cycles for an 8-bit 2-operand add at TRD = 3 and 26 cycles
 //! for an 8-bit 5-operand add at TRD = 7 — independent of how many blocks
 //! are packed in the row, since all blocks advance in lock step.
+//!
+//! The chain runs as one kernel on the DBC's bit planes,
+//! [`Dbc::carry_chain`], which every caller reaches through
+//! [`MultiOperandAdder::add_in_place`].
 
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
-use coruscant_racetrack::{CostMeter, PortId};
+use coruscant_racetrack::CostMeter;
 
 /// Validates a block size: a power of two in `8..=512` (paper §III-E).
 pub fn validate_blocksize(blocksize: usize, width: usize) -> Result<()> {
@@ -178,33 +182,9 @@ impl MultiOperandAdder {
         meter: &mut CostMeter,
     ) -> Result<Row> {
         validate_blocksize(blocksize, dbc.width())?;
-        let width = dbc.width();
-        for j in 0..blocksize {
-            // Parallel TR of wire j in every block: the PIM block's S, C
-            // and C' rows for all blocks at once.
-            let lanes = Row::lane_bit(width, blocksize, j);
-            let counts = dbc.transverse_read_wires(&lanes, meter)?;
-
-            // The simultaneous writes: S stays on wire j, C is routed to
-            // the right port of wire j + 1, C' to the left port of wire
-            // j + 2 (three distinct wires per block). At the top of a
-            // block the shifted lane masks run empty: nothing is routed.
-            let carry = counts.carry.shl_lanes(1, blocksize);
-            let carry_lanes = lanes.shl_lanes(1, blocksize);
-            let super_carry = counts.super_carry.shl_lanes(2, blocksize);
-            let super_lanes = lanes.shl_lanes(2, blocksize);
-            let writes = [
-                (PortId::LEFT, &counts.sum, &lanes),
-                (PortId::RIGHT, &carry, &carry_lanes),
-                (PortId::LEFT, &super_carry, &super_lanes),
-            ];
-            let routed = if self.trd >= 4 { 3 } else { 2 };
-            dbc.write_bits(&writes[..routed], meter)?;
-        }
-
-        // The sum sits at the left-port position of every wire; it is
-        // forwarded directly through the sense path (no extra access).
-        Ok(dbc.peek_segment_rows().swap_remove(0))
+        // The sum ends under the left port of every wire; it is forwarded
+        // directly through the sense path (no extra access).
+        Ok(dbc.carry_chain(blocksize, self.trd >= 4, meter)?)
     }
 
     /// Full multi-operand addition: placement + carry chain.

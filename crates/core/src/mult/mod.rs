@@ -105,16 +105,11 @@ impl Multiplier {
         if !dbc.is_pim() {
             return Err(PimError::NotPim);
         }
-        for (lane_idx, v) in a
-            .unpack(lane)
-            .iter()
-            .chain(b.unpack(lane).iter())
-            .enumerate()
-        {
-            if bits < 64 && *v >> bits != 0 {
-                let _ = lane_idx;
-                return Err(PimError::WidthOverflow { bits, lane: bits });
-            }
+        if let Some(widest) = overflow_width([a, b], bits, lane) {
+            return Err(PimError::WidthOverflow {
+                bits: widest,
+                lane: bits,
+            });
         }
 
         // ---- Partial-product generation (§III-D2) ----
@@ -331,6 +326,28 @@ impl Multiplier {
     }
 }
 
+/// The bit width of the widest value in the `lane`-bit lanes of `rows`,
+/// if any does not fit the low `bits` of its lane. The high halves of a
+/// word's lanes are one mask, so the test allocates nothing.
+fn overflow_width(rows: [&Row; 2], bits: usize, lane: usize) -> Option<usize> {
+    let (per, low) = (lane / 64, u64::MAX >> (64 - lane.min(64)));
+    let high = |w: usize| match lane {
+        ..=64 => (low ^ low >> bits).wrapping_mul(u64::MAX / low),
+        _ => 0u64.wrapping_sub(u64::from(w % per >= per / 2)),
+    };
+    let mut widest = None;
+    for (w, &word) in rows.iter().flat_map(|row| row.words().iter().enumerate()) {
+        let mut over = word & high(w);
+        while over != 0 {
+            // An offender is as wide as its bit's place in its lane, plus one.
+            let at = w * 64 + over.trailing_zeros() as usize;
+            widest = widest.max(Some(at % lane + 1));
+            over &= over - 1;
+        }
+    }
+    widest
+}
+
 /// Pure-model partial products of `a * b` for `bits`-bit operands: entry
 /// `i` is `a << i` when bit `i` of `b` is set, else zero — the oracle for
 /// the predicated-copy stage.
@@ -467,7 +484,35 @@ mod tests {
         let err = mult
             .multiply_values(&mut dbc, &[256], &[1], 8, &mut CostMeter::new())
             .unwrap_err();
-        assert!(matches!(err, PimError::WidthOverflow { .. }));
+        assert_eq!(err, PimError::WidthOverflow { bits: 9, lane: 8 });
+        assert_eq!(err.to_string(), "9-bit operands do not fit a 8-bit lane");
+        // The widest offender of either operand, in any lane.
+        let err = mult
+            .multiply_values(
+                &mut dbc,
+                &[3, 0x30, 1],
+                &[0, 1, 0x1FFF],
+                8,
+                &mut CostMeter::new(),
+            )
+            .unwrap_err();
+        assert_eq!(err, PimError::WidthOverflow { bits: 13, lane: 8 });
+        let err = mult
+            .multiply_values(&mut dbc, &[0x10], &[0], 4, &mut CostMeter::new())
+            .unwrap_err();
+        assert_eq!(err, PimError::WidthOverflow { bits: 5, lane: 4 });
+        // Lanes wider than a word: 64-bit operands in 128-bit lanes.
+        let config = MemoryConfig {
+            nanowires_per_dbc: 256,
+            ..MemoryConfig::tiny()
+        };
+        let mut dbc = Dbc::pim_enabled(&config);
+        let wide = Row::from_u64_words(256, &[0, 0, 7, 1 << 3]);
+        let zero = Row::zeros(256);
+        let err = mult
+            .multiply_packed(&mut dbc, &zero, &wide, 64, &mut CostMeter::new())
+            .unwrap_err();
+        assert_eq!(err, PimError::WidthOverflow { bits: 68, lane: 64 });
     }
 
     #[test]

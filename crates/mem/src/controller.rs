@@ -25,6 +25,27 @@ use crate::Result;
 use coruscant_racetrack::{Cost, CostMeter};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative hasher for the controller's small integer keys, which
+/// every instruction looks up several times: SipHash's flooding resistance
+/// buys nothing for keys the controller validates itself.
+#[derive(Default)]
+struct LocationHasher(u64);
+
+impl Hasher for LocationHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b.into()));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LocationMap<K, V> = HashMap<K, V, BuildHasherDefault<LocationHasher>>;
 
 /// A request presented to the memory controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,11 +126,11 @@ pub struct MemoryController {
     /// Shared command/data bus occupancy.
     bus_free: u64,
     /// Currently aligned row per DBC (models the shift head position).
-    aligned: HashMap<DbcLocation, usize>,
+    aligned: LocationMap<DbcLocation, usize>,
     /// Lazily materialized DBCs.
-    store: HashMap<DbcLocation, Dbc>,
+    store: LocationMap<DbcLocation, Dbc>,
     /// Per-(bank, subarray) row buffers, lazily materialized.
-    buffers: HashMap<(usize, usize), RowBuffer>,
+    buffers: LocationMap<(usize, usize), RowBuffer>,
     /// Round-robin cursor for high-throughput PIM dispatch.
     pim_cursor: usize,
     /// Fault model applied to DBCs as they materialize.
@@ -137,9 +158,9 @@ impl MemoryController {
             timing,
             bank_free: vec![0; banks],
             bus_free: 0,
-            aligned: HashMap::new(),
-            store: HashMap::new(),
-            buffers: HashMap::new(),
+            aligned: LocationMap::default(),
+            store: LocationMap::default(),
+            buffers: LocationMap::default(),
             pim_cursor: 0,
             faults: None,
             now: 0,
@@ -172,21 +193,23 @@ impl MemoryController {
     }
 
     /// Runs a position-code scrub pass over every materialized DBC of
-    /// `bank`, charging the maintenance cost to `meter`, and forgets the
-    /// controller's aligned-row hints for the scrubbed DBCs (they end at
-    /// canonical alignment).
+    /// `bank` in ascending location order, charging the maintenance cost
+    /// to `meter`, and forgets the controller's aligned-row hints for the
+    /// scrubbed DBCs (they end at canonical alignment).
     ///
     /// # Errors
     ///
-    /// Propagates device errors from the checks.
+    /// Propagates device errors from the checks; the DBCs before the
+    /// failing one stay scrubbed.
     pub fn scrub_bank(&mut self, bank: usize, meter: &mut CostMeter) -> Result<ScrubOutcome> {
+        let mut locations: Vec<DbcLocation> = self.store.keys().copied().collect();
+        locations.retain(|loc| loc.bank == bank);
+        locations.sort_unstable();
         let mut total = ScrubOutcome::default();
-        for (loc, dbc) in self.store.iter_mut() {
-            if loc.bank != bank {
-                continue;
-            }
+        for loc in locations {
+            let dbc = self.store.get_mut(&loc).expect("listed from the store");
             total.merge(dbc.scrub(meter)?);
-            self.aligned.remove(loc);
+            self.aligned.remove(&loc);
         }
         Ok(total)
     }
@@ -817,6 +840,44 @@ mod tests {
         assert_eq!(again.realigned, 0);
         assert_eq!(again.repaired, 0);
         assert_eq!(c.scrub_bank(1, &mut m).unwrap(), ScrubOutcome::default());
+    }
+
+    /// A bank scrub sums every DBC's charges into one meter; the sum is
+    /// the ascending-location one whatever order the DBCs materialised in.
+    #[test]
+    fn scrub_bank_charges_in_location_order() {
+        use coruscant_racetrack::FaultConfig;
+        let faults = FaultConfig::NONE.with_shift_fault_rate(0.1);
+        let locations: Vec<DbcLocation> = (0..2)
+            .flat_map(|t| (0..4).map(move |d| DbcLocation::new(0, 1, t, d)))
+            .collect();
+        let run = |order: &mut dyn Iterator<Item = &DbcLocation>| {
+            let plan = FaultPlan::uniform(faults, 23).unwrap();
+            let mut c = MemoryController::with_faults(MemoryConfig::tiny(), plan);
+            let mut m = CostMeter::new();
+            for &loc in order {
+                for r in [9, 16, 12] {
+                    let row = Row::from_u64_words(64, &[r as u64 * 0x0123_4567]);
+                    c.store_row(RowAddress::new(loc, r), &row, &mut m).unwrap();
+                }
+            }
+            c
+        };
+        let (mut up, mut down) = (run(&mut locations.iter()), run(&mut locations.iter().rev()));
+        let (mut m_up, mut m_down) = (CostMeter::new(), CostMeter::new());
+        let out_up = up.scrub_bank(0, &mut m_up).unwrap();
+        let out_down = down.scrub_bank(0, &mut m_down).unwrap();
+        // The same DBCs scrubbed one by one, in ascending order.
+        let mut each = run(&mut locations.iter());
+        let (mut m_each, mut out_each) = (CostMeter::new(), ScrubOutcome::default());
+        for &loc in &locations {
+            out_each.merge(each.dbc_mut(loc).unwrap().scrub(&mut m_each).unwrap());
+        }
+        assert!(out_each.realigned > 0, "the program left wires to realign");
+        assert_eq!((out_up, out_down), (out_each, out_each));
+        let bits = |m: &CostMeter| m.total().energy_pj.to_bits();
+        assert_eq!((bits(&m_up), bits(&m_down)), (bits(&m_each), bits(&m_each)));
+        assert_eq!((&m_up, &m_down), (&m_each, &m_each));
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Domain-block clusters: the lock-step nanowire groups of a tile.
+//!
+//! Everything here works on bit planes a word at a time, the adder's
+//! carry chain included ([`Dbc::carry_chain`]: all its steps in one
+//! kernel). Under faults, transverse reads still draw once per selected
+//! wire, and shifts walk wire by wire.
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
@@ -57,8 +62,8 @@ pub struct Dbc {
     /// as distances come up (NaN until then); empty before the first shift.
     shift_energy: Vec<f64>,
     /// `(per-wire energy, wires, sum)` of the latest operations on some
-    /// of the wires, newest first: a carry chain or a multiplier's
-    /// reduction charges the same few lane counts on every step.
+    /// of the wires, newest first: a carry chain prices the same four lane
+    /// counts every time, a multiplier's reduction writes two rows at once.
     recent: [(f64, usize, f64); RECENT],
 }
 
@@ -366,6 +371,46 @@ impl Dbc {
         Ok((lo, hi))
     }
 
+    /// Where the segment planes sit in `planes`, left port first, and how
+    /// many there are: no more than the sense amplifier tells apart.
+    fn sensed_planes(&self) -> Result<([usize; SENSE_LEVELS], usize)> {
+        let (lo, hi) = self.segment()?;
+        let (span, limit) = (hi - lo + 1, SENSE_LEVELS);
+        if span > limit {
+            return Err(Error::TrdExceeded { span, limit }.into());
+        }
+        Ok((
+            std::array::from_fn(|k| self.plane_at(lo + k.min(span - 1))),
+            span,
+        ))
+    }
+
+    /// The ones, twos and fours digits of the transverse count of every
+    /// wire `lane` selects in word `w` of the segment planes at `at` (0 on
+    /// the others), each selected wire's count passed through its fault
+    /// injector if it has one.
+    fn count_word(&mut self, at: &[usize], w: usize, lane: u64) -> [u64; 3] {
+        let mut digits = [0u64; 3];
+        for &at in at {
+            let domain = self.planes[at + w] & lane;
+            let ripple = digits[0] & domain;
+            digits[0] ^= domain;
+            digits[2] ^= digits[1] & ripple;
+            digits[1] ^= ripple;
+        }
+        let mut faulted = if self.injectors.is_empty() { 0 } else { lane };
+        while faulted != 0 {
+            let b = faulted.trailing_zeros();
+            faulted &= !(1 << b);
+            let count = digits.iter().rev().fold(0, |c, d| c << 1 | (d >> b & 1));
+            let sensed = self.injectors[w * 64 + b as usize].sense(count as u8, at.len() as u8);
+            for (k, digit) in digits.iter_mut().enumerate() {
+                *digit = *digit & !(1 << b) | u64::from(sensed >> k & 1) << b;
+            }
+        }
+        digits
+    }
+
     fn check_row(&self, row: usize) -> Result<()> {
         let rows = self.rows();
         (row < rows)
@@ -590,7 +635,7 @@ impl Dbc {
     }
 
     /// Transverse read on the wires `lanes` selects, in parallel (one TR
-    /// latency): the lane mask a carry-chain step works through.
+    /// latency).
     ///
     /// # Errors
     ///
@@ -603,43 +648,23 @@ impl Dbc {
     ) -> Result<TrCounts> {
         self.check_width(lanes)?;
         let selected = lanes.popcount();
-        let (lo, hi) = self.segment()?;
-        if hi - lo + 1 > SENSE_LEVELS {
-            let (span, limit) = (hi - lo + 1, SENSE_LEVELS);
-            return Err(Error::TrdExceeded { span, limit }.into());
-        }
-        let span = (hi - lo + 1) as u8;
-        // A bit-sliced counter: each plane ripples into the ones, twos and
-        // fours digits of every wire at once; unselected wires count zero.
+        let (at, span) = self.sensed_planes()?;
         let [mut sum, mut carry, mut super_carry] = [(); 3].map(|()| Row::zeros(self.width));
         let (ones, twos, fours) = (sum.words_mut(), carry.words_mut(), super_carry.words_mut());
-        for pos in lo..=hi {
-            for (w, (domain, lane)) in self.plane(pos).iter().zip(lanes.words()).enumerate() {
-                let ripple = ones[w] & domain & lane;
-                ones[w] ^= domain & lane;
-                fours[w] ^= twos[w] & ripple;
-                twos[w] ^= ripple;
-            }
+        for (w, &lane) in lanes.words().iter().enumerate() {
+            [ones[w], twos[w], fours[w]] = self.count_word(&at[..span], w, lane);
         }
-        let mut counts = TrCounts {
+        let per_wire = ENERGY.transverse_read(span);
+        let energy = self.energy(self.full_width.transverse_read, per_wire, selected);
+        let cycles = LATENCY.transverse_read * u64::from(selected > 0);
+        meter.charge_class(OpClass::TransverseRead, Cost::new(cycles, energy));
+        let span = span as u8;
+        Ok(TrCounts {
             sum,
             carry,
             super_carry,
             span,
-        };
-        for (i, injector) in self.injectors.iter_mut().enumerate() {
-            if lanes.get(i) == Some(true) {
-                let sensed = injector.sense(counts.value(i), span);
-                counts.sum.set(i, sensed & 1 != 0);
-                counts.carry.set(i, sensed & 2 != 0);
-                counts.super_carry.set(i, sensed & 4 != 0);
-            }
-        }
-        let per_wire = ENERGY.transverse_read(span.into());
-        let energy = self.energy(self.full_width.transverse_read, per_wire, selected);
-        let cycles = LATENCY.transverse_read * u64::from(selected > 0);
-        meter.charge_class(OpClass::TransverseRead, Cost::new(cycles, energy));
-        Ok(counts)
+        })
     }
 
     /// Parallel masked writes: each `(port, data, lanes)` lands `data`
@@ -671,6 +696,74 @@ impl Dbc {
         let cycles = LATENCY.write * u64::from(written > 0);
         meter.charge_class(OpClass::Write, Cost::new(cycles, energy));
         Ok(())
+    }
+
+    /// The carry chain of a multi-operand addition (paper §III-C) over the
+    /// operands in the segment: step `j` senses bit `j` of every lane and
+    /// writes `S` under the left port of that wire, `C` under the right
+    /// port one wire up and, with `super_carry`, `C'` under the left port
+    /// two up (none past a lane top), charging what
+    /// [`Dbc::transverse_read_wires`] and [`Dbc::write_bits`] would.
+    /// Returns the lane sums, the row under the left port.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dbc::transverse_read_all`], or a device error for a port that
+    /// cannot write; all checked before the first step.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `blocksize` is a power of two dividing the width.
+    pub fn carry_chain(
+        &mut self,
+        blocksize: usize,
+        super_carry: bool,
+        meter: &mut CostMeter,
+    ) -> Result<Row> {
+        let (width, words) = (self.width, self.words());
+        assert!(width.is_multiple_of(blocksize), "bad lane width");
+        let lane0 = Row::lane_bit(width, blocksize, 0);
+        let (at, span) = self.sensed_planes()?;
+        self.port(PortId::LEFT, true)?;
+        self.port(PortId::RIGHT, true)?;
+        // A step senses one wire per lane and writes one, two or three.
+        let lanes = width / blocksize;
+        let per_wire = ENERGY.transverse_read(span);
+        let sensed = self.energy(self.full_width.transverse_read, per_wire, lanes);
+        let read = Cost::new(LATENCY.transverse_read, sensed);
+        let written = [1, 2, 3].map(|k| {
+            let energy = self.energy(self.full_width.write, ENERGY.write, k * lanes);
+            Cost::new(LATENCY.write, energy)
+        });
+        let (at, left, right) = (&at[..span], at[0], at[span - 1]);
+        let starts = lane0.words();
+        // Bit `j` of every lane in word `w`: bit 0 of the lanes `j / 64`
+        // words down, moved up; none once `j` passes the lane top.
+        let bit = |j: usize, w: usize| match w.checked_sub(j / 64) {
+            Some(from) if j < blocksize => starts[from] << (j % 64),
+            _ => 0,
+        };
+        for j in 0..blocksize {
+            // The digits of the word below, for carries that cross a word.
+            let mut below = [0; 3];
+            for w in 0..words {
+                let lane = bit(j, w);
+                let [ones, twos, fours] = self.count_word(at, w, lane);
+                let up1 = bit(j + 1, w);
+                let up2 = if super_carry { bit(j + 2, w) } else { 0 };
+                let carry = (twos << 1 | below[1] >> 63) & up1;
+                let super_ = (fours << 2 | below[2] >> 62) & up2;
+                let planes = &mut self.planes;
+                planes[left + w] = planes[left + w] & !(lane | up2) | ones | super_;
+                planes[right + w] = planes[right + w] & !up1 | carry;
+                below = [ones, twos, fours];
+            }
+            let routed =
+                usize::from(j + 1 < blocksize) + usize::from(super_carry && j + 2 < blocksize);
+            meter.charge_class(OpClass::TransverseRead, read);
+            meter.charge_class(OpClass::Write, written[routed]);
+        }
+        Ok(Row::from_u64_words(width, &self.planes[left..][..words]))
     }
 
     /// Transverse write on every wire in parallel: writes `row` under the

@@ -233,8 +233,8 @@ fn campaign(name: &str, width: usize, plan: FaultPlan, out: &mut String) {
     let mut rng = SplitMix64::new(0xFA17 ^ width as u64);
     let mut d = Digest::new();
     let pim = [DbcLocation::new(0, 0, 0, 0), DbcLocation::new(1, 1, 1, 0)];
-    // One DBC per bank: `scrub_bank` walks a bank's DBCs in hash order,
-    // and the order of the energy additions must not depend on it.
+    // One DBC per bank: recorded when `scrub_bank` still walked a bank's
+    // DBCs in hash order, which the energy additions could not depend on.
     let storage = DbcLocation::new(2, 0, 1, 2);
     let ops = [
         CpimOpcode::Add,
