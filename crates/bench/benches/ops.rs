@@ -2,9 +2,10 @@
 //! operation set) running on the functional simulator.
 
 use coruscant_core::add::MultiOperandAdder;
+use coruscant_core::arith::ArithmeticUnit;
 use coruscant_core::bulk::{BulkExecutor, BulkOp};
 use coruscant_core::maxpool::MaxExecutor;
-use coruscant_core::mult::Multiplier;
+use coruscant_core::mult::{CsaReducer, Multiplier};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::CostMeter;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,6 +44,20 @@ fn bench_ops(c: &mut Criterion) {
                 )
             });
         });
+        // One carry-save step over a full window of TRD rows.
+        let reducer = CsaReducer::new(trd);
+        let mut window = Dbc::pim_enabled(&config);
+        for v in 0..trd {
+            let row = Row::pack(64, 8, &[v as u64 * 53 % 256; 8]);
+            window.poke_row(2 + v, &row).unwrap();
+        }
+        g.bench_with_input(BenchmarkId::new("reduce", trd), &trd, |b, _| {
+            b.iter(|| {
+                let mut dbc = window.clone();
+                let mut m = CostMeter::new();
+                black_box(reducer.reduce(&mut dbc, 2, trd, 8, &mut m).unwrap())
+            });
+        });
     }
     let config = MemoryConfig::tiny();
     let exec = BulkExecutor::new(&config);
@@ -68,6 +83,14 @@ fn bench_ops(c: &mut Criterion) {
             let mut dbc = Dbc::pim_enabled(&config);
             let mut m = CostMeter::new();
             black_box(maxe.max_rows(&mut dbc, &cands, 8, &mut m).unwrap())
+        });
+    });
+    let unit = ArithmeticUnit::new(&config);
+    g.bench_function("min_3words", |b| {
+        b.iter(|| {
+            let mut dbc = Dbc::pim_enabled(&config);
+            let mut m = CostMeter::new();
+            black_box(unit.min_rows(&mut dbc, &cands[..3], 8, &mut m).unwrap())
         });
     });
     g.finish();

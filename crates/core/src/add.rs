@@ -67,15 +67,6 @@ impl MultiOperandAdder {
         }
     }
 
-    /// Segment position of operand `i` (0-based) in the addition layout.
-    fn operand_position(&self, i: usize) -> usize {
-        if self.trd <= 3 {
-            i
-        } else {
-            i + 1
-        }
-    }
-
     /// Places `k` operand rows into the segment for addition: one port
     /// write plus one domain shift per operand (the final shift is skipped
     /// at TRD = 3 where operands may sit on the left port), then presets
@@ -152,13 +143,11 @@ impl MultiOperandAdder {
         }
         crate::bulk::place_rows(dbc, operands, shifts, meter)?;
         // Preset every non-operand segment position (carry slots and any
-        // unused operand slots) to the all-zero padding row.
-        let zero = Row::zeros(dbc.width());
-        let occupied: Vec<usize> = (0..k).map(|i| self.operand_position(i)).collect();
-        for s in 0..self.trd {
-            if !occupied.contains(&s) {
-                dbc.poke_segment_row(s, &zero)?;
-            }
+        // unused operand slots) to the all-zero padding row. Operand `i`
+        // sits at position `i`, or `i + 1` above TRD 3.
+        let (zero, first) = (Row::zeros(dbc.width()), usize::from(self.trd >= 4));
+        for s in (0..self.trd).filter(|s| !(first..first + k).contains(s)) {
+            dbc.poke_segment_row(s, &zero)?;
         }
         Ok(())
     }

@@ -85,11 +85,13 @@ impl ArithmeticUnit {
     }
 
     /// Lane-wise `a ≥ b` (0/1 per lane): the borrow bit of a double-width
-    /// subtraction. Requires `2 × blocksize` lanes to fit the row.
+    /// subtraction. Requires `2 × blocksize` lanes to fit the row and a
+    /// 64-bit word.
     ///
     /// # Errors
     ///
-    /// Returns block-size/capacity errors.
+    /// Returns [`PimError::BadBlockSize`] for `blocksize` above 32 or a
+    /// double-width lane the row cannot hold, or capacity errors.
     pub fn compare_ge(
         &self,
         dbc: &mut Dbc,
@@ -99,6 +101,9 @@ impl ArithmeticUnit {
         meter: &mut CostMeter,
     ) -> Result<Row> {
         let wide = 2 * blocksize;
+        if wide > 64 {
+            return Err(PimError::BadBlockSize(blocksize));
+        }
         crate::add::validate_blocksize(wide, dbc.width())?;
         let width = dbc.width();
         // Re-pack the operands into double-width lanes, zero-extended.
@@ -205,29 +210,13 @@ impl ArithmeticUnit {
                 pending.insert(0, dbc.peek_row(r)?);
             }
         }
-        // Final chained additions.
-        let mut acc: Option<Row> = None;
-        while !pending.is_empty() || acc.as_ref().is_some_and(|_| false) {
-            let reserved = usize::from(acc.is_some());
-            let take = (max_ops - reserved).min(pending.len());
-            if take == 0 {
-                break;
-            }
-            let mut ops: Vec<Row> = Vec::with_capacity(max_ops);
-            if let Some(a) = acc.take() {
-                ops.push(a);
-            }
-            ops.extend(pending.drain(..take));
-            acc = Some(if ops.len() == 1 {
-                ops.pop().expect("nonempty")
-            } else {
-                adder.add_rows_at(dbc, &ops, 1, blocksize, meter)?
-            });
+        // Final chained additions, each running sum the first operand of
+        // the next.
+        while pending.len() > 1 {
+            let ops: Vec<Row> = pending.drain(..max_ops.min(pending.len())).collect();
+            pending.insert(0, adder.add_rows_at(dbc, &ops, 1, blocksize, meter)?);
         }
-        acc.ok_or(PimError::TooFewOperands {
-            requested: 0,
-            min: 1,
-        })
+        Ok(pending.remove(0))
     }
 
     /// Dot product of two packed vectors: lane-parallel multiplication
@@ -338,6 +327,30 @@ mod tests {
             .compare_ge(&mut dbc, &a, &b, 8, &mut CostMeter::new())
             .unwrap();
         assert_eq!(got.unpack(16), vec![1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn compare_ge_rejects_lanes_past_a_word() {
+        // 64-bit lanes would compare in 128-bit ones, which a 256-wire
+        // row holds but the packed values do not.
+        let config = MemoryConfig {
+            nanowires_per_dbc: 256,
+            ..MemoryConfig::tiny()
+        };
+        let (mut dbc, unit) = (Dbc::pim_enabled(&config), ArithmeticUnit::new(&config));
+        let row = Row::pack(256, 64, &[1, 2, 3, 4]);
+        let mut m = CostMeter::new();
+        for blocksize in [64, 128] {
+            let err = unit
+                .compare_ge(&mut dbc, &row, &row, blocksize, &mut m)
+                .unwrap_err();
+            assert_eq!(err, PimError::BadBlockSize(blocksize));
+        }
+        assert_eq!(m, CostMeter::new());
+        // 32-bit lanes still compare, in 64-bit ones.
+        let (a, b) = (Row::pack(256, 32, &[7, 9]), Row::pack(256, 32, &[9, 7]));
+        let got = unit.compare_ge(&mut dbc, &a, &b, 32, &mut m).unwrap();
+        assert_eq!(got.unpack(64)[..2], [0, 1]);
     }
 
     #[test]

@@ -59,9 +59,8 @@ pub(crate) fn place_rows(
     shifts: usize,
     meter: &mut CostMeter,
 ) -> Result<()> {
-    let every_wire = Row::ones(dbc.width());
     for (i, row) in rows.iter().enumerate() {
-        dbc.write_bits(&[(PortId::LEFT, row, &every_wire)], meter)?;
+        dbc.write_port(PortId::LEFT, row, meter)?;
         if i < shifts {
             dbc.shift_all(1, meter)?;
         }

@@ -33,6 +33,13 @@ pub enum PimError {
     },
     /// An instruction failed to decode.
     BadInstruction(String),
+    /// Two operand lists that pair up element by element differ in length.
+    LengthMismatch {
+        /// Values in the first list.
+        left: usize,
+        /// Values in the second list.
+        right: usize,
+    },
 }
 
 impl fmt::Display for PimError {
@@ -57,6 +64,9 @@ impl fmt::Display for PimError {
                 write!(f, "{bits}-bit operands do not fit a {lane}-bit lane")
             }
             PimError::BadInstruction(s) => write!(f, "bad cpim instruction: {s}"),
+            PimError::LengthMismatch { left, right } => {
+                write!(f, "operand lists of {left} and {right} values differ")
+            }
         }
     }
 }
@@ -102,6 +112,7 @@ mod tests {
             PimError::NotPim,
             PimError::WidthOverflow { bits: 16, lane: 8 },
             PimError::BadInstruction("opcode 31".into()),
+            PimError::LengthMismatch { left: 2, right: 1 },
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());

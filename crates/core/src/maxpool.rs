@@ -15,19 +15,16 @@
 //! every word to its original position after TRD rounds without disturbing
 //! the rest of the wire. After the LSB pass, a final `TR > 0` read yields
 //! the maximum regardless of where it sits (and regardless of ties).
+//!
+//! One bit position — the TR and every read, elimination and transverse
+//! write of its rounds — is one plane kernel, [`Dbc::max_pass`];
+//! [`MaxExecutor::max_in_place`] (and with it `Max` and `Min`) is a loop
+//! over the bit positions.
 
 use crate::sense::at_least;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::{CostMeter, PortId};
-
-/// The predicated row-buffer reset of one elimination step: every
-/// `blocksize` lane of `word` whose bit `j` is `0` while some candidate has
-/// a `1` there (`positive`, the `TR > 0` row) is cleared.
-fn eliminate(word: &Row, positive: &Row, j: usize, blocksize: usize) -> Row {
-    let loses = (positive & &!word).spread_lanes(j, blocksize);
-    word & &!&loses
-}
 
 /// Executes max operations on a PIM-enabled DBC.
 #[derive(Debug, Clone)]
@@ -107,20 +104,8 @@ impl MaxExecutor {
     ) -> Result<Row> {
         crate::add::validate_blocksize(blocksize, dbc.width())?;
         for j in (0..blocksize).rev() {
-            // One parallel TR; lane `l`'s verdict lives at wire l*bs + j.
-            let positive = at_least(&dbc.transverse_read_all(meter)?, 1);
-
-            // Rotate all TRD words through the heads via read + TW.
-            for _ in 0..self.trd {
-                // Read the word under the right head (parallel across
-                // wires: one read cycle).
-                let mut read = CostMeter::new();
-                let word = dbc.read_port(PortId::RIGHT, &mut read)?;
-                meter.charge(read.total());
-                // Transverse write from the left head: segmented shift.
-                let updated = eliminate(&word, &positive, j, blocksize);
-                dbc.transverse_write_all(&updated, meter)?;
-            }
+            // One TR, then all TRD words rotate through the heads.
+            dbc.max_pass(j, blocksize, self.trd, meter)?;
         }
 
         // Extraction: TR > 0 per wire reads the max regardless of its
@@ -162,7 +147,13 @@ impl MaxExecutor {
         meter: &mut CostMeter,
     ) -> Result<Row> {
         crate::add::validate_blocksize(blocksize, dbc.width())?;
-        if k == 0 || k > self.trd {
+        if k == 0 {
+            return Err(PimError::TooFewOperands {
+                requested: 0,
+                min: 1,
+            });
+        }
+        if k > self.trd {
             return Err(PimError::TooManyOperands {
                 requested: k,
                 max: self.trd,
@@ -172,8 +163,11 @@ impl MaxExecutor {
             dbc.align_row(base, PortId::LEFT, meter)?;
             let positive = at_least(&dbc.transverse_read_all(meter)?, 1);
             for r in base..base + k {
+                // The predicated row-buffer reset: a lane whose bit `j` is
+                // `0` while some candidate has a `1` there is cleared.
                 let word = dbc.read_row(r, meter)?;
-                dbc.write_row(r, &eliminate(&word, &positive, j, blocksize), meter)?;
+                let loses = (&positive & &!&word).spread_lanes(j, blocksize);
+                dbc.write_row(r, &(&word & &!&loses), meter)?;
             }
         }
         dbc.align_row(base, PortId::LEFT, meter)?;
@@ -330,5 +324,32 @@ mod tests {
             max.max_rows(&mut storage, &eight[..2], 8, &mut m),
             Err(PimError::NotPim)
         ));
+    }
+
+    #[test]
+    fn baseline_operand_counts() {
+        let (mut dbc, max) = setup();
+        let mut m = CostMeter::new();
+        let none = max.max_rows_without_tw(&mut dbc, 10, 0, 8, &mut m);
+        let err = none.unwrap_err();
+        assert_eq!(
+            err,
+            PimError::TooFewOperands {
+                requested: 0,
+                min: 1
+            }
+        );
+        assert_eq!(err.to_string(), "0 operands below the minimum of 1");
+        let err = max
+            .max_rows_without_tw(&mut dbc, 10, 8, 8, &mut m)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PimError::TooManyOperands {
+                requested: 8,
+                max: 7
+            }
+        );
+        assert_eq!(m, CostMeter::new());
     }
 }

@@ -16,9 +16,13 @@
 //! Cost: 1 TR + 1 simultaneous `S`/`C` port write + 1 domain shift + 1
 //! `C'` write = 4 cycles for TRD ≥ 4 (the paper's 4-cycle O(1) reduction),
 //! or 2 cycles for the `3 → 2` step.
+//!
+//! [`CsaReducer::reduce`] checks its operands, aligns the window and runs
+//! the step as one plane kernel, [`Dbc::csa_step`]: the multiplier, the
+//! `Reduce` opcode and `arith::sum_rows` all reach it there.
 
 use crate::{PimError, Result};
-use coruscant_mem::{Dbc, Row};
+use coruscant_mem::Dbc;
 use coruscant_racetrack::{CostMeter, PortId};
 
 /// The output rows of one reduction step (DBC row indices).
@@ -115,68 +119,24 @@ impl CsaReducer {
             }));
         }
 
-        // Align the window: row `base` under the left port.
+        // Align the window (row `base` under the left port), then one
+        // transverse read, the S/C writes and, above TRD 3, the shift that
+        // brings row base − 1 under the left port for C'.
         dbc.align_row(base, PortId::LEFT, meter)?;
-
-        // One parallel transverse read across the window: the count
-        // planes are the S, C and C' rows. Carries are routed one and two
-        // bitlines over, dropped at lane tops.
-        let counts = dbc.transverse_read_all(meter)?;
-        let carry = counts.carry.shl_lanes(1, blocksize);
-        let every_wire = Row::ones(dbc.width());
-
-        // Simultaneous S (left port) and C (right port) writes: 1 cycle.
-        let writes = [
-            (PortId::LEFT, &counts.sum, &every_wire),
-            (PortId::RIGHT, &carry, &every_wire),
-        ];
-        dbc.write_bits(&writes, meter)?;
-
-        let c_row = base + self.trd - 1;
-        if !needs_cp {
-            return Ok(Reduced {
-                s: base,
-                c: c_row,
-                cp: None,
-            });
-        }
-
-        // Shift one domain so the left port covers row base − 1, then
-        // write the super-carry row.
-        dbc.shift_all(1, meter)?;
-        let super_carry = counts.super_carry.shl_lanes(2, blocksize);
-        dbc.write_bits(&[(PortId::LEFT, &super_carry, &every_wire)], meter)?;
-
+        dbc.csa_step(blocksize, needs_cp, meter)?;
         Ok(Reduced {
             s: base,
-            c: c_row,
-            cp: Some(base - 1),
+            c: base + self.trd - 1,
+            cp: needs_cp.then(|| base - 1),
         })
-    }
-
-    /// Reference model: the lane-wise arithmetic sum of the input rows
-    /// must equal `S + C + C'` lane-wise (mod `2^blocksize`).
-    pub fn reference_sum(rows: &[Row], blocksize: usize) -> Vec<u64> {
-        let lanes = rows[0].width() / blocksize;
-        let mask = if blocksize == 64 {
-            u64::MAX
-        } else {
-            (1u64 << blocksize) - 1
-        };
-        let mut sums = vec![0u64; lanes];
-        for r in rows {
-            for (lane, v) in r.unpack(blocksize).into_iter().enumerate() {
-                sums[lane] = sums[lane].wrapping_add(v) & mask;
-            }
-        }
-        sums
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coruscant_mem::MemoryConfig;
+    use crate::add::MultiOperandAdder;
+    use coruscant_mem::{MemoryConfig, Row};
 
     fn setup(trd: usize) -> (Dbc, CsaReducer) {
         let config = MemoryConfig::tiny().with_trd(trd);
@@ -219,7 +179,7 @@ mod tests {
         let s = dbc.peek_row(out.s).unwrap().unpack(8);
         let c = dbc.peek_row(out.c).unwrap().unpack(8);
         let cp = dbc.peek_row(out.cp.unwrap()).unwrap().unpack(8);
-        let want = CsaReducer::reference_sum(&inputs, 8);
+        let want = MultiOperandAdder::reference(&inputs, 8).unpack(8);
         for lane in 0..8 {
             let got = (s[lane] + c[lane] + cp[lane]) & 0xFF;
             assert_eq!(got, want[lane], "lane {lane}");
@@ -237,7 +197,7 @@ mod tests {
         let s = dbc.peek_row(out.s).unwrap().unpack(8);
         let c = dbc.peek_row(out.c).unwrap().unpack(8);
         let cp = dbc.peek_row(out.cp.unwrap()).unwrap().unpack(8);
-        let want = CsaReducer::reference_sum(&inputs, 8);
+        let want = MultiOperandAdder::reference(&inputs, 8).unpack(8);
         for lane in 0..8 {
             assert_eq!((s[lane] + c[lane] + cp[lane]) & 0xFF, want[lane]);
         }
@@ -297,7 +257,7 @@ mod tests {
         let s = dbc.peek_row(out2.s).unwrap().unpack(16);
         let c = dbc.peek_row(out2.c).unwrap().unpack(16);
         let cp = dbc.peek_row(out2.cp.unwrap()).unwrap().unpack(16);
-        let want = CsaReducer::reference_sum(&all_inputs, 16);
+        let want = MultiOperandAdder::reference(&all_inputs, 16).unpack(16);
         for lane in 0..4 {
             assert_eq!((s[lane] + c[lane] + cp[lane]) & 0xFFFF, want[lane]);
         }

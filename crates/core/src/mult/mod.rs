@@ -13,6 +13,11 @@
 //!   products with O(1) carry-save `7 → 3` reductions until at most
 //!   `TRD − 2` remain, then performs a single chained addition — making
 //!   multiplication O(n) instead of O(n log n) in operand width.
+//!
+//! Each partial product is built a word at a time
+//! ([`Row::partial_product`]) and lands with one aligned `write_row`;
+//! each reduction is one [`Dbc::csa_step`] and the final addition one
+//! [`Dbc::carry_chain`], both plane kernels.
 
 pub mod constant;
 pub mod csa;
@@ -21,7 +26,6 @@ pub use constant::{csd_digits, csd_terms, ConstantMultiplier, ConstantPlan, CsdT
 pub use csa::{CsaReducer, Reduced};
 
 use crate::add::MultiOperandAdder;
-use crate::shift_logic::shift_row_left;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::CostMeter;
@@ -129,21 +133,15 @@ impl Multiplier {
         // before write-back. Cost per PP: one DW alignment shift plus one
         // (shifted, predicated) write — the paper's "k shifted read and
         // write operations and k DW shifts" accounting.
-        let mut cur = a.clone();
         for i in 0..n {
-            let masked = &cur & &b.spread_lanes(i, lane);
-            dbc.write_row(pool + i, &masked, meter)?;
-            cur = shift_row_left(&cur, 1, lane);
+            dbc.write_row(pool + i, &a.partial_product(b, i, lane), meter)?;
         }
 
         let mut live: Vec<usize> = (pool..pool + n).collect();
 
         // ---- Summation ----
-        match self.strategy {
-            MultStrategy::CarrySave => {
-                self.reduce_with_csa(dbc, &mut live, lane, meter)?;
-            }
-            MultStrategy::Arbitrary => { /* handled below by the adder */ }
+        if self.strategy == MultStrategy::CarrySave {
+            self.reduce_with_csa(dbc, &mut live, lane, meter)?;
         }
 
         // Final (or repeated, for Arbitrary) multi-operand additions. The
@@ -165,8 +163,7 @@ impl Multiplier {
             dbc.write_row(slot, &sum, meter)?;
             live.insert(0, slot);
         }
-        let result_row = live[0];
-        dbc.peek_row(result_row).map_err(PimError::from)
+        Ok(dbc.peek_row(live[0])?)
     }
 
     /// Collapses the live rows with carry-save reductions until at most
@@ -178,116 +175,64 @@ impl Multiplier {
         lane: usize,
         meter: &mut CostMeter,
     ) -> Result<()> {
-        let reducer = CsaReducer::new(self.trd);
-        let max_ops = self.max_add_operands();
-        while live.len() > max_ops {
-            let t = self.trd.min(live.len());
-            if t < 3 {
-                break;
-            }
+        let (reducer, trd) = (CsaReducer::new(self.trd), self.trd);
+        while live.len() > self.max_add_operands() {
+            let t = trd.min(live.len());
             // Fast path: a full window of contiguous live rows (with the
             // super-carry landing row free below it) reduces in place with
             // no data movement — the common case right after partial-
             // product generation, where the pool is contiguous.
-            let in_place = t == self.trd
+            let in_place = t == trd
                 && live[..t].windows(2).all(|w| w[1] == w[0] + 1)
                 && live[0] >= 1
                 && !live.contains(&(live[0] - 1));
-            let (base, t) = if in_place {
-                let b = live[0];
+            let base = if in_place {
+                let base = live[0];
                 live.drain(..t);
-                (b, t)
+                base
             } else {
-                // Overlap-aware gather: choose the window position whose
-                // span already contains the most chosen rows, so only the
-                // stragglers pay a read/write move. The window must not
-                // clobber surviving live rows and its super-carry landing
-                // slot (base − 1) must be free.
                 let chosen: Vec<usize> = live.drain(..t).collect();
+                // Overlap-aware gather: chosen rows inside the window keep
+                // their slot, the stragglers pay a read/write move into the
+                // free slots in ascending order, and a slot nothing lands
+                // in is zeroed (one write each).
                 let base = self.best_window(dbc.rows(), &chosen, live);
-                let span = base..base + self.trd;
-                // Slot occupancy: chosen rows inside the window keep their
-                // position; movers fill the free slots.
-                let mut occupied = vec![false; self.trd];
-                let mut movers = Vec::new();
-                for &r in &chosen {
-                    if span.contains(&r) {
-                        occupied[r - base] = true;
-                    } else {
-                        movers.push(r);
-                    }
-                }
-                let mut free: Vec<usize> = (0..self.trd).filter(|&s| !occupied[s]).collect();
-                free.reverse(); // pop() hands slots out in ascending order
-                for r in movers {
-                    let s = free.pop().expect("window has room for every mover");
-                    let data = dbc.read_row(r, meter)?;
+                let mut free = (0..trd).filter(|s| !chosen.contains(&(base + s)));
+                for &r in chosen.iter().filter(|&&r| r < base || r >= base + trd) {
+                    let (data, s) = (dbc.read_row(r, meter)?, free.next().expect("a free slot"));
                     dbc.write_row(base + s, &data, meter)?;
-                    occupied[s] = true;
                 }
-                // Zero any slot no operand landed in (one write each).
                 let zero = Row::zeros(dbc.width());
-                for (s, filled) in occupied.iter().enumerate() {
-                    if !filled {
-                        dbc.write_row(base + s, &zero, meter)?;
-                    }
+                for s in free {
+                    dbc.write_row(base + s, &zero, meter)?;
                 }
-                // With zero padding the reduction spans the full window.
-                (base, self.trd)
+                base
             };
-            let out = reducer.reduce(dbc, base, t, lane, meter)?;
+            // With zero padding the reduction always spans the window.
+            let out = reducer.reduce(dbc, base, trd, lane, meter)?;
             // Outputs go to the FRONT of the live list so the next
             // reduction consumes them first — this guarantees the C'
             // landing row is re-read before any later reduction overwrites
             // it.
-            for r in out.rows().into_iter().rev() {
-                live.insert(0, r);
-            }
+            live.splice(0..0, out.rows());
         }
         Ok(())
     }
 
     /// Picks the reduction-window base that overlaps the most chosen rows
-    /// while keeping surviving live rows and the super-carry slot
-    /// (`base − 1`) out of harm's way. Falls back to the fixed scratch
-    /// window when no position qualifies.
+    /// (the lowest such base) while keeping surviving live rows and the
+    /// super-carry slot (`base − 1`) out of harm's way; row 1 when no base
+    /// qualifies.
     fn best_window(&self, rows: usize, chosen: &[usize], remaining: &[usize]) -> usize {
-        let fixed = 1usize;
-        let mut best = fixed;
-        let mut best_hits = 0usize;
-        for b in 1..=rows.saturating_sub(self.trd) {
-            let span = b..b + self.trd;
-            // The window must not clobber surviving live rows, and the C'
-            // landing slot must not hold one either.
-            if remaining.iter().any(|r| span.contains(r) || *r + 1 == b) {
-                continue;
-            }
-            let hits = chosen.iter().filter(|r| span.contains(r)).count();
-            if hits > best_hits {
-                best_hits = hits;
-                best = b;
-            }
-        }
-        // The fallback must also be safe; the fixed window's span only
-        // holds scratch rows in the layouts this multiplier builds, but
-        // verify against survivors anyway.
-        if best == fixed {
-            let span = fixed..fixed + self.trd;
-            if remaining
+        let span = |b: usize| b..b + self.trd;
+        let safe = |b: &usize| {
+            !remaining
                 .iter()
-                .any(|r| span.contains(r) || *r + 1 == fixed)
-            {
-                // Find the first safe position (always exists: the pool
-                // region above the survivors).
-                for b in 1..=rows.saturating_sub(self.trd) {
-                    let span = b..b + self.trd;
-                    if !remaining.iter().any(|r| span.contains(r) || *r + 1 == b) {
-                        return b;
-                    }
-                }
-            }
-        }
-        best
+                .any(|r| span(*b).contains(r) || r + 1 == *b)
+        };
+        let hits = |b: &usize| chosen.iter().filter(|r| span(*b).contains(r)).count();
+        let bases = (1..=rows.saturating_sub(self.trd)).filter(safe);
+        bases.rev().max_by_key(hits).unwrap_or(1)
     }
 
     /// Convenience: multiplies slices of values, packing them into lanes
@@ -295,8 +240,10 @@ impl Multiplier {
     ///
     /// # Errors
     ///
-    /// As [`Multiplier::multiply_packed`]; also if more values are passed
-    /// than fit one row.
+    /// As [`Multiplier::multiply_packed`]; also
+    /// [`PimError::LengthMismatch`] for slices of different lengths and
+    /// [`PimError::TooManyOperands`] for more values than one row has
+    /// lanes.
     pub fn multiply_values(
         &self,
         dbc: &mut Dbc,
@@ -307,10 +254,16 @@ impl Multiplier {
     ) -> Result<Vec<u64>> {
         let lane = 2 * bits;
         let lanes = dbc.width() / lane;
-        if a.len() > lanes || b.len() > lanes || a.len() != b.len() {
-            return Err(PimError::WidthOverflow {
-                bits: a.len().max(b.len()) * lane,
-                lane: dbc.width(),
+        if a.len() != b.len() {
+            return Err(PimError::LengthMismatch {
+                left: a.len(),
+                right: b.len(),
+            });
+        }
+        if a.len() > lanes {
+            return Err(PimError::TooManyOperands {
+                requested: a.len(),
+                max: lanes,
             });
         }
         let ra = Row::pack(dbc.width(), lane, a);
@@ -346,26 +299,6 @@ fn overflow_width(rows: [&Row; 2], bits: usize, lane: usize) -> Option<usize> {
         }
     }
     widest
-}
-
-/// Pure-model partial products of `a * b` for `bits`-bit operands: entry
-/// `i` is `a << i` when bit `i` of `b` is set, else zero — the oracle for
-/// the predicated-copy stage.
-pub fn partial_products(a: &Row, b: &Row, bits: usize, lane: usize) -> Vec<Row> {
-    let b_lanes = b.unpack(lane);
-    (0..bits)
-        .map(|i| {
-            let mut pp = shift_row_left(a, i, lane);
-            for (l, bv) in b_lanes.iter().enumerate() {
-                if bv >> i & 1 == 0 {
-                    for w in l * lane..(l + 1) * lane {
-                        pp.set(w, false);
-                    }
-                }
-            }
-            pp
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -479,6 +412,33 @@ mod tests {
     }
 
     #[test]
+    fn value_counts_are_checked() {
+        let (mut dbc, mult) = setup(7);
+        let mut m = CostMeter::new();
+        let err = mult
+            .multiply_values(&mut dbc, &[1, 2], &[3], 8, &mut m)
+            .unwrap_err();
+        assert_eq!(err, PimError::LengthMismatch { left: 2, right: 1 });
+        assert_eq!(err.to_string(), "operand lists of 2 and 1 values differ");
+        // 64 wires hold four 16-bit lanes.
+        let err = mult
+            .multiply_values(&mut dbc, &[1; 5], &[1; 5], 8, &mut m)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PimError::TooManyOperands {
+                requested: 5,
+                max: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "5 operands exceed the maximum of 4 at this TRD"
+        );
+        assert_eq!(m, CostMeter::new(), "rejected before any device work");
+    }
+
+    #[test]
     fn oversized_operands_rejected() {
         let (mut dbc, mult) = setup(7);
         let err = mult
@@ -519,8 +479,7 @@ mod tests {
     fn partial_products_oracle() {
         let a = Row::pack(64, 16, &[0x00FF, 0x0003, 0, 0]);
         let b = Row::pack(64, 16, &[0x0005, 0x00FF, 0, 0]);
-        let pps = partial_products(&a, &b, 8, 16);
-        assert_eq!(pps.len(), 8);
+        let pps: Vec<Row> = (0..8).map(|i| a.partial_product(&b, i, 16)).collect();
         // Sum of PPs equals the product, lane-wise.
         let mut sums = [0u64; 4];
         for pp in &pps {

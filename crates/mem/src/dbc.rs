@@ -1,14 +1,17 @@
 //! Domain-block clusters: the lock-step nanowire groups of a tile.
 //!
-//! Everything here works on bit planes a word at a time, the adder's
-//! carry chain included ([`Dbc::carry_chain`]: all its steps in one
-//! kernel). Under faults, transverse reads still draw once per selected
-//! wire, and shifts walk wire by wire.
+//! Everything here works on bit planes a word at a time, including three
+//! kernels that each replace a loop of `Row` calls: the adder's carry
+//! chain ([`Dbc::carry_chain`]), one carry-save reduction step
+//! ([`Dbc::csa_step`]) and one bit position of the transverse-write max
+//! ([`Dbc::max_pass`]). A fault-free shift moves the plane ring's head in
+//! O(1). Under faults, transverse reads still draw once per selected wire,
+//! and shifts walk wire by wire.
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::fault::ScrubOutcome;
-use crate::row::Row;
+use crate::row::{spread_bit, Row};
 use crate::Result;
 use coruscant_racetrack::params::{EnergyParams, LatencyParams};
 use coruscant_racetrack::{
@@ -59,7 +62,7 @@ pub struct Dbc {
     /// Energies of the operations that take every wire at once.
     full_width: FullWidth,
     /// Energy of a lock-step shift by `d` domains at index `d`, filled in
-    /// as distances come up (NaN until then); empty before the first shift.
+    /// as distances come up (NaN until then).
     shift_energy: Vec<f64>,
     /// `(per-wire energy, wires, sum)` of the latest operations on some
     /// of the wires, newest first: a carry chain prices the same four lane
@@ -84,11 +87,17 @@ struct FullWidth {
 const SENSE_LEVELS: usize = 7;
 
 /// The energy of one operation on `n` wires in parallel: `per_wire` added
-/// `n` times from zero, as DBC operations have always charged it.
+/// `n` times onto `sums` (zeros, unless a sum continues), as DBC operations
+/// have always charged it; several side by side run in parallel.
 /// Floating-point addition does not round the way one multiplication
-/// does, so the sum is reproduced, not re-derived.
-fn summed(per_wire: f64, n: usize) -> f64 {
-    (0..n).fold(0.0, |sum, _| sum + per_wire)
+/// does, so each sum is reproduced, not re-derived.
+fn summed<const K: usize>(mut sums: [f64; K], per_wire: [f64; K], n: usize) -> [f64; K] {
+    for _ in 0..n {
+        for (sum, e) in sums.iter_mut().zip(per_wire) {
+            *sum += e;
+        }
+    }
+    sums
 }
 
 /// The three binary digits of every wire's ones-count after a parallel
@@ -130,6 +139,12 @@ impl Dbc {
 
     fn from_spec(spec: NanowireSpec, width: usize) -> Dbc {
         spec.validate().expect("invalid nanowire spec");
+        let sensed = match spec.segment_len() {
+            span @ 1..=SENSE_LEVELS => ENERGY.transverse_read(span),
+            _ => 0.0, // no transverse read succeeds on this geometry
+        };
+        let e = [ENERGY.read, ENERGY.write, ENERGY.transverse_write, sensed];
+        let [read, write, transverse_write, transverse_read] = summed([0.0; 4], e, width);
         Dbc {
             planes: vec![0; spec.total_domains * width.div_ceil(64)],
             head: 0,
@@ -138,15 +153,12 @@ impl Dbc {
             drift: Vec::new(),
             code: None,
             full_width: FullWidth {
-                read: summed(ENERGY.read, width),
-                write: summed(ENERGY.write, width),
-                transverse_write: summed(ENERGY.transverse_write, width),
-                transverse_read: match spec.segment_len() {
-                    span @ 1..=SENSE_LEVELS => summed(ENERGY.transverse_read(span), width),
-                    _ => 0.0, // no transverse read succeeds on this geometry
-                },
+                read,
+                write,
+                transverse_write,
+                transverse_read,
             },
-            shift_energy: Vec::new(),
+            shift_energy: vec![f64::NAN; spec.total_domains - spec.data_domains + 1],
             recent: [(0.0, 0, 0.0); RECENT],
             spec,
             width,
@@ -328,7 +340,8 @@ impl Dbc {
 
     /// Where the plane at physical position `pos` starts in `planes`.
     fn plane_at(&self, pos: usize) -> usize {
-        (self.head + pos) % self.spec.total_domains * self.words()
+        let (ring, total) = (self.head + pos, self.spec.total_domains);
+        (if ring < total { ring } else { ring - total }) * self.words()
     }
 
     fn plane(&self, pos: usize) -> &[u64] {
@@ -435,7 +448,13 @@ impl Dbc {
         if let Some(&(_, _, sum)) = self.recent.iter().find(known) {
             return sum;
         }
-        let sum = summed(per_wire, n);
+        // Past the width, the first `width` terms are `full_width`.
+        let (from, more) = if n > self.width {
+            (full_width, n - self.width)
+        } else {
+            (0.0, n)
+        };
+        let [sum] = summed([from], [per_wire], more);
         self.recent.rotate_right(1);
         self.recent[0] = (per_wire, n, sum);
         sum
@@ -445,38 +464,46 @@ impl Dbc {
     /// charges the shift: latency of the longest wire, energies added
     /// wire by wire.
     fn shift_by(&mut self, delta: impl Fn(isize) -> isize, meter: &mut CostMeter) -> Result<()> {
-        let step_cost = Cost::new(LATENCY.shift_per_step, ENERGY.shift_per_step);
         let (max_offset, total) = (self.max_offset(), self.spec.total_domains);
         if self.drift.is_empty() {
+            // What `walk_shift` checks and charges, without the walk: an
+            // overrun moves nothing, a move is priced by its distance.
             let delta = delta(self.offset);
-            let mut walk = CostMeter::new();
-            walk_shift(self.offset, max_offset, delta, None, step_cost, &mut walk).1?;
-            for _ in 0..delta.unsigned_abs() {
-                // The plane pushed off one extremity re-enters, emptied,
-                // at the other.
-                let (turn, entering) = if delta > 0 {
-                    (total - 1, 0)
-                } else {
-                    (1, total - 1)
-                };
-                self.head = (self.head + turn) % total;
-                self.plane_mut(entering).fill(0);
+            if !(0..=max_offset).contains(&(self.offset + delta)) {
+                let overrun = walk_shift(self.offset, max_offset, delta, None, Cost::ZERO, meter);
+                return Ok(overrun.1?);
+            }
+            // The planes pushed off one extremity re-enter, emptied, at
+            // the other.
+            let steps = delta.unsigned_abs();
+            let (head, entering) = match delta > 0 {
+                true => (self.head + total - steps, 0..steps),
+                false => (self.head + steps, total - steps..total),
+            };
+            self.head = head % total;
+            for pos in entering {
+                self.plane_mut(pos).fill(0);
             }
             self.offset += delta;
-            if self.shift_energy.is_empty() {
-                self.shift_energy = vec![f64::NAN; max_offset as usize + 1];
+            if self.shift_energy[steps].is_nan() {
+                // Eight distances priced side by side, in the time of one:
+                // each walk's steps on one wire, summed over the wires.
+                let first = steps / 8 * 8;
+                let [walk] = summed([0.0], [ENERGY.shift_per_step], first);
+                let walks = std::array::from_fn(|k| summed([walk], [ENERGY.shift_per_step], k)[0]);
+                let priced = summed([0.0; 8], walks, self.width);
+                let block = self.shift_energy[first..].iter_mut();
+                block.zip(priced).for_each(|(energy, e)| *energy = e);
             }
-            let energy = &mut self.shift_energy[delta.unsigned_abs()];
-            if energy.is_nan() {
-                *energy = summed(walk.total().energy_pj, self.width);
-            }
-            let energy = *energy;
-            meter.charge_class(OpClass::Shift, Cost::new(walk.total().cycles, energy));
+            let energy = self.shift_energy[steps];
+            let cost = Cost::new(LATENCY.shift_per_step * steps as u64, energy);
+            meter.charge_class(OpClass::Shift, cost);
             return Ok(());
         }
         // Wire by wire, every step of a wire before the next wire: a wire
         // that overruns keeps what it moved, the wires after it stay put
         // and nothing is charged.
+        let step_cost = Cost::new(LATENCY.shift_per_step, ENERGY.shift_per_step);
         let (mut combined, mut outcome) = (Cost::ZERO, Ok(()));
         let mut moves = vec![0; self.width];
         for (i, moved) in moves.iter_mut().enumerate() {
@@ -585,7 +612,23 @@ impl Dbc {
         self.check_width(data)?;
         let port = self.nearest_port(r)?;
         self.align_row(r, port, meter)?;
-        self.write_bits(&[(port, data, &Row::ones(self.width))], meter)
+        self.write_port(port, data, meter)
+    }
+
+    /// Writes `data` under `port` on all wires in parallel, without
+    /// aligning anything first: [`Dbc::write_bits`] of every wire.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::WidthMismatch`] or a device error for a port
+    /// that cannot write.
+    pub fn write_port(&mut self, port: PortId, data: &Row, meter: &mut CostMeter) -> Result<()> {
+        self.check_width(data)?;
+        let pos = self.port(port, true)?;
+        self.plane_mut(pos).copy_from_slice(data.words());
+        let energy = self.full_width.write;
+        meter.charge_class(OpClass::Write, Cost::new(LATENCY.write, energy));
+        Ok(())
     }
 
     /// Reads row `r` without device access or cost — an oracle for tests
@@ -764,6 +807,103 @@ impl Dbc {
             meter.charge_class(OpClass::Write, written[routed]);
         }
         Ok(Row::from_u64_words(width, &self.planes[left..][..words]))
+    }
+
+    /// One carry-save step (paper §III-D3) over the operands in the
+    /// segment: every wire's count leaves `S` under its left port and `C`
+    /// under the right port one wire up; with `super_carry`, a one-domain
+    /// shift then brings the row for `C'`, two wires up, under the left
+    /// port. Carries past a lane top drop. Charged as the transverse read,
+    /// one write of both rows, the shift and the `C'` write were.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dbc::carry_chain`], checked first; then a device error from the
+    /// shift.
+    pub fn csa_step(
+        &mut self,
+        blocksize: usize,
+        super_carry: bool,
+        meter: &mut CostMeter,
+    ) -> Result<()> {
+        let (at, span) = self.sensed_planes()?;
+        self.port(PortId::LEFT, true)?;
+        self.port(PortId::RIGHT, true)?;
+        let (at, left, right) = (&at[..span], at[0], at[span - 1]);
+        // Bit 0 of every lane, the one past the last wire included.
+        let starts = Row::lane_bit(self.words() * 64, blocksize, 0);
+        // Every wire at first: the mask a word is counted under, then C'.
+        let (mut super_carries, mut below) = (Row::ones(self.width), [0; 3]);
+        for (w, &start) in starts.words().iter().enumerate() {
+            let wires = super_carries.words()[w];
+            let [ones, twos, fours] = self.count_word(at, w, wires);
+            self.planes[left + w] = ones;
+            self.planes[right + w] = (twos << 1 | below[1] >> 63) & !start;
+            super_carries.words_mut()[w] = (fours << 2 | below[2] >> 62) & !(start | start << 1);
+            below = [ones, twos, fours];
+        }
+        let sensed = Cost::new(LATENCY.transverse_read, self.full_width.transverse_read);
+        meter.charge_class(OpClass::TransverseRead, sensed);
+        let written = self.energy(self.full_width.write, ENERGY.write, 2 * self.width);
+        meter.charge_class(OpClass::Write, Cost::new(LATENCY.write, written));
+        if super_carry {
+            self.shift_all(1, meter)?;
+            self.write_port(PortId::LEFT, &super_carries, meter)?;
+        }
+        Ok(())
+    }
+
+    /// Bit position `j` of the transverse-write max (paper §IV-B) over the
+    /// `blocksize`-bit words in the segment: a transverse read marks the
+    /// lanes where some word has bit `j` set, then `rounds` times the word
+    /// under the right port is read, cleared in every marked lane where its
+    /// own bit `j` is `0`, and written back under the left port as the
+    /// segment shifts up one position. Charged as the separate calls were
+    /// (the reads unclassed).
+    ///
+    /// # Errors
+    ///
+    /// As [`Dbc::transverse_read_all`], or a device error for a left port
+    /// that cannot write; checked first.
+    pub fn max_pass(
+        &mut self,
+        j: usize,
+        blocksize: usize,
+        rounds: usize,
+        meter: &mut CostMeter,
+    ) -> Result<()> {
+        let (at, span) = self.sensed_planes()?;
+        self.port(PortId::LEFT, true)?;
+        let (at, right) = (&at[..span], at[span - 1]);
+        // Every wire at first: the mask a word is counted under.
+        let mut marked = Row::ones(self.width);
+        for w in 0..self.words() {
+            let [ones, twos, fours] = self.count_word(at, w, marked.words()[w]);
+            marked.words_mut()[w] = ones | twos | fours;
+        }
+        let sensed = Cost::new(LATENCY.transverse_read, self.full_width.transverse_read);
+        meter.charge_class(OpClass::TransverseRead, sensed);
+        let read = Cost::new(LATENCY.read, self.full_width.read);
+        let written = Cost::new(LATENCY.transverse_write, self.full_width.transverse_write);
+        let per = blocksize.div_ceil(64);
+        for _ in 0..rounds {
+            meter.charge(read);
+            // All words of a lane lose at once, on the one that holds bit `j`.
+            for lane in (0..self.words()).step_by(per) {
+                let holder = lane + j / 64;
+                let losers = marked.words()[holder] & !self.planes[right + holder];
+                let loses = spread_bit(losers, j, blocksize);
+                for w in lane..lane + per {
+                    let word = self.planes[right + w] & !loses;
+                    for k in (1..span).rev() {
+                        self.planes[at[k] + w] = self.planes[at[k - 1] + w];
+                    }
+                    self.planes[at[0] + w] = word;
+                }
+            }
+            meter.charge_class(OpClass::TransverseWrite, written);
+        }
+        Ok(())
     }
 
     /// Transverse write on every wire in parallel: writes `row` under the

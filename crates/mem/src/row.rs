@@ -51,6 +51,13 @@ fn replicate(unit: u64, blocksize: usize) -> u64 {
     word
 }
 
+/// Every `blocksize` lane of a word filled with its bit `j`, taken from
+/// `word`, the word of the lane that holds that bit.
+pub(crate) fn spread_bit(word: u64, j: usize, blocksize: usize) -> u64 {
+    let lane = blocksize.min(64);
+    (word >> (j % 64) & replicate(1, lane)).wrapping_mul(u64::MAX >> (64 - lane))
+}
+
 impl Row {
     /// Creates an all-zero row of `width` bits.
     pub fn zeros(width: usize) -> Row {
@@ -95,15 +102,16 @@ impl Row {
     /// block. Values wider than `blocksize` bits are truncated.
     pub fn pack(width: usize, blocksize: usize, values: &[u64]) -> Row {
         assert!((1..=64).contains(&blocksize), "blocksize 1..=64 supported");
-        let mut words = vec![0u64; width.div_ceil(64) + 1];
+        let mut row = Row::zeros(width);
+        let words = row.words_mut();
         for (v, &value) in values.iter().enumerate().take(width.div_ceil(blocksize)) {
             let (at, value) = (v * blocksize, value & (u64::MAX >> (64 - blocksize)));
             words[at / 64] |= value << (at % 64);
-            if at % 64 + blocksize > 64 {
+            if at % 64 + blocksize > 64 && at / 64 + 1 < words.len() {
                 words[at / 64 + 1] |= value >> (64 - at % 64);
             }
         }
-        Row::from_u64_words(width, &words)
+        Row::from_fn(width, |w| row.words()[w])
     }
 
     /// Unpacks the row into `width / blocksize` fixed-width integers.
@@ -188,43 +196,57 @@ impl Row {
     /// bit `i + by`, vacated bits fill with zero and bits shifted past the
     /// lane top are dropped — the neighbour-forwarding interconnect.
     pub fn shl_lanes(&self, by: usize, blocksize: usize) -> Row {
+        Row::from_fn(self.width, self.shl_word(by, blocksize))
+    }
+
+    /// Word by word, [`Row::shl_lanes`], under a mask of the bits that stay
+    /// in their lane.
+    fn shl_word(&self, by: usize, blocksize: usize) -> impl Fn(usize) -> u64 + '_ {
         assert!(blocksize.is_power_of_two(), "bad lane width");
-        if by >= blocksize {
-            return Row::zeros(self.width);
-        }
-        if blocksize <= 64 {
-            let keep = !replicate((1 << by) - 1, blocksize);
-            return Row::from_fn(self.width, |w| self.words()[w] << by & keep);
-        }
-        let (per, skip, bits) = (blocksize / 64, by / 64, (by % 64) as u32);
+        let keep = match blocksize {
+            _ if by >= blocksize => 0,
+            ..=64 => !replicate((1 << by) - 1, blocksize),
+            _ => u64::MAX,
+        };
+        let (within, skip, bits) = (blocksize.div_ceil(64) - 1, by / 64, (by % 64) as u32);
         // Word `w` takes from `back` words below it, if still in its lane.
-        let from = |w: usize, back: usize| match w % per >= back {
+        let from = move |w: usize, back: usize| match w & within >= back {
             true => self.words()[w - back],
             false => 0,
         };
-        Row::from_fn(self.width, |w| {
-            from(w, skip) << bits | from(w, skip + 1).checked_shr(64 - bits).unwrap_or(0)
-        })
+        move |w| {
+            (from(w, skip) << bits | from(w, skip + 1).checked_shr(64 - bits).unwrap_or(0)) & keep
+        }
     }
 
     /// Every lane filled with its own bit `j` — all ones where the lane has
     /// that bit set, all zeros where not: the per-lane predicate of the
     /// predicated row-buffer reset.
     pub fn spread_lanes(&self, j: usize, blocksize: usize) -> Row {
+        Row::from_fn(self.width, self.spread_word(j, blocksize))
+    }
+
+    /// Word by word, [`Row::spread_lanes`]: word `w` spreads the word of
+    /// its lane that holds bit `j`.
+    fn spread_word(&self, j: usize, blocksize: usize) -> impl Fn(usize) -> u64 + '_ {
         assert!(blocksize.is_power_of_two() && j < blocksize, "bad lane bit");
-        if blocksize <= 64 {
-            let (lsbs, full) = (replicate(1, blocksize), u64::MAX >> (64 - blocksize));
-            return Row::from_fn(self.width, |w| {
-                (self.words()[w] >> j & lsbs).wrapping_mul(full)
-            });
+        let (first, holder) = (!(blocksize.div_ceil(64) - 1), j / 64);
+        move |w| {
+            let word = self.words().get((w & first) + holder);
+            spread_bit(word.map_or(0, |&x| x), j, blocksize)
         }
-        let per = blocksize / 64;
-        let bit = |w: usize| {
-            self.words()
-                .get(w / per * per + j / 64)
-                .map_or(0, |x| x >> (j % 64) & 1)
-        };
-        Row::from_fn(self.width, |w| 0u64.wrapping_sub(bit(w)))
+    }
+
+    /// Partial product `i` of a lane-wise multiply: [`Row::shl_lanes`] by
+    /// `i` in the lanes where the multiplier's bit `i` is set, zero in the
+    /// others — the predicated shifted copy of §III-D2, one row built word
+    /// by word.
+    pub fn partial_product(&self, multiplier: &Row, i: usize, blocksize: usize) -> Row {
+        let (shifted, taken) = (
+            self.shl_word(i, blocksize),
+            multiplier.spread_word(i, blocksize),
+        );
+        Row::from_fn(self.width, |w| shifted(w) & taken(w))
     }
 
     /// Lane-wise wrapping sum: each `blocksize`-bit lane of the result is

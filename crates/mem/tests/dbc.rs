@@ -127,6 +127,27 @@ fn write_bits_is_one_cycle() {
 }
 
 #[test]
+fn write_port_is_write_bits_of_every_wire() {
+    let (mut port, mut bits) = (tiny_pim(), tiny_pim());
+    let (mut pm, mut bm) = (CostMeter::new(), CostMeter::new());
+    let data = Row::from_u64_words(64, &[0xDEAD_BEEF_0BAD_F00D]);
+    for side in [PortId::LEFT, PortId::RIGHT] {
+        port.write_port(side, &data, &mut pm).unwrap();
+        bits.write_bits(&[(side, &data, &Row::ones(64))], &mut bm)
+            .unwrap();
+    }
+    assert_eq!(port.peek_segment_rows(), bits.peek_segment_rows());
+    assert_eq!(pm, bm);
+    let wide = Row::zeros(65);
+    let mismatch = MemError::WidthMismatch {
+        got: 65,
+        expected: 64,
+    };
+    assert_eq!(port.write_port(PortId::LEFT, &wide, &mut pm), Err(mismatch));
+    assert_eq!(pm, bm, "a refused write charges nothing");
+}
+
+#[test]
 fn lockstep_shift_moves_all_wires() {
     let mut d = tiny_pim();
     let row = Row::ones(64);

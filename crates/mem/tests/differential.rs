@@ -327,7 +327,8 @@ fn assert_same_state(dbc: &Dbc, reference: &RefDbc, a: &CostMeter, b: &CostMeter
     );
 }
 
-fn run(width: usize, pim: bool, faults: Option<(FaultConfig, u64)>, ops: &[(u8, u64)]) {
+/// A packed DBC and its per-wire reference, alike from the start.
+fn twins(width: usize, pim: bool, faults: Option<(FaultConfig, u64)>) -> (Dbc, RefDbc) {
     let config = MemoryConfig {
         nanowires_per_dbc: width,
         ..MemoryConfig::tiny()
@@ -344,13 +345,18 @@ fn run(width: usize, pim: bool, faults: Option<(FaultConfig, u64)>, ops: &[(u8, 
         )
     };
     let coded = pim && faults.is_some_and(|(fc, _)| fc.p_over_shift + fc.p_under_shift > 0.0);
-    let mut reference = RefDbc::new(spec, width as u64, faults, coded);
+    let reference = RefDbc::new(spec, width as u64, faults, coded);
     if let Some((fc, seed)) = faults {
         dbc = dbc.with_faults(fc, seed);
     }
     if coded {
         dbc.install_position_codes().unwrap();
     }
+    (dbc, reference)
+}
+
+fn run(width: usize, pim: bool, faults: Option<(FaultConfig, u64)>, ops: &[(u8, u64)]) {
+    let (mut dbc, mut reference) = twins(width, pim, faults);
     let (mut a, mut b) = (CostMeter::new(), CostMeter::new());
     for &(kind, payload) in ops {
         let mut rng = SplitMix(payload);
@@ -485,6 +491,79 @@ fn run(width: usize, pim: bool, faults: Option<(FaultConfig, u64)>, ops: &[(u8, 
 /// One word, a whole word, a ragged word, the paper's width, and one past
 /// the 512 bits a [`Row`] holds inline.
 const WIDTHS: [usize; 5] = [8, 64, 96, 512, 576];
+
+/// Everything a shift could move: every wire's offset and domains.
+fn tapes(dbc: &Dbc) -> Vec<(isize, Vec<Option<bool>>)> {
+    let wire = |i| {
+        let view = dbc.wire(i);
+        let domains = (0..view.spec().total_domains).map(|p| view.peek_physical(p));
+        (view.offset(), domains.collect())
+    };
+    (0..dbc.width()).map(wire).collect()
+}
+
+/// Lock-step shifts that repeat a distance, vary it, reach each extremity
+/// exactly and then overrun it by one or more. The packed DBC follows the
+/// per-wire model step by step, and an overrun leaves the DBC and the
+/// meter exactly as they were.
+#[test]
+fn repeated_and_overrunning_shifts_match_the_per_wire_model() {
+    for width in WIDTHS {
+        for pim in [false, true] {
+            let (mut dbc, mut reference) = twins(width, pim, None);
+            let mut rng = SplitMix(width as u64 * 2 + u64::from(pim));
+            for r in 0..dbc.rows() {
+                let row = rng.row(width);
+                dbc.poke_row(r, &row).unwrap();
+                for (w, bit) in reference.wires.iter_mut().zip(row.iter()) {
+                    w.tape[(w.offset + r as isize) as usize] = bit;
+                }
+            }
+            let (mut a, mut b) = (CostMeter::new(), CostMeter::new());
+            let (left, right) = dbc.shift_slack();
+            let plan = [
+                1,
+                1,
+                1,
+                -2,
+                -2,
+                -2,
+                3,
+                0,
+                0,
+                -1,
+                2,
+                -1,
+                right + 1,
+                -(left + 1),
+                right,
+                right,
+                1,
+                7,
+                -(left + right),
+                -(left + right),
+                -1,
+                -64,
+                left + right,
+                1,
+                0,
+                -3,
+                -3,
+            ];
+            for (k, &delta) in plan.iter().enumerate() {
+                let step = format!("width {width} pim {pim} shift {k} by {delta}");
+                let before = (tapes(&dbc), a.clone());
+                let got = dbc.shift_all(delta, &mut a);
+                assert_eq!(got, reference.shift_all(delta, &mut b), "{step}");
+                if got.is_err() {
+                    assert_eq!((tapes(&dbc), a.clone()), before, "{step}: overrun moved");
+                }
+                assert_same_state(&dbc, &reference, &a, &b, &step);
+            }
+            assert!(a.op_count() > 0);
+        }
+    }
+}
 
 fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
     proptest::collection::vec((0u8..11, any::<u64>()), 1..40)

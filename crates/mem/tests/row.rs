@@ -98,6 +98,11 @@ fn lane_operations_match_a_per_bit_model() {
                     .map(|i| i % bs >= j && a.get(i - j).unwrap())
                     .collect();
                 assert_eq!(a.shl_lanes(j, bs), shifted, "shl bs {bs} by {j}");
+                let product: Row = (0..width)
+                    .map(|i| shifted.get(i).unwrap() && b.get(i / bs * bs + j).unwrap())
+                    .collect();
+                let got = a.partial_product(&b, j, bs);
+                assert_eq!(got, product, "partial product bs {bs} i {j}");
             }
             assert_eq!(a.shl_lanes(bs, bs), Row::zeros(width));
             // Ripple-carry reference, one lane at a time.
