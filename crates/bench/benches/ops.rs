@@ -4,9 +4,11 @@
 use coruscant_core::add::MultiOperandAdder;
 use coruscant_core::arith::ArithmeticUnit;
 use coruscant_core::bulk::{BulkExecutor, BulkOp};
+use coruscant_core::dispatch::PimMachine;
+use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant_core::maxpool::MaxExecutor;
 use coruscant_core::mult::{CsaReducer, Multiplier};
-use coruscant_mem::{Dbc, MemoryConfig, Row};
+use coruscant_mem::{Dbc, DbcLocation, MemoryConfig, Row, RowAddress};
 use coruscant_racetrack::CostMeter;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -96,5 +98,40 @@ fn bench_ops(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ops);
+/// `PimMachine::execute` on one warm machine at the served CNN's geometry
+/// (64 wires, TRD 7, 16-bit lanes): the multiply, 2-operand add and copy
+/// a `cnn_frames` layer runs, with the operand gather, the write-back and
+/// the controller's accounting around each kernel.
+fn bench_warm_machine(c: &mut Criterion) {
+    let mut g = c.benchmark_group("warm_machine");
+    let mut machine = PimMachine::new(MemoryConfig::tiny());
+    let (mult_dbc, add_dbc) = (DbcLocation::new(0, 0, 0, 0), DbcLocation::new(1, 0, 0, 0));
+    let at = RowAddress::new;
+    let mut meter = CostMeter::new();
+    // Above the multiplier's scratch rows (0..=16 at TRD 7, 8-bit values).
+    for (dbc, r, values) in [
+        (mult_dbc, 24, [173u64, 250, 3, 99]),
+        (mult_dbc, 25, [219, 2, 255, 44]),
+        (add_dbc, 20, [40_000, 7, 65_535, 12_345]),
+        (add_dbc, 21, [30_000, 9, 1, 54_321]),
+    ] {
+        let row = Row::pack(64, 16, &values);
+        let ctrl = machine.controller_mut();
+        ctrl.store_row(at(dbc, r), &row, &mut meter).unwrap();
+    }
+    let lanes = BlockSize::new(16).unwrap();
+    let instr = |opcode, src, k, dst| CpimInstr::new(opcode, src, k, lanes, Some(dst)).unwrap();
+    let storage = DbcLocation::new(0, 0, 0, 1);
+    let mult = instr(CpimOpcode::Mult, at(mult_dbc, 24), 2, at(mult_dbc, 30));
+    let add = instr(CpimOpcode::Add, at(add_dbc, 20), 2, at(add_dbc, 30));
+    let copy = instr(CpimOpcode::Copy, at(mult_dbc, 24), 1, at(storage, 3));
+    for (name, instr) in [("mult", mult), ("add_2op", add), ("copy", copy)] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(machine.execute(&instr).unwrap()));
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_ops, bench_warm_machine);
 criterion_main!(benches);

@@ -39,14 +39,6 @@ impl ArithmeticUnit {
         self.trd
     }
 
-    fn max_add_operands(&self) -> usize {
-        if self.trd <= 3 {
-            self.trd - 1
-        } else {
-            self.trd - 2
-        }
-    }
-
     /// Lane-wise subtraction `a − b` (mod `2^blocksize`): `b` is inverted
     /// through the NOT sense path (one read/write pair) and the `+1`
     /// enters as a preset constant row.
@@ -75,7 +67,7 @@ impl ArithmeticUnit {
             !&read
         };
         let ones = Row::pack(width, blocksize, &vec![1u64; lanes]);
-        if self.max_add_operands() >= 3 {
+        if adder.max_operands() >= 3 {
             adder.add_rows_at(dbc, &[a.clone(), not_b, ones], 1, blocksize, meter)
         } else {
             // TRD = 3: two chained 2-operand adds.
@@ -118,7 +110,7 @@ impl ArithmeticUnit {
         let ones = Row::pack(width, wide, &vec![1u64; lanes]);
 
         let adder = MultiOperandAdder::with_trd(self.trd);
-        let sum = if self.max_add_operands() >= 3 {
+        let sum = if adder.max_operands() >= 3 {
             adder.add_rows_at(dbc, &[a_wide, b_wide, ones], 1, wide, meter)?
         } else {
             let t = adder.add_rows_at(dbc, &[a_wide, b_wide], 1, wide, meter)?;
@@ -183,7 +175,7 @@ impl ArithmeticUnit {
         }
         let adder = MultiOperandAdder::with_trd(self.trd);
         let reducer = CsaReducer::new(self.trd);
-        let max_ops = self.max_add_operands();
+        let max_ops = adder.max_operands();
         let window_base = 1;
         let pool = self.trd + 1;
         let pool_slots = dbc.rows() - pool;

@@ -7,10 +7,11 @@
 //! command-level controller, and optionally writes the result back.
 
 use crate::add::MultiOperandAdder;
+use crate::arith::ArithmeticUnit;
 use crate::bulk::{BulkExecutor, BulkOp};
 use crate::isa::{CpimInstr, CpimOpcode};
 use crate::maxpool::MaxExecutor;
-use crate::mult::{CsaReducer, Multiplier};
+use crate::mult::{CsaReducer, Multiplier, SumLists};
 use crate::nmr::NmrVoter;
 use crate::relu::relu_row;
 use crate::{PimError, Result};
@@ -33,14 +34,17 @@ pub struct ExecOutcome {
 #[derive(Debug)]
 pub struct PimMachine {
     ctrl: MemoryController,
+    /// The operand rows of the instruction executing, kept from one
+    /// instruction to the next (as are the multiplier's lists) so that a
+    /// warm machine allocates none.
+    rows: Vec<Row>,
+    sums: SumLists,
 }
 
 impl PimMachine {
     /// Creates a machine over a fresh DWM memory.
     pub fn new(config: MemoryConfig) -> PimMachine {
-        PimMachine {
-            ctrl: MemoryController::new(config),
-        }
+        PimMachine::from_controller(MemoryController::new(config))
     }
 
     /// Creates a machine whose memory runs under seeded, per-bank fault
@@ -48,14 +52,13 @@ impl PimMachine {
     /// machine touches materializes with fault injectors attached, so
     /// whole programs execute under the paper's §V-F fault model.
     pub fn with_faults(config: MemoryConfig, plan: coruscant_mem::FaultPlan) -> PimMachine {
-        PimMachine {
-            ctrl: MemoryController::with_faults(config, plan),
-        }
+        PimMachine::from_controller(MemoryController::with_faults(config, plan))
     }
 
     /// Wraps an existing controller.
     pub fn from_controller(ctrl: MemoryController) -> PimMachine {
-        PimMachine { ctrl }
+        let (rows, sums) = (Vec::new(), SumLists::default());
+        PimMachine { ctrl, rows, sums }
     }
 
     /// The underlying controller.
@@ -76,117 +79,88 @@ impl PimMachine {
     /// Returns [`PimError::NotPim`] when the source DBC lacks PIM
     /// capability, instruction-validation errors, or memory errors.
     pub fn execute(&mut self, instr: &CpimInstr) -> Result<ExecOutcome> {
-        let config = self.ctrl.config();
-        instr
-            .src
-            .location
-            .validate(config)
-            .map_err(PimError::from)?;
-        if instr.opcode != CpimOpcode::Copy && !instr.src.location.is_pim(config) {
+        let PimMachine { ctrl, rows, sums } = self;
+        let config = ctrl.config().clone();
+        let location = instr.src.location;
+        location.validate(&config).map_err(PimError::from)?;
+        if instr.opcode != CpimOpcode::Copy && !location.is_pim(&config) {
             return Err(PimError::NotPim);
         }
-        let mut meter = CostMeter::new();
-        let k = instr.operands as usize;
-        let base = instr.src.row;
+        let (k, base) = (instr.operands as usize, instr.src.row);
         let bs = instr.blocksize.bits().min(config.nanowires_per_dbc);
-
-        let result: Option<Row> = match instr.opcode {
-            CpimOpcode::And
-            | CpimOpcode::Nand
-            | CpimOpcode::Or
-            | CpimOpcode::Nor
-            | CpimOpcode::Xor
-            | CpimOpcode::Xnor
-            | CpimOpcode::Not => {
-                let op = match instr.opcode {
-                    CpimOpcode::And => BulkOp::And,
-                    CpimOpcode::Nand => BulkOp::Nand,
-                    CpimOpcode::Or => BulkOp::Or,
-                    CpimOpcode::Nor => BulkOp::Nor,
-                    CpimOpcode::Xor => BulkOp::Xor,
-                    CpimOpcode::Xnor => BulkOp::Xnor,
-                    _ => BulkOp::Not,
-                };
-                let exec = BulkExecutor::new(config);
-                let operands = self.gather(instr, k, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(exec.execute(dbc, op, &operands, &mut meter)?)
+        // The operand rows read out ahead of the op: none where it works in
+        // place.
+        let gathered = match instr.opcode {
+            CpimOpcode::Mult | CpimOpcode::Sub if k != 2 => {
+                let op = instr.opcode.to_string().replace("cpim.", "");
+                return Err(PimError::BadInstruction(format!(
+                    "{op} needs 2 operands, got {k}"
+                )));
             }
-            CpimOpcode::Add => {
-                let adder = MultiOperandAdder::new(config);
-                let operands = self.gather(instr, k, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(adder.add_rows(dbc, &operands, bs, &mut meter)?)
-            }
-            CpimOpcode::Reduce => {
-                let reducer = CsaReducer::new(config.trd);
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                let out = reducer.reduce(dbc, base.max(1), k, bs, &mut meter)?;
-                Some(dbc.peek_row(out.s)?)
-            }
-            CpimOpcode::Mult => {
-                if k != 2 {
-                    return Err(PimError::BadInstruction(format!(
-                        "mult needs 2 operands, got {k}"
-                    )));
-                }
-                let mult = Multiplier::new(config);
-                let operands = self.gather(instr, 2, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(mult.multiply_packed(dbc, &operands[0], &operands[1], bs / 2, &mut meter)?)
-            }
-            CpimOpcode::Max => {
-                let max = MaxExecutor::new(config);
-                let operands = self.gather(instr, k, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(max.max_rows(dbc, &operands, bs, &mut meter)?)
-            }
-            CpimOpcode::Relu => {
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(relu_row(dbc, base, bs, &mut meter)?)
-            }
-            CpimOpcode::Vote => {
-                let voter = NmrVoter::new(config);
-                let operands = self.gather(instr, k, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(voter.vote_rows(dbc, &operands, &mut meter)?)
-            }
-            CpimOpcode::Sub => {
-                if k != 2 {
-                    return Err(PimError::BadInstruction(format!(
-                        "sub needs 2 operands, got {k}"
-                    )));
-                }
-                let unit = crate::arith::ArithmeticUnit::new(config);
-                let operands = self.gather(instr, 2, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(unit.subtract(dbc, &operands[0], &operands[1], bs, &mut meter)?)
-            }
-            CpimOpcode::Min => {
-                let unit = crate::arith::ArithmeticUnit::new(config);
-                let operands = self.gather(instr, k, &mut meter)?;
-                let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-                Some(unit.min_rows(dbc, &operands, bs, &mut meter)?)
-            }
+            CpimOpcode::Reduce | CpimOpcode::Relu | CpimOpcode::Copy => 0,
+            _ => k,
+        };
+        let mut meter = CostMeter::new();
+        let result = match instr.opcode {
             CpimOpcode::Copy => {
                 let dst = instr
                     .dst
                     .ok_or_else(|| PimError::BadInstruction("copy needs a destination".into()))?;
-                coruscant_mem::transfer::copy_row(&mut self.ctrl, instr.src, dst, &mut meter)?;
+                coruscant_mem::transfer::copy_row(ctrl, instr.src, dst, &mut meter)?;
                 None
             }
-        };
-
-        // Write back if a destination was named (and the op produced data).
-        if let (Some(dst), Some(data)) = (instr.dst, result.as_ref()) {
-            if instr.opcode != CpimOpcode::Copy {
-                self.ctrl.store_row(dst, data, &mut meter)?;
+            opcode => {
+                let dbc = ctrl.dbc_mut(location)?;
+                rows.clear();
+                for i in 0..gathered {
+                    rows.push(dbc.read_row(base + i, &mut meter)?);
+                }
+                let (ops, meter) = (&rows[..], &mut meter);
+                Some(match opcode {
+                    CpimOpcode::Add => {
+                        MultiOperandAdder::new(&config).add_rows(dbc, ops, bs, meter)?
+                    }
+                    CpimOpcode::Reduce => {
+                        let out =
+                            CsaReducer::new(config.trd).reduce(dbc, base.max(1), k, bs, meter)?;
+                        dbc.peek_row(out.s)?
+                    }
+                    CpimOpcode::Mult => {
+                        let mult = Multiplier::new(&config);
+                        mult.multiply_with(dbc, &ops[0], &ops[1], bs / 2, sums, meter)?
+                    }
+                    CpimOpcode::Max => MaxExecutor::new(&config).max_rows(dbc, ops, bs, meter)?,
+                    CpimOpcode::Relu => relu_row(dbc, base, bs, meter)?,
+                    CpimOpcode::Vote => NmrVoter::new(&config).vote_rows(dbc, ops, meter)?,
+                    CpimOpcode::Sub => {
+                        let unit = ArithmeticUnit::new(&config);
+                        unit.subtract(dbc, &ops[0], &ops[1], bs, meter)?
+                    }
+                    CpimOpcode::Min => {
+                        ArithmeticUnit::new(&config).min_rows(dbc, ops, bs, meter)?
+                    }
+                    bulk => {
+                        let op = match bulk {
+                            CpimOpcode::And => BulkOp::And,
+                            CpimOpcode::Nand => BulkOp::Nand,
+                            CpimOpcode::Or => BulkOp::Or,
+                            CpimOpcode::Nor => BulkOp::Nor,
+                            CpimOpcode::Xor => BulkOp::Xor,
+                            CpimOpcode::Xnor => BulkOp::Xnor,
+                            _ => BulkOp::Not,
+                        };
+                        BulkExecutor::new(&config).execute(dbc, op, ops, meter)?
+                    }
+                })
             }
+        };
+        // Write back if a destination was named (and the op produced data).
+        if let (Some(dst), Some(data)) = (instr.dst, &result) {
+            ctrl.store_row(dst, data, &mut meter)?;
         }
 
         let cost = meter.total();
-        let completion = self
-            .ctrl
+        let completion = ctrl
             .submit(Request::Pim {
                 location: instr.src.location,
                 device_cycles: cost.cycles,
@@ -199,13 +173,6 @@ impl PimMachine {
             cost,
             completion,
         })
-    }
-
-    /// Reads the `k` operand rows starting at the instruction's source.
-    fn gather(&mut self, instr: &CpimInstr, k: usize, meter: &mut CostMeter) -> Result<Vec<Row>> {
-        let dbc = self.ctrl.dbc_mut(instr.src.location)?;
-        let rows = (0..k).map(|i| dbc.read_row(instr.src.row + i, meter));
-        Ok(rows.collect::<coruscant_mem::Result<_>>()?)
     }
 
     /// Executes a batch of instructions in the *high-throughput* dispatch

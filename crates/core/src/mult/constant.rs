@@ -193,14 +193,6 @@ impl ConstantMultiplier {
         ConstantMultiplier { trd }
     }
 
-    fn max_add_operands(&self) -> usize {
-        if self.trd <= 3 {
-            self.trd - 1
-        } else {
-            self.trd - 2
-        }
-    }
-
     /// Computes `plan.constant() * a` per `lane`-bit lane on the DBC.
     ///
     /// DBC scratch layout: rows `0..=trd` are the addition window, rows
@@ -224,7 +216,7 @@ impl ConstantMultiplier {
         }
         let width = dbc.width();
         let lanes = width / lane;
-        let max_ops = self.max_add_operands();
+        let max_ops = MultiOperandAdder::with_trd(self.trd).max_operands();
 
         // Trivial constants: 0 and powers of two need no addition.
         match plan.terms() {

@@ -42,6 +42,15 @@ pub enum MultStrategy {
     CarrySave,
 }
 
+/// The row lists a multiply sums over: the rows still live and the
+/// operands of one addition. Kept from one multiply to the next (see
+/// [`Multiplier::multiply_with`]), they stop allocating once warm.
+#[derive(Debug, Default)]
+pub(crate) struct SumLists {
+    live: Vec<usize>,
+    chunk: Vec<Row>,
+}
+
 /// Executes two-operand multiplications on a PIM-enabled DBC.
 ///
 /// Operands are packed integers of `bits` bits living in lanes of
@@ -80,14 +89,6 @@ impl Multiplier {
         self.strategy
     }
 
-    fn max_add_operands(&self) -> usize {
-        if self.trd <= 3 {
-            self.trd - 1
-        } else {
-            self.trd - 2
-        }
-    }
-
     /// Multiplies lane-packed operands: `a` and `b` hold `bits`-bit values
     /// in `2 × bits`-bit lanes; the returned row holds the full products
     /// in the same lanes.
@@ -102,6 +103,20 @@ impl Multiplier {
         a: &Row,
         b: &Row,
         bits: usize,
+        meter: &mut CostMeter,
+    ) -> Result<Row> {
+        self.multiply_with(dbc, a, b, bits, &mut SumLists::default(), meter)
+    }
+
+    /// [`Multiplier::multiply_packed`] with its row lists kept in `lists`;
+    /// it fails as that does.
+    pub(crate) fn multiply_with(
+        &self,
+        dbc: &mut Dbc,
+        a: &Row,
+        b: &Row,
+        bits: usize,
+        lists: &mut SumLists,
         meter: &mut CostMeter,
     ) -> Result<Row> {
         let lane = 2 * bits;
@@ -137,11 +152,13 @@ impl Multiplier {
             dbc.write_row(pool + i, &a.partial_product(b, i, lane), meter)?;
         }
 
-        let mut live: Vec<usize> = (pool..pool + n).collect();
+        let SumLists { live, chunk } = lists;
+        live.clear();
+        live.extend(pool..pool + n);
 
         // ---- Summation ----
         if self.strategy == MultStrategy::CarrySave {
-            self.reduce_with_csa(dbc, &mut live, lane, meter)?;
+            self.reduce_with_csa(dbc, live, lane, meter)?;
         }
 
         // Final (or repeated, for Arbitrary) multi-operand additions. The
@@ -149,17 +166,17 @@ impl Multiplier {
         // always re-consumed at the head of the next chunk, so rewriting
         // the slot never clobbers live data.
         let adder = MultiOperandAdder::with_trd(self.trd);
-        let max_ops = self.max_add_operands();
+        let max_ops = adder.max_operands();
         let slot = pool + n;
         while live.len() > 1 {
             let take = max_ops.min(live.len());
-            let mut chunk = Vec::with_capacity(take);
+            chunk.clear();
             for r in live.drain(..take) {
                 chunk.push(dbc.read_row(r, meter)?);
             }
             // Confine the addition's scratch rows to the reserved window
             // (rows 1..=trd) so the live pool rows survive.
-            let sum = adder.add_rows_at(dbc, &chunk, 1, lane, meter)?;
+            let sum = adder.add_rows_at(dbc, chunk, 1, lane, meter)?;
             dbc.write_row(slot, &sum, meter)?;
             live.insert(0, slot);
         }
@@ -176,7 +193,7 @@ impl Multiplier {
         meter: &mut CostMeter,
     ) -> Result<()> {
         let (reducer, trd) = (CsaReducer::new(self.trd), self.trd);
-        while live.len() > self.max_add_operands() {
+        while live.len() > MultiOperandAdder::with_trd(trd).max_operands() {
             let t = trd.min(live.len());
             // Fast path: a full window of contiguous live rows (with the
             // super-carry landing row free below it) reduces in place with
@@ -191,12 +208,12 @@ impl Multiplier {
                 live.drain(..t);
                 base
             } else {
-                let chosen: Vec<usize> = live.drain(..t).collect();
+                let (chosen, rest) = live.split_at(t);
                 // Overlap-aware gather: chosen rows inside the window keep
                 // their slot, the stragglers pay a read/write move into the
                 // free slots in ascending order, and a slot nothing lands
                 // in is zeroed (one write each).
-                let base = self.best_window(dbc.rows(), &chosen, live);
+                let base = self.best_window(dbc.rows(), chosen, rest);
                 let mut free = (0..trd).filter(|s| !chosen.contains(&(base + s)));
                 for &r in chosen.iter().filter(|&&r| r < base || r >= base + trd) {
                     let (data, s) = (dbc.read_row(r, meter)?, free.next().expect("a free slot"));
@@ -206,6 +223,7 @@ impl Multiplier {
                 for s in free {
                     dbc.write_row(base + s, &zero, meter)?;
                 }
+                live.drain(..t);
                 base
             };
             // With zero padding the reduction always spans the window.
@@ -214,7 +232,7 @@ impl Multiplier {
             // reduction consumes them first — this guarantees the C'
             // landing row is re-read before any later reduction overwrites
             // it.
-            live.splice(0..0, out.rows());
+            live.splice(0..0, [out.s, out.c].into_iter().chain(out.cp));
         }
         Ok(())
     }

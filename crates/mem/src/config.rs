@@ -1,7 +1,7 @@
 //! Memory geometry and system parameters (paper Table II).
 
 use crate::error::MemError;
-use crate::Result;
+use crate::{Result, Row};
 use serde::{Deserialize, Serialize};
 
 /// Geometry and interface parameters of the DWM main memory.
@@ -128,9 +128,9 @@ impl MemoryConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::BadConfig`] if any dimension is zero, the PIM
-    /// DBC count exceeds the DBC count, or the TRD exceeds the rows per
-    /// DBC.
+    /// Returns [`MemError::BadConfig`] if any dimension is zero, a DBC is
+    /// wider than a [`Row`] holds (512 nanowires, Table II), the PIM DBC
+    /// count exceeds the DBC count, or the TRD exceeds the rows per DBC.
     pub fn validate(&self) -> Result<()> {
         let dims = [
             ("banks", self.banks),
@@ -144,6 +144,11 @@ impl MemoryConfig {
             if v == 0 {
                 return Err(MemError::BadConfig(format!("{name} must be nonzero")));
             }
+        }
+        let (wires, max) = (self.nanowires_per_dbc, Row::MAX_WIDTH);
+        if wires > max {
+            let too_wide = format!("nanowires_per_dbc {wires} over {max}");
+            return Err(MemError::BadConfig(too_wide));
         }
         if self.pim_dbcs_per_tile > self.dbcs_per_tile {
             return Err(MemError::BadConfig(
@@ -217,6 +222,16 @@ mod tests {
         let mut c = MemoryConfig::paper();
         c.trd = 33;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn dbcs_wider_than_a_row_rejected() {
+        let mut c = MemoryConfig::paper();
+        c.nanowires_per_dbc = Row::MAX_WIDTH;
+        c.validate().unwrap();
+        c.nanowires_per_dbc = Row::MAX_WIDTH + 64;
+        let err = c.validate().unwrap_err();
+        assert!(matches!(err, MemError::BadConfig(m) if m == "nanowires_per_dbc 576 over 512"));
     }
 
     #[test]

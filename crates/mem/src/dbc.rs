@@ -2,11 +2,11 @@
 //!
 //! Everything here works on bit planes a word at a time, including three
 //! kernels that each replace a loop of `Row` calls: the adder's carry
-//! chain ([`Dbc::carry_chain`]), one carry-save reduction step
-//! ([`Dbc::csa_step`]) and one bit position of the transverse-write max
-//! ([`Dbc::max_pass`]). A fault-free shift moves the plane ring's head in
-//! O(1). Under faults, transverse reads still draw once per selected wire,
-//! and shifts walk wire by wire.
+//! chain ([`Dbc::carry_chain`], its port planes in locals, the planes
+//! between counted once), one carry-save step ([`Dbc::csa_step`]) and one
+//! bit of the transverse-write max ([`Dbc::max_pass`]). A DBC is at most a
+//! 512-wire [`Row`]; a fault-free shift is O(1). Under faults, transverse
+//! reads still draw once per selected wire, and shifts walk wire by wire.
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
@@ -98,6 +98,16 @@ fn summed<const K: usize>(mut sums: [f64; K], per_wire: [f64; K], n: usize) -> [
         }
     }
     sums
+}
+
+/// `digits`, the bit-sliced counts of the wires of a word, with one more
+/// domain of each wire added: a count never passes the seven sense levels.
+fn tally(mut digits: [u64; 3], domain: u64) -> [u64; 3] {
+    let ripple = digits[0] & domain;
+    digits[0] ^= domain;
+    digits[2] ^= digits[1] & ripple;
+    digits[1] ^= ripple;
+    digits
 }
 
 /// The three binary digits of every wire's ones-count after a parallel
@@ -385,12 +395,16 @@ impl Dbc {
     }
 
     /// Where the segment planes sit in `planes`, left port first, and how
-    /// many there are: no more than the sense amplifier tells apart.
-    fn sensed_planes(&self) -> Result<([usize; SENSE_LEVELS], usize)> {
+    /// many there are: no more than the sense amplifier tells apart. Then
+    /// each port of `writes` must be one that can write.
+    fn sensed_planes(&self, writes: &[PortId]) -> Result<([usize; SENSE_LEVELS], usize)> {
         let (lo, hi) = self.segment()?;
         let (span, limit) = (hi - lo + 1, SENSE_LEVELS);
         if span > limit {
             return Err(Error::TrdExceeded { span, limit }.into());
+        }
+        for &port in writes {
+            self.port(port, true)?;
         }
         Ok((
             std::array::from_fn(|k| self.plane_at(lo + k.min(span - 1))),
@@ -403,20 +417,20 @@ impl Dbc {
     /// the others), each selected wire's count passed through its fault
     /// injector if it has one.
     fn count_word(&mut self, at: &[usize], w: usize, lane: u64) -> [u64; 3] {
-        let mut digits = [0u64; 3];
-        for &at in at {
-            let domain = self.planes[at + w] & lane;
-            let ripple = digits[0] & domain;
-            digits[0] ^= domain;
-            digits[2] ^= digits[1] & ripple;
-            digits[1] ^= ripple;
-        }
+        let count = |d, &at: &usize| tally(d, self.planes[at + w] & lane);
+        let digits = at.iter().fold([0; 3], count);
+        self.sense(w, lane, at.len(), digits)
+    }
+
+    /// `digits`, counts over `span` domains, with the count of each wire
+    /// `lane` selects in word `w` passed through its fault injector, if any.
+    fn sense(&mut self, w: usize, lane: u64, span: usize, mut digits: [u64; 3]) -> [u64; 3] {
         let mut faulted = if self.injectors.is_empty() { 0 } else { lane };
         while faulted != 0 {
             let b = faulted.trailing_zeros();
             faulted &= !(1 << b);
             let count = digits.iter().rev().fold(0, |c, d| c << 1 | (d >> b & 1));
-            let sensed = self.injectors[w * 64 + b as usize].sense(count as u8, at.len() as u8);
+            let sensed = self.injectors[w * 64 + b as usize].sense(count as u8, span as u8);
             for (k, digit) in digits.iter_mut().enumerate() {
                 *digit = *digit & !(1 << b) | u64::from(sensed >> k & 1) << b;
             }
@@ -481,9 +495,12 @@ impl Dbc {
                 false => (self.head + steps, total - steps..total),
             };
             self.head = head % total;
-            for pos in entering {
-                self.plane_mut(pos).fill(0);
-            }
+            // At most two runs of the ring: up to its end, then from its start.
+            let (from, words) = (self.plane_at(entering.start), self.words());
+            let end = from + steps * words;
+            let wrapped = end.saturating_sub(self.planes.len());
+            self.planes[from..end - wrapped].fill(0);
+            self.planes[..wrapped].fill(0);
             self.offset += delta;
             if self.shift_energy[steps].is_nan() {
                 // Eight distances priced side by side, in the time of one:
@@ -569,12 +586,18 @@ impl Dbc {
     /// Returns [`MemError::RowOutOfRange`] for a bad row.
     pub fn nearest_port(&self, r: usize) -> Result<PortId> {
         self.check_row(r)?;
-        let target = |p: &usize| self.spec.ports[*p].position as isize - r as isize;
-        let reachable = |p: &usize| (0..=self.max_offset()).contains(&target(p));
-        let ports = (0..self.spec.ports.len()).filter(reachable);
-        let best = ports.min_by_key(|p| (target(p) - self.wire_offset(0)).abs());
+        let (max_offset, offset) = (self.max_offset(), self.wire_offset(0));
+        // The first port of the shortest reachable alignment.
+        let mut best = None;
+        for (id, port) in self.spec.ports.iter().enumerate() {
+            let target = port.position as isize - r as isize;
+            let distance = (target - offset).unsigned_abs();
+            if (0..=max_offset).contains(&target) && best.is_none_or(|(d, _)| distance < d) {
+                best = Some((distance, PortId(id)));
+            }
+        }
         let none = || MemError::BadLocation(format!("row {r} unreachable from any port"));
-        best.map(PortId).ok_or_else(none)
+        best.map(|(_, port)| port).ok_or_else(none)
     }
 
     /// Reads row `r`: aligns it under the nearest feasible port and senses
@@ -691,7 +714,7 @@ impl Dbc {
     ) -> Result<TrCounts> {
         self.check_width(lanes)?;
         let selected = lanes.popcount();
-        let (at, span) = self.sensed_planes()?;
+        let (at, span) = self.sensed_planes(&[])?;
         let [mut sum, mut carry, mut super_carry] = [(); 3].map(|()| Row::zeros(self.width));
         let (ones, twos, fours) = (sum.words_mut(), carry.words_mut(), super_carry.words_mut());
         for (w, &lane) in lanes.words().iter().enumerate() {
@@ -766,19 +789,16 @@ impl Dbc {
         let (width, words) = (self.width, self.words());
         assert!(width.is_multiple_of(blocksize), "bad lane width");
         let lane0 = Row::lane_bit(width, blocksize, 0);
-        let (at, span) = self.sensed_planes()?;
-        self.port(PortId::LEFT, true)?;
-        self.port(PortId::RIGHT, true)?;
+        let (at, span) = self.sensed_planes(&[PortId::LEFT, PortId::RIGHT])?;
         // A step senses one wire per lane and writes one, two or three.
-        let lanes = width / blocksize;
-        let per_wire = ENERGY.transverse_read(span);
+        let (lanes, per_wire) = (width / blocksize, ENERGY.transverse_read(span));
         let sensed = self.energy(self.full_width.transverse_read, per_wire, lanes);
         let read = Cost::new(LATENCY.transverse_read, sensed);
         let written = [1, 2, 3].map(|k| {
             let energy = self.energy(self.full_width.write, ENERGY.write, k * lanes);
             Cost::new(LATENCY.write, energy)
         });
-        let (at, left, right) = (&at[..span], at[0], at[span - 1]);
+        let (left, right) = (at[0], at[span - 1]);
         let starts = lane0.words();
         // Bit `j` of every lane in word `w`: bit 0 of the lanes `j / 64`
         // words down, moved up; none once `j` passes the lane top.
@@ -786,19 +806,29 @@ impl Dbc {
             Some(from) if j < blocksize => starts[from] << (j % 64),
             _ => 0,
         };
+        // No step writes the planes between the ports: they are counted
+        // once, and each step adds the two port domains it rewrites, which
+        // stay here until the chain ends.
+        let (mut inner, mut lefts, mut rights) = ([[0; 3]; 8], [0; 8], [0; 8]);
+        for w in 0..words {
+            let inside = at[1..span - 1].iter();
+            inner[w] = inside.fold([0; 3], |d, &at| tally(d, self.planes[at + w]));
+            (lefts[w], rights[w]) = (self.planes[left + w], self.planes[right + w]);
+        }
         for j in 0..blocksize {
             // The digits of the word below, for carries that cross a word.
             let mut below = [0; 3];
             for w in 0..words {
                 let lane = bit(j, w);
-                let [ones, twos, fours] = self.count_word(at, w, lane);
+                let counted = tally(inner[w].map(|d| d & lane), lefts[w] & lane);
+                let counted = tally(counted, rights[w] & lane);
+                let [ones, twos, fours] = self.sense(w, lane, span, counted);
                 let up1 = bit(j + 1, w);
                 let up2 = if super_carry { bit(j + 2, w) } else { 0 };
                 let carry = (twos << 1 | below[1] >> 63) & up1;
                 let super_ = (fours << 2 | below[2] >> 62) & up2;
-                let planes = &mut self.planes;
-                planes[left + w] = planes[left + w] & !(lane | up2) | ones | super_;
-                planes[right + w] = planes[right + w] & !up1 | carry;
+                lefts[w] = lefts[w] & !(lane | up2) | ones | super_;
+                rights[w] = rights[w] & !up1 | carry;
                 below = [ones, twos, fours];
             }
             let routed =
@@ -806,7 +836,9 @@ impl Dbc {
             meter.charge_class(OpClass::TransverseRead, read);
             meter.charge_class(OpClass::Write, written[routed]);
         }
-        Ok(Row::from_u64_words(width, &self.planes[left..][..words]))
+        self.planes[left..][..words].copy_from_slice(&lefts[..words]);
+        self.planes[right..][..words].copy_from_slice(&rights[..words]);
+        Ok(Row::from_u64_words(width, &lefts[..words]))
     }
 
     /// One carry-save step (paper §III-D3) over the operands in the
@@ -826,9 +858,7 @@ impl Dbc {
         super_carry: bool,
         meter: &mut CostMeter,
     ) -> Result<()> {
-        let (at, span) = self.sensed_planes()?;
-        self.port(PortId::LEFT, true)?;
-        self.port(PortId::RIGHT, true)?;
+        let (at, span) = self.sensed_planes(&[PortId::LEFT, PortId::RIGHT])?;
         let (at, left, right) = (&at[..span], at[0], at[span - 1]);
         // Bit 0 of every lane, the one past the last wire included.
         let starts = Row::lane_bit(self.words() * 64, blocksize, 0);
@@ -872,8 +902,7 @@ impl Dbc {
         rounds: usize,
         meter: &mut CostMeter,
     ) -> Result<()> {
-        let (at, span) = self.sensed_planes()?;
-        self.port(PortId::LEFT, true)?;
+        let (at, span) = self.sensed_planes(&[PortId::LEFT])?;
         let (at, right) = (&at[..span], at[span - 1]);
         // Every wire at first: the mask a word is counted under.
         let mut marked = Row::ones(self.width);

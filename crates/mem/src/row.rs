@@ -1,4 +1,5 @@
-//! A memory row: one bit per nanowire of a DBC.
+//! A memory row: one bit per nanowire of a DBC, at most [`Row::MAX_WIDTH`]
+//! of them, packed into eight inline words.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -24,20 +25,15 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// The bits are packed into 64-bit words (bit `i` is bit `i % 64` of word
 /// `i / 64`; bits past `width` stay zero) — the layout of a DBC's bit
 /// planes, so a row moves in or out of a DBC as a word copy and every
-/// operator here works a word at a time. Rows up to the paper's 512 bits
-/// hold their words inline: the PIM algorithms make and drop several
-/// rows per device cycle, and none of them touches the heap.
+/// operator here works a word at a time. A row is at most the paper's 512
+/// bits (`MemoryConfig::validate` holds a DBC to it) and keeps its words
+/// inline: the PIM algorithms make and drop several rows per device
+/// cycle, and none of them touches the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Row {
     width: usize,
-    store: Words,
-}
-
-/// The first `width.div_ceil(64)` words are the row; the rest stay zero.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Words {
-    Inline([u64; 8]),
-    Heap(Vec<u64>),
+    /// The first `width.div_ceil(64)` words are the row; the rest stay zero.
+    words: [u64; 8],
 }
 
 /// `unit` (a pattern in the low `blocksize` bits) repeated across a word;
@@ -59,13 +55,15 @@ pub(crate) fn spread_bit(word: u64, j: usize, blocksize: usize) -> u64 {
 }
 
 impl Row {
-    /// Creates an all-zero row of `width` bits.
+    /// The widest row: 512 bits, a paper DBC (Table II).
+    pub const MAX_WIDTH: usize = 512;
+
+    /// Creates an all-zero row of `width` bits; panics past
+    /// [`Row::MAX_WIDTH`].
     pub fn zeros(width: usize) -> Row {
-        let store = match width.div_ceil(64) {
-            0..=8 => Words::Inline([0; 8]),
-            n => Words::Heap(vec![0; n]),
-        };
-        Row { width, store }
+        assert!(width <= Row::MAX_WIDTH, "{width} bits: over 512");
+        let words = [0; 8];
+        Row { width, words }
     }
 
     /// Builds a row word by word (`f` sees the word index); bits past
@@ -135,17 +133,11 @@ impl Row {
 
     /// Borrows the packed words (last word zero-padded).
     pub fn words(&self) -> &[u64] {
-        match &self.store {
-            Words::Inline(words) => &words[..self.width.div_ceil(64)],
-            Words::Heap(words) => words,
-        }
+        &self.words[..self.width.div_ceil(64)]
     }
 
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.store {
-            Words::Inline(words) => &mut words[..self.width.div_ceil(64)],
-            Words::Heap(words) => words,
-        }
+        &mut self.words[..self.width.div_ceil(64)]
     }
 
     /// Width in bits.

@@ -66,8 +66,8 @@ fn display_nonempty() {
 }
 
 /// A plain per-bit model of the lane operations, for every lane width
-/// from a nibble to the whole row — on a row that holds its words inline
-/// and on one past 512 bits, which keeps them on the heap.
+/// from a nibble to the whole row — on a row of half the inline words and
+/// on the widest row, which fills them.
 #[test]
 fn lane_operations_match_a_per_bit_model() {
     let pattern = [
@@ -80,7 +80,7 @@ fn lane_operations_match_a_per_bit_model() {
         0xFFFF_FFFF_FFFF_FFFF,
         0x8000_0000_0000_0000,
     ];
-    for width in [256usize, 1024] {
+    for width in [256usize, 512] {
         let words = |from: usize| -> Vec<u64> {
             (0..width / 64).map(|w| pattern[(from + w) % 8]).collect()
         };
@@ -120,32 +120,38 @@ fn lane_operations_match_a_per_bit_model() {
     }
 }
 
-/// Past 512 bits the words move to the heap; nothing else may change.
+/// The widest row fills every inline word; nothing else may change.
 #[test]
-fn rows_wider_than_the_inline_words_behave_the_same() {
-    let words: Vec<u64> = (1..=9u64)
+fn the_widest_row_behaves_the_same() {
+    let words: Vec<u64> = (1..=8u64)
         .map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    let a = Row::from_u64_words(576, &words);
+    let a = Row::from_u64_words(512, &words);
     assert_eq!(a.to_u64_words(), words);
     assert_eq!(a.words(), &words[..]);
     let bits: Vec<bool> = a.iter().collect();
     assert_eq!(Row::from_bits(bits.clone()), a);
     assert_eq!(a.popcount(), bits.iter().filter(|&&b| b).count());
-    assert_eq!((&a ^ &Row::ones(576)), !&a);
-    assert_eq!((&a & &!&a), Row::zeros(576));
-    assert_eq!((&a | &!&a).popcount(), 576);
+    assert_eq!((&a ^ &Row::ones(512)), !&a);
+    assert_eq!((&a & &!&a), Row::zeros(512));
+    assert_eq!((&a | &!&a).popcount(), 512);
     let mut b = a.clone();
-    b.set(575, !a.get(575).unwrap());
+    b.set(511, !a.get(511).unwrap());
     assert_ne!(a, b);
-    assert_eq!(b.get(576), None);
-    let values: Vec<u64> = (0..36).map(|v| v * 0x0101 + 7).collect();
-    assert_eq!(Row::pack(576, 16, &values).unpack(16), values);
-    // A ragged width past the inline limit keeps its tail clear.
-    assert_eq!(Row::ones(600).popcount(), 600);
-    assert_eq!((!&Row::zeros(600)).to_u64_words()[9], u64::MAX >> 40);
+    assert_eq!(b.get(512), None);
+    let values: Vec<u64> = (0..32).map(|v| v * 0x0101 + 7).collect();
+    assert_eq!(Row::pack(512, 16, &values).unpack(16), values);
+    // A ragged width in the last inline word keeps its tail clear.
+    assert_eq!(Row::ones(488).popcount(), 488);
+    assert_eq!((!&Row::zeros(488)).to_u64_words()[7], u64::MAX >> 24);
     let back: Row = serde::json::from_str(&serde::json::to_string(&a)).unwrap();
     assert_eq!(back, a);
+}
+
+#[test]
+#[should_panic(expected = "513 bits: over 512")]
+fn rows_past_512_bits_are_refused() {
+    let _ = Row::zeros(513);
 }
 
 #[test]

@@ -229,6 +229,9 @@ impl ClassicSched {
         match submission {
             Submission::Job(job) => self.ready.push_back(job),
             Submission::Chain(chain) => {
+                if let [first, .., last] = &chain[..] {
+                    self.replay.open_chain(first.id, last.id);
+                }
                 let rel = self.deps.admit(chain);
                 self.process_released(rel);
             }

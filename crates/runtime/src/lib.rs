@@ -170,15 +170,16 @@ impl Runtime {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Trace`] if the trace file cannot be
-    /// created, or [`RuntimeError::Config`] for an NMR degree the
-    /// configured TRD cannot vote on or inconsistent health thresholds.
+    /// created, or [`RuntimeError::Config`] for an invalid `config`, an NMR
+    /// degree the configured TRD cannot vote on or inconsistent health thresholds.
     pub fn new(config: MemoryConfig, options: RuntimeOptions) -> Result<Runtime, RuntimeError> {
+        let valid = config.validate();
+        valid.map_err(|e| RuntimeError::Config(e.to_string()))?;
         if let ProtectionPolicy::Nmr { n } = options.protection {
             if !NmrVoter::new(&config).supported_n().contains(&n) {
-                return Err(RuntimeError::Config(format!(
-                    "NMR degree {n} unsupported at TRD {}",
-                    config.trd
-                )));
+                let trd = config.trd;
+                let unsupported = format!("NMR degree {n} unsupported at TRD {trd}");
+                return Err(RuntimeError::Config(unsupported));
             }
         }
         if options.fault_aware() {
@@ -190,12 +191,10 @@ impl Runtime {
         if options.active_chaos().is_some() {
             chaos::install_quiet_hook();
         }
-        let trace = match &options.trace_path {
-            Some(path) => Some(Arc::new(
-                EventTrace::create(path).map_err(RuntimeError::Trace)?,
-            )),
-            None => None,
-        };
+        let trace = (options.trace_path.as_ref())
+            .map(|path| EventTrace::create(path).map(Arc::new))
+            .transpose()
+            .map_err(RuntimeError::Trace)?;
         let mut runtime = Runtime {
             shards: options.shards.clamp(1, config.banks),
             compiler: Compiler::new(config.clone(), &options.compile),

@@ -12,7 +12,7 @@ use crate::events::{Event, EventTrace};
 use crate::job::JobOutcome;
 use crate::options::RuntimeError;
 use crate::parallel::{DomainOutput, ParEngine};
-use crate::session::Completion;
+use crate::session::{Completion, SlotMeta};
 use crate::stats::{
     BankOccupancy, BatchStats, DomainStats, FaultStats, Histogram, PipelineStats, RuntimeStats,
     SchedStats,
@@ -21,6 +21,7 @@ use crate::supervise::SupervisionStats;
 use crate::{sync, Runtime};
 use coruscant_mem::controller::Request;
 use coruscant_mem::{MemoryConfig, MemoryController, ScrubOutcome};
+use coruscant_racetrack::Cost;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -89,6 +90,9 @@ pub(crate) struct Replay {
     /// The first error in issue order (of a final attempt, or of the
     /// controller): it fails the session.
     error: Option<RuntimeError>,
+    /// Open dependency chains by first member id: (last member id, the
+    /// per-instruction energy held back for them, in issue order).
+    chains: BTreeMap<u64, (u64, Vec<f64>)>,
 }
 
 impl Replay {
@@ -106,6 +110,22 @@ impl Replay {
                 ..RuntimeStats::default()
             },
             error: None,
+            chains: BTreeMap::new(),
+        }
+    }
+
+    /// Holds back the energy of chain `first..=last` (see [`Replay::push`]).
+    pub fn open_chain(&mut self, first: u64, last: u64) {
+        self.chains.insert(first, (last, Vec::new()));
+    }
+
+    /// Charges every open chain that starts at or before `first`: one
+    /// that lost a member to a cancellation never closes itself.
+    pub fn close_chains(&mut self, first: u64) {
+        while let Some(chain) = self.chains.first_entry().filter(|c| *c.key() <= first) {
+            for energy_pj in chain.remove().1 {
+                self.timing.charge_energy(Cost::energy(energy_pj));
+            }
         }
     }
 
@@ -118,11 +138,26 @@ impl Replay {
             .saturating_sub(self.timing.now());
         let mut done = 0;
         let mut batch_device = 0;
+        // Concurrent chains' members issue in ack-timing order, and an
+        // `f64` sum follows its order: a chain member's energy is held and
+        // charged once the chain's last member (or one whose failure
+        // cascades) is accounted, so chains add up one after another.
+        let id = c.slots.first().map_or(u64::MAX, |s| s.job_id);
+        let chain = self.chains.range_mut(..=id).next_back();
+        let held = chain
+            .filter(|(_, (last, _))| id <= *last)
+            .map(|(&first, (last, energy))| {
+                energy.reserve_exact(out.instr_costs.len());
+                energy.extend(out.instr_costs.iter().map(|c| c.energy_pj));
+                let ends = |s: &SlotMeta| s.last && (s.job_id == *last || out.error.is_some());
+                (first, c.slots.iter().any(ends))
+            });
+        let charged = if held.is_some() { 0.0 } else { 1.0 };
         for cost in &out.instr_costs {
             match self.timing.submit(Request::Pim {
                 location: c.unit,
                 device_cycles: cost.cycles,
-                energy_pj: cost.energy_pj,
+                energy_pj: cost.energy_pj * charged,
             }) {
                 Ok(t) => done = done.max(t),
                 Err(e) => {
@@ -188,6 +223,9 @@ impl Replay {
                 verified: out.verified,
                 batch: members as u32,
             });
+        }
+        if let Some((first, true)) = held {
+            self.close_chains(first);
         }
     }
 }
@@ -451,10 +489,11 @@ impl Runtime {
     ) -> Result<RuntimeReport, RuntimeError> {
         let DrainedSession {
             sched_out,
-            replay,
+            mut replay,
             supervision,
             sched_stats,
         } = drained;
+        replay.close_chains(u64::MAX);
         let Replay {
             mut timing,
             mut stats,
@@ -536,7 +575,89 @@ impl Runtime {
 
 #[cfg(test)]
 mod tests {
-    use super::Reorder;
+    use super::{Reorder, Replay, Retired};
+    use crate::exec::ExecOutcome;
+    use crate::session::{Completion, SlotMeta};
+    use coruscant_mem::{DbcLocation, MemoryConfig};
+    use coruscant_racetrack::Cost;
+
+    /// What job `id` of chain A (10, 11) or chain B (12, 13) charges,
+    /// per instruction: values whose `f64` sum depends on their order.
+    fn charges(id: u64) -> Vec<f64> {
+        match id {
+            10 => vec![0.269, 1.695],
+            11 => vec![1.528],
+            12 => vec![329_562.123, 0.991],
+            _ => vec![0.899],
+        }
+    }
+
+    /// The charges of `ids`, added one by one in that order.
+    fn summed(ids: &[u64]) -> f64 {
+        ids.iter()
+            .flat_map(|&id| charges(id))
+            .fold(0.0, |t, e| t + e)
+    }
+
+    /// Replays one final attempt of each of `issued`, in that issue
+    /// order, with chains A and B open; returns the session's energy.
+    fn replayed(issued: &[u64]) -> f64 {
+        let mut replay = Replay::new(&MemoryConfig::tiny(), None, Retired::default());
+        replay.open_chain(10, 11);
+        replay.open_chain(12, 13);
+        for (seq, &id) in issued.iter().enumerate() {
+            let instr_costs = (charges(id).into_iter())
+                .map(|energy_pj| Cost {
+                    cycles: 1,
+                    energy_pj,
+                })
+                .collect();
+            replay.push(Completion {
+                seq: seq as u64,
+                unit: DbcLocation::new(id as usize % 2, 0, 0, 0),
+                slots: vec![SlotMeta {
+                    job_id: id,
+                    readouts: 0,
+                    attempt: 0,
+                    redispatches: 0,
+                    last: true,
+                }],
+                out: ExecOutcome {
+                    outputs: Vec::new(),
+                    instr_costs,
+                    error: None,
+                    replicas: 1,
+                    faults_detected: 0,
+                    retries: 0,
+                    votes_overturned: 0,
+                    verified: false,
+                },
+            });
+        }
+        replay.close_chains(u64::MAX);
+        replay.timing.stats().energy_pj
+    }
+
+    #[test]
+    fn chains_add_up_whole_whatever_the_issue_interleaving() {
+        // Added in issue order, two interleavings disagree in the last place.
+        let whole = summed(&[10, 11, 12, 13]);
+        assert_ne!(summed(&[10, 12, 11, 13]).to_bits(), whole.to_bits());
+        for issued in [[10, 11, 12, 13], [10, 12, 11, 13], [12, 10, 11, 13]] {
+            assert_eq!(replayed(&issued).to_bits(), whole.to_bits(), "{issued:?}");
+        }
+    }
+
+    #[test]
+    fn a_chain_that_never_finishes_is_charged_by_the_next_to_close() {
+        // Job 11 never runs (say, cancelled): B's close charges A first.
+        assert_eq!(
+            replayed(&[10, 12, 13]).to_bits(),
+            summed(&[10, 12, 13]).to_bits()
+        );
+        // Nothing closes it: the drain does.
+        assert_eq!(replayed(&[10]).to_bits(), summed(&[10]).to_bits());
+    }
 
     /// Settles `(seq, item)` pairs in the given order and returns what
     /// left the buffer, in the order it left.

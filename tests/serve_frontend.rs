@@ -4,9 +4,12 @@
 
 use coruscant::mem::{DbcLocation, FaultPlan, MemoryConfig};
 use coruscant::racetrack::FaultConfig;
-use coruscant::runtime::{run_batch, HealthPolicy, Placement, ProtectionPolicy, RuntimeOptions};
+use coruscant::runtime::{
+    run_batch, HealthPolicy, Placement, ProtectionPolicy, Runtime, RuntimeError, RuntimeOptions,
+};
 use coruscant::server::{
-    AdmissionOptions, Priority, Rejected, ServeError, Server, ServerOptions, SubmitOptions,
+    AdmissionOptions, Priority, Rejected, ServeError, Server, ServerError, ServerOptions,
+    SubmitOptions,
 };
 use coruscant::workloads::serve::{all_workload_programs, serve_programs_streamed};
 use std::time::{Duration, Instant};
@@ -318,4 +321,24 @@ fn unverified_fixed_job_resolves_before_shutdown() {
     assert_eq!(stats.completed, 64);
     assert_eq!(stats.runtime.faults.unverified_jobs, unverified);
     assert!(stats.balanced() && stats.lost == 0, "{stats:?}");
+}
+
+/// A memory configuration that does not validate is refused before any
+/// thread starts, through the runtime and through the server alike: no
+/// banks (which used to panic while sizing the shards), a transverse-read
+/// distance past the rows, and DBCs wider than a row holds.
+#[test]
+fn invalid_memory_configs_are_refused_at_start() {
+    let mut no_banks = MemoryConfig::tiny();
+    no_banks.banks = 0;
+    let mut too_wide = MemoryConfig::tiny();
+    too_wide.nanowires_per_dbc = 576;
+    let invalid = [no_banks, MemoryConfig::tiny().with_trd(40), too_wide];
+    for config in invalid {
+        let direct = Runtime::new(config.clone(), RuntimeOptions::default());
+        assert!(matches!(direct, Err(RuntimeError::Config(_))), "{config:?}");
+        let served = Server::start(config.clone(), ServerOptions::default());
+        let refused = matches!(served, Err(ServerError::Runtime(RuntimeError::Config(_))));
+        assert!(refused, "{config:?}");
+    }
 }
