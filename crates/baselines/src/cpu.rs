@@ -65,7 +65,7 @@ impl CpuBaseline {
 
     /// Average memory-access latency in memory cycles, given a row-buffer
     /// hit rate in `[0, 1]`.
-    pub fn access_latency(&self, hit_rate: f64) -> f64 {
+    pub(crate) fn access_latency(&self, hit_rate: f64) -> f64 {
         let shift = match self.timing.protocol {
             Protocol::Dram => 0,
             Protocol::Dwm => self.avg_shift,

@@ -11,13 +11,13 @@ use serde::{Deserialize, Serialize};
 
 /// AlexNet inference throughput reported for ISAAC in the paper's
 /// Table IV (frames per second).
-pub const ALEXNET_FPS: f64 = 34.0;
+pub(crate) const ALEXNET_FPS: f64 = 34.0;
 
 /// LeNet-5 inference throughput reported for ISAAC (frames per second).
-pub const LENET_FPS: f64 = 2581.0;
+pub(crate) const LENET_FPS: f64 = 2581.0;
 
 /// Approximate multiply-accumulate count of AlexNet inference.
-pub const ALEXNET_MACS: f64 = 724e6;
+pub(crate) const ALEXNET_MACS: f64 = 724e6;
 
 /// The ISAAC throughput model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1,5 +1,5 @@
 //! Cross-program batching: splice same-unit programs into one batched
-//! program, optimize across the boundary, and demux per-job outputs.
+//! program and optimize across the boundary.
 //!
 //! The runtime's same-bank batch fusion (DESIGN.md §4e) concatenates the
 //! step streams of co-located jobs and runs the standard pass pipeline
@@ -7,19 +7,12 @@
 //! boundaries. Splicing is semantics-preserving by construction — the
 //! batched program *is* the sequential execution of its members on one
 //! machine — and demuxing rests on two invariants of the effect model
-//! ([`crate::effects`]): readouts are order-pinned (any two conflict, so
+//! (`crate::effects`): readouts are order-pinned (any two conflict, so
 //! no pass reorders them) and never deleted (DCE keeps every readout).
 //! Per-member readout *counts*, recorded at splice time, therefore
 //! survive every pass and slice the batched output vector exactly.
-//!
-//! [`verify_batch`] is the differential check for this path: the batched
-//! program on a fresh machine must produce exactly the concatenated
-//! outputs of its members executed sequentially on one fresh machine.
 
-use crate::CompileError;
-use coruscant_core::dispatch::PimMachine;
-use coruscant_core::program::{execute_on, PimProgram, Step};
-use coruscant_mem::MemoryConfig;
+use coruscant_core::program::{PimProgram, Step};
 use serde::Serialize;
 
 /// One member program's share of a spliced batch.
@@ -67,80 +60,6 @@ where
         program: PimProgram { steps },
         slots,
     }
-}
-
-/// Slices a batched output vector back into per-member output vectors,
-/// in slot order.
-///
-/// Robust to a *short* output vector (a batch that errored mid-run): the
-/// member that was executing gets its partial outputs, later members get
-/// empty vectors.
-pub fn demux_outputs(
-    outputs: &[(String, Vec<u64>)],
-    slots: &[BatchSlot],
-) -> Vec<Vec<(String, Vec<u64>)>> {
-    let mut cursor = 0usize;
-    slots
-        .iter()
-        .map(|slot| {
-            let end = (cursor + slot.readouts).min(outputs.len());
-            let start = cursor.min(outputs.len());
-            cursor += slot.readouts;
-            outputs[start..end].to_vec()
-        })
-        .collect()
-}
-
-/// The outcome of a batch differential check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchVerifyOutcome {
-    /// The batched program reproduced the sequential outputs exactly.
-    Match,
-    /// The sequential reference itself failed (a member depends on state
-    /// no earlier member provides); equivalence cannot be judged.
-    SequentialFailed,
-}
-
-/// Differentially verifies a batched program against sequential
-/// execution of its members.
-///
-/// The reference runs every member *in order on one fresh machine* —
-/// exactly what the runtime's per-bank FIFO would have done — and the
-/// candidate (the optimized batch) runs on another fresh machine. Their
-/// ordered, concatenated outputs must be identical.
-///
-/// # Errors
-///
-/// Returns [`CompileError::Diverged`] when the batched program errors or
-/// its outputs differ while the sequential reference ran cleanly.
-pub fn verify_batch(
-    originals: &[&PimProgram],
-    batched: &PimProgram,
-    config: &MemoryConfig,
-) -> Result<BatchVerifyOutcome, CompileError> {
-    let mut reference_machine = PimMachine::new(config.clone());
-    let mut reference: Vec<(String, Vec<u64>)> = Vec::new();
-    for original in originals {
-        match execute_on(original, &mut reference_machine) {
-            Ok(outcome) => reference.extend(outcome.outputs),
-            Err(_) => return Ok(BatchVerifyOutcome::SequentialFailed),
-        }
-    }
-    let mut candidate_machine = PimMachine::new(config.clone());
-    let candidate =
-        execute_on(batched, &mut candidate_machine).map_err(|e| CompileError::Diverged {
-            detail: format!("batched program failed where sequential succeeded: {e}"),
-        })?;
-    if candidate.outputs != reference {
-        return Err(CompileError::Diverged {
-            detail: format!(
-                "batch outputs differ: sequential {} readouts, batched {} readouts",
-                reference.len(),
-                candidate.outputs.len(),
-            ),
-        });
-    }
-    Ok(BatchVerifyOutcome::Match)
 }
 
 #[cfg(test)]
@@ -208,47 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn demux_slices_outputs_per_slot() {
-        let outputs = vec![
-            ("a".to_string(), vec![1]),
-            ("b".to_string(), vec![2]),
-            ("c".to_string(), vec![3]),
-        ];
-        let slots = vec![
-            BatchSlot {
-                tag: 0,
-                readouts: 2,
-            },
-            BatchSlot {
-                tag: 1,
-                readouts: 1,
-            },
-        ];
-        let parts = demux_outputs(&outputs, &slots);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].len(), 2);
-        assert_eq!(parts[1], vec![("c".to_string(), vec![3])]);
-    }
-
-    #[test]
-    fn demux_tolerates_short_outputs() {
-        let outputs = vec![("a".to_string(), vec![1])];
-        let slots = vec![
-            BatchSlot {
-                tag: 0,
-                readouts: 1,
-            },
-            BatchSlot {
-                tag: 1,
-                readouts: 1,
-            },
-        ];
-        let parts = demux_outputs(&outputs, &slots);
-        assert_eq!(parts[0].len(), 1);
-        assert!(parts[1].is_empty());
-    }
-
-    #[test]
     fn optimized_batch_matches_sequential() {
         let config = MemoryConfig::tiny();
         let a = query(0xF0F0, 0xFF00, "a");
@@ -256,35 +134,21 @@ mod tests {
         let spliced = splice_programs([(0, &a), (1, &b)]);
         let compiler = Compiler::new(config.clone(), &CompileOptions::default());
         let (optimized, _) = compiler.optimize(&spliced.program).unwrap();
-        assert_eq!(
-            verify_batch(&[&a, &b], &optimized, &config).unwrap(),
-            BatchVerifyOutcome::Match
-        );
         // Readout counts recorded at splice time still slice the
         // optimized batch: no pass removes or reorders readouts.
         let outcome = coruscant_core::program::execute(&optimized, &config).unwrap();
-        let parts = demux_outputs(&outcome.outputs, &spliced.slots);
+        let (first, second) = outcome.outputs.split_at(spliced.slots[0].readouts);
         assert_eq!(
-            parts[0],
+            first,
             coruscant_core::program::execute(&a, &config)
                 .unwrap()
                 .outputs
         );
         assert_eq!(
-            parts[1],
+            second,
             coruscant_core::program::execute(&b, &config)
                 .unwrap()
                 .outputs
         );
-    }
-
-    #[test]
-    fn divergent_batch_is_reported() {
-        let config = MemoryConfig::tiny();
-        let a = query(1, 3, "a");
-        let b = query(5, 7, "b");
-        let wrong = query(9, 9, "a");
-        let err = verify_batch(&[&a, &b], &wrong, &config).unwrap_err();
-        assert!(matches!(err, CompileError::Diverged { .. }));
     }
 }

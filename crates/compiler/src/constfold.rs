@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 
 /// The identity-folding pass. See the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct ConstFoldPass;
+pub(crate) struct ConstFoldPass;
 
 /// Which identity row a tracked row currently holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -30,7 +30,7 @@ use std::collections::HashSet;
 
 /// The elimination pass. See the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct DeadStepPass;
+pub(crate) struct DeadStepPass;
 
 impl Pass for DeadStepPass {
     fn name(&self) -> &'static str {

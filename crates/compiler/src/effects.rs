@@ -29,7 +29,7 @@ use coruscant_mem::DbcLocation;
 
 /// One step's effect summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepEffects {
+pub(crate) struct StepEffects {
     /// Data rows the step reads, in access order.
     pub reads: Vec<(DbcLocation, usize)>,
     /// Data rows the step writes.
@@ -48,7 +48,7 @@ pub struct StepEffects {
 
 /// Whether an opcode's effects are exactly its operand reads plus the
 /// optional destination write-back (no hidden scratch rows).
-pub fn is_pure_bulk(opcode: CpimOpcode) -> bool {
+pub(crate) fn is_pure_bulk(opcode: CpimOpcode) -> bool {
     matches!(
         opcode,
         CpimOpcode::And
@@ -68,7 +68,7 @@ pub fn is_pure_bulk(opcode: CpimOpcode) -> bool {
 /// the TRD-wide (≤ 7) segment window over rows within 6 of it, and slack
 /// and placement shifts move the window by at most `k - 1` more. The
 /// union over all cases is `src - 6 ..= src + 2k + 4`, clamped at row 0.
-pub fn instr_effects(instr: &CpimInstr) -> StepEffects {
+pub(crate) fn instr_effects(instr: &CpimInstr) -> StepEffects {
     let loc = instr.src.location;
     let dst: Vec<(DbcLocation, usize)> =
         instr.dst.map(|d| (d.location, d.row)).into_iter().collect();
@@ -106,7 +106,7 @@ pub fn instr_effects(instr: &CpimInstr) -> StepEffects {
 }
 
 /// The effect summary of one step.
-pub fn step_effects(step: &Step) -> StepEffects {
+pub(crate) fn step_effects(step: &Step) -> StepEffects {
     match step {
         Step::Load { addr, .. } => StepEffects {
             reads: Vec::new(),
@@ -129,17 +129,11 @@ pub fn step_effects(step: &Step) -> StepEffects {
 impl StepEffects {
     /// Whether the step touches any row of `loc` (reads, writes, smears,
     /// or clobbers it).
-    pub fn touches(&self, loc: DbcLocation) -> bool {
+    pub(crate) fn touches(&self, loc: DbcLocation) -> bool {
         self.clobbers == Some(loc)
             || self.smear.is_some_and(|(l, _, _)| l == loc)
             || self.reads.iter().any(|(l, _)| *l == loc)
             || self.writes.iter().any(|(l, _)| *l == loc)
-    }
-
-    /// Whether the step's smear window covers `(loc, row)`.
-    pub fn smears(&self, loc: DbcLocation, row: usize) -> bool {
-        self.smear
-            .is_some_and(|(l, lo, hi)| l == loc && (lo..=hi).contains(&row))
     }
 }
 
@@ -147,7 +141,7 @@ impl StepEffects {
 /// write/read or write/write overlap (smear counting as a write), any
 /// clobber touching the other step's DBC, or two readouts (output order
 /// is observable).
-pub fn conflict(a: &StepEffects, b: &StepEffects) -> bool {
+pub(crate) fn conflict(a: &StepEffects, b: &StepEffects) -> bool {
     if a.is_readout && b.is_readout {
         return true;
     }
@@ -229,7 +223,6 @@ mod tests {
             values: vec![0],
             lane: 8,
         });
-        assert!(e.smears(loc(), 15));
         assert!(conflict(&e, &near));
         assert!(!conflict(&e, &far));
     }

@@ -5,7 +5,7 @@
 //! activations. On this hardware a valid pairwise chain accumulates
 //! *downward* — each step folds its own operand row with the accumulator
 //! sitting one row above and writes the result back in place, so the
-//! placement residue each step leaves (see [`crate::effects`]) lands
+//! placement residue each step leaves (see `crate::effects`) lands
 //! only on rows already consumed:
 //!
 //! ```text
@@ -39,7 +39,7 @@ use std::collections::HashSet;
 
 /// The fusion pass. See the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct TrFusionPass;
+pub(crate) struct TrFusionPass;
 
 /// A recognized descending accumulator chain: `len` consecutive
 /// 2-operand steps folding operand rows `base ..= base + len` into

@@ -8,18 +8,18 @@
 //! stream*. This crate rewrites programs before they reach the memory
 //! controller:
 //!
-//! * [`TrFusionPass`] — collapses pairwise AND/OR/XOR accumulator chains
+//! * `TrFusionPass` — collapses pairwise AND/OR/XOR accumulator chains
 //!   into k-operand transverse-read instructions, `k ≤ min(TRD, 7)`;
-//! * [`ShiftSchedulePass`] — reorders independent steps so consecutive
+//! * `ShiftSchedulePass` — reorders independent steps so consecutive
 //!   row accesses are close, minimizing net shift distance;
-//! * [`DeadStepPass`] — removes dead loads, unread bulk results and
+//! * `DeadStepPass` — removes dead loads, unread bulk results and
 //!   redundant copies;
 //! * [`differential_verify`] — executes original and optimized programs
 //!   through the functional path and asserts identical outputs, wired
 //!   into the test suite and available as a debug option in release via
 //!   [`CompileOptions::verify`].
 //!
-//! The [`Compiler`] bundles a configured [`PassManager`] with the
+//! The [`Compiler`] bundles a configured `PassManager` with the
 //! verifier; the execution runtime optimizes jobs on enqueue through it
 //! (see `coruscant-runtime`'s `RuntimeOptions::compile`).
 //!
@@ -37,26 +37,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod batch;
-pub mod constfold;
-pub mod dce;
-pub mod effects;
-pub mod fuse;
-pub mod pass;
-pub mod schedule;
-pub mod stats;
-pub mod verify;
+mod batch;
+mod constfold;
+mod dce;
+mod effects;
+mod fuse;
+mod pass;
+mod schedule;
+mod stats;
+mod verify;
 
-pub use batch::{
-    demux_outputs, splice_programs, verify_batch, BatchSlot, BatchVerifyOutcome, SplicedBatch,
-};
-pub use constfold::ConstFoldPass;
-pub use dce::DeadStepPass;
-pub use fuse::TrFusionPass;
-pub use pass::{Pass, PassContext, PassManager, PassReport, PipelineReport};
-pub use schedule::ShiftSchedulePass;
-pub use stats::{estimated_shifts, ProgramStats};
+pub use batch::{splice_programs, BatchSlot, SplicedBatch};
+pub(crate) use constfold::ConstFoldPass;
+pub(crate) use dce::DeadStepPass;
+pub(crate) use fuse::TrFusionPass;
+pub(crate) use pass::PassManager;
+pub use pass::{Pass, PassContext, PassReport, PipelineReport};
+pub(crate) use schedule::ShiftSchedulePass;
+pub use stats::ProgramStats;
 pub use verify::{differential_verify, VerifyOutcome};
 
 use coruscant_core::program::PimProgram;
@@ -103,21 +103,13 @@ impl From<PimError> for CompileError {
     }
 }
 
-/// Which passes run, and whether every optimized program is differentially
-/// verified against its original.
+/// Whether the pass pipeline runs, and whether every optimized program is
+/// differentially verified against its original.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Master switch; `false` passes programs through untouched.
+    /// Master switch; `false` passes programs through untouched, `true`
+    /// runs every pass (see [`Compiler::new`]).
     pub enabled: bool,
-    /// Run [`TrFusionPass`].
-    pub fuse: bool,
-    /// Run [`ConstFoldPass`] (fold identity-constant loads into the
-    /// hardware's operand padding).
-    pub constfold: bool,
-    /// Run [`ShiftSchedulePass`].
-    pub schedule: bool,
-    /// Run [`DeadStepPass`].
-    pub dce: bool,
     /// Execute original vs optimized through the functional path and
     /// require identical outputs. Off by default (it runs every program
     /// twice); tests and debugging turn it on — including in release
@@ -129,10 +121,6 @@ impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
             enabled: true,
-            fuse: true,
-            constfold: true,
-            schedule: true,
-            dce: true,
             verify: false,
         }
     }
@@ -143,10 +131,6 @@ impl CompileOptions {
     pub fn disabled() -> CompileOptions {
         CompileOptions {
             enabled: false,
-            fuse: false,
-            constfold: false,
-            schedule: false,
-            dce: false,
             verify: false,
         }
     }
@@ -169,34 +153,23 @@ pub struct Compiler {
 
 impl Compiler {
     /// Builds the standard pipeline for a configuration: fusion, then
-    /// dead-step elimination, then shift scheduling (fusion first so the
-    /// scheduler sees the final access pattern).
+    /// constant folding, then dead-step elimination, then shift
+    /// scheduling (fusion first so the scheduler sees the final access
+    /// pattern).
     pub fn new(config: MemoryConfig, options: &CompileOptions) -> Compiler {
         let mut manager = PassManager::new(config.clone());
         if options.enabled {
-            if options.fuse {
-                manager = manager.with_pass(Box::new(TrFusionPass));
-            }
-            if options.constfold {
-                manager = manager.with_pass(Box::new(ConstFoldPass));
-            }
-            if options.dce {
-                manager = manager.with_pass(Box::new(DeadStepPass));
-            }
-            if options.schedule {
-                manager = manager.with_pass(Box::new(ShiftSchedulePass));
-            }
+            manager = manager
+                .with_pass(Box::new(TrFusionPass))
+                .with_pass(Box::new(ConstFoldPass))
+                .with_pass(Box::new(DeadStepPass))
+                .with_pass(Box::new(ShiftSchedulePass));
         }
         Compiler {
             manager,
             options: *options,
             config,
         }
-    }
-
-    /// The configured pass names, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.manager.pass_names()
     }
 
     /// Optimizes one program.
@@ -240,7 +213,6 @@ mod tests {
     fn disabled_compiler_is_identity() {
         let config = MemoryConfig::tiny();
         let compiler = Compiler::new(config, &CompileOptions::disabled());
-        assert!(compiler.pass_names().is_empty());
         let program = PimProgram::default();
         let (out, report) = compiler.optimize(&program).unwrap();
         assert_eq!(out, program);
@@ -251,8 +223,10 @@ mod tests {
     fn standard_pipeline_orders_passes() {
         let config = MemoryConfig::tiny();
         let compiler = Compiler::new(config, &CompileOptions::default());
+        let (_, report) = compiler.optimize(&PimProgram::default()).unwrap();
+        let names: Vec<&str> = report.passes.iter().map(|p| p.pass.as_str()).collect();
         assert_eq!(
-            compiler.pass_names(),
+            names,
             vec!["tr-fusion", "const-fold", "dead-step", "shift-schedule"]
         );
     }

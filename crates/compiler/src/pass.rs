@@ -1,4 +1,4 @@
-//! The [`Pass`] trait and the [`PassManager`] that snapshots per-pass
+//! The [`Pass`] trait and the `PassManager` that snapshots per-pass
 //! before/after statistics.
 
 use crate::stats::ProgramStats;
@@ -146,14 +146,14 @@ impl PipelineReport {
 }
 
 /// Runs an ordered list of passes, snapshotting statistics around each.
-pub struct PassManager {
+pub(crate) struct PassManager {
     ctx: PassContext,
     passes: Vec<Box<dyn Pass>>,
 }
 
 impl PassManager {
     /// An empty manager for a configuration.
-    pub fn new(config: MemoryConfig) -> PassManager {
+    pub(crate) fn new(config: MemoryConfig) -> PassManager {
         PassManager {
             ctx: PassContext { config },
             passes: Vec::new(),
@@ -162,14 +162,9 @@ impl PassManager {
 
     /// Appends a pass.
     #[must_use]
-    pub fn with_pass(mut self, pass: Box<dyn Pass>) -> PassManager {
+    pub(crate) fn with_pass(mut self, pass: Box<dyn Pass>) -> PassManager {
         self.passes.push(pass);
         self
-    }
-
-    /// The pass names, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Runs the pipeline.
@@ -177,7 +172,10 @@ impl PassManager {
     /// # Errors
     ///
     /// Propagates the first pass failure.
-    pub fn run(&self, program: &PimProgram) -> Result<(PimProgram, PipelineReport), CompileError> {
+    pub(crate) fn run(
+        &self,
+        program: &PimProgram,
+    ) -> Result<(PimProgram, PipelineReport), CompileError> {
         let before = ProgramStats::of(program, &self.ctx.config);
         let mut current = program.clone();
         let mut reports = Vec::with_capacity(self.passes.len());

@@ -5,10 +5,10 @@
 //! cost little, two accesses to opposite ends of the DBC cost the full
 //! wire length. This pass reorders *independent* steps so consecutive
 //! accesses land close together, using the same per-DBC walk model as
-//! [`crate::stats::estimated_shifts`].
+//! `crate::stats::estimated_shifts`.
 //!
 //! Soundness comes from a dependence analysis over
-//! [`crate::effects`]: an edge connects every conflicting step pair
+//! `crate::effects`: an edge connects every conflicting step pair
 //! (read/write overlap, DBC clobber, readout/readout order), and the
 //! greedy scheduler only picks among steps whose predecessors have all
 //! been emitted. Ties break toward program order, so an already-optimal
@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 /// The scheduling pass. See the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct ShiftSchedulePass;
+pub(crate) struct ShiftSchedulePass;
 
 /// Programs past this size skip scheduling (the dependence analysis is
 /// quadratic; real kernels sit far below this).

@@ -23,7 +23,7 @@ pub struct ProgramStats {
     /// [`CpimInstr::estimated_device_cycles`](coruscant_core::isa::CpimInstr::estimated_device_cycles).
     pub est_device_cycles: u64,
     /// Estimated net shift distance (domains) the program's row accesses
-    /// cost, per the walk model of [`estimated_shifts`].
+    /// cost, per the walk model of `estimated_shifts`.
     pub est_shifts: u64,
 }
 
@@ -89,7 +89,7 @@ pub(crate) fn accessed_rows(step: &Step) -> Vec<(DbcLocation, usize)> {
 /// pays the distance from there (paper §II-B — shifts dominate DWM access
 /// latency when operands are far apart). This is the objective the
 /// shift-minimizing scheduling pass reduces.
-pub fn estimated_shifts(steps: &[Step]) -> u64 {
+pub(crate) fn estimated_shifts(steps: &[Step]) -> u64 {
     let mut pos: HashMap<DbcLocation, usize> = HashMap::new();
     let mut total = 0u64;
     for step in steps {

@@ -26,7 +26,7 @@ use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::CostMeter;
 
 /// Validates a block size: a power of two in `8..=512` (paper §III-E).
-pub fn validate_blocksize(blocksize: usize, width: usize) -> Result<()> {
+pub(crate) fn validate_blocksize(blocksize: usize, width: usize) -> Result<()> {
     let ok = blocksize.is_power_of_two() && (8..=512).contains(&blocksize);
     if !ok || blocksize > width || !width.is_multiple_of(blocksize) {
         return Err(PimError::BadBlockSize(blocksize));
@@ -93,7 +93,7 @@ impl MultiOperandAdder {
     /// # Errors
     ///
     /// As [`MultiOperandAdder::place_operands`].
-    pub fn place_operands_at(
+    pub(crate) fn place_operands_at(
         &self,
         dbc: &mut Dbc,
         operands: &[Row],
@@ -195,7 +195,7 @@ impl MultiOperandAdder {
     }
 
     /// Full multi-operand addition confined to the row window starting at
-    /// `base` (see [`MultiOperandAdder::place_operands_at`]).
+    /// `base` (see `MultiOperandAdder::place_operands_at`).
     ///
     /// # Errors
     ///

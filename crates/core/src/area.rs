@@ -26,19 +26,19 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Storage cell area per domain (F²).
-pub const CELL_AREA_F2: f64 = 2.0;
+pub(crate) const CELL_AREA_F2: f64 = 2.0;
 /// Access-port stack per port per wire (F²).
-pub const ACCESS_PORT_F2: f64 = 20.0;
+pub(crate) const ACCESS_PORT_F2: f64 = 20.0;
 /// Baseline single-level sense amplifier per wire (F²).
-pub const SENSE_AMP_BASE_F2: f64 = 50.0;
+pub(crate) const SENSE_AMP_BASE_F2: f64 = 50.0;
 /// Additional sense reference/comparator per extra TR level (F²).
-pub const SENSE_LEVEL_F2: f64 = 40.0;
+pub(crate) const SENSE_LEVEL_F2: f64 = 40.0;
 /// Adder logic (S/C/C') per wire at TRD = 3 / 5 / 7 (F²).
-pub const ADDER_LOGIC_F2: [(usize, f64); 3] = [(3, 20.0), (5, 30.0), (7, 40.5)];
+pub(crate) const ADDER_LOGIC_F2: [(usize, f64); 3] = [(3, 20.0), (5, 30.0), (7, 40.5)];
 /// Multiplication extensions (shift muxes, predication) per wire (F²).
-pub const MULT_LOGIC_F2: f64 = 6.3;
+pub(crate) const MULT_LOGIC_F2: f64 = 6.3;
 /// Remaining bulk-bitwise decode logic per wire (F²).
-pub const BBO_LOGIC_F2: f64 = 18.8;
+pub(crate) const BBO_LOGIC_F2: f64 = 18.8;
 
 /// A PIM design point of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -71,12 +71,12 @@ impl PimDesign {
     }
 
     /// Whether the design includes the multiplication extensions.
-    pub fn has_mult(self) -> bool {
+    pub(crate) fn has_mult(self) -> bool {
         matches!(self, PimDesign::MulAdd5 | PimDesign::MulAdd5Bbo)
     }
 
     /// Whether the design includes the bulk-bitwise decode logic.
-    pub fn has_bbo(self) -> bool {
+    pub(crate) fn has_bbo(self) -> bool {
         matches!(self, PimDesign::MulAdd5Bbo)
     }
 
@@ -116,14 +116,14 @@ fn adder_logic_f2(trd: usize) -> f64 {
 
 /// Area of one baseline (single-port, non-PIM) nanowire slice, including
 /// its share of sensing (F²), for `y` data rows.
-pub fn baseline_wire_area_f2(y: usize) -> f64 {
+pub(crate) fn baseline_wire_area_f2(y: usize) -> f64 {
     let spec = NanowireSpec::single_port(y);
     spec.total_domains as f64 * CELL_AREA_F2 + ACCESS_PORT_F2 + SENSE_AMP_BASE_F2
 }
 
 /// Extra area a PIM wire adds over the baseline wire (F²); can be partially
 /// offset by the saved overhead domains.
-pub fn pim_wire_extra_f2(design: PimDesign, y: usize) -> f64 {
+pub(crate) fn pim_wire_extra_f2(design: PimDesign, y: usize) -> f64 {
     let trd = design.trd();
     let pim_spec = NanowireSpec::coruscant(y, trd);
     let base_spec = NanowireSpec::single_port(y);

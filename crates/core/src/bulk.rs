@@ -224,7 +224,7 @@ impl BulkExecutor {
     /// # Errors
     ///
     /// Returns a device error for TR failures.
-    pub fn execute_in_place(
+    pub(crate) fn execute_in_place(
         &self,
         dbc: &mut Dbc,
         op: BulkOp,
@@ -238,7 +238,7 @@ impl BulkExecutor {
     /// # Errors
     ///
     /// As [`BulkExecutor::place_operands`] and
-    /// [`BulkExecutor::execute_in_place`]; NOT additionally requires
+    /// `BulkExecutor::execute_in_place`; NOT additionally requires
     /// exactly one operand.
     pub fn execute(
         &self,

@@ -56,7 +56,7 @@ impl PimMachine {
     }
 
     /// Wraps an existing controller.
-    pub fn from_controller(ctrl: MemoryController) -> PimMachine {
+    pub(crate) fn from_controller(ctrl: MemoryController) -> PimMachine {
         let (rows, sums) = (Vec::new(), SumLists::default());
         PimMachine { ctrl, rows, sums }
     }
@@ -173,26 +173,6 @@ impl PimMachine {
             cost,
             completion,
         })
-    }
-
-    /// Executes a batch of instructions in the *high-throughput* dispatch
-    /// style (paper §V-C): each instruction's bank occupancy is accounted
-    /// by the controller, so operations targeting different banks overlap
-    /// while same-bank operations queue. Returns the per-instruction
-    /// outcomes plus the batch completion time (the max completion).
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing instruction and returns its error.
-    pub fn execute_batch(&mut self, instrs: &[CpimInstr]) -> Result<(Vec<ExecOutcome>, u64)> {
-        let mut outcomes = Vec::with_capacity(instrs.len());
-        let mut finish = 0;
-        for instr in instrs {
-            let out = self.execute(instr)?;
-            finish = finish.max(out.completion);
-            outcomes.push(out);
-        }
-        Ok((outcomes, finish))
     }
 }
 
@@ -368,71 +348,6 @@ mod tests {
             m.execute(&instr),
             Err(PimError::BadInstruction(_))
         ));
-    }
-
-    #[test]
-    fn batch_overlaps_across_banks() {
-        // The same add issued to PIM DBCs in different banks overlaps;
-        // issued twice to the same bank it queues.
-        let mut m = machine();
-        let mut meter = CostMeter::new();
-        let mk_addr =
-            |bank: usize, row: usize| RowAddress::new(DbcLocation::new(bank, 0, 0, 0), row);
-        for bank in 0..2 {
-            for (i, v) in [[7u64; 8], [9; 8]].iter().enumerate() {
-                m.controller_mut()
-                    .store_row(mk_addr(bank, 4 + i), &Row::pack(64, 8, v), &mut meter)
-                    .unwrap();
-            }
-        }
-        let cross_bank: Vec<CpimInstr> = (0..2)
-            .map(|bank| {
-                CpimInstr::new(
-                    CpimOpcode::Add,
-                    mk_addr(bank, 4),
-                    2,
-                    BlockSize::new(8).unwrap(),
-                    None,
-                )
-                .unwrap()
-            })
-            .collect();
-        let (outs, finish_parallel) = m.execute_batch(&cross_bank).unwrap();
-        assert!(outs
-            .iter()
-            .all(|o| o.result.as_ref().unwrap().unpack(8) == vec![16; 8]));
-
-        // Same-bank pair on a fresh machine.
-        let mut m2 = machine();
-        let mut meter = CostMeter::new();
-        for (i, v) in [[7u64; 8], [9; 8], [7; 8], [9; 8]].iter().enumerate() {
-            m2.controller_mut()
-                .store_row(mk_addr(0, 4 + i), &Row::pack(64, 8, v), &mut meter)
-                .unwrap();
-        }
-        let same_bank = [
-            CpimInstr::new(
-                CpimOpcode::Add,
-                mk_addr(0, 4),
-                2,
-                BlockSize::new(8).unwrap(),
-                None,
-            )
-            .unwrap(),
-            CpimInstr::new(
-                CpimOpcode::Add,
-                mk_addr(0, 6),
-                2,
-                BlockSize::new(8).unwrap(),
-                None,
-            )
-            .unwrap(),
-        ];
-        let (_, finish_serial) = m2.execute_batch(&same_bank).unwrap();
-        assert!(
-            finish_serial > finish_parallel,
-            "same-bank {finish_serial} vs cross-bank {finish_parallel}"
-        );
     }
 
     #[test]

@@ -193,12 +193,6 @@ impl CpimInstr {
         })
     }
 
-    /// The bank this instruction occupies while it executes (schedulers
-    /// key their per-bank FIFOs on this).
-    pub fn target_bank(&self) -> usize {
-        self.src.location.bank
-    }
-
     /// Coarse planning estimate of the internal operation latency in
     /// device cycles at transverse-read distance `trd`, following the
     /// paper's Table III anchors (2/5-op add = 19 cycles at TRD 3, 26 at

@@ -38,11 +38,6 @@ impl MaxExecutor {
         MaxExecutor { trd: config.trd }
     }
 
-    /// Maximum number of candidate words.
-    pub fn max_candidates(&self) -> usize {
-        self.trd
-    }
-
     /// Places up to TRD candidate rows into the segment (write + shift per
     /// candidate, unused positions preset to zero — the zero vector never
     /// wins a max against real data and never forces an elimination).

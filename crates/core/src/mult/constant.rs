@@ -12,7 +12,7 @@
 //! shows — two addition steps instead of twenty thousand.
 
 use crate::add::MultiOperandAdder;
-use crate::shift_logic::{shift_row_left, write_shifted_copy};
+use crate::shift_logic::write_shifted_copy;
 use crate::{PimError, Result};
 use coruscant_mem::{Dbc, Row};
 use coruscant_racetrack::CostMeter;
@@ -312,18 +312,6 @@ impl ConstantMultiplier {
     }
 }
 
-/// Device-level sanity helper: the pure logical shift used by the
-/// executor matches the plan's arithmetic term evaluation.
-pub fn shifted_term(a: &Row, t: CsdTerm, lane: usize) -> Row {
-    let s = shift_row_left(a, t.shift as usize, lane);
-    if t.sign > 0 {
-        s
-    } else {
-        // Two's complement = NOT + 1 handled by the caller's constant row.
-        !&s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,15 +503,6 @@ mod tests {
                 m_const.total().cycles,
                 m_gen.total().cycles
             );
-        }
-
-        #[test]
-        fn shifted_term_oracle() {
-            let a = Row::pack(64, 16, &[0x00FF, 1, 0, 0x0101]);
-            let pos = shifted_term(&a, CsdTerm { sign: 1, shift: 4 }, 16);
-            assert_eq!(pos.unpack(16)[0], 0x0FF0);
-            let neg = shifted_term(&a, CsdTerm { sign: -1, shift: 0 }, 16);
-            assert_eq!(neg.unpack(16)[0], !0x00FFu64 & 0xFFFF);
         }
     }
 }

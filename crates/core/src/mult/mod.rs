@@ -9,7 +9,7 @@
 //!   multiplier bit (a shifted copy of `A`, zeroed per lane where the
 //!   corresponding bit of `B` is `0` — the predicated copy of §III-D2)
 //!   and sums the survivors with repeated multi-operand additions.
-//! * **Optimized multiplication** ([`csa`]) instead collapses the partial
+//! * **Optimized multiplication** (`csa`) instead collapses the partial
 //!   products with O(1) carry-save `7 → 3` reductions until at most
 //!   `TRD − 2` remain, then performs a single chained addition — making
 //!   multiplication O(n) instead of O(n log n) in operand width.
@@ -20,7 +20,7 @@
 //! [`Dbc::carry_chain`], both plane kernels.
 
 pub mod constant;
-pub mod csa;
+pub(crate) mod csa;
 
 pub use constant::{csd_digits, csd_terms, ConstantMultiplier, ConstantPlan, CsdTerm};
 pub use csa::{CsaReducer, Reduced};
@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 /// Partial-product summation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MultStrategy {
+pub(crate) enum MultStrategy {
     /// Repeated multi-operand additions over the retained partial
     /// products (paper §III-D2).
     Arbitrary,
@@ -74,7 +74,7 @@ impl Multiplier {
 
     /// Selects the summation strategy.
     #[must_use]
-    pub fn with_strategy(mut self, strategy: MultStrategy) -> Multiplier {
+    pub(crate) fn with_strategy(mut self, strategy: MultStrategy) -> Multiplier {
         self.strategy = strategy;
         self
     }
@@ -82,11 +82,6 @@ impl Multiplier {
     /// The configured TRD.
     pub fn trd(&self) -> usize {
         self.trd
-    }
-
-    /// The active strategy.
-    pub fn strategy(&self) -> MultStrategy {
-        self.strategy
     }
 
     /// Multiplies lane-packed operands: `a` and `b` hold `bits`-bit values

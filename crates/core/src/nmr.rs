@@ -14,7 +14,7 @@ use coruscant_mem::{Dbc, MemoryConfig, Row};
 use coruscant_racetrack::CostMeter;
 
 /// Supported redundancy degrees.
-pub const SUPPORTED_N: [usize; 3] = [3, 5, 7];
+pub(crate) const SUPPORTED_N: [usize; 3] = [3, 5, 7];
 
 /// Executes majority voting over replicated PIM results.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ impl NmrVoter {
     /// The sense threshold that reports the majority: the median level of
     /// the padded segment, `(TRD + 1) / 2`. At TRD = 7 this is level 4 —
     /// exactly the super-carry `C'` circuit (paper §III-F).
-    pub fn majority_level(&self) -> u8 {
+    pub(crate) fn majority_level(&self) -> u8 {
         self.trd.div_ceil(2) as u8
     }
 

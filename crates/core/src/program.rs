@@ -6,9 +6,7 @@
 //! on a fresh [`PimMachine`] or the `coruscant-runtime` scheduler picks a
 //! PIM unit for it and its executor maps every address onto that unit as
 //! it steps (paper §V-C). Placement is first-class: a program can be
-//! [moved](PimProgram::place_on) onto any PIM-enabled DBC in place, and
-//! its [target banks](PimProgram::target_banks) tell which banks it
-//! occupies as written.
+//! [moved](PimProgram::place_on) onto any PIM-enabled DBC in place.
 
 use crate::dispatch::PimMachine;
 use crate::isa::CpimInstr;
@@ -110,14 +108,6 @@ impl PimProgram {
         let mut steps = self.steps.iter();
         let first = steps.next()?.target();
         steps.all(|s| s.target() == first).then_some(first)
-    }
-
-    /// The distinct banks this program's steps touch, ascending.
-    pub fn target_banks(&self) -> Vec<usize> {
-        let mut banks: Vec<usize> = self.steps.iter().map(|s| s.target().bank).collect();
-        banks.sort_unstable();
-        banks.dedup();
-        banks
     }
 
     /// Coarse planning estimate of the program's internal PIM latency in
@@ -249,7 +239,6 @@ mod tests {
         let mut p = sample_program(src);
         assert_eq!(p.single_location(), Some(src));
         p.place_on(dst);
-        assert_eq!(p.target_banks(), vec![1]);
         assert_eq!(p.single_location(), Some(dst));
         // Instruction destination moved with the source.
         let Step::Exec(i) = &p.steps[2] else {

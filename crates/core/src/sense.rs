@@ -7,7 +7,6 @@
 //! `SA[j] = 1` iff the segment holds at least `j` ones, `j ∈ 1..=7`.
 
 use coruscant_mem::{Row, TrCounts};
-use coruscant_racetrack::TrOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -19,14 +18,6 @@ pub struct SenseLevels {
 }
 
 impl SenseLevels {
-    /// Builds the levels from a raw transverse-read outcome.
-    pub fn from_tr(tr: TrOutcome) -> SenseLevels {
-        SenseLevels {
-            count: tr.value,
-            span: tr.span,
-        }
-    }
-
     /// Builds the levels from an explicit ones-count and span.
     ///
     /// # Panics
@@ -135,16 +126,6 @@ mod tests {
         for j in 1..=7u8 {
             assert_eq!(s.at_least(j), s.bits()[(j - 1) as usize]);
         }
-    }
-
-    #[test]
-    fn from_tr_outcome() {
-        let tr = TrOutcome { value: 3, span: 5 };
-        let s = SenseLevels::from_tr(tr);
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.span(), 5);
-        assert!(s.at_least(3));
-        assert!(!s.at_least(4));
     }
 
     #[test]

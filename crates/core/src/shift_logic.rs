@@ -28,7 +28,7 @@ pub fn shift_row_left(row: &Row, by: usize, blocksize: usize) -> Row {
 /// # Errors
 ///
 /// Returns a block-size or memory error.
-pub fn write_shifted_copy(
+pub(crate) fn write_shifted_copy(
     dbc: &mut Dbc,
     src: usize,
     dst: usize,

@@ -216,7 +216,7 @@ impl DwmCache {
     }
 
     /// Line size in 64-bit words.
-    pub fn line_words(&self) -> usize {
+    pub(crate) fn line_words(&self) -> usize {
         (self.nanowires / 64).max(1) as usize
     }
 

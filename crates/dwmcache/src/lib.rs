@@ -10,11 +10,11 @@
 //! * [`trace`] — the `R/W <addr>` text format ([`parse_trace`] /
 //!   [`emit_trace`]) and seeded synthetic generators with controllable
 //!   locality ([`SynthSpec`], [`Mix`]).
-//! * [`policy`] — the [`PlacementPolicy`] trait and three shift-aware
+//! * `policy` — the [`PlacementPolicy`] trait and three shift-aware
 //!   placement/port policies: [`NaiveStatic`], [`EagerRestore`], and
 //!   [`HotnessWeighted`] (port-proximal placement with heat-driven
 //!   migration, after the racetrack-survey data-placement taxonomy).
-//! * [`cache`] — the [`DwmCache`] model itself: SRAM tags, per-set tape
+//! * `cache` — the [`DwmCache`] model itself: SRAM tags, per-set tape
 //!   state, and a cycle/energy cost account built on
 //!   [`coruscant_racetrack::PortGeometry`] and the paper's device
 //!   parameters.
@@ -22,16 +22,17 @@
 //!   turns configurable miss classes into real fill(+filter) jobs served
 //!   end to end through `coruscant-server`, bit-deterministically for
 //!   any runtime shard count.
-//! * [`stats`] — the deterministic [`CacheStats`] / [`PolicyReport`]
+//! * `stats` — the deterministic [`CacheStats`] / [`PolicyReport`]
 //!   accounting the bench harness serializes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod policy;
+mod cache;
+mod policy;
 pub mod replay;
-pub mod stats;
+mod stats;
 pub mod trace;
 
 pub use cache::{AccessOutcome, CacheConfig, CacheError, DwmCache};

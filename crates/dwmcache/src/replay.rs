@@ -148,13 +148,13 @@ impl From<PimError> for ReplayError {
 
 /// The synthetic content of cache line `line`: what a fill fetches from
 /// backing memory. Deterministic in the line address alone.
-pub fn line_words(line: u64, words: usize) -> Vec<u64> {
+pub(crate) fn line_words(line: u64, words: usize) -> Vec<u64> {
     let mut rng = SplitMix64(line ^ 0x0DD0_11E5_0DD0_11E5);
     (0..words).map(|_| rng.next()).collect()
 }
 
 /// The replay-wide filter mask derived from `seed`.
-pub fn mask_words(seed: u64, words: usize) -> Vec<u64> {
+pub(crate) fn mask_words(seed: u64, words: usize) -> Vec<u64> {
     let mut rng = SplitMix64(seed ^ 0x3A5C_F117);
     (0..words).map(|_| rng.next()).collect()
 }

@@ -61,11 +61,6 @@ impl CacheStats {
         self.demand_shift_cycles + self.restore_shift_cycles + self.migration_shift_cycles
     }
 
-    /// Critical-path cycles: tag checks, demand shifts, port accesses.
-    pub fn demand_cycles(&self) -> u64 {
-        self.tag_cycles + self.demand_shift_cycles + self.access_cycles
-    }
-
     /// Hit fraction in `[0, 1]` (1 for an empty session).
     pub fn hit_rate(&self) -> f64 {
         if self.accesses == 0 {
@@ -150,7 +145,6 @@ mod tests {
         let s = sample();
         assert!(s.balanced());
         assert_eq!(s.total_shift_cycles(), 302);
-        assert_eq!(s.demand_cycles(), 473);
         assert!((s.hit_rate() - 0.8).abs() < 1e-12);
         assert!((s.avg_shift_per_access() - 3.02).abs() < 1e-12);
     }

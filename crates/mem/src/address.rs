@@ -46,15 +46,6 @@ impl DbcLocation {
         Ok(())
     }
 
-    /// A dense linear index over all DBCs, bank-major.
-    pub fn linear_index(&self, config: &MemoryConfig) -> u64 {
-        (((self.bank as u64 * config.subarrays_per_bank as u64 + self.subarray as u64)
-            * config.tiles_per_subarray as u64
-            + self.tile as u64)
-            * config.dbcs_per_tile as u64)
-            + self.dbc as u64
-    }
-
     /// Whether this DBC is PIM-enabled under the configuration's
     /// convention.
     pub fn is_pim(&self, config: &MemoryConfig) -> bool {
@@ -158,24 +149,6 @@ mod tests {
         assert!(DbcLocation::new(0, 64, 0, 0).validate(&c).is_err());
         assert!(DbcLocation::new(0, 0, 16, 0).validate(&c).is_err());
         assert!(DbcLocation::new(0, 0, 0, 16).validate(&c).is_err());
-    }
-
-    #[test]
-    fn linear_index_is_dense_and_unique() {
-        let c = MemoryConfig::tiny();
-        let mut seen = std::collections::HashSet::new();
-        for b in 0..c.banks {
-            for s in 0..c.subarrays_per_bank {
-                for t in 0..c.tiles_per_subarray {
-                    for d in 0..c.dbcs_per_tile {
-                        let idx = DbcLocation::new(b, s, t, d).linear_index(&c);
-                        assert!(seen.insert(idx), "duplicate index {idx}");
-                        assert!(idx < c.total_dbcs());
-                    }
-                }
-            }
-        }
-        assert_eq!(seen.len() as u64, c.total_dbcs());
     }
 
     #[test]

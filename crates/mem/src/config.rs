@@ -90,14 +90,6 @@ impl MemoryConfig {
         self.capacity_bits() / 8
     }
 
-    /// Total number of DBCs.
-    pub fn total_dbcs(&self) -> u64 {
-        self.banks as u64
-            * self.subarrays_per_bank as u64
-            * self.tiles_per_subarray as u64
-            * self.dbcs_per_tile as u64
-    }
-
     /// Total number of PIM-enabled DBCs.
     pub fn total_pim_dbcs(&self) -> u64 {
         self.banks as u64
@@ -109,7 +101,7 @@ impl MemoryConfig {
     /// Whether DBC index `d` within a tile is PIM-enabled. By convention
     /// the first `pim_dbcs_per_tile` DBCs of each tile carry the second
     /// access port and the PIM sense/logic extensions.
-    pub fn is_pim_dbc(&self, d: usize) -> bool {
+    pub(crate) fn is_pim_dbc(&self, d: usize) -> bool {
         d < self.pim_dbcs_per_tile
     }
 
@@ -187,7 +179,6 @@ mod tests {
         let c = MemoryConfig::paper();
         // 32 banks x 64 subarrays x 16 tiles x 1 PIM DBC.
         assert_eq!(c.total_pim_dbcs(), 32 * 64 * 16);
-        assert_eq!(c.total_dbcs(), 32 * 64 * 16 * 16);
     }
 
     #[test]

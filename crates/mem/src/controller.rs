@@ -7,9 +7,11 @@
 //! row and the target row of the same DBC.
 //!
 //! PIM commands (issued by `cpim` instructions, paper §III-E) occupy the
-//! target bank for the internal operation latency; the *high-throughput*
-//! dispatch mode sends successive PIM commands to different banks in a
-//! circular fashion so the per-bank latencies overlap (paper §V-C).
+//! target bank for the internal operation latency. PIM units are numbered
+//! bank-major ([`MemoryController::pim_unit`]), so a caller that sends
+//! successive commands to successive units — the runtime's
+//! *high-throughput* placement — overlaps the per-bank latencies (paper
+//! §V-C).
 //!
 //! Storage is *sparse*: DBCs are materialized lazily on first touch, so a
 //! 1 GB memory can be simulated functionally without allocating 1 GB.
@@ -19,7 +21,6 @@ use crate::config::MemoryConfig;
 use crate::dbc::Dbc;
 use crate::fault::{FaultPlan, ScrubOutcome};
 use crate::row::Row;
-use crate::rowbuffer::RowBuffer;
 use crate::timing::DeviceTiming;
 use crate::Result;
 use coruscant_racetrack::{Cost, CostMeter};
@@ -129,10 +130,6 @@ pub struct MemoryController {
     aligned: LocationMap<DbcLocation, usize>,
     /// Lazily materialized DBCs.
     store: LocationMap<DbcLocation, Dbc>,
-    /// Per-(bank, subarray) row buffers, lazily materialized.
-    buffers: LocationMap<(usize, usize), RowBuffer>,
-    /// Round-robin cursor for high-throughput PIM dispatch.
-    pim_cursor: usize,
     /// Fault model applied to DBCs as they materialize.
     faults: Option<FaultPlan>,
     now: u64,
@@ -160,8 +157,6 @@ impl MemoryController {
             bus_free: 0,
             aligned: LocationMap::default(),
             store: LocationMap::default(),
-            buffers: LocationMap::default(),
-            pim_cursor: 0,
             faults: None,
             now: 0,
             stats: ControllerStats::default(),
@@ -180,11 +175,6 @@ impl MemoryController {
         let mut ctrl = MemoryController::new(config);
         ctrl.faults = Some(plan);
         ctrl
-    }
-
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// Total faults injected so far across all materialized DBCs.
@@ -245,11 +235,6 @@ impl MemoryController {
         &self.bank_stats
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.bank_free.len()
-    }
-
     /// The memory cycle at which `bank` finishes its outstanding work
     /// (`<= now` means idle). Schedulers use this to pick the least-loaded
     /// bank and to predict queueing before submitting.
@@ -257,25 +242,9 @@ impl MemoryController {
         self.bank_free[bank]
     }
 
-    /// Per-bank completion times of outstanding work, indexed by bank.
-    pub fn bank_occupancy(&self) -> &[u64] {
-        &self.bank_free
-    }
-
-    /// Whether `bank` is still servicing work at the current time.
-    pub fn bank_busy(&self, bank: usize) -> bool {
-        self.bank_free[bank] > self.now
-    }
-
-    /// Number of banks with outstanding work at the current time.
-    pub fn busy_bank_count(&self) -> usize {
-        let now = self.now;
-        self.bank_free.iter().filter(|&&t| t > now).count()
-    }
-
     /// Converts device cycles (1 ns) to memory cycles (1.25 ns), rounding
     /// up.
-    pub fn device_to_memory_cycles(&self, device_cycles: u64) -> u64 {
+    pub(crate) fn device_to_memory_cycles(&self, device_cycles: u64) -> u64 {
         let ratio = coruscant_racetrack::params::DEVICE_CYCLE_NS / self.config.memory_cycle_ns;
         (device_cycles as f64 * ratio).ceil() as u64
     }
@@ -321,15 +290,6 @@ impl MemoryController {
     /// Immutable view of a DBC if it has been materialized.
     pub fn dbc(&self, location: DbcLocation) -> Option<&Dbc> {
         self.store.get(&location)
-    }
-
-    /// The row buffer of `location`'s subarray, materializing it on first
-    /// touch.
-    pub fn row_buffer_mut(&mut self, location: DbcLocation) -> &mut RowBuffer {
-        let width = self.config.nanowires_per_dbc;
-        self.buffers
-            .entry((location.bank, location.subarray))
-            .or_insert_with(|| RowBuffer::new(width))
     }
 
     fn service_row_access(&mut self, addr: RowAddress, is_write: bool) -> u64 {
@@ -412,27 +372,6 @@ impl MemoryController {
                 Ok(done)
             }
         }
-    }
-
-    /// Dispatches a PIM operation to the next PIM-enabled DBC in the
-    /// round-robin *high-throughput mode* (paper §V-C: instructions are
-    /// sent to the different banks consecutively, in a circular fashion).
-    /// Returns the chosen location and the completion time.
-    pub fn dispatch_pim_high_throughput(
-        &mut self,
-        device_cycles: u64,
-        energy_pj: f64,
-    ) -> Result<(DbcLocation, u64)> {
-        let units = self.pim_unit_count();
-        let idx = self.pim_cursor % units;
-        self.pim_cursor = (self.pim_cursor + 1) % units;
-        let location = self.pim_unit(idx);
-        let done = self.submit(Request::Pim {
-            location,
-            device_cycles,
-            energy_pj,
-        })?;
-        Ok((location, done))
     }
 
     /// Number of PIM-enabled DBCs addressable by the dispatcher.
@@ -584,20 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn high_throughput_dispatch_overlaps_banks() {
-        let mut c = ctrl();
-        let banks = c.config().banks;
-        let mut last = 0;
-        for _ in 0..banks {
-            let (_, done) = c.dispatch_pim_high_throughput(26, 22.14).unwrap();
-            last = last.max(done);
-        }
-        // All banks work in parallel: total time is far below serial.
-        let serial = c.device_to_memory_cycles(26) * banks as u64;
-        assert!(last < serial, "last={last} serial={serial}");
-    }
-
-    #[test]
     fn pim_units_cover_distinct_banks_first() {
         let c = ctrl();
         let u0 = c.pim_unit(0);
@@ -733,37 +658,11 @@ mod tests {
     }
 
     #[test]
-    fn bank_occupancy_queries_track_outstanding_work() {
-        let mut c = ctrl();
-        assert_eq!(c.bank_count(), c.config().banks);
-        assert_eq!(c.busy_bank_count(), 0);
-
-        let loc = DbcLocation::new(0, 0, 0, 0);
-        let done = c
-            .submit(Request::Pim {
-                location: loc,
-                device_cycles: 26,
-                energy_pj: 0.0,
-            })
-            .unwrap();
-        assert!(c.bank_busy(0));
-        assert!(!c.bank_busy(1));
-        assert_eq!(c.bank_free_at(0), done);
-        assert_eq!(c.bank_occupancy()[0], done);
-        assert_eq!(c.busy_bank_count(), 1);
-
-        c.advance(done);
-        assert!(!c.bank_busy(0));
-        assert_eq!(c.busy_bank_count(), 0);
-    }
-
-    #[test]
     fn fault_plan_attaches_injectors_per_bank() {
         use coruscant_racetrack::FaultConfig;
         let hot = FaultConfig::NONE.with_tr_fault_rate(1.0);
         let plan = FaultPlan::healthy(9).with_bank(1, hot).unwrap();
         let mut c = MemoryController::with_faults(MemoryConfig::tiny(), plan);
-        assert!(c.fault_plan().is_some());
 
         // Bank 0 is healthy: TRs on its PIM DBC never fault.
         let mut m = CostMeter::new();
@@ -813,10 +712,6 @@ mod tests {
             &mut m,
         )
         .unwrap();
-        assert!(
-            c.dbc(loc).unwrap().position_code().is_some(),
-            "shift-fault DBCs carry position codes"
-        );
         // Walk interior rows so alignment shifts draw plenty of fault
         // events without running any wire into its extremity.
         for r in [16, 9, 20, 12, 9] {

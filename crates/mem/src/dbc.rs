@@ -221,11 +221,6 @@ impl Dbc {
         Ok(())
     }
 
-    /// The installed position code, if any.
-    pub fn position_code(&self) -> Option<&PositionCode> {
-        self.code.as_ref()
-    }
-
     /// A maintenance scrub pass: commands every wire back to its
     /// canonical alignment (the realigning shifts themselves run under
     /// fault injection) and, with position codes installed, checks and

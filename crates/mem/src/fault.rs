@@ -84,7 +84,7 @@ impl FaultPlan {
     }
 
     /// The effective configuration of `bank`.
-    pub fn config_for_bank(&self, bank: usize) -> FaultConfig {
+    pub(crate) fn config_for_bank(&self, bank: usize) -> FaultConfig {
         self.overrides
             .iter()
             .find(|&&(b, _)| b == bank)
@@ -99,7 +99,7 @@ impl FaultPlan {
     /// The injector seed for the DBC at `location`: a SplitMix64 mix of
     /// the plan seed and the DBC's linear index, so every DBC draws an
     /// independent, reproducible fault stream.
-    pub fn dbc_seed(&self, location: DbcLocation, config: &MemoryConfig) -> u64 {
+    pub(crate) fn dbc_seed(&self, location: DbcLocation, config: &MemoryConfig) -> u64 {
         let idx = ((location.bank * config.subarrays_per_bank + location.subarray)
             * config.tiles_per_subarray
             + location.tile)

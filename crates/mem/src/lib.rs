@@ -17,8 +17,8 @@
 //! * [`timing`] — DDR3-1600-style timing for DRAM and DWM (where the
 //!   precharge slot is replaced by shift time, Table II).
 //! * [`controller`] — a command-level memory controller with per-bank
-//!   queuing, open-row tracking, and the *high-throughput* PIM dispatch
-//!   mode used for Figs. 10–11.
+//!   queuing, open-row tracking, and bank-major PIM unit numbering for
+//!   the *high-throughput* dispatch of §V-C.
 //!
 //! # Example
 //!
@@ -39,14 +39,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod address;
-pub mod config;
+mod address;
+mod config;
 pub mod controller;
-pub mod dbc;
-pub mod fault;
-pub mod row;
-pub mod rowbuffer;
+mod dbc;
+mod fault;
+mod row;
 pub mod timing;
 pub mod trace;
 pub mod transfer;
@@ -61,7 +61,6 @@ pub use dbc::{Dbc, TrCounts};
 pub use error::MemError;
 pub use fault::{FaultPlan, ScrubOutcome};
 pub use row::Row;
-pub use rowbuffer::RowBuffer;
 pub use timing::{DeviceTiming, Protocol};
 
 /// Result alias used across the crate.

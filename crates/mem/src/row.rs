@@ -1,4 +1,4 @@
-//! A memory row: one bit per nanowire of a DBC, at most [`Row::MAX_WIDTH`]
+//! A memory row: one bit per nanowire of a DBC, at most `Row::MAX_WIDTH`
 //! of them, packed into eight inline words.
 
 use serde::{Deserialize, Serialize};
@@ -56,10 +56,10 @@ pub(crate) fn spread_bit(word: u64, j: usize, blocksize: usize) -> u64 {
 
 impl Row {
     /// The widest row: 512 bits, a paper DBC (Table II).
-    pub const MAX_WIDTH: usize = 512;
+    pub(crate) const MAX_WIDTH: usize = 512;
 
     /// Creates an all-zero row of `width` bits; panics past
-    /// [`Row::MAX_WIDTH`].
+    /// `Row::MAX_WIDTH`.
     pub fn zeros(width: usize) -> Row {
         assert!(width <= Row::MAX_WIDTH, "{width} bits: over 512");
         let words = [0; 8];

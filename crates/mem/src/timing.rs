@@ -77,7 +77,7 @@ impl DeviceTiming {
 
     /// Latency (memory cycles) of a write completing (miss path), including
     /// write recovery.
-    pub fn write_miss(&self, shift_cycles: u64) -> u64 {
+    pub(crate) fn write_miss(&self, shift_cycles: u64) -> u64 {
         self.row_miss(shift_cycles) + self.t_wr
     }
 }

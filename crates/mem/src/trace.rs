@@ -57,14 +57,6 @@ impl Trace {
         &self.ops
     }
 
-    /// Number of memory requests (reads + writes).
-    pub fn request_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| !matches!(op, TraceOp::Gap(_)))
-            .count()
-    }
-
     /// A sequential streaming trace: `n` word-granularity reads walking
     /// consecutive rows (four accesses land in each row before moving
     /// on, so an open-row policy sees hits).
@@ -284,7 +276,6 @@ mod tests {
     fn trace_accessors() {
         let config = cfg();
         let trace = Trace::strided(&config, 64, 3);
-        assert_eq!(trace.request_count(), 64);
         assert_eq!(trace.len(), 64);
         assert!(!trace.is_empty());
         assert!(Trace::new().is_empty());

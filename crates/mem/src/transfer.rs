@@ -25,7 +25,7 @@ pub enum CopyScope {
 }
 
 /// Classifies the copy scope of a source/destination pair.
-pub fn classify(src: RowAddress, dst: RowAddress) -> CopyScope {
+pub(crate) fn classify(src: RowAddress, dst: RowAddress) -> CopyScope {
     if src.location.bank == dst.location.bank {
         if src.location.subarray == dst.location.subarray {
             CopyScope::IntraSubarray
@@ -57,9 +57,6 @@ pub fn copy_row(
     let scope = classify(src, dst);
     let data = ctrl.load_row(src, meter)?;
 
-    // Stage in the source subarray's row buffer.
-    ctrl.row_buffer_mut(src.location).load(src, data.clone());
-
     // Crossing subarrays or banks costs extra interconnect cycles.
     let extra = match scope {
         CopyScope::IntraSubarray => 0,
@@ -71,8 +68,6 @@ pub fn copy_row(
     }
 
     ctrl.store_row(dst, &data, meter)?;
-    // The destination subarray's buffer now holds the row too.
-    ctrl.row_buffer_mut(dst.location).load(dst, data);
     Ok(scope)
 }
 
@@ -110,8 +105,6 @@ mod tests {
         let scope = copy_row(&mut c, src, dst, &mut m).unwrap();
         assert_eq!(scope, CopyScope::IntraSubarray);
         assert_eq!(c.load_row(dst, &mut m).unwrap(), row);
-        // Both subarray buffers hold it (same subarray here).
-        assert!(c.row_buffer_mut(dst.location).hits(dst));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Model-level CNN inference: one place that fixes the layer-by-layer
 //! numeric contract (weight synthesis, activation quantization, host
 //! post-ops) so every execution path — the standalone
-//! [`PimCnn`](crate::pim_exec::PimCnn) engine, the host reference
+//! [`PimCnn`] engine, the host reference
 //! oracle, and the serving pipeline's per-layer job programs — computes
 //! the *same function* and can be compared bit-for-bit.
 //!
@@ -9,7 +9,7 @@
 //!
 //! * **Full** — unsigned 8-bit activations; convolution and FC run true
 //!   products against signed integer weights, ReLU on the device, then
-//!   conv outputs requantize with shift [`FULL_CONV_SHIFT`].
+//!   conv outputs requantize with shift `FULL_CONV_SHIFT`.
 //! * **Twn** — ternary weights in {−1, 0, 1} (DrAcc-style sign-selected
 //!   accumulation); conv outputs requantize with shift 0 (clamp only).
 //! * **Bwn** — binarized weights; conv activations binarize to sign
@@ -38,7 +38,7 @@ use crate::quant::Precision;
 use crate::tensor::Tensor3;
 
 /// Requantization shift applied after full-precision conv layers.
-pub const FULL_CONV_SHIFT: u32 = 2;
+pub(crate) const FULL_CONV_SHIFT: u32 = 2;
 
 /// One layer's weights (pool layers carry none).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ pub fn synth_image(net: &Network, seed: u64) -> Tensor3 {
 ///
 /// Panics if the network starts with an FC layer (flat networks supply
 /// their own input).
-pub fn input_shape(net: &Network) -> (usize, usize, usize) {
+pub(crate) fn input_shape(net: &Network) -> (usize, usize, usize) {
     match net.layers.first().expect("non-empty network") {
         Layer::Conv {
             kernel,
@@ -335,15 +335,6 @@ pub fn proxy_alexnet() -> Network {
                 outputs: 4,
             },
         ],
-    }
-}
-
-/// The reduced-geometry proxy for a paper network name, if one exists.
-pub fn proxy_for(name: &str) -> Option<Network> {
-    match name {
-        "lenet5" | "lenet5-proxy" => Some(proxy_lenet5()),
-        "alexnet" | "alexnet-proxy" => Some(proxy_alexnet()),
-        _ => None,
     }
 }
 

@@ -76,7 +76,7 @@ impl Layer {
     }
 
     /// Multiply-accumulates per output value (zero for pooling).
-    pub fn macs_per_output(&self) -> u64 {
+    pub(crate) fn macs_per_output(&self) -> u64 {
         match self {
             Layer::Conv {
                 kernel,
@@ -96,7 +96,7 @@ impl Layer {
     /// Reduction additions per output under the binary/ternary
     /// approximations — the per-output term of the paper's eq. (2):
     /// `(K² − 1)·I_c + (I_c − 1)`.
-    pub fn adds_per_output(&self) -> u64 {
+    pub(crate) fn adds_per_output(&self) -> u64 {
         match self {
             Layer::Conv {
                 kernel,
@@ -113,16 +113,8 @@ impl Layer {
     }
 
     /// Total reduction additions (eq. 2): `O_s × adds_per_output`.
-    pub fn reduction_adds(&self) -> u64 {
+    pub(crate) fn reduction_adds(&self) -> u64 {
         self.outputs() * self.adds_per_output()
-    }
-
-    /// Pooling comparisons per output (candidates of the max function).
-    pub fn pool_candidates(&self) -> u64 {
-        match self {
-            Layer::MaxPool { window, .. } => (window * window) as u64,
-            _ => 0,
-        }
     }
 }
 
@@ -295,7 +287,6 @@ mod tests {
         };
         assert_eq!(l.outputs(), 6 * 14 * 14);
         assert_eq!(l.macs(), 0);
-        assert_eq!(l.pool_candidates(), 4);
         assert_eq!(l.reduction_adds(), 0);
     }
 }

@@ -102,7 +102,7 @@ const AMBIT_BWN_STEP: f64 = 17.0;
 ///
 /// Panics if the scheme/precision combination is not evaluated in the
 /// paper (e.g. DRAM PIM at full precision).
-pub fn frame_work_ns(scheme: Scheme, net: &Network, precision: Precision) -> f64 {
+pub(crate) fn frame_work_ns(scheme: Scheme, net: &Network, precision: Precision) -> f64 {
     match (scheme, precision) {
         (Scheme::Coruscant(trd), Precision::Full) => {
             let mc = MeasuredCosts::measure(trd).expect("measurable TRD");
@@ -174,7 +174,7 @@ fn dram_tree_work(net: &Network, step_cycles: f64) -> f64 {
 ///
 /// Pooling layers cost no reduction work in this model (their max/avg
 /// passes are orders of magnitude below the conv/fc reductions) and are
-/// omitted, as in [`frame_work_ns`].
+/// omitted, as in `frame_work_ns`.
 pub fn layer_breakdown(
     scheme: Scheme,
     net: &Network,

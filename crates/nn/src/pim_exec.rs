@@ -192,56 +192,6 @@ impl PimCnn {
         Ok(out)
     }
 
-    /// Average pooling over non-overlapping `window × window` regions
-    /// (paper §IV-B mentions both average and maximum). The window sum
-    /// runs on the carry-save accumulator; the divide by the window area
-    /// is a power-of-two right shift applied during row-buffer
-    /// write-back (windows are 2×2 or 4×4 in the evaluated networks).
-    ///
-    /// # Errors
-    ///
-    /// Propagates PIM errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window * window` is not a power of two.
-    pub fn avgpool(&mut self, input: &Tensor3, window: usize) -> Result<Tensor3> {
-        let area = window * window;
-        assert!(area.is_power_of_two(), "window area must be a power of two");
-        let shift = area.trailing_zeros();
-        let (c, h, w) = input.shape();
-        let oh = h / window;
-        let ow = w / window;
-        let mut out = Tensor3::zeros(c, oh, ow);
-        let lanes = self.lanes();
-        let width = self.config.nanowires_per_dbc;
-
-        for ch in 0..c {
-            let coords: Vec<(usize, usize)> =
-                (0..oh).flat_map(|y| (0..ow).map(move |x| (y, x))).collect();
-            for group in coords.chunks(lanes) {
-                let rows: Vec<Row> = (0..window)
-                    .flat_map(|dy| (0..window).map(move |dx| (dy, dx)))
-                    .map(|(dy, dx)| {
-                        let vals: Vec<u64> = group
-                            .iter()
-                            .map(|&(y, x)| input.get(ch, y * window + dy, x * window + dx) as u64)
-                            .collect();
-                        Row::pack(width, LANE, &vals)
-                    })
-                    .collect();
-                let mut dbc = self.fresh_dbc();
-                let sums = self
-                    .arith
-                    .sum_rows(&mut dbc, &rows, LANE, &mut self.meter)?;
-                for (l, &(y, x)) in group.iter().enumerate() {
-                    out.set(ch, y, x, (sums.unpack(LANE)[l] >> shift) as i64);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Ternary fully-connected layer with ReLU.
     ///
     /// # Errors
@@ -322,7 +272,7 @@ impl PimCnn {
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn conv2d_full(
+    pub(crate) fn conv2d_full(
         &mut self,
         input: &Tensor3,
         weights: &[Tensor3],
@@ -395,7 +345,7 @@ impl PimCnn {
     /// Full-precision fully-connected layer with ReLU: per input, the
     /// activation row multiplies the per-output weight-magnitude row,
     /// accumulating positive- and negative-weight products separately
-    /// (the lane-overflow discipline of [`PimCnn::conv2d_full`] applies).
+    /// (the lane-overflow discipline of `PimCnn::conv2d_full` applies).
     ///
     /// # Errors
     ///
@@ -469,7 +419,7 @@ impl PimCnn {
     /// # Panics
     ///
     /// Panics on weight shape mismatches.
-    pub fn conv2d_bwn(
+    pub(crate) fn conv2d_bwn(
         &mut self,
         input_bits: &Tensor3,
         weights: &[Tensor3],
@@ -535,7 +485,11 @@ impl PimCnn {
 
 /// Reference binary (±1) convolution (oracle): sign bits in, signed dot
 /// products out.
-pub fn reference_conv_bwn(input_bits: &Tensor3, weights: &[Tensor3], kernel: usize) -> Tensor3 {
+pub(crate) fn reference_conv_bwn(
+    input_bits: &Tensor3,
+    weights: &[Tensor3],
+    kernel: usize,
+) -> Tensor3 {
     let (ic, ih, iw) = input_bits.shape();
     let oh = ih - kernel + 1;
     let ow = iw - kernel + 1;
@@ -571,14 +525,14 @@ pub fn reference_conv_ternary(input: &Tensor3, weights: &[Tensor3], kernel: usiz
 }
 
 /// Reference full-precision convolution + ReLU (oracle).
-pub fn reference_conv_full(input: &Tensor3, weights: &[Tensor3], kernel: usize) -> Tensor3 {
+pub(crate) fn reference_conv_full(input: &Tensor3, weights: &[Tensor3], kernel: usize) -> Tensor3 {
     let conv = crate::layers::conv2d(input, weights, weights.len(), kernel);
     conv.map(|v| v.max(0))
 }
 
 /// Reference full-precision FC + ReLU (oracle). The signed dot product
 /// is the same shape as the ternary one, just with wider weights.
-pub fn reference_fc_full(input: &[u64], weights: &[Vec<i8>]) -> Vec<u64> {
+pub(crate) fn reference_fc_full(input: &[u64], weights: &[Vec<i8>]) -> Vec<u64> {
     reference_fc_ternary(input, weights)
 }
 
@@ -683,38 +637,6 @@ mod tests {
         let rout = reference_fc_ternary(&rflat, &fc_w);
         assert_eq!(out, rout);
         assert!(pim.cost().cycles > 100, "cost: {}", pim.cost());
-    }
-
-    #[test]
-    fn pim_avgpool_matches_reference() {
-        let config = MemoryConfig::tiny();
-        let input = small_input(2, 8, 8, 17);
-        let mut pim = PimCnn::new(&config);
-        let got = pim.avgpool(&input, 2).unwrap();
-        // Reference: floor-average of each 2x2 window.
-        let (c, _, _) = input.shape();
-        let (gc, gh, gw) = got.shape();
-        assert_eq!((gc, gh, gw), (c, 4, 4));
-        for ch in 0..gc {
-            for y in 0..gh {
-                for x in 0..gw {
-                    let sum: i64 = (0..2)
-                        .flat_map(|dy| (0..2).map(move |dx| (dy, dx)))
-                        .map(|(dy, dx)| input.get(ch, y * 2 + dy, x * 2 + dx))
-                        .sum();
-                    assert_eq!(got.get(ch, y, x), sum / 4, "({ch},{y},{x})");
-                }
-            }
-        }
-        assert!(pim.cost().cycles > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn avgpool_rejects_non_pow2_windows() {
-        let config = MemoryConfig::tiny();
-        let input = small_input(1, 9, 9, 3);
-        let _ = PimCnn::new(&config).avgpool(&input, 3);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! point-wise multiplications with bulk-bitwise operations (e.g. XNOR),
 //! leaving the reduction additions as the dominant cost.
 
-use crate::tensor::Tensor3;
 use serde::{Deserialize, Serialize};
 
 /// The numeric mode of an inference run.
@@ -18,92 +17,4 @@ pub enum Precision {
     Bwn,
     /// Ternary weights (DrAcc-style).
     Twn,
-}
-
-impl Precision {
-    /// Whether multiplication collapses to bulk-bitwise ops in this mode.
-    pub fn mult_free(self) -> bool {
-        !matches!(self, Precision::Full)
-    }
-}
-
-/// Binarizes weights: positive → 1, else 0 (NID's {0,1} convention).
-#[must_use]
-pub fn binarize(weights: &Tensor3) -> Tensor3 {
-    weights.map(|w| i64::from(w > 0))
-}
-
-/// Ternarizes weights with a symmetric threshold: `w > t → 1`,
-/// `w < −t → −1`, else 0.
-#[must_use]
-pub fn ternarize(weights: &Tensor3, threshold: i64) -> Tensor3 {
-    weights.map(|w| {
-        if w > threshold {
-            1
-        } else if w < -threshold {
-            -1
-        } else {
-            0
-        }
-    })
-}
-
-/// The XNOR-accumulate form of a binary dot product over sign-bit
-/// activations: with `a, w ∈ {0, 1}` encoding signs, the ±1 dot product
-/// equals `2·popcount(XNOR(a, w)) − n`. This is the identity that lets
-/// NID/DrAcc-style inference run on bulk-bitwise PIM.
-pub fn xnor_dot(a_bits: &[bool], w_bits: &[bool]) -> i64 {
-    assert_eq!(a_bits.len(), w_bits.len(), "operand length mismatch");
-    let matches = a_bits.iter().zip(w_bits).filter(|(a, w)| a == w).count() as i64;
-    2 * matches - a_bits.len() as i64
-}
-
-/// Reference ±1 dot product for validating [`xnor_dot`].
-pub fn signed_dot(a_bits: &[bool], w_bits: &[bool]) -> i64 {
-    a_bits
-        .iter()
-        .zip(w_bits)
-        .map(|(&a, &w)| {
-            let av = if a { 1 } else { -1 };
-            let wv = if w { 1 } else { -1 };
-            av * wv
-        })
-        .sum()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn binarize_thresholds_at_zero() {
-        let w = Tensor3::from_data(1, 1, 5, vec![-3, -1, 0, 1, 7]);
-        assert_eq!(binarize(&w).as_slice(), &[0, 0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn ternarize_symmetric() {
-        let w = Tensor3::from_data(1, 1, 6, vec![-9, -2, -1, 1, 2, 9]);
-        assert_eq!(ternarize(&w, 1).as_slice(), &[-1, -1, 0, 0, 1, 1]);
-        assert_eq!(ternarize(&w, 0).as_slice(), &[-1, -1, -1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn xnor_identity_holds_exhaustively() {
-        // All 4-bit operand pairs.
-        for a in 0u8..16 {
-            for w in 0u8..16 {
-                let ab: Vec<bool> = (0..4).map(|i| a >> i & 1 == 1).collect();
-                let wb: Vec<bool> = (0..4).map(|i| w >> i & 1 == 1).collect();
-                assert_eq!(xnor_dot(&ab, &wb), signed_dot(&ab, &wb), "a={a} w={w}");
-            }
-        }
-    }
-
-    #[test]
-    fn precision_modes() {
-        assert!(!Precision::Full.mult_free());
-        assert!(Precision::Bwn.mult_free());
-        assert!(Precision::Twn.mult_free());
-    }
 }

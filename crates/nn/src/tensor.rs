@@ -28,7 +28,12 @@ impl Tensor3 {
     /// # Panics
     ///
     /// Panics if `data.len() != channels * height * width`.
-    pub fn from_data(channels: usize, height: usize, width: usize, data: Vec<i64>) -> Tensor3 {
+    pub(crate) fn from_data(
+        channels: usize,
+        height: usize,
+        width: usize,
+        data: Vec<i64>,
+    ) -> Tensor3 {
         assert_eq!(data.len(), channels * height * width, "shape mismatch");
         Tensor3 {
             channels,

@@ -120,7 +120,7 @@ impl Geom {
     }
 
     /// Maximum operand count of a multi-operand gather (`Add`/`Max`).
-    pub fn max_gather(&self) -> usize {
+    pub(crate) fn max_gather(&self) -> usize {
         self.trd.saturating_sub(2).max(1)
     }
 }
@@ -165,7 +165,7 @@ pub(crate) enum Residency {
 
 impl Residency {
     /// Resident slots consumed (descriptor excluded).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         match self {
             Residency::ConvFull(taps) => taps.iter().map(Vec::len).sum(),
             Residency::ConvBwn { taps, .. } => 1 + taps.iter().map(Vec::len).sum::<usize>(),

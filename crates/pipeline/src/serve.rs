@@ -172,11 +172,6 @@ pub struct InferenceHandle {
 }
 
 impl InferenceHandle {
-    /// The chain's runtime job ids, in layer order.
-    pub fn job_ids(&self) -> Vec<u64> {
-        self.handles.iter().map(JobHandle::id).collect()
-    }
-
     /// Blocks until the final layer resolves and decodes its readouts
     /// into logits.
     ///

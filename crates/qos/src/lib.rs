@@ -2,18 +2,18 @@
 //!
 //! Three pillars, wired through server → runtime → bench:
 //!
-//! 1. **Open-loop load generation** ([`arrival`]): seeded arrival
+//! 1. **Open-loop load generation** (`arrival`): seeded arrival
 //!    processes (Poisson, deterministic, bursty/MMPP-2) that produce a
 //!    wall-clock submission schedule *independent of completions*, so a
 //!    sweep over offered rate can expose the saturation knee that a
 //!    closed-loop client fleet structurally cannot show.
-//! 2. **Weighted fair queueing** ([`wfq`]): a virtual-time start-time
+//! 2. **Weighted fair queueing** (`wfq`): a virtual-time start-time
 //!    fair-queueing stage for server admission — per-client weights,
 //!    optional absolute rate quotas (token buckets), and a
 //!    congestion-gated lag envelope that throttles clients running too
 //!    far ahead of virtual time only when the runtime queue is under
 //!    pressure (work conservation when it is not).
-//! 3. **Per-client accounting** ([`stats`]): [`QosStats`] /
+//! 3. **Per-client accounting** (`stats`): [`QosStats`] /
 //!    [`ClientQosStats`] snapshots (accepted / throttled / served /
 //!    expired, attained service, deadline hit-rate) that the server
 //!    surfaces through its `ServerStats`.
@@ -22,9 +22,11 @@
 //! `coruscant-runtime` (`IssuePolicy`), keeping this crate free of a
 //! runtime dependency; this crate owns everything admission-side.
 
-pub mod arrival;
-pub mod stats;
-pub mod wfq;
+#![warn(unreachable_pub)]
+
+mod arrival;
+mod stats;
+mod wfq;
 
 pub use arrival::{ArrivalGen, ArrivalSpec};
 pub use stats::{ClientQosStats, QosStats};
@@ -56,7 +58,7 @@ impl SplitMix64 {
     }
 
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -64,7 +66,7 @@ impl SplitMix64 {
     /// seconds. A non-positive rate yields `f64::INFINITY` (the event
     /// never fires), which the MMPP state machine relies on for silent
     /// gap phases.
-    pub fn next_exp(&mut self, rate_per_sec: f64) -> f64 {
+    pub(crate) fn next_exp(&mut self, rate_per_sec: f64) -> f64 {
         if rate_per_sec <= 0.0 {
             return f64::INFINITY;
         }

@@ -51,11 +51,6 @@ impl QosStats {
         self.clients.iter().find(|c| c.client == name)
     }
 
-    /// Throttled submissions across all clients.
-    pub fn total_throttled(&self) -> u64 {
-        self.clients.iter().map(|c| c.throttled).sum()
-    }
-
     /// Accepted submissions across all clients.
     pub fn total_accepted(&self) -> u64 {
         self.clients.iter().map(|c| c.accepted).sum()
@@ -105,7 +100,6 @@ mod tests {
     #[test]
     fn totals_aggregate_across_clients() {
         let stats = sample();
-        assert_eq!(stats.total_throttled(), 160);
         assert_eq!(stats.total_accepted(), 140);
         assert!(stats.client("nobody").is_none());
     }

@@ -115,24 +115,6 @@ impl QosOptions {
         self.clients.push(client);
         self
     }
-
-    /// Overrides the weight given to unregistered clients.
-    pub fn with_default_weight(mut self, weight: f64) -> QosOptions {
-        self.default_weight = weight;
-        self
-    }
-
-    /// Overrides the share-throttle lag envelope.
-    pub fn with_lag_envelope(mut self, envelope: f64) -> QosOptions {
-        self.lag_envelope = envelope;
-        self
-    }
-
-    /// Overrides the congestion threshold for the share throttle.
-    pub fn with_share_shed_at(mut self, fraction: f64) -> QosOptions {
-        self.share_shed_at = fraction;
-        self
-    }
 }
 
 /// Why the fair-queueing stage refused a submission.
@@ -249,11 +231,6 @@ impl FairQueue {
         self.options.enabled
     }
 
-    /// Current virtual time (monotone).
-    pub fn vtime(&self) -> f64 {
-        self.vtime
-    }
-
     /// How far `name`'s finish tag runs ahead of virtual time, if the
     /// client is known.
     pub fn lag(&self, name: &str) -> Option<f64> {
@@ -276,7 +253,7 @@ impl FairQueue {
     /// `name`. The id is stable for the stage's lifetime and is what
     /// [`FairQueue::record_served`] / [`FairQueue::record_expired`]
     /// take back.
-    pub fn client_id(&mut self, name: &str) -> usize {
+    pub(crate) fn client_id(&mut self, name: &str) -> usize {
         let weight = self.options.default_weight;
         self.register(name, weight, None)
     }
@@ -393,7 +370,10 @@ mod tests {
 
     #[test]
     fn lone_client_is_never_share_throttled() {
-        let mut fq = stage(QosOptions::default().with_lag_envelope(4.0));
+        let mut fq = stage(QosOptions {
+            lag_envelope: 4.0,
+            ..QosOptions::default()
+        });
         let now = Instant::now();
         for _ in 0..1000 {
             // Fully congested queue the whole time.
@@ -440,7 +420,10 @@ mod tests {
     #[test]
     fn share_throttle_only_engages_under_congestion() {
         let run = |queue_len: usize| {
-            let mut fq = stage(QosOptions::default().with_lag_envelope(2.0));
+            let mut fq = stage(QosOptions {
+                lag_envelope: 2.0,
+                ..QosOptions::default()
+            });
             let now = Instant::now();
             // "slow" keeps one admit outstanding so virtual time stays
             // pinned near its tag while "greedy" races ahead.
@@ -461,29 +444,34 @@ mod tests {
 
     #[test]
     fn resolved_backlog_releases_virtual_time() {
-        let mut fq = stage(QosOptions::default().with_lag_envelope(2.0));
+        let mut fq = stage(QosOptions {
+            lag_envelope: 2.0,
+            ..QosOptions::default()
+        });
         let now = Instant::now();
         let slow = fq.admit("slow", 1.0, 8, 8, now).unwrap();
         for _ in 0..10 {
             let _ = fq.admit("greedy", 1.0, 8, 8, now);
         }
-        let pinned = fq.vtime();
+        let pinned = fq.vtime;
         // Once the slow client's backlog resolves, the next admit
         // advances virtual time past its tag.
         fq.record_served(slow, None);
         let _ = fq.admit("greedy", 1.0, 8, 8, now);
-        assert!(fq.vtime() > pinned);
+        assert!(fq.vtime > pinned);
     }
 
     #[test]
     fn options_round_trip_through_json() {
-        let options = QosOptions::default()
-            .enabled()
-            .with_default_weight(2.0)
-            .with_lag_envelope(16.0)
-            .with_share_shed_at(0.75)
-            .with_client(ClientConfig::new("latency", 4.0))
-            .with_client(ClientConfig::new("batch", 1.0).with_quota(RateQuota::new(250.0, 16.0)));
+        let options = QosOptions {
+            default_weight: 2.0,
+            lag_envelope: 16.0,
+            share_shed_at: 0.75,
+            ..QosOptions::default()
+        }
+        .enabled()
+        .with_client(ClientConfig::new("latency", 4.0))
+        .with_client(ClientConfig::new("batch", 1.0).with_quota(RateQuota::new(250.0, 16.0)));
         let json = serde::json::to_string(&options);
         let back: QosOptions = serde::json::from_str(&json).unwrap();
         assert_eq!(back, options);
@@ -501,14 +489,14 @@ mod tests {
                 1..300,
             ),
         ) {
-            let mut fq = stage(QosOptions::default().with_lag_envelope(4.0));
+            let mut fq = stage(QosOptions { lag_envelope: 4.0, ..QosOptions::default() });
             let now = Instant::now();
-            let mut last = fq.vtime();
+            let mut last = fq.vtime;
             for (client, cost, depth, resolve) in ops {
                 let name = format!("c{client}");
                 let admitted = fq.admit(&name, cost as f64, depth, 8, now);
-                prop_assert!(fq.vtime() >= last);
-                last = fq.vtime();
+                prop_assert!(fq.vtime >= last);
+                last = fq.vtime;
                 if resolve {
                     if let Ok(id) = admitted {
                         fq.record_served(id, None);
@@ -527,9 +515,11 @@ mod tests {
         ) {
             let envelope = envelope as f64;
             let mut fq = stage(
-                QosOptions::default()
-                    .with_lag_envelope(envelope)
-                    .with_default_weight(1.0),
+                QosOptions {
+                    lag_envelope: envelope,
+                    default_weight: 1.0,
+                    ..QosOptions::default()
+                },
             );
             let now = Instant::now();
             for (client, cost) in ops {
@@ -561,8 +551,7 @@ mod tests {
             let (w1, w2) = (w1 as f64, w2 as f64);
             let envelope = 8.0;
             let mut fq = stage(
-                QosOptions::default()
-                    .with_lag_envelope(envelope)
+                QosOptions { lag_envelope: envelope, ..QosOptions::default() }
                     .with_client(ClientConfig::new("a", w1))
                     .with_client(ClientConfig::new("b", w2)),
             );

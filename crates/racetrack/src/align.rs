@@ -38,7 +38,7 @@ pub enum Alignment {
 impl Alignment {
     /// The corrective shift (in domains, positive = right) that restores
     /// alignment, or `None` when out of range.
-    pub fn correction(&self) -> Option<isize> {
+    pub(crate) fn correction(&self) -> Option<isize> {
         match self {
             Alignment::Aligned => Some(0),
             Alignment::OverShifted(n) => Some(-(*n as isize)),

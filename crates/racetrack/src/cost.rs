@@ -8,7 +8,6 @@
 //! is the maximum and energy still accumulates).
 
 use crate::nanowire::NanowireSpec;
-use crate::params::{EnergyParams, LatencyParams};
 use crate::port::PortId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -81,21 +80,6 @@ impl Cost {
             cycles: self.cycles * n,
             energy_pj: self.energy_pj * n as f64,
         }
-    }
-
-    /// Replicates this cost across `n` lock-step parallel units:
-    /// the latency is unchanged and the energy is multiplied by `n`.
-    #[must_use]
-    pub fn fanout(self, n: u64) -> Cost {
-        Cost {
-            cycles: self.cycles,
-            energy_pj: self.energy_pj * n as f64,
-        }
-    }
-
-    /// Latency in nanoseconds given a cycle time.
-    pub fn latency_ns(&self, cycle_time_ns: f64) -> f64 {
-        self.cycles as f64 * cycle_time_ns
     }
 }
 
@@ -250,11 +234,10 @@ impl fmt::Display for CostMeter {
 /// # Example
 ///
 /// ```
-/// use coruscant_racetrack::cost::PortGeometry;
+/// use coruscant_racetrack::PortGeometry;
 /// // Paper Table II: 32 data rows, TRD = 7.
 /// let geom = PortGeometry::coruscant(32, 7);
 /// assert_eq!(geom.port_count(), 2);
-/// assert_eq!(geom.inter_port_spacing(), Some(6));
 /// assert_eq!(geom.shift_distance(13), 0); // row under the left port
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -296,29 +279,6 @@ impl PortGeometry {
         self.port_rows.len()
     }
 
-    /// The data-row index sitting under `port` at the canonical
-    /// alignment. Returns `None` for an out-of-range port id.
-    pub fn port_row(&self, port: PortId) -> Option<isize> {
-        self.port_rows.get(port.0).copied()
-    }
-
-    /// Data-row indices under every port at the canonical alignment, in
-    /// physical port order.
-    pub fn port_rows(&self) -> &[isize] {
-        &self.port_rows
-    }
-
-    /// The uniform spacing (in domains) between adjacent ports, or
-    /// `None` when the wire has fewer than two ports. For the CORUSCANT
-    /// two-port wire this is `trd - 1`: the segment between the ports
-    /// spans exactly the transverse-read distance.
-    pub fn inter_port_spacing(&self) -> Option<usize> {
-        match self.port_rows.as_slice() {
-            [] | [_] => None,
-            [a, b, ..] => Some(b.abs_diff(*a)),
-        }
-    }
-
     /// The signed shift offset that aligns data row `row` under `port`
     /// (positive offsets move the data window right relative to its
     /// canonical position). `None` for an out-of-range port.
@@ -348,24 +308,6 @@ impl PortGeometry {
     /// alignment.
     pub fn shift_distance(&self, row: usize) -> usize {
         self.nearest_port(row).1
-    }
-
-    /// The largest nearest-port shift distance over all data rows — the
-    /// worst-case access from the canonical alignment.
-    pub fn max_shift_distance(&self) -> usize {
-        (0..self.rows)
-            .map(|r| self.shift_distance(r))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Prices a shift of `steps` domains on one nanowire under the given
-    /// device parameters.
-    pub fn shift_cost(steps: u64, latency: &LatencyParams, energy: &EnergyParams) -> Cost {
-        Cost::new(
-            steps * latency.shift_per_step,
-            steps as f64 * energy.shift_per_step,
-        )
     }
 }
 
@@ -399,13 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_scales_energy_only() {
-        let c = Cost::new(2, 0.5).fanout(512);
-        assert_eq!(c.cycles, 2);
-        assert!((c.energy_pj - 256.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sum_of_costs() {
         let total: Cost = (0..5).map(|_| Cost::new(1, 0.1)).sum();
         assert_eq!(total.cycles, 5);
@@ -422,13 +357,6 @@ mod tests {
         assert_eq!(t.cycles, 4);
         assert_eq!(m.total(), Cost::ZERO);
         assert_eq!(m.op_count(), 0);
-    }
-
-    #[test]
-    fn latency_ns_uses_cycle_time() {
-        let c = Cost::cycles(26);
-        assert!((c.latency_ns(1.0) - 26.0).abs() < 1e-12);
-        assert!((c.latency_ns(1.25) - 32.5).abs() < 1e-12);
     }
 
     #[test]
@@ -471,12 +399,13 @@ mod tests {
         let geom = PortGeometry::coruscant(32, 7);
         assert_eq!(geom.rows(), 32);
         assert_eq!(geom.port_count(), 2);
-        assert_eq!(geom.port_rows(), &[13, 19]);
-        assert_eq!(geom.port_row(PortId::LEFT), Some(13));
-        assert_eq!(geom.port_row(PortId::RIGHT), Some(19));
-        assert_eq!(geom.port_row(PortId(2)), None);
-        // The inter-port segment spans exactly the TRD.
-        assert_eq!(geom.inter_port_spacing(), Some(6));
+        // Row 0 sits `port row` domains left of each port.
+        assert_eq!(geom.shift_offset(0, PortId::LEFT), Some(-13));
+        assert_eq!(geom.shift_offset(0, PortId::RIGHT), Some(-19));
+        assert_eq!(geom.shift_offset(0, PortId(2)), None);
+        // Rows 13 and 19 sit under the ports.
+        assert_eq!(geom.shift_distance(13), 0);
+        assert_eq!(geom.shift_distance(19), 0);
     }
 
     #[test]
@@ -485,7 +414,16 @@ mod tests {
             let spec = NanowireSpec::coruscant(32, trd);
             let geom = PortGeometry::of(&spec);
             assert_eq!(geom, PortGeometry::coruscant(32, trd), "trd {trd}");
-            assert_eq!(geom.inter_port_spacing(), Some(trd - 1), "trd {trd}");
+            // Any row's offset to the left port exceeds its offset to the
+            // right port by the inter-port spacing, `trd - 1`.
+            for r in [0, 16, 31] {
+                let left = geom.shift_offset(r, PortId::LEFT).unwrap();
+                let right = geom.shift_offset(r, PortId::RIGHT).unwrap();
+                assert_eq!(left - right, trd as isize - 1, "trd {trd} row {r}");
+            }
+            let free: Vec<usize> = (0..32).filter(|&r| geom.shift_distance(r) == 0).collect();
+            assert_eq!(free.len(), 2, "trd {trd}");
+            assert_eq!(free[1] - free[0], trd - 1, "trd {trd}");
         }
     }
 
@@ -499,12 +437,12 @@ mod tests {
         assert_eq!(geom.nearest_port(31), (PortId::RIGHT, 12));
         // Row 16 is equidistant (3 domains); ties go to the left port.
         assert_eq!(geom.nearest_port(16), (PortId::LEFT, 3));
-        // The worst-case access from canonical alignment is row 0.
-        assert_eq!(geom.max_shift_distance(), 13);
-        // Every distance is within the physical overhead the spec
-        // reserves, so nearest-port alignment never runs off the wire.
-        let spec = NanowireSpec::coruscant(32, 7);
-        assert!(geom.max_shift_distance() <= spec.overhead_domains());
+        // The worst-case access from canonical alignment is row 0, and it
+        // is within the physical overhead the spec reserves, so
+        // nearest-port alignment never runs off the wire.
+        let worst = (0..32).map(|r| geom.shift_distance(r)).max().unwrap();
+        assert_eq!(worst, 13);
+        assert!(worst <= NanowireSpec::coruscant(32, 7).overhead_domains());
     }
 
     #[test]
@@ -517,21 +455,10 @@ mod tests {
     }
 
     #[test]
-    fn shift_cost_prices_per_step() {
-        let c = PortGeometry::shift_cost(13, &LatencyParams::PAPER, &EnergyParams::PAPER);
-        assert_eq!(c.cycles, 13);
-        assert!((c.energy_pj - 1.3).abs() < 1e-12);
-        assert_eq!(
-            PortGeometry::shift_cost(0, &LatencyParams::PAPER, &EnergyParams::PAPER),
-            Cost::ZERO
-        );
-    }
-
-    #[test]
     fn single_port_geometry_has_no_spacing() {
         let geom = PortGeometry::of(&NanowireSpec::single_port(8));
         assert_eq!(geom.port_count(), 1);
-        assert_eq!(geom.inter_port_spacing(), None);
+        assert_eq!(geom.shift_offset(0, PortId::RIGHT), None);
         // Every row reaches the single port.
         for r in 0..8 {
             let (p, _) = geom.nearest_port(r);

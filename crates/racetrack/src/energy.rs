@@ -32,7 +32,7 @@ impl CpuEnergyModel {
     }
 
     /// Energy (pJ) to move `bytes` across the memory bus.
-    pub fn transfer_energy_pj(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_energy_pj(&self, bytes: u64) -> f64 {
         bytes as f64 * self.params.transfer_pj_per_byte
     }
 
@@ -42,7 +42,7 @@ impl CpuEnergyModel {
     }
 
     /// Energy (pJ) for `n` 32-bit multiplies on the CPU.
-    pub fn mult_energy_pj(&self, n: u64) -> f64 {
+    pub(crate) fn mult_energy_pj(&self, n: u64) -> f64 {
         n as f64 * self.params.mult32_pj
     }
 

@@ -15,35 +15,10 @@ use crate::Result;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// The intrinsic transverse-read fault probability the paper derives from
 /// LLG simulation and the total-differential method (§V-F).
-pub const TR_FAULT_PROBABILITY: f64 = 1e-6;
-
-/// Kinds of injectable device fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FaultKind {
-    /// The domain train moved one step further than commanded.
-    OverShift,
-    /// The domain train moved one step less than commanded.
-    UnderShift,
-    /// A transverse read reported one level too high.
-    TrLevelUp,
-    /// A transverse read reported one level too low.
-    TrLevelDown,
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::OverShift => write!(f, "over-shift"),
-            FaultKind::UnderShift => write!(f, "under-shift"),
-            FaultKind::TrLevelUp => write!(f, "TR level +1"),
-            FaultKind::TrLevelDown => write!(f, "TR level -1"),
-        }
-    }
-}
+pub(crate) const TR_FAULT_PROBABILITY: f64 = 1e-6;
 
 /// Probabilities of each fault class.
 ///
@@ -347,17 +322,5 @@ mod tests {
             ..FaultConfig::NONE
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn display_of_kinds() {
-        for k in [
-            FaultKind::OverShift,
-            FaultKind::UnderShift,
-            FaultKind::TrLevelUp,
-            FaultKind::TrLevelDown,
-        ] {
-            assert!(!k.to_string().is_empty());
-        }
     }
 }

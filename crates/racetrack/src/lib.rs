@@ -19,9 +19,9 @@
 //! * **Transverse write** ([`Nanowire::transverse_write`]) — writing a bit
 //!   under one port while advancing only the segment between the ports
 //!   (*segmented shifting*, paper §IV-B / Fig. 9).
-//! * [`fault`] — injection of shift (over/under-shift) and transverse-read
+//! * `fault` — injection of shift (over/under-shift) and transverse-read
 //!   (level off-by-one) faults.
-//! * [`cost`] / [`params`] / [`energy`] — cycle and energy accounting with
+//! * `cost` / [`params`] / [`energy`] — cycle and energy accounting with
 //!   constants calibrated to the paper's device assumptions (§V-A).
 //!
 //! # Example
@@ -46,13 +46,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod align;
-pub mod cost;
+mod align;
+mod cost;
 pub mod energy;
-pub mod fault;
-pub mod magnet;
-pub mod nanowire;
+mod fault;
+mod magnet;
+mod nanowire;
 pub mod params;
 pub mod port;
 
@@ -61,8 +62,7 @@ mod error;
 pub use align::{Alignment, PositionCode};
 pub use cost::{Cost, CostMeter, OpClass, PortGeometry};
 pub use error::Error;
-pub use fault::{FaultConfig, FaultInjector, FaultKind};
-pub use magnet::Magnetization;
+pub use fault::{FaultConfig, FaultInjector};
 pub use nanowire::{walk_shift, Nanowire, NanowireSpec, TrOutcome};
 pub use port::{AccessPort, PortId, PortKind};
 

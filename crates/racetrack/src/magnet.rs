@@ -9,18 +9,10 @@ use std::fmt;
 /// domain, parallel or antiparallel to a fixed reference layer (paper
 /// §II-A). We adopt the convention that [`Magnetization::Up`] stores a
 /// logical `1` and [`Magnetization::Down`] stores a logical `0`.
-///
-/// # Example
-///
-/// ```
-/// use coruscant_racetrack::Magnetization;
-/// assert_eq!(Magnetization::from(true), Magnetization::Up);
-/// assert!(bool::from(Magnetization::Up));
-/// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
-pub enum Magnetization {
+pub(crate) enum Magnetization {
     /// Antiparallel to the reference layer; stores logical `0`.
     #[default]
     Down,
@@ -30,17 +22,8 @@ pub enum Magnetization {
 
 impl Magnetization {
     /// The logical bit stored by this magnetization.
-    pub fn bit(self) -> bool {
+    pub(crate) fn bit(self) -> bool {
         matches!(self, Magnetization::Up)
-    }
-
-    /// The opposite magnetization.
-    #[must_use]
-    pub fn flipped(self) -> Magnetization {
-        match self {
-            Magnetization::Up => Magnetization::Down,
-            Magnetization::Down => Magnetization::Up,
-        }
     }
 }
 
@@ -77,14 +60,6 @@ mod tests {
     fn bool_roundtrip() {
         for b in [false, true] {
             assert_eq!(bool::from(Magnetization::from(b)), b);
-        }
-    }
-
-    #[test]
-    fn flip_is_involutive() {
-        for m in [Magnetization::Up, Magnetization::Down] {
-            assert_eq!(m.flipped().flipped(), m);
-            assert_ne!(m.flipped(), m);
         }
     }
 

@@ -747,6 +747,7 @@ pub fn walk_shift(
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
+    use crate::port::PortKind;
 
     fn meter() -> CostMeter {
         CostMeter::new()
@@ -876,7 +877,7 @@ mod tests {
     #[test]
     fn read_only_port_rejects_write() {
         let mut spec = NanowireSpec::coruscant(32, 7);
-        spec.ports[1] = AccessPort::read_only(spec.ports[1].position);
+        spec.ports[1].kind = PortKind::ReadOnly;
         let mut w = Nanowire::new(spec);
         let mut m = meter();
         let err = w.write(PortId::RIGHT, true, &mut m).unwrap_err();

@@ -14,23 +14,6 @@ use serde::{Deserialize, Serialize};
 /// speed, consistent with values reported by NVSIM and LLG for TR").
 pub const DEVICE_CYCLE_NS: f64 = 1.0;
 
-/// Memory-interface cycle time in nanoseconds (paper Table II, DDR3-1600).
-pub const MEMORY_CYCLE_NS: f64 = 1.25;
-
-/// Feature size in nanometers the design is scaled to (paper §V-A).
-pub const FEATURE_NM: f64 = 32.0;
-
-/// Maximum transverse-read distance demonstrated conservatively in the TR
-/// literature the paper builds on (Roxy et al. 2020).
-pub const TRD_CONSERVATIVE: usize = 4;
-
-/// The TRD values the paper sweeps in its sensitivity study (§III-A).
-pub const TRD_SWEEP: [usize; 3] = [3, 5, 7];
-
-/// Default transverse-read distance, supported by the multi-domain MTJ
-/// (Dutta et al. 2022) the paper cites.
-pub const TRD_DEFAULT: usize = 7;
-
 /// Per-micro-operation latencies in device cycles.
 ///
 /// Every point access (read, write), every single-domain shift step, every

@@ -65,18 +65,10 @@ pub struct AccessPort {
 
 impl AccessPort {
     /// Creates a read/write access port at `position`.
-    pub fn read_write(position: usize) -> AccessPort {
+    pub(crate) fn read_write(position: usize) -> AccessPort {
         AccessPort {
             position,
             kind: PortKind::ReadWrite,
-        }
-    }
-
-    /// Creates a read-only access port at `position`.
-    pub fn read_only(position: usize) -> AccessPort {
-        AccessPort {
-            position,
-            kind: PortKind::ReadOnly,
         }
     }
 }
@@ -102,8 +94,6 @@ mod tests {
         let p = AccessPort::read_write(14);
         assert_eq!(p.position, 14);
         assert!(p.kind.can_write());
-        let q = AccessPort::read_only(20);
-        assert!(!q.kind.can_write());
     }
 
     #[test]

@@ -8,7 +8,7 @@ pub const P_TR: f64 = 1e-6;
 /// Number of decisive level boundaries of the carry output `C` (count
 /// bit 1) at a given TRD: `{2,3}` at TRD 3; `{2,3}` at TRD 5 with the
 /// upper boundary `3↔4`; `{2,3} ∪ {6,7}` at TRD 7.
-pub fn carry_boundaries(trd: usize) -> u32 {
+pub(crate) fn carry_boundaries(trd: usize) -> u32 {
     match trd {
         3 => 1,
         5 => 2,
@@ -21,18 +21,18 @@ pub fn carry_boundaries(trd: usize) -> u32 {
 /// a fault only matters when the true count sits at the decisive
 /// boundary, which under the uniform-level assumption happens with
 /// probability `1/TRD`.
-pub fn p_single_boundary(trd: usize, p_tr: f64) -> f64 {
+pub(crate) fn p_single_boundary(trd: usize, p_tr: f64) -> f64 {
     p_tr / trd as f64
 }
 
 /// Per-bit error probability of `XOR`/`S`: every level transition flips
 /// the parity.
-pub fn p_xor(p_tr: f64) -> f64 {
+pub(crate) fn p_xor(p_tr: f64) -> f64 {
     p_tr
 }
 
 /// Per-bit error probability of the carry `C`.
-pub fn p_carry(trd: usize, p_tr: f64) -> f64 {
+pub(crate) fn p_carry(trd: usize, p_tr: f64) -> f64 {
     p_tr * carry_boundaries(trd) as f64 / trd as f64
 }
 
@@ -40,14 +40,14 @@ pub fn p_carry(trd: usize, p_tr: f64) -> f64 {
 /// `bits` sequential TRs, each of which can corrupt the sum (via `S`) or
 /// propagate (via `C`/`C'`); the union bound gives `bits × p` (the
 /// paper's `8e-6` at 8 bits).
-pub fn p_add(bits: u32, p_tr: f64) -> f64 {
+pub(crate) fn p_add(bits: u32, p_tr: f64) -> f64 {
     bits as f64 * p_tr
 }
 
 /// Fault-sensitive transverse accesses in an 8-bit multiplication at each
 /// TRD (the paper's Table V multiply rates imply 410 / 210 / 76 for
 /// TRD = 3 / 5 / 7: narrower TRDs need many more reduction passes).
-pub fn mult_tr_ops(trd: usize) -> u32 {
+pub(crate) fn mult_tr_ops(trd: usize) -> u32 {
     match trd {
         3 => 410,
         5 => 210,
@@ -57,7 +57,7 @@ pub fn mult_tr_ops(trd: usize) -> u32 {
 }
 
 /// Probability at least one error occurs in an 8-bit multiplication.
-pub fn p_mult(trd: usize, p_tr: f64) -> f64 {
+pub(crate) fn p_mult(trd: usize, p_tr: f64) -> f64 {
     mult_tr_ops(trd) as f64 * p_tr
 }
 

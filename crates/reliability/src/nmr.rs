@@ -20,7 +20,7 @@ fn choose(n: u64, k: u64) -> f64 {
 /// Probability that majority voting over `n` replicas yields a wrong bit
 /// when each replica's bit is independently wrong with probability `q`:
 /// at least `⌈(n+1)/2⌉` replicas must agree on the wrong value.
-pub fn p_vote_fails(n: u64, q: f64) -> f64 {
+pub(crate) fn p_vote_fails(n: u64, q: f64) -> f64 {
     assert!(n % 2 == 1, "redundancy degree must be odd");
     let need = n / 2 + 1;
     (need..=n)

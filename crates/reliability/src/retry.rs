@@ -49,12 +49,6 @@ pub fn expected_faults_detected(p_pair: f64, max_retries: u32) -> f64 {
     (1..=max_retries + 1).map(|j| p_pair.powi(j as i32)).sum()
 }
 
-/// Probability a job exhausts its retry budget and completes
-/// *unverified*: all `max_retries + 1` pairs mismatched.
-pub fn p_job_unverified(p_pair: f64, max_retries: u32) -> f64 {
-    p_pair.powi(max_retries as i32 + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,21 +81,11 @@ mod tests {
         assert!((expected_retries(p, 2) - (p + p * p)).abs() < 1e-12);
         // E[faults] = p + p² + p³.
         assert!((expected_faults_detected(p, 2) - (p + p * p + p * p * p)).abs() < 1e-12);
-        // Unverified = p³.
-        assert!((p_job_unverified(p, 2) - p * p * p).abs() < 1e-12);
-        // Consistency: faults = retries + unverified-tail… actually
-        // faults − retries = p^(R+1) = unverified probability.
-        assert!(
-            (expected_faults_detected(p, 2) - expected_retries(p, 2) - p_job_unverified(p, 2))
-                .abs()
-                < 1e-12
-        );
     }
 
     #[test]
     fn zero_rate_needs_no_retries() {
         assert_eq!(expected_retries(0.0, 5), 0.0);
         assert_eq!(expected_faults_detected(0.0, 5), 0.0);
-        assert_eq!(p_job_unverified(0.0, 5), 0.0);
     }
 }

@@ -19,7 +19,7 @@
 use serde::Serialize;
 
 /// Nominal MTJ process variation the paper's analysis assumes (4%).
-pub const NOMINAL_VARIATION: f64 = 0.04;
+pub(crate) const NOMINAL_VARIATION: f64 = 0.04;
 
 /// A log-linear fault-rate curve: `rate(v) = anchor_rate ×
 /// 10^(slope × (v − anchor_var))` with variation `v` as a fraction.

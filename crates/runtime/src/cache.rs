@@ -167,7 +167,7 @@ fn evict_oldest<E>(map: &mut HashMap<u64, E>, stamp: impl Fn(&E) -> u64) -> bool
 }
 
 impl ProgramCache {
-    pub fn new(options: &CacheOptions) -> ProgramCache {
+    pub(crate) fn new(options: &CacheOptions) -> ProgramCache {
         let shards = options.shards.max(1);
         ProgramCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -185,7 +185,7 @@ impl ProgramCache {
 
     /// Looks a canonical-frame submission up under its key; a hit shares
     /// the entry's optimized program. Counts the hit or miss itself.
-    pub fn get(&self, key: u64, program: &PimProgram) -> Option<CachedCompile> {
+    pub(crate) fn get(&self, key: u64, program: &PimProgram) -> Option<CachedCompile> {
         let mut shard = crate::sync::lock(self.shard_of(key));
         shard.stamp += 1;
         let stamp = shard.stamp;
@@ -216,7 +216,7 @@ impl ProgramCache {
     /// Stores a freshly compiled artifact under the key its submission
     /// carried, evicting the least-recently-used entry of the shard when
     /// over capacity.
-    pub fn insert(&self, key: u64, original: PimProgram, compiled: CachedCompile) {
+    pub(crate) fn insert(&self, key: u64, original: PimProgram, compiled: CachedCompile) {
         let mut shard = crate::sync::lock(self.shard_of(key));
         shard.stamp += 1;
         let stamp = shard.stamp;
@@ -232,7 +232,7 @@ impl ProgramCache {
     }
 
     /// Snapshot of the session counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -282,7 +282,7 @@ fn batch_key(members: &[PimJob]) -> u64 {
 }
 
 impl BatchCache {
-    pub fn new(capacity: usize) -> BatchCache {
+    pub(crate) fn new(capacity: usize) -> BatchCache {
         BatchCache {
             map: HashMap::new(),
             capacity: capacity.max(1),
@@ -295,7 +295,7 @@ impl BatchCache {
     /// The cached batch of an ordered member sequence, or — counted as a
     /// miss — what `build` makes of it, stored under the members' key
     /// (replacing a colliding shape). Evicts LRU over capacity.
-    pub fn get_or_build(
+    pub(crate) fn get_or_build(
         &mut self,
         members: &[PimJob],
         build: impl FnOnce() -> Arc<PimProgram>,
@@ -329,7 +329,7 @@ impl BatchCache {
     }
 
     /// `(hits, misses)` so far.
-    pub fn counts(&self) -> (u64, u64) {
+    pub(crate) fn counts(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }

@@ -24,7 +24,7 @@
 //! * `RouterNotice` — the server's completion router handled a notice; a
 //!   small delay widens the wait/expiry race window.
 //!
-//! Injected panics carry the [`ChaosPanic`] marker payload and are
+//! Injected panics carry the `ChaosPanic` marker payload and are
 //! silenced by [`install_quiet_hook`] so soak campaigns don't spray
 //! backtraces; real panics still print normally.
 
@@ -221,7 +221,7 @@ impl ChaosPlan {
 /// The marker payload injected panics carry, so the quiet panic hook can
 /// tell chaos apart from a real bug.
 #[derive(Debug)]
-pub struct ChaosPanic;
+pub(crate) struct ChaosPanic;
 
 /// Panics the current thread with the [`ChaosPanic`] marker.
 pub(crate) fn chaos_panic() -> ! {
@@ -229,7 +229,7 @@ pub(crate) fn chaos_panic() -> ! {
 }
 
 /// Installs (once, process-wide) a panic hook that suppresses the
-/// default backtrace spew for [`ChaosPanic`] payloads and chains to the
+/// default backtrace spew for `ChaosPanic` payloads and chains to the
 /// previous hook for everything else. Safe to call from every session.
 pub fn install_quiet_hook() {
     static INSTALLED: OnceLock<()> = OnceLock::new();

@@ -109,7 +109,7 @@ pub(crate) struct ClassicSched {
 }
 
 impl ClassicSched {
-    pub fn new(ctx: ClassicCtx, options: Arc<RuntimeOptions>) -> ClassicSched {
+    pub(crate) fn new(ctx: ClassicCtx, options: Arc<RuntimeOptions>) -> ClassicSched {
         let disp = Dispatcher::new(&ctx.config, &options, ctx.trace.clone());
         let (banks, shards) = (ctx.config.banks, ctx.shards);
         ClassicSched {
@@ -203,6 +203,11 @@ impl ClassicSched {
     fn finalize(&mut self, id: u64, errored: bool, outputs: &[(String, Vec<u64>)]) {
         self.ctx.canceller.retire(id);
         let rel = self.deps.on_final(id, errored, outputs);
+        if let Some(trace) = &self.ctx.trace {
+            for job in &rel.ready {
+                trace.record(&Event::Released { job: job.id });
+            }
+        }
         self.process_released(rel);
     }
 
@@ -709,7 +714,7 @@ impl ClassicSched {
 
     /// The scheduler thread's body: runs the session to completion and
     /// hands back its counters and the replay it drove.
-    pub fn run(mut self) -> (SchedulerOutput, Replay) {
+    pub(crate) fn run(mut self) -> (SchedulerOutput, Replay) {
         let queue = Arc::clone(&self.ctx.queue);
         let mut drained: Vec<Submission> = Vec::new();
         let mut closed = false;

@@ -31,7 +31,7 @@ mod imp {
     }
 
     /// CPU time consumed by the calling thread, in microseconds.
-    pub fn thread_micros() -> u64 {
+    pub(crate) fn thread_micros() -> u64 {
         let mut ts = Timespec {
             tv_sec: 0,
             tv_nsec: 0,
@@ -54,24 +54,24 @@ mod imp {
 
     /// Fallback: monotonic wall time since first use. Preemption-
     /// sensitive, but keeps the profile populated off-Linux.
-    pub fn thread_micros() -> u64 {
+    pub(crate) fn thread_micros() -> u64 {
         static EPOCH: OnceLock<Instant> = OnceLock::new();
         EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
     }
 }
 
-pub use imp::thread_micros;
+pub(crate) use imp::thread_micros;
 
 /// A running busy-time meter: stamps thread CPU time and accumulates
 /// deltas into named stage counters.
 #[derive(Debug, Clone, Copy)]
-pub struct StageClock {
+pub(crate) struct StageClock {
     last: u64,
 }
 
 impl StageClock {
     /// Starts a clock at the calling thread's current CPU time.
-    pub fn start() -> StageClock {
+    pub(crate) fn start() -> StageClock {
         StageClock {
             last: thread_micros(),
         }
@@ -79,7 +79,7 @@ impl StageClock {
 
     /// Microseconds of thread CPU time since the previous lap (or
     /// start), and re-stamps.
-    pub fn lap(&mut self) -> u64 {
+    pub(crate) fn lap(&mut self) -> u64 {
         let now = thread_micros();
         let delta = now.saturating_sub(self.last);
         self.last = now;
@@ -88,7 +88,7 @@ impl StageClock {
 
     /// Re-stamps without charging the elapsed time anywhere (used to
     /// skip waits that should not count as busy).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.last = thread_micros();
     }
 }

@@ -1,12 +1,12 @@
 //! Dependency gating: jobs held out of the bank FIFOs until every
 //! predecessor's *final* attempt retires.
 //!
-//! The scheduler owns one [`DepTracker`]. Chains admit atomically
-//! ([`DepTracker::admit`]); as jobs reach their final attempt the
-//! scheduler feeds [`DepTracker::on_final`] and places whatever was
+//! The scheduler owns one `DepTracker`. Chains admit atomically
+//! (`DepTracker::admit`); as jobs reach their final attempt the
+//! scheduler feeds `DepTracker::on_final` and places whatever was
 //! released. A predecessor that errors, is cancelled, or whose binder
 //! fails cascades: every transitive dependent is dropped (reported like
-//! a cancellation — it never ran). Deferred jobs carry a [`Binder`] that
+//! a cancellation — it never ran). Deferred jobs carry a `Binder` that
 //! builds their program from the labeled outputs of their data
 //! dependencies (activation hand-off between pipeline stages).
 
@@ -16,12 +16,13 @@ use coruscant_core::program::PimProgram;
 use std::collections::{HashMap, HashSet};
 
 /// Labeled outputs of one finished job, as its dependents see them.
-pub type DepOutputs = Vec<(String, Vec<u64>)>;
+pub(crate) type DepOutputs = Vec<(String, Vec<u64>)>;
 
 /// Builds a deferred job's program from its data dependencies' outputs
 /// (slices aligned with the declared dependency order). An `Err` drops
 /// the job and cascades to its dependents.
-pub type Binder = Box<dyn FnOnce(&[DepOutputs]) -> Result<PimProgram, String> + Send + 'static>;
+pub(crate) type Binder =
+    Box<dyn FnOnce(&[DepOutputs]) -> Result<PimProgram, String> + Send + 'static>;
 
 /// Where a gated job's program comes from.
 pub(crate) enum GatedSource {
@@ -84,19 +85,19 @@ pub(crate) struct DepTracker {
 }
 
 impl DepTracker {
-    pub fn new() -> DepTracker {
+    pub(crate) fn new() -> DepTracker {
         DepTracker::default()
     }
 
     /// Whether no job is waiting on dependencies.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.waiting.is_empty()
     }
 
     /// Admits one chain. Members whose predecessors are already retired
     /// come back ready immediately; members gated on an already-failed
     /// predecessor come back failed.
-    pub fn admit(&mut self, chain: Vec<GatedJob>) -> Released {
+    pub(crate) fn admit(&mut self, chain: Vec<GatedJob>) -> Released {
         let mut out = Released::default();
         for job in chain {
             self.admit_one(job, &mut out);
@@ -172,7 +173,12 @@ impl DepTracker {
     /// cancelled, with `errored = true`) and returns whatever that set
     /// free. Idempotent per id. `outputs` are copied only if a deferred
     /// waiter still needs them.
-    pub fn on_final(&mut self, id: u64, errored: bool, outputs: &[(String, Vec<u64>)]) -> Released {
+    pub(crate) fn on_final(
+        &mut self,
+        id: u64,
+        errored: bool,
+        outputs: &[(String, Vec<u64>)],
+    ) -> Released {
         let mut out = Released::default();
         if !self.retired.insert(2 * id) {
             return out;
@@ -209,7 +215,7 @@ impl DepTracker {
 
     /// Fails every job still waiting (queue closed with unsatisfiable
     /// dependencies). Returns the failed set.
-    pub fn fail_all(&mut self) -> Released {
+    pub(crate) fn fail_all(&mut self) -> Released {
         let mut out = Released::default();
         let ids: Vec<u64> = self.waiting.keys().copied().collect();
         for id in ids {

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 /// One traced event.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum Event {
+pub(crate) enum Event {
     /// A job entered the queue.
     Submit {
         /// Job id.
@@ -193,7 +193,7 @@ pub enum Event {
 
 /// A thread-safe JSONL sink.
 #[derive(Debug)]
-pub struct EventTrace {
+pub(crate) struct EventTrace {
     out: Mutex<BufWriter<File>>,
 }
 
@@ -203,7 +203,7 @@ impl EventTrace {
     /// # Errors
     ///
     /// Returns the I/O error if the file cannot be created.
-    pub fn create(path: &Path) -> std::io::Result<EventTrace> {
+    pub(crate) fn create(path: &Path) -> std::io::Result<EventTrace> {
         Ok(EventTrace {
             out: Mutex::new(BufWriter::new(File::create(path)?)),
         })
@@ -211,14 +211,14 @@ impl EventTrace {
 
     /// Appends one event as a JSON line. I/O errors are swallowed — the
     /// trace is diagnostics, not a correctness surface.
-    pub fn record(&self, event: &Event) {
+    pub(crate) fn record(&self, event: &Event) {
         let line = serde::json::to_string(event);
         let mut out = crate::sync::lock(&self.out);
         let _ = writeln!(out, "{line}");
     }
 
     /// Flushes buffered events to disk.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let _ = crate::sync::lock(&self.out).flush();
     }
 }

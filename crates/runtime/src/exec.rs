@@ -79,7 +79,7 @@ pub(crate) struct Dispatcher {
 }
 
 impl Dispatcher {
-    pub fn new(
+    pub(crate) fn new(
         config: &MemoryConfig,
         options: &RuntimeOptions,
         trace: Option<Arc<EventTrace>>,
@@ -105,24 +105,24 @@ impl Dispatcher {
     /// and crash/hang re-placements share one axis (each restart of the
     /// job is a distinct attempt). This is the number the job's slot,
     /// its notices, its chaos draws and its trace events all carry.
-    pub fn attempt_of(&self, job_id: u64) -> u32 {
+    pub(crate) fn attempt_of(&self, job_id: u64) -> u32 {
         self.redispatches_of(job_id) + self.crash_retries.get(&job_id).copied().unwrap_or(0)
     }
 
     /// Spends one verification re-dispatch of `job_id`; `false` once
     /// `max` are used up.
-    pub fn take_redispatch(&mut self, job_id: u64, max: u32) -> bool {
+    pub(crate) fn take_redispatch(&mut self, job_id: u64, max: u32) -> bool {
         take_retry(&mut self.redispatched, job_id, max)
     }
 
     /// Spends one crash/hang retry of `job_id`; `false` once `max` are
     /// used up.
-    pub fn take_crash_retry(&mut self, job_id: u64, max: u32) -> bool {
+    pub(crate) fn take_crash_retry(&mut self, job_id: u64, max: u32) -> bool {
         take_retry(&mut self.crash_retries, job_id, max)
     }
 
     /// `(hits, misses)` of the batched-splice cache.
-    pub fn splice_counts(&self) -> (u64, u64) {
+    pub(crate) fn splice_counts(&self) -> (u64, u64) {
         self.splice_cache
             .as_ref()
             .map_or((0, 0), BatchCache::counts)
@@ -130,7 +130,7 @@ impl Dispatcher {
 
     /// Prepares `issue` for execution on `shard` (a worker shard or a
     /// parallel domain) and accounts for it.
-    pub fn prepare(&mut self, issue: &IssuedBatch, shard: usize) -> Dispatch {
+    pub(crate) fn prepare(&mut self, issue: &IssuedBatch, shard: usize) -> Dispatch {
         let IssuedBatch { seq, jobs, unit } = issue;
         let bank = unit.bank;
         let program = match &mut self.splice_cache {
@@ -263,7 +263,7 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    pub fn new(config: &MemoryConfig, options: &RuntimeOptions) -> Executor {
+    pub(crate) fn new(config: &MemoryConfig, options: &RuntimeOptions) -> Executor {
         Executor {
             machine: match options.faults.clone() {
                 Some(plan) => PimMachine::with_faults(config.clone(), plan),
@@ -286,7 +286,7 @@ impl Executor {
     /// identically, and both engines draw alike. Chaos fires only at the
     /// two crossings — before execution and after it — never inside, so
     /// a caught panic leaves the machine untouched.
-    pub fn attempt(&mut self, dispatch: &Dispatch) -> std::thread::Result<ExecOutcome> {
+    pub(crate) fn attempt(&mut self, dispatch: &Dispatch) -> std::thread::Result<ExecOutcome> {
         let first = dispatch.slots.first();
         let (job, attempt) = first.map_or((0, 0), |s| (s.job_id, s.attempt));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -4,7 +4,7 @@
 //! under transverse reads, paper §III-F), so the runtime detects silent
 //! data corruption *behaviorally*: re-execute-and-compare or N-modular
 //! replication per job ([`ProtectionPolicy`]). Detected faults feed a
-//! per-bank leaky-bucket score ([`HealthTracker`]) that walks each bank
+//! per-bank leaky-bucket score (`HealthTracker`) that walks each bank
 //! through `Healthy → Suspect → Quarantined`:
 //!
 //! * **Healthy** — faults decay one-for-one with clean jobs.
@@ -55,7 +55,7 @@ impl ProtectionPolicy {
 /// recovery actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthPolicy {
-    /// Leaky-bucket score at which a bank becomes [`BankState::Suspect`].
+    /// Leaky-bucket score at which a bank becomes `BankState::Suspect`.
     pub suspect_after: u32,
     /// Score at which a bank is quarantined (sticky).
     pub quarantine_after: u32,
@@ -99,7 +99,7 @@ impl HealthPolicy {
 
 /// A bank's position in the health state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum BankState {
+pub(crate) enum BankState {
     /// No outstanding fault pressure.
     #[default]
     Healthy,
@@ -111,7 +111,7 @@ pub enum BankState {
 
 /// A state transition reported by [`HealthTracker::record`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition {
+pub(crate) enum Transition {
     /// No state change.
     None,
     /// The bank just became suspect (score attached).
@@ -131,29 +131,25 @@ pub enum Transition {
 /// persistently enough to cross it is presumed to have a hard defect
 /// (stuck shift driver, marginal sense amp) rather than transient noise.
 #[derive(Debug)]
-pub struct HealthTracker {
+pub(crate) struct HealthTracker {
     policy: HealthPolicy,
     scores: Vec<u32>,
     states: Vec<BankState>,
-    /// Jobs that reported at least one detected fault, per bank.
-    faulty_jobs: Vec<u64>,
 }
 
 impl HealthTracker {
     /// A tracker over `banks` healthy banks.
-    pub fn new(banks: usize, policy: HealthPolicy) -> HealthTracker {
+    pub(crate) fn new(banks: usize, policy: HealthPolicy) -> HealthTracker {
         HealthTracker {
             policy,
             scores: vec![0; banks],
             states: vec![BankState::Healthy; banks],
-            faulty_jobs: vec![0; banks],
         }
     }
 
     /// Records one job completion on `bank` and returns any transition.
-    pub fn record(&mut self, bank: usize, faulty: bool) -> Transition {
+    pub(crate) fn record(&mut self, bank: usize, faulty: bool) -> Transition {
         if faulty {
-            self.faulty_jobs[bank] += 1;
             self.scores[bank] = self.scores[bank].saturating_add(1);
         } else {
             self.scores[bank] = self.scores[bank].saturating_sub(1);
@@ -186,18 +182,13 @@ impl HealthTracker {
         }
     }
 
-    /// The current state of `bank`.
-    pub fn state(&self, bank: usize) -> BankState {
-        self.states[bank]
-    }
-
     /// Whether `bank` is quarantined.
-    pub fn is_quarantined(&self, bank: usize) -> bool {
+    pub(crate) fn is_quarantined(&self, bank: usize) -> bool {
         self.states[bank] == BankState::Quarantined
     }
 
     /// Banks currently suspect.
-    pub fn suspect_count(&self) -> u64 {
+    pub(crate) fn suspect_count(&self) -> u64 {
         self.states
             .iter()
             .filter(|&&s| s == BankState::Suspect)
@@ -205,7 +196,7 @@ impl HealthTracker {
     }
 
     /// Banks quarantined.
-    pub fn quarantined_count(&self) -> u64 {
+    pub(crate) fn quarantined_count(&self) -> u64 {
         self.states
             .iter()
             .filter(|&&s| s == BankState::Quarantined)
@@ -213,17 +204,12 @@ impl HealthTracker {
     }
 
     /// Fraction of banks lost to quarantine, `0.0..=1.0`.
-    pub fn degraded_capacity(&self) -> f64 {
+    pub(crate) fn degraded_capacity(&self) -> f64 {
         if self.states.is_empty() {
             0.0
         } else {
             self.quarantined_count() as f64 / self.states.len() as f64
         }
-    }
-
-    /// Jobs with detected faults attributed to `bank` so far.
-    pub fn faulty_jobs(&self, bank: usize) -> u64 {
-        self.faulty_jobs[bank]
     }
 }
 
@@ -267,7 +253,7 @@ mod tests {
         let mut t = HealthTracker::new(2, HealthPolicy::default());
         assert_eq!(t.record(0, true), Transition::None); // score 1
         assert_eq!(t.record(0, true), Transition::Suspect(2));
-        assert_eq!(t.state(0), BankState::Suspect);
+        assert_eq!(t.states[0], BankState::Suspect);
         assert_eq!(t.record(0, true), Transition::None); // 3
         assert_eq!(t.record(0, true), Transition::None); // 4
         assert_eq!(t.record(0, true), Transition::Quarantined(5));
@@ -278,9 +264,8 @@ mod tests {
         }
         assert!(t.is_quarantined(0));
         assert_eq!(t.quarantined_count(), 1);
-        assert_eq!(t.state(1), BankState::Healthy);
+        assert_eq!(t.states[1], BankState::Healthy);
         assert!((t.degraded_capacity() - 0.5).abs() < 1e-12);
-        assert_eq!(t.faulty_jobs(0), 5);
     }
 
     #[test]
@@ -290,7 +275,7 @@ mod tests {
         assert_eq!(t.record(0, true), Transition::Suspect(2));
         assert_eq!(t.record(0, false), Transition::None); // 1
         assert_eq!(t.record(0, false), Transition::Recovered); // 0
-        assert_eq!(t.state(0), BankState::Healthy);
+        assert_eq!(t.states[0], BankState::Healthy);
         // Clean traffic keeps the score pinned at zero.
         assert_eq!(t.record(0, false), Transition::None);
         assert_eq!(t.suspect_count(), 0);
@@ -304,6 +289,6 @@ mod tests {
             assert_eq!(t.record(0, true), Transition::None);
             assert_eq!(t.record(0, false), Transition::None);
         }
-        assert_eq!(t.state(0), BankState::Healthy);
+        assert_eq!(t.states[0], BankState::Healthy);
     }
 }

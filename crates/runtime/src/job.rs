@@ -58,7 +58,7 @@ pub(crate) struct Binding {
 
 impl Binding {
     /// The concrete address `addr` names under this binding.
-    pub fn map(self, addr: RowAddress) -> RowAddress {
+    pub(crate) fn map(self, addr: RowAddress) -> RowAddress {
         let dbc = if self.tile_relative {
             addr.location.dbc
         } else {
@@ -70,7 +70,7 @@ impl Binding {
 
 /// One unit of work: a program to run at some placement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PimJob {
+pub(crate) struct PimJob {
     /// Runtime-assigned id, returned by `submit`.
     pub id: u64,
     /// The program, in the canonical frame: a single-DBC program bound

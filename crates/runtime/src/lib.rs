@@ -9,10 +9,10 @@
 //! crate builds the serving layer around that idea:
 //!
 //! * **Jobs** — a [`PimProgram`] plus a [`Placement`], submitted through
-//!   a bounded [`JobQueue`] that applies backpressure to open-loop
+//!   a bounded `JobQueue` that applies backpressure to open-loop
 //!   clients.
 //! * **Scheduling** — placement resolves each job to a PIM unit that
-//!   travels beside its (never rewritten) program; the [`BankScheduler`]
+//!   travels beside its (never rewritten) program; the `BankScheduler`
 //!   keeps per-bank FIFO queues and issues in circular-bank order so
 //!   consecutive issues hit different banks (§V-C). Only the executor
 //!   turns the unit into addresses.
@@ -34,12 +34,12 @@
 //!   can be taken before `finish` ([`Runtime::take_outcomes`]).
 //! * **Observability** — serializable [`RuntimeStats`] with per-bank
 //!   occupancy, queue-depth and wait-time histograms, plus an optional
-//!   JSONL [event trace](events::EventTrace).
+//!   JSONL event trace.
 //! * **Fault tolerance** — with a [`FaultPlan`](coruscant_mem::FaultPlan) and/or a
 //!   [`ProtectionPolicy`] configured, every worker machine runs under
 //!   seeded per-bank fault injection, jobs are verified by
 //!   re-execute-and-compare or NMR voting, detected faults feed the
-//!   per-bank [`HealthTracker`] state machine (Healthy → Suspect →
+//!   per-bank `HealthTracker` state machine (Healthy → Suspect →
 //!   Quarantined), suspect banks get position-code scrub passes,
 //!   quarantined banks are drained and avoided, and unverified jobs are
 //!   re-dispatched to healthy banks. The counters surface in
@@ -50,46 +50,44 @@
 // surface), which opts itself back in with a scoped `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod chaos;
+mod cache;
+mod chaos;
 mod classic;
-pub mod cputime;
-pub mod deps;
-pub mod events;
+mod cputime;
+mod deps;
+mod events;
 mod exec;
-pub mod health;
-pub mod job;
-pub mod notify;
+mod health;
+mod job;
+mod notify;
 mod options;
 mod parallel;
-pub mod queue;
+mod queue;
 mod report;
-pub mod sched;
+mod sched;
 mod session;
-pub mod stats;
-pub mod supervise;
+mod stats;
+mod supervise;
 pub mod sync;
 
 pub use cache::{CacheOptions, CacheStats};
-pub use chaos::{install_quiet_hook, ChaosAction, ChaosPanic, ChaosPlan, CrossingPoint};
+pub use chaos::{install_quiet_hook, ChaosAction, ChaosPlan, CrossingPoint};
 pub use coruscant_compiler::CompileOptions;
-pub use deps::{Binder, DepOutputs};
-pub use health::{BankState, HealthPolicy, HealthTracker, ProtectionPolicy};
-pub use job::{JobOutcome, PimJob, Placement};
+pub use health::{HealthPolicy, ProtectionPolicy};
+pub use job::{JobOutcome, Placement};
 pub use notify::JobNotice;
 pub use options::{BatchOptions, RuntimeError, RuntimeOptions, SchedMode};
-pub use queue::{JobQueue, Pop, PushError};
+pub use queue::PushError;
 pub use report::RuntimeReport;
-pub use sched::{BankScheduler, BatchGrouping, DispatchMode, IssuePolicy, IssuedBatch};
+pub use sched::{BatchGrouping, DispatchMode, IssuePolicy};
 pub use session::{ChainJob, ProgramSource, ResidentPin};
 pub use stats::{
     BankOccupancy, BatchStats, DomainStats, FaultStats, Histogram, PipelineStats, RuntimeStats,
     SchedStats,
 };
-pub use supervise::{
-    PoisonEntry, PoisonRegistry, PoisonReport, SuperviseOptions, SupervisionStats, WatchdogOptions,
-};
+pub use supervise::{SuperviseOptions, SupervisionStats, WatchdogOptions};
 
 use cache::{CachedCompile, ProgramCache};
 use classic::{ClassicCtx, ClassicSched};
@@ -100,7 +98,9 @@ use coruscant_mem::MemoryConfig;
 use deps::{GatedJob, GatedSource};
 use events::{Event, EventTrace};
 use exec::{worker_loop, WorkerCtx};
+use job::PimJob;
 use parallel::ParEngine;
+use queue::JobQueue;
 use report::{Replay, Retired, SchedulerOutput};
 use session::{AckMsg, CancelSet, Canceller, Gate, Submission, WorkMsg};
 use std::collections::HashSet;
@@ -108,6 +108,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use supervise::PoisonRegistry;
 use supervise::Supervisor;
 
 /// The request-serving engine. Create with [`Runtime::new`], feed it with
@@ -399,12 +400,6 @@ impl Runtime {
         std::mem::take(&mut *sync::lock(&self.retired))
     }
 
-    /// Serializable snapshot of the poison-job quarantine (empty when the
-    /// watchdog is disabled — the registry only exists under one).
-    pub fn poison_report(&self) -> PoisonReport {
-        self.poison.as_ref().map(|p| p.report()).unwrap_or_default()
-    }
-
     /// Refuses a program whose key the poison registry has quarantined:
     /// the key the job carries is the one the watchdog strikes.
     fn check_poison(&self, key: u64) -> Result<(), u64> {
@@ -483,26 +478,17 @@ impl Runtime {
         Ok(id)
     }
 
-    /// Submits without blocking. A refused program is dropped — clients
-    /// that want to retry keep their own clone. A program the compiler
-    /// rejects is submitted *unoptimized* (the error, if real, surfaces
-    /// at execution).
+    /// Submits without blocking, with an optional absolute queueing
+    /// deadline (see [`Runtime::submit_due`]). A refused program is
+    /// dropped — clients that want to retry keep their own clone. A
+    /// program the compiler rejects is submitted *unoptimized* (the error,
+    /// if real, surfaces at execution).
     ///
     /// # Errors
     ///
     /// [`PushError::Full`] when the queue is at capacity (shed load or
     /// retry), [`PushError::Closed`] after [`Runtime::finish`], or
     /// [`PushError::Poisoned`] for a quarantined program.
-    pub fn try_submit(&self, program: PimProgram, placement: Placement) -> Result<u64, PushError> {
-        self.try_submit_due(program, placement, None)
-    }
-
-    /// Like [`Runtime::try_submit`], with an absolute queueing deadline
-    /// (see [`Runtime::submit_due`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::try_submit`].
     pub fn try_submit_due(
         &self,
         program: PimProgram,
@@ -536,7 +522,7 @@ impl Runtime {
     /// Chain members bypass the on-enqueue compiler: their programs may
     /// read rows produced by predecessors or resident pins, which
     /// per-program dead-code analysis cannot see. Pre-optimize with
-    /// [`Compiler`](coruscant_compiler::Compiler) where that is safe.
+    /// [`Compiler`] where that is safe.
     ///
     /// Returns the member job ids, in chain order. Blocks while the
     /// queue is full.
@@ -929,11 +915,11 @@ mod tests {
         assert_eq!(parallel.queue_capacity(), 64);
         for _ in 0..64 {
             parallel
-                .try_submit(single_add_program(), Placement::Auto)
+                .try_submit_due(single_add_program(), Placement::Auto, None)
                 .expect("round-robin routing fills every injector");
         }
         assert_eq!(parallel.queue_len(), parallel.queue_capacity());
-        let refused = parallel.try_submit(single_add_program(), Placement::Auto);
+        let refused = parallel.try_submit_due(single_add_program(), Placement::Auto, None);
         assert!(matches!(refused, Err(PushError::Full)), "{refused:?}");
         assert_eq!(parallel.finish().unwrap().stats.jobs, 64);
     }
@@ -949,8 +935,6 @@ mod tests {
         for _ in 0..16 {
             rt.submit(single_add_program(), Placement::Auto).unwrap();
         }
-        let depth = rt.queue.max_depth();
-        assert!(depth <= 2, "bounded queue never exceeded capacity: {depth}");
         let report = rt.finish().unwrap();
         assert_eq!(report.stats.jobs, 16);
     }

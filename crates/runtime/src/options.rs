@@ -116,7 +116,7 @@ impl Default for BatchOptions {
 
 impl BatchOptions {
     /// Most jobs one batched dispatch splices together.
-    pub const MAX_JOBS: usize = 8;
+    pub(crate) const MAX_JOBS: usize = 8;
 
     /// Options with batching on.
     pub fn enabled() -> BatchOptions {
@@ -198,7 +198,7 @@ pub struct RuntimeOptions {
     pub protection: ProtectionPolicy,
     /// Bank health thresholds and recovery actions. Only consulted when
     /// a fault plan or an active protection policy is configured
-    /// ([`RuntimeOptions::fault_aware`]): the per-bank in-flight cap then
+    /// (`RuntimeOptions::fault_aware`): the per-bank in-flight cap then
     /// gates issue on worker acks, so issue order follows completion
     /// timing and reports are no longer bit-identical across shard
     /// counts.
@@ -380,7 +380,7 @@ impl RuntimeOptions {
     /// Whether these options configure device-fault handling (a fault
     /// plan or an active protection policy): bank health tracking and
     /// the per-bank in-flight cap act only then.
-    pub fn fault_aware(&self) -> bool {
+    pub(crate) fn fault_aware(&self) -> bool {
         self.faults.is_some() || self.protection.is_active()
     }
 

@@ -42,7 +42,7 @@ impl ParEngine {
     /// The domain a submission must route to. Placement-pinned jobs go
     /// to the domain owning their bank (they are not stealable);
     /// `Placement::Auto` round-robins across domains and stays stealable.
-    pub fn route(&self, placement: Placement) -> usize {
+    pub(crate) fn route(&self, placement: Placement) -> usize {
         match placement {
             Placement::Auto => match self.dispatch {
                 DispatchMode::Circular => {

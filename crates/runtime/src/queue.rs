@@ -1,10 +1,10 @@
 //! A bounded multi-producer job queue with backpressure.
 //!
-//! Clients submit [`PimJob`](crate::job::PimJob)s through the queue; the
-//! scheduler thread drains it. When the queue is full, [`JobQueue::push`]
+//! Clients submit `PimJob`s through the queue; the
+//! scheduler thread drains it. When the queue is full, `JobQueue::push`
 //! blocks the submitting client until the scheduler catches up — the
 //! backpressure that keeps an open-loop client from buffering unbounded
-//! work — while [`JobQueue::try_push`] refuses instead, for clients that
+//! work — while `JobQueue::try_push` refuses instead, for clients that
 //! would rather shed load.
 
 use crate::sync;
@@ -15,7 +15,7 @@ use std::time::Duration;
 /// A bounded blocking FIFO. `T` is the job type; the queue itself is
 /// generic so tests can drive it with plain integers.
 #[derive(Debug)]
-pub struct JobQueue<T> {
+pub(crate) struct JobQueue<T> {
     inner: Mutex<QueueState<T>>,
     /// Signaled when an item is popped (space available).
     space: Condvar,
@@ -28,8 +28,6 @@ pub struct JobQueue<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// High-water mark of the queue depth, for observability.
-    max_depth: usize,
     /// Monotonic count of [`JobQueue::kick`] calls. A popper that
     /// snapshots this before waiting can tell "an external event fired
     /// while I slept" apart from a plain timeout (see
@@ -40,7 +38,7 @@ struct QueueState<T> {
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
-    /// The queue is at capacity (only from [`JobQueue::try_push`]).
+    /// The queue is at capacity (only from `JobQueue::try_push`).
     Full,
     /// The queue was closed; no more work is accepted.
     Closed,
@@ -55,7 +53,7 @@ pub enum PushError {
 
 /// The outcome of a [`JobQueue::pop_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pop<T> {
+pub(crate) enum Pop<T> {
     /// An item was dequeued.
     Item(T),
     /// The timeout elapsed with the queue still empty (and open).
@@ -66,13 +64,12 @@ pub enum Pop<T> {
 
 impl<T> JobQueue<T> {
     /// Creates a queue holding at most `capacity` pending jobs.
-    pub fn new(capacity: usize) -> JobQueue<T> {
+    pub(crate) fn new(capacity: usize) -> JobQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         JobQueue {
             inner: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
-                max_depth: 0,
                 kicks: 0,
             }),
             space: Condvar::new(),
@@ -82,7 +79,7 @@ impl<T> JobQueue<T> {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -94,18 +91,13 @@ impl<T> JobQueue<T> {
     }
 
     /// Current queue depth.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state().items.len()
     }
 
     /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Deepest the queue has been.
-    pub fn max_depth(&self) -> usize {
-        self.state().max_depth
     }
 
     /// Enqueues a job, blocking while the queue is full (backpressure).
@@ -113,7 +105,7 @@ impl<T> JobQueue<T> {
     /// # Errors
     ///
     /// Returns [`PushError::Closed`] if the queue has been closed.
-    pub fn push(&self, item: T) -> Result<(), PushError> {
+    pub(crate) fn push(&self, item: T) -> Result<(), PushError> {
         let mut state = self.state();
         loop {
             if state.closed {
@@ -121,7 +113,6 @@ impl<T> JobQueue<T> {
             }
             if state.items.len() < self.capacity {
                 state.items.push_back(item);
-                state.max_depth = state.max_depth.max(state.items.len());
                 self.items.notify_one();
                 return Ok(());
             }
@@ -135,7 +126,7 @@ impl<T> JobQueue<T> {
     ///
     /// Returns [`PushError::Full`] at capacity, [`PushError::Closed`]
     /// after close.
-    pub fn try_push(&self, item: T) -> Result<(), PushError> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError> {
         let mut state = self.state();
         if state.closed {
             return Err(PushError::Closed);
@@ -144,31 +135,14 @@ impl<T> JobQueue<T> {
             return Err(PushError::Full);
         }
         state.items.push_back(item);
-        state.max_depth = state.max_depth.max(state.items.len());
         self.items.notify_one();
         Ok(())
-    }
-
-    /// Dequeues the next job, blocking while the queue is empty. Returns
-    /// `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.space.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = sync::wait(&self.items, state);
-        }
     }
 
     /// Dequeues with a bounded wait: blocks at most `timeout` while the
     /// queue is empty. The parallel domains pop their injectors this way,
     /// so an idle domain comes back to look for work to steal.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
+    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state();
         loop {
@@ -192,7 +166,7 @@ impl<T> JobQueue<T> {
     /// [`JobQueue::pop_kicked`]: any kick after the snapshot wakes the
     /// pop early, and any kick before it means the event was already
     /// visible to that processing pass — no wakeup is ever lost.
-    pub fn kicks(&self) -> u64 {
+    pub(crate) fn kicks(&self) -> u64 {
         self.state().kicks
     }
 
@@ -200,7 +174,7 @@ impl<T> JobQueue<T> {
     /// attention — workers kick after sending a completion ack so the
     /// scheduler's bounded pop returns immediately instead of sleeping
     /// out its timeout.
-    pub fn kick(&self) {
+    pub(crate) fn kick(&self) {
         let mut state = self.state();
         state.kicks = state.kicks.wrapping_add(1);
         drop(state);
@@ -211,7 +185,7 @@ impl<T> JobQueue<T> {
     /// [`Pop::Timeout`]) as soon as the kick count moves past
     /// `seen_kicks` — the event-driven wait that replaces fixed-interval
     /// polling in the scheduler loop.
-    pub fn pop_kicked(&self, timeout: Duration, seen_kicks: u64) -> Pop<T> {
+    pub(crate) fn pop_kicked(&self, timeout: Duration, seen_kicks: u64) -> Pop<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state();
         loop {
@@ -239,7 +213,7 @@ impl<T> JobQueue<T> {
     /// scheduler's work-stealing uses this to lift steal-eligible
     /// submissions out of a sibling domain's injector without disturbing
     /// pinned work.
-    pub fn steal_matching<F: Fn(&T) -> bool>(
+    pub(crate) fn steal_matching<F: Fn(&T) -> bool>(
         &self,
         pred: F,
         max: usize,
@@ -268,7 +242,7 @@ impl<T> JobQueue<T> {
 
     /// Dequeues every job currently available without blocking (the
     /// scheduler uses this to batch a burst into its bank FIFOs).
-    pub fn drain_ready(&self, into: &mut Vec<T>) {
+    pub(crate) fn drain_ready(&self, into: &mut Vec<T>) {
         let mut state = self.state();
         let had = !state.items.is_empty();
         into.extend(state.items.drain(..));
@@ -279,7 +253,7 @@ impl<T> JobQueue<T> {
 
     /// Closes the queue: pending jobs still drain, new pushes fail, and
     /// blocked poppers wake up.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state();
         state.closed = true;
         self.items.notify_all();
@@ -293,6 +267,10 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Long enough that a pop in these tests only returns with an item or
+    /// on a closed queue.
+    const WAIT: Duration = Duration::from_secs(10);
+
     #[test]
     fn fifo_order_preserved() {
         let q = JobQueue::new(8);
@@ -301,10 +279,9 @@ mod tests {
         }
         assert_eq!(q.len(), 5);
         for i in 0..5 {
-            assert_eq!(q.pop(), Some(i));
+            assert_eq!(q.pop_timeout(WAIT), Pop::Item(i));
         }
         assert!(q.is_empty());
-        assert_eq!(q.max_depth(), 5);
     }
 
     #[test]
@@ -313,7 +290,7 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full));
-        q.pop();
+        q.pop_timeout(WAIT);
         q.try_push(3).unwrap();
     }
 
@@ -324,8 +301,8 @@ mod tests {
         q.close();
         assert_eq!(q.push(2), Err(PushError::Closed));
         assert_eq!(q.try_push(2), Err(PushError::Closed));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_timeout(WAIT), Pop::Item(1));
+        assert_eq!(q.pop_timeout(WAIT), Pop::Closed);
     }
 
     #[test]
@@ -337,9 +314,9 @@ mod tests {
         // Give the producer time to block against the full queue.
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(q.len(), 1, "producer is blocked, not enqueued");
-        assert_eq!(q.pop(), Some(10));
+        assert_eq!(q.pop_timeout(WAIT), Pop::Item(10));
         producer.join().unwrap();
-        assert_eq!(q.pop(), Some(20));
+        assert_eq!(q.pop_timeout(WAIT), Pop::Item(20));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub(crate) struct Reorder<T> {
 }
 
 impl<T> Reorder<T> {
-    pub fn new() -> Reorder<T> {
+    pub(crate) fn new() -> Reorder<T> {
         Reorder {
             next: 0,
             parked: BTreeMap::new(),
@@ -53,7 +53,7 @@ impl<T> Reorder<T> {
     /// Settles `seq` and hands `sink` every item the watermark now
     /// passes, in seq order. The first settle of a seq wins: a late
     /// report of a seq already skipped (or already passed) is dropped.
-    pub fn settle(&mut self, seq: u64, mut item: Option<T>, mut sink: impl FnMut(T)) {
+    pub(crate) fn settle(&mut self, seq: u64, mut item: Option<T>, mut sink: impl FnMut(T)) {
         if seq != self.next {
             if seq > self.next {
                 self.parked.entry(seq).or_insert(item);
@@ -96,7 +96,11 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    pub fn new(config: &MemoryConfig, trace: Option<Arc<EventTrace>>, retired: Retired) -> Replay {
+    pub(crate) fn new(
+        config: &MemoryConfig,
+        trace: Option<Arc<EventTrace>>,
+        retired: Retired,
+    ) -> Replay {
         let per_bank = (0..config.banks).map(|bank| BankOccupancy {
             bank,
             ..BankOccupancy::default()
@@ -115,13 +119,13 @@ impl Replay {
     }
 
     /// Holds back the energy of chain `first..=last` (see [`Replay::push`]).
-    pub fn open_chain(&mut self, first: u64, last: u64) {
+    pub(crate) fn open_chain(&mut self, first: u64, last: u64) {
         self.chains.insert(first, (last, Vec::new()));
     }
 
     /// Charges every open chain that starts at or before `first`: one
     /// that lost a member to a cancellation never closes itself.
-    pub fn close_chains(&mut self, first: u64) {
+    pub(crate) fn close_chains(&mut self, first: u64) {
         while let Some(chain) = self.chains.first_entry().filter(|c| *c.key() <= first) {
             for energy_pj in chain.remove().1 {
                 self.timing.charge_energy(Cost::energy(energy_pj));
@@ -130,7 +134,7 @@ impl Replay {
     }
 
     /// Accounts one executed dispatch; call in ascending issue seq.
-    pub fn push(&mut self, c: Completion) {
+    pub(crate) fn push(&mut self, c: Completion) {
         let (stats, bank, out) = (&mut self.stats, c.unit.bank, c.out);
         let wait = self
             .timing

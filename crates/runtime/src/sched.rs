@@ -52,7 +52,7 @@ pub enum IssuePolicy {
 /// single job, or ≥2 same-unit jobs the batch fuser splices into one
 /// program.
 #[derive(Debug)]
-pub struct IssuedBatch {
+pub(crate) struct IssuedBatch {
     /// Issue sequence number (global, dense from 0) shared by the group.
     pub seq: u64,
     /// Member jobs, in FIFO order.
@@ -77,7 +77,7 @@ pub(crate) struct Placer {
 
 impl Placer {
     /// A placer whose cursor walks the units `owned` accepts.
-    pub fn new(
+    pub(crate) fn new(
         config: &MemoryConfig,
         dispatch: DispatchMode,
         owned: impl Fn(&DbcLocation) -> bool,
@@ -97,7 +97,7 @@ impl Placer {
     /// [`Placement::Fixed`] always, [`Placement::Unit`] and single-bank
     /// [`Placement::Auto`] unless `blocked`. `None` asks for a
     /// [`Placer::pick`].
-    pub fn named(
+    pub(crate) fn named(
         &self,
         placement: Placement,
         blocked: impl Fn(DbcLocation) -> bool,
@@ -115,7 +115,7 @@ impl Placer {
     /// land on consecutive banks, §V-C), skipping `excluded` units and —
     /// when the ring has alternatives — `avoid`'s bank. Falls back to
     /// plain circular order if every unit is skipped.
-    pub fn pick(
+    pub(crate) fn pick(
         &mut self,
         avoid: Option<usize>,
         excluded: impl Fn(DbcLocation) -> bool,
@@ -138,7 +138,7 @@ impl Placer {
     }
 }
 
-/// How [`BankScheduler::issue_next_batch_grouped`] collects the members
+/// How `BankScheduler::issue_next_batch_grouped` collects the members
 /// of a batched dispatch from a bank's FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchGrouping {
@@ -160,7 +160,7 @@ pub enum BatchGrouping {
 
 /// Per-bank FIFO queues plus the circular issue cursor.
 #[derive(Debug)]
-pub struct BankScheduler {
+pub(crate) struct BankScheduler {
     /// Each job beside the unit placement chose for it.
     fifos: Vec<VecDeque<(PimJob, DbcLocation)>>,
     /// Next bank the circular sweep starts from.
@@ -179,7 +179,7 @@ pub struct BankScheduler {
 
 impl BankScheduler {
     /// Creates a scheduler over `banks` bank queues.
-    pub fn new(banks: usize) -> BankScheduler {
+    pub(crate) fn new(banks: usize) -> BankScheduler {
         BankScheduler::with_seq_stride(banks, 0, 1)
     }
 
@@ -188,7 +188,7 @@ impl BankScheduler {
     /// `S` the stream `d, d+S, d+2S, …` so sequence numbers stay
     /// globally unique without a shared counter, and the merged drain
     /// can order completions by `seq` alone.
-    pub fn with_seq_stride(banks: usize, start: u64, stride: u64) -> BankScheduler {
+    pub(crate) fn with_seq_stride(banks: usize, start: u64, stride: u64) -> BankScheduler {
         assert!(stride > 0, "seq stride must be positive");
         BankScheduler {
             fifos: (0..banks).map(|_| VecDeque::new()).collect(),
@@ -202,25 +202,25 @@ impl BankScheduler {
     }
 
     /// Sets the within-bank issue order (builder style).
-    pub fn with_policy(mut self, policy: IssuePolicy) -> BankScheduler {
+    pub(crate) fn with_policy(mut self, policy: IssuePolicy) -> BankScheduler {
         self.policy = policy;
         self
     }
 
     /// Jobs enqueued but not yet issued.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending
     }
 
     /// The distribution of per-bank queue depths sampled at enqueue time.
-    pub fn depth_histogram(&self) -> &Histogram {
+    pub(crate) fn depth_histogram(&self) -> &Histogram {
         &self.depth_hist
     }
 
     /// Queues a job for `unit` on the unit's bank: at the back under
     /// [`IssuePolicy::Fifo`], or stably sorted by deadline under
     /// [`IssuePolicy::Edf`].
-    pub fn enqueue(&mut self, job: PimJob, unit: DbcLocation) {
+    pub(crate) fn enqueue(&mut self, job: PimJob, unit: DbcLocation) {
         let fifo = &mut self.fifos[unit.bank];
         let pos = match (self.policy, job.deadline) {
             (IssuePolicy::Fifo, _) | (IssuePolicy::Edf, None) => fifo.len(),
@@ -250,7 +250,7 @@ impl BankScheduler {
     /// empty program never shares a dispatch. With `max_jobs <= 1` every
     /// batch is a singleton, reproducing the unbatched issue order
     /// exactly.
-    pub fn issue_next_batch_grouped<F: FnMut(usize) -> bool>(
+    pub(crate) fn issue_next_batch_grouped<F: FnMut(usize) -> bool>(
         &mut self,
         max_jobs: usize,
         grouping: BatchGrouping,
@@ -310,7 +310,7 @@ impl BankScheduler {
     /// Removes and returns every queued job of `bank`, in FIFO order —
     /// used when a bank is quarantined and its backlog must be re-routed
     /// (which assigns each job a new unit).
-    pub fn drain_bank(&mut self, bank: usize) -> Vec<PimJob> {
+    pub(crate) fn drain_bank(&mut self, bank: usize) -> Vec<PimJob> {
         let drained: Vec<PimJob> = self.fifos[bank].drain(..).map(|(job, _)| job).collect();
         self.pending -= drained.len();
         drained

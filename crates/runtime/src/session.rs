@@ -97,7 +97,7 @@ pub(crate) enum Submission {
 }
 
 /// Where a chain member's program comes from (public mirror of the
-/// scheduler-side [`GatedSource`]).
+/// scheduler-side `GatedSource`).
 pub enum ProgramSource {
     /// The program is known at submission and is submitted verbatim —
     /// chain members bypass the on-enqueue compiler because their
@@ -151,7 +151,7 @@ pub(crate) struct Gate {
 }
 
 impl Gate {
-    pub fn new(paused: bool) -> Gate {
+    pub(crate) fn new(paused: bool) -> Gate {
         Gate {
             paused: Mutex::new(paused),
             cv: Condvar::new(),
@@ -159,7 +159,7 @@ impl Gate {
     }
 
     /// Blocks until the gate is open.
-    pub fn wait_open(&self) {
+    pub(crate) fn wait_open(&self) {
         let mut paused = sync::lock(&self.paused);
         while *paused {
             paused = sync::wait(&self.cv, paused);
@@ -167,7 +167,7 @@ impl Gate {
     }
 
     /// Opens the gate (idempotent).
-    pub fn open(&self) {
+    pub(crate) fn open(&self) {
         *sync::lock(&self.paused) = false;
         self.cv.notify_all();
     }
@@ -195,7 +195,7 @@ pub(crate) struct Canceller {
 }
 
 impl Canceller {
-    pub fn new(
+    pub(crate) fn new(
         set: CancelSet,
         notify: Option<mpsc::Sender<JobNotice>>,
         trace: Option<Arc<EventTrace>>,
@@ -214,7 +214,7 @@ impl Canceller {
     /// guard that keeps the per-job check off the hot path in the common
     /// (no-cancellation) case. Requests for retired jobs are forgotten
     /// here, so one that came too late cannot keep the guard up.
-    pub fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         let mut set = sync::lock(&self.set);
         if !set.is_empty() {
             set.retain(|id| !self.retired.contains(*id));
@@ -224,13 +224,13 @@ impl Canceller {
 
     /// Records that `job_id` retired: its final attempt came back, or it
     /// was dropped or abandoned.
-    pub fn retire(&mut self, job_id: u64) {
+    pub(crate) fn retire(&mut self, job_id: u64) {
         self.retired.insert(job_id);
     }
 
     /// If `job_id` was cancelled, consume the request, record the drop
     /// (notice + trace + counter) and return `true`.
-    pub fn drop_if_cancelled(&mut self, job_id: u64) -> bool {
+    pub(crate) fn drop_if_cancelled(&mut self, job_id: u64) -> bool {
         if !sync::lock(&self.set).remove(&job_id) {
             return false;
         }
@@ -244,7 +244,7 @@ impl Canceller {
     /// it dropped (so the dependency tracker can cascade their
     /// dependents). Checked at issue time so neither can ever occupy a
     /// bank, even between server sweeper wakeups.
-    pub fn filter_issue(&mut self, jobs: &mut Vec<PimJob>) -> Vec<u64> {
+    pub(crate) fn filter_issue(&mut self, jobs: &mut Vec<PimJob>) -> Vec<u64> {
         let armed = self.armed();
         if !armed && jobs.iter().all(|j| j.deadline.is_none()) {
             return Vec::new();
@@ -280,7 +280,7 @@ impl Canceller {
     /// Reports `job_id` as cancelled (trace + notice) without counting
     /// it: a dependency-gated job whose predecessor failed or was
     /// cancelled is counted in the pipeline stats, not `cancelled`.
-    pub fn drop_cascaded(&mut self, job_id: u64) {
+    pub(crate) fn drop_cascaded(&mut self, job_id: u64) {
         if let Some(trace) = &self.trace {
             trace.record(&Event::Cancelled { job: job_id });
         }

@@ -1,14 +1,14 @@
 //! Supervised executors: shard restart with backoff, the execution
 //! watchdog, and the poison-job quarantine.
 //!
-//! Each worker shard runs under a [`Supervisor`]. A shard that panics is
+//! Each worker shard runs under a `Supervisor`. A shard that panics is
 //! marked down, the scheduler re-places its in-flight dispatches from
 //! its own records, and a replacement worker is spawned after a bounded
 //! exponential backoff;
 //! a shard whose in-flight attempt exceeds its watchdog budget is
 //! replaced immediately (the stalled thread is detached and its late
 //! results discarded by sequence number). Programs whose attempts keep
-//! hanging are fingerprinted into a [`PoisonRegistry`]; after
+//! hanging are fingerprinted into a `PoisonRegistry`; after
 //! [`WatchdogOptions::poison_strikes`] strikes the fingerprint is
 //! quarantined and further submissions are refused at admission, so a
 //! pathological program cannot take the fleet down twice.
@@ -59,7 +59,7 @@ impl Default for SuperviseOptions {
 
 impl SuperviseOptions {
     /// The drain deadline as a [`Duration`].
-    pub fn drain_deadline(&self) -> Duration {
+    pub(crate) fn drain_deadline(&self) -> Duration {
         Duration::from_millis(self.drain_deadline_ms)
     }
 
@@ -143,31 +143,11 @@ pub struct SupervisionStats {
     pub workers_lost: u64,
 }
 
-/// One quarantined (or striking) program fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PoisonEntry {
-    /// Structural, placement-normalized program hash.
-    pub fingerprint: u64,
-    /// Hung attempts attributed to the fingerprint.
-    pub strikes: u32,
-    /// Whether the fingerprint crossed the quarantine threshold.
-    pub quarantined: bool,
-}
-
-/// Serializable snapshot of the poison-job quarantine.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PoisonReport {
-    /// Strikes at which a fingerprint is quarantined.
-    pub threshold: u32,
-    /// Every fingerprint with at least one strike, ascending.
-    pub entries: Vec<PoisonEntry>,
-}
-
 /// The poison-job quarantine: hung-attempt strikes per program
 /// fingerprint, shared between the scheduler (which records strikes) and
 /// the submit path (which refuses quarantined fingerprints).
 #[derive(Debug)]
-pub struct PoisonRegistry {
+pub(crate) struct PoisonRegistry {
     threshold: u32,
     strikes: Mutex<HashMap<u64, u32>>,
 }
@@ -175,7 +155,7 @@ pub struct PoisonRegistry {
 impl PoisonRegistry {
     /// A registry quarantining after `threshold` strikes (a zero
     /// threshold is clamped to 1 — quarantine on first strike).
-    pub fn new(threshold: u32) -> PoisonRegistry {
+    pub(crate) fn new(threshold: u32) -> PoisonRegistry {
         PoisonRegistry {
             threshold: threshold.max(1),
             strikes: Mutex::new(HashMap::new()),
@@ -184,7 +164,7 @@ impl PoisonRegistry {
 
     /// Records one hung attempt of `fingerprint`. Returns the new strike
     /// count and whether this strike crossed the quarantine threshold.
-    pub fn strike(&self, fingerprint: u64) -> (u32, bool) {
+    pub(crate) fn strike(&self, fingerprint: u64) -> (u32, bool) {
         let mut strikes = sync::lock(&self.strikes);
         let count = strikes.entry(fingerprint).or_insert(0);
         *count += 1;
@@ -192,37 +172,10 @@ impl PoisonRegistry {
     }
 
     /// Whether `fingerprint` is refused at admission.
-    pub fn is_quarantined(&self, fingerprint: u64) -> bool {
+    pub(crate) fn is_quarantined(&self, fingerprint: u64) -> bool {
         sync::lock(&self.strikes)
             .get(&fingerprint)
             .is_some_and(|&s| s >= self.threshold)
-    }
-
-    /// Fingerprints quarantined so far.
-    pub fn quarantined_count(&self) -> u64 {
-        let threshold = self.threshold;
-        sync::lock(&self.strikes)
-            .values()
-            .filter(|&&s| s >= threshold)
-            .count() as u64
-    }
-
-    /// Serializable snapshot, entries ascending by fingerprint.
-    pub fn report(&self) -> PoisonReport {
-        let strikes = sync::lock(&self.strikes);
-        let mut entries: Vec<PoisonEntry> = strikes
-            .iter()
-            .map(|(&fingerprint, &strikes)| PoisonEntry {
-                fingerprint,
-                strikes,
-                quarantined: strikes >= self.threshold,
-            })
-            .collect();
-        entries.sort_unstable_by_key(|e| e.fingerprint);
-        PoisonReport {
-            threshold: self.threshold,
-            entries,
-        }
     }
 }
 
@@ -284,7 +237,11 @@ pub(crate) struct Supervisor<T> {
 
 impl<T: Send + 'static> Supervisor<T> {
     /// Spawns `shards` workers through `factory` and supervises them.
-    pub fn new(shards: usize, options: SuperviseOptions, factory: Factory<T>) -> Supervisor<T> {
+    pub(crate) fn new(
+        shards: usize,
+        options: SuperviseOptions,
+        factory: Factory<T>,
+    ) -> Supervisor<T> {
         let slots = (0..shards)
             .map(|shard| {
                 let (tx, handle) = factory(shard, 0);
@@ -316,19 +273,19 @@ impl<T: Send + 'static> Supervisor<T> {
     /// dropped: the scheduler never issues to a shard it knows is down,
     /// and re-places everything a dead worker owed from its own
     /// in-flight records once the shard-down report arrives.
-    pub fn send(&self, shard: usize, msg: T) {
+    pub(crate) fn send(&self, shard: usize, msg: T) {
         if let Some(tx) = &sync::lock(&self.inner).slots[shard].tx {
             let _ = tx.send(msg);
         }
     }
 
     /// Whether `shard` is currently down or retired.
-    pub fn is_down(&self, shard: usize) -> bool {
+    pub(crate) fn is_down(&self, shard: usize) -> bool {
         !matches!(sync::lock(&self.inner).slots[shard].state, SlotState::Up)
     }
 
     /// Whether any shard is down or retired.
-    pub fn any_down(&self) -> bool {
+    pub(crate) fn any_down(&self) -> bool {
         sync::lock(&self.inner)
             .slots
             .iter()
@@ -336,7 +293,7 @@ impl<T: Send + 'static> Supervisor<T> {
     }
 
     /// The current incarnation of `shard`.
-    pub fn generation(&self, shard: usize) -> u64 {
+    pub(crate) fn generation(&self, shard: usize) -> u64 {
         sync::lock(&self.inner).slots[shard].generation
     }
 
@@ -346,7 +303,7 @@ impl<T: Send + 'static> Supervisor<T> {
     /// `false`, changing nothing, for a stale report: `generation`
     /// names an earlier incarnation, i.e. a late panic from an
     /// already-replaced worker.
-    pub fn mark_down(&self, shard: usize, generation: u64, cause: DownCause) -> bool {
+    pub(crate) fn mark_down(&self, shard: usize, generation: u64, cause: DownCause) -> bool {
         let mut inner = sync::lock(&self.inner);
         let slot = &mut inner.slots[shard];
         if generation != slot.generation || !matches!(slot.state, SlotState::Up) {
@@ -383,7 +340,7 @@ impl<T: Send + 'static> Supervisor<T> {
 
     /// Restarts every down shard whose backoff has elapsed. Returns what
     /// was restarted (for trace events and stats).
-    pub fn poll_restarts(&self) -> Vec<RestartEvent> {
+    pub(crate) fn poll_restarts(&self) -> Vec<RestartEvent> {
         let mut inner = sync::lock(&self.inner);
         let Some(factory) = inner.factory.take() else {
             return Vec::new();
@@ -415,7 +372,7 @@ impl<T: Send + 'static> Supervisor<T> {
 
     /// Stops supervision: drops the factory (no further restarts) and
     /// every live sender so workers drain their channels and exit.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut inner = sync::lock(&self.inner);
         inner.factory = None;
         for slot in &mut inner.slots {
@@ -425,7 +382,7 @@ impl<T: Send + 'static> Supervisor<T> {
 
     /// Detached worker threads that are still running (stalled).
     #[cfg(test)]
-    pub fn stalled_workers(&self) -> usize {
+    pub(crate) fn stalled_workers(&self) -> usize {
         sync::lock(&self.inner)
             .detached
             .iter()
@@ -436,7 +393,7 @@ impl<T: Send + 'static> Supervisor<T> {
     /// Joins every worker that finishes before `deadline`; threads still
     /// running at the deadline are abandoned. Returns the abandoned
     /// count.
-    pub fn join_all(&self, deadline: Instant) -> u64 {
+    pub(crate) fn join_all(&self, deadline: Instant) -> u64 {
         let handles: Vec<JoinHandle<()>> = {
             let mut inner = sync::lock(&self.inner);
             let mut handles: Vec<JoinHandle<()>> = inner
@@ -469,7 +426,7 @@ impl<T: Send + 'static> Supervisor<T> {
     }
 
     /// `(panics caught, restarts, shards retired)` so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (
             self.panics_caught.load(Ordering::Relaxed),
             self.restarts.load(Ordering::Relaxed),
@@ -619,30 +576,6 @@ mod tests {
         assert!(reg.is_quarantined(42));
         assert!(!reg.is_quarantined(7));
         reg.strike(7);
-        assert_eq!(reg.quarantined_count(), 1);
-        let report = reg.report();
-        assert_eq!(report.threshold, 3);
-        assert_eq!(report.entries.len(), 2);
-        assert_eq!(
-            report.entries[0],
-            PoisonEntry {
-                fingerprint: 7,
-                strikes: 1,
-                quarantined: false,
-            }
-        );
-        assert!(report.entries[1].quarantined);
-    }
-
-    #[test]
-    fn poison_report_round_trips_through_json() {
-        let reg = PoisonRegistry::new(2);
-        reg.strike(1);
-        reg.strike(1);
-        reg.strike(99);
-        let report = reg.report();
-        let back: PoisonReport = serde::json::from_str(&serde::json::to_string(&report)).unwrap();
-        assert_eq!(back, report);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::controller::Request;
 use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController, RowAddress};
 use coruscant_runtime::{
-    run_batch, DispatchMode, Histogram, JobOutcome, Placement, Runtime, RuntimeOptions,
-    RuntimeReport, RuntimeStats, SchedStats,
+    run_batch, ChainJob, DispatchMode, Histogram, JobOutcome, Placement, ProgramSource, Runtime,
+    RuntimeOptions, RuntimeReport, RuntimeStats, SchedStats,
 };
 
 /// Eight banks so circular dispatch has room to spread a burst.
@@ -213,6 +213,42 @@ fn event_trace_records_job_lifecycle() {
     }
     for line in lines {
         serde::json::parse(line).unwrap();
+    }
+}
+
+/// A dependency-gated job is traced as `Released` when its last
+/// predecessor retires: a three-member chain releases its second and
+/// third members, and its head (gated by nothing) is never released.
+#[test]
+fn event_trace_records_dependency_releases() {
+    let config = eight_bank_config();
+    let path = std::env::temp_dir().join("coruscant_runtime_acceptance_release_trace.jsonl");
+    let options = RuntimeOptions {
+        trace_path: Some(path.clone()),
+        ..RuntimeOptions::default()
+    };
+    let rt = Runtime::new(config, options).unwrap();
+    let member = |i: u64, after: Vec<usize>| ChainJob {
+        source: ProgramSource::Ready(add_job(i, 1)),
+        placement: Placement::Unit(i as usize),
+        after,
+    };
+    let ids = rt
+        .submit_chain(vec![
+            member(0, vec![]),
+            member(1, vec![0]),
+            member(2, vec![1]),
+        ])
+        .unwrap();
+    let report = rt.finish().unwrap();
+    assert_eq!(report.stats.jobs, 3);
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let released: Vec<&str> = text.lines().filter(|l| l.contains("Released")).collect();
+    assert_eq!(released.len(), 2, "{text}");
+    for (line, id) in released.iter().zip(&ids[1..]) {
+        assert!(line.contains(&format!("\"job\":{id}")), "{line}");
     }
 }
 

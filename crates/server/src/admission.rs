@@ -1,32 +1,25 @@
-//! Admission control: per-priority token buckets plus queue-depth load
-//! shedding.
+//! Admission control: per-priority queue-depth load shedding.
 //!
 //! The runtime's bounded submission queue already applies *backpressure*
 //! (blocking `submit`) — correct for cooperating batch producers, wrong
 //! for a serving frontend, where a slow consumer must shed excess load
 //! with a typed error the client can act on instead of stalling every
 //! caller. The controller here decides, per submission, whether to admit:
-//!
-//! 1. **Queue-depth shedding** — each [`Priority`] has a high-water
-//!    fraction of the runtime queue's capacity; submissions above it are
-//!    rejected with [`Rejected::Overload`]. Lower priorities shed first
-//!    (their fraction is lower), which keeps headroom for high-priority
-//!    traffic — the queue-depth signal is [`coruscant_runtime::Runtime::
-//!    queue_len`], the live counterpart of the depth histograms in
-//!    [`coruscant_runtime::RuntimeStats`].
-//! 2. **Token-bucket rate limiting** — an optional per-priority bucket
-//!    (sustained rate + burst); an empty bucket is also
-//!    [`Rejected::Overload`].
+//! each [`Priority`] has a high-water fraction of the runtime queue's
+//! capacity, and submissions above it are rejected with
+//! [`Rejected::Overload`]. Lower priorities shed first (their fraction is
+//! lower), which keeps headroom for high-priority traffic — the
+//! queue-depth signal is [`coruscant_runtime::Runtime::queue_len`], the
+//! live counterpart of the depth histograms in
+//! [`coruscant_runtime::RuntimeStats`].
 //!
 //! Admission control is **off by default**: a disabled controller admits
 //! everything and the server falls back to blocking backpressure, which
 //! preserves the runtime's bit-exact determinism (no timing-dependent
 //! accept/reject decisions).
 
-use std::time::Instant;
-
-/// A submission's scheduling class, used to pick its token bucket and
-/// shed threshold. Lower priorities are shed earlier under load.
+/// A submission's scheduling class, used to pick its shed threshold.
+/// Lower priorities are shed earlier under load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Latency-sensitive traffic; shed last.
@@ -58,8 +51,7 @@ impl Priority {
 #[non_exhaustive]
 pub enum Rejected {
     /// Shed by admission control: the queue is above the priority's
-    /// high-water mark, or its token bucket is empty. Retry after
-    /// backing off.
+    /// high-water mark. Retry after backing off.
     Overload,
     /// Shed by the weighted-fair QoS stage: the client is over its rate
     /// quota, or it is past its fair share while the queue is congested.
@@ -101,142 +93,47 @@ impl std::fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-/// One priority's token-bucket parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BucketConfig {
-    /// Sustained admissions per second.
-    pub rate_per_sec: f64,
-    /// Burst capacity (the bucket's fill ceiling, in tokens).
-    pub burst: f64,
-}
+/// Per-priority queue high-water marks as fractions of the runtime
+/// queue's capacity, indexed by [`Priority::index`]. A submission is shed
+/// when the live queue depth is at or above `ceil(fraction * capacity)`.
+/// High sheds only when the queue is truly full (1.0 disables depth
+/// shedding; the bounded queue itself still rejects with
+/// [`Rejected::QueueFull`]); Normal keeps a little headroom; Low keeps half
+/// the queue free.
+const SHED_AT: [f64; 3] = [1.0, 0.75, 0.5];
 
 /// Admission-controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdmissionOptions {
     /// Master switch. Disabled (the default) admits every submission and
     /// makes the server use blocking backpressure — the deterministic
-    /// mode. Enabled switches to non-blocking submission with shedding.
+    /// mode. Enabled switches to non-blocking submission with depth
+    /// shedding.
     pub enabled: bool,
-    /// Per-priority token buckets, indexed by [`Priority::index`];
-    /// `None` means unlimited rate for that priority.
-    pub buckets: [Option<BucketConfig>; 3],
-    /// Per-priority queue high-water marks as fractions of the runtime
-    /// queue's capacity, indexed by [`Priority::index`]. A submission is
-    /// shed when the live queue depth is at or above
-    /// `ceil(fraction * capacity)`. Values ≥ 1.0 disable depth shedding
-    /// for that priority (the bounded queue itself still rejects with
-    /// [`Rejected::QueueFull`]).
-    pub shed_at: [f64; 3],
-}
-
-impl Default for AdmissionOptions {
-    fn default() -> AdmissionOptions {
-        AdmissionOptions {
-            enabled: false,
-            buckets: [None; 3],
-            // High sheds only when the queue is truly full; Normal keeps
-            // a little headroom; Low keeps half the queue free.
-            shed_at: [1.0, 0.75, 0.5],
-        }
-    }
 }
 
 impl AdmissionOptions {
-    /// Options with the controller on at the default thresholds and no
-    /// rate limits.
+    /// Options with the controller on.
     pub fn enabled() -> AdmissionOptions {
-        AdmissionOptions {
-            enabled: true,
-            ..AdmissionOptions::default()
-        }
+        AdmissionOptions { enabled: true }
     }
 
-    /// Sets one priority's token bucket.
-    pub fn with_bucket(mut self, priority: Priority, bucket: BucketConfig) -> AdmissionOptions {
-        self.buckets[priority.index()] = Some(bucket);
-        self
-    }
-
-    /// Sets one priority's queue high-water fraction.
-    pub fn with_shed_at(mut self, priority: Priority, fraction: f64) -> AdmissionOptions {
-        self.shed_at[priority.index()] = fraction;
-        self
-    }
-}
-
-/// A classic token bucket, refilled lazily on each take.
-#[derive(Debug)]
-pub(crate) struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-    rate: f64,
-    burst: f64,
-}
-
-impl TokenBucket {
-    pub fn new(config: BucketConfig, now: Instant) -> TokenBucket {
-        TokenBucket {
-            tokens: config.burst,
-            last: now,
-            rate: config.rate_per_sec.max(0.0),
-            burst: config.burst.max(1.0),
-        }
-    }
-
-    /// Takes one token if available at `now`.
-    pub fn try_take(&mut self, now: Instant) -> bool {
-        let elapsed = now.saturating_duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + elapsed * self.rate).min(self.burst);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// The live admission controller (one per server, behind a mutex).
-#[derive(Debug)]
-pub(crate) struct AdmissionController {
-    options: AdmissionOptions,
-    buckets: [Option<TokenBucket>; 3],
-}
-
-impl AdmissionController {
-    pub fn new(options: AdmissionOptions, now: Instant) -> AdmissionController {
-        let buckets = options.buckets.map(|b| b.map(|c| TokenBucket::new(c, now)));
-        AdmissionController { options, buckets }
-    }
-
-    /// Whether the controller is active (inactive admits everything and
-    /// the server uses blocking backpressure instead).
-    pub fn enabled(&self) -> bool {
-        self.options.enabled
-    }
-
-    /// Decides one submission given the live queue depth.
-    pub fn admit(
-        &mut self,
+    /// Decides one submission given the live queue depth. Disabled
+    /// options admit everything (the server then uses blocking
+    /// backpressure instead).
+    pub(crate) fn admit(
+        &self,
         priority: Priority,
         queue_len: usize,
         queue_capacity: usize,
-        now: Instant,
     ) -> Result<(), Rejected> {
-        if !self.options.enabled {
+        if !self.enabled {
             return Ok(());
         }
-        let idx = priority.index();
-        let fraction = self.options.shed_at[idx];
+        let fraction = SHED_AT[priority.index()];
         if fraction < 1.0 {
             let high_water = (fraction * queue_capacity as f64).ceil() as usize;
             if queue_len >= high_water.max(1) {
-                return Err(Rejected::Overload);
-            }
-        }
-        if let Some(bucket) = &mut self.buckets[idx] {
-            if !bucket.try_take(now) {
                 return Err(Rejected::Overload);
             }
         }
@@ -247,86 +144,25 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn bucket_burst_then_refill() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(
-            BucketConfig {
-                rate_per_sec: 10.0,
-                burst: 2.0,
-            },
-            t0,
-        );
-        assert!(b.try_take(t0));
-        assert!(b.try_take(t0));
-        assert!(!b.try_take(t0), "burst exhausted");
-        // 100ms at 10/s refills exactly one token.
-        assert!(b.try_take(t0 + Duration::from_millis(100)));
-        assert!(!b.try_take(t0 + Duration::from_millis(100)));
-    }
-
-    #[test]
-    fn bucket_never_exceeds_burst() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(
-            BucketConfig {
-                rate_per_sec: 1000.0,
-                burst: 1.0,
-            },
-            t0,
-        );
-        // A long idle period still caps at `burst` tokens.
-        let later = t0 + Duration::from_secs(60);
-        assert!(b.try_take(later));
-        assert!(!b.try_take(later));
-    }
 
     #[test]
     fn disabled_controller_admits_everything() {
-        let now = Instant::now();
-        let mut c = AdmissionController::new(AdmissionOptions::default(), now);
+        let c = AdmissionOptions::default();
         for _ in 0..1000 {
-            assert!(c.admit(Priority::Low, 999, 16, now).is_ok());
+            assert!(c.admit(Priority::Low, 999, 16).is_ok());
         }
     }
 
     #[test]
     fn depth_shedding_is_priority_ordered() {
-        let now = Instant::now();
-        let mut c = AdmissionController::new(AdmissionOptions::enabled(), now);
+        let c = AdmissionOptions::enabled();
         // Depth 8 of 16: Low (high-water 8) sheds, Normal (12) and High
         // (disabled at 1.0) admit.
-        assert_eq!(c.admit(Priority::Low, 8, 16, now), Err(Rejected::Overload));
-        assert!(c.admit(Priority::Normal, 8, 16, now).is_ok());
-        assert!(c.admit(Priority::High, 8, 16, now).is_ok());
+        assert_eq!(c.admit(Priority::Low, 8, 16), Err(Rejected::Overload));
+        assert!(c.admit(Priority::Normal, 8, 16).is_ok());
+        assert!(c.admit(Priority::High, 8, 16).is_ok());
         // Depth 12: Normal sheds too; High still admits.
-        assert_eq!(
-            c.admit(Priority::Normal, 12, 16, now),
-            Err(Rejected::Overload)
-        );
-        assert!(c.admit(Priority::High, 12, 16, now).is_ok());
-    }
-
-    #[test]
-    fn rate_limit_rejects_when_bucket_empty() {
-        let now = Instant::now();
-        let options = AdmissionOptions::enabled().with_bucket(
-            Priority::Normal,
-            BucketConfig {
-                rate_per_sec: 0.0,
-                burst: 2.0,
-            },
-        );
-        let mut c = AdmissionController::new(options, now);
-        assert!(c.admit(Priority::Normal, 0, 16, now).is_ok());
-        assert!(c.admit(Priority::Normal, 0, 16, now).is_ok());
-        assert_eq!(
-            c.admit(Priority::Normal, 0, 16, now),
-            Err(Rejected::Overload)
-        );
-        // Other priorities are unaffected.
-        assert!(c.admit(Priority::High, 0, 16, now).is_ok());
+        assert_eq!(c.admit(Priority::Normal, 12, 16), Err(Rejected::Overload));
+        assert!(c.admit(Priority::High, 12, 16).is_ok());
     }
 }

@@ -114,7 +114,7 @@ pub(crate) struct Resolver {
 
 impl Resolver {
     /// Resolves the handle; returns `false` if it was already resolved.
-    pub fn resolve(&self, completion: Completion) -> bool {
+    pub(crate) fn resolve(&self, completion: Completion) -> bool {
         let mut state = sync::lock(&self.slot.state);
         if state.value.is_some() {
             return false;
@@ -239,15 +239,6 @@ impl ResultStream {
     pub fn next(&mut self) -> Option<Completion> {
         self.handles.pop_front().map(JobHandle::wait)
     }
-
-    /// The next member's completion if it is already resolved; `None`
-    /// when the stream is exhausted *or* the front member is pending.
-    pub fn try_next(&mut self) -> Option<Completion> {
-        if self.handles.front().is_some_and(JobHandle::is_done) {
-            return self.next();
-        }
-        None
-    }
 }
 
 impl Iterator for ResultStream {
@@ -316,15 +307,5 @@ mod tests {
         assert_eq!(stream.next().unwrap().unwrap().job_id, 0);
         assert_eq!(stream.next().unwrap().unwrap().job_id, 1);
         assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn try_next_does_not_block_on_pending_front() {
-        let (h0, _r0) = oneshot(0);
-        let (h1, r1) = oneshot(1);
-        r1.resolve(Ok(done(1)));
-        let mut stream = ResultStream::new(vec![h0, h1]);
-        assert!(stream.try_next().is_none(), "front is pending");
-        assert_eq!(stream.remaining(), 2);
     }
 }

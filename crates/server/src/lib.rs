@@ -13,11 +13,11 @@
 //!   [`std::future::Future`]s *and* blocking-waitable — no executor
 //!   required. [`Client::submit_stream`] submits a whole workload and
 //!   yields per-job results in submission order as they arrive.
-//! * **Admission control** — optional per-[`Priority`] token buckets and
-//!   queue-depth load shedding driven by the runtime's live queue-depth
-//!   signal, with typed [`Rejected`] errors. Disabled (the default) the
-//!   server blocks on the bounded queue instead — backpressure — and the
-//!   whole pipeline stays bit-deterministic versus direct runtime use.
+//! * **Admission control** — optional per-[`Priority`] queue-depth load
+//!   shedding driven by the runtime's live queue-depth signal, with
+//!   typed [`Rejected`] errors. Disabled (the default) the server blocks
+//!   on the bounded queue instead — backpressure — and the whole
+//!   pipeline stays bit-deterministic versus direct runtime use.
 //! * **Per-client QoS** — an optional weighted-fair (virtual-time WFQ)
 //!   stage after admission: submissions naming a client via
 //!   [`SubmitOptions::for_client`] draw on that client's weight and
@@ -43,12 +43,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
+mod admission;
 pub mod handle;
-pub mod stats;
+mod stats;
 
-pub use admission::{AdmissionOptions, BucketConfig, Priority, Rejected};
+pub use admission::{AdmissionOptions, Priority, Rejected};
 pub use handle::{Completion, JobDone, JobHandle, ResultStream, ServeError};
 pub use stats::ServerStats;
 
@@ -59,7 +60,6 @@ use coruscant_runtime::{
     Placement, PushError, ResidentPin, Runtime, RuntimeError, RuntimeOptions,
 };
 
-use admission::AdmissionController;
 use coruscant_qos::{FairQueue, QosOptions};
 use handle::Resolver;
 use stats::Counters;
@@ -200,7 +200,7 @@ struct Shared {
     /// `RwLock` so submitters share read access while drain is exclusive.
     runtime: RwLock<Option<Runtime>>,
     registry: Mutex<Registry>,
-    admission: Mutex<AdmissionController>,
+    admission: AdmissionOptions,
     qos: Mutex<FairQueue>,
     counters: Counters,
     accepting: AtomicBool,
@@ -526,7 +526,7 @@ impl Server {
         let shared = Arc::new(Shared {
             runtime: RwLock::new(Some(runtime)),
             registry: Mutex::new(Registry::default()),
-            admission: Mutex::new(AdmissionController::new(options.admission, Instant::now())),
+            admission: options.admission,
             qos: Mutex::new(FairQueue::new(options.qos)),
             counters: Counters::default(),
             accepting: AtomicBool::new(true),
@@ -697,14 +697,12 @@ impl Client {
             return Err(Rejected::Deadline);
         }
         let now = Instant::now();
-        let admission_on = {
-            let mut adm = sync::lock(&self.shared.admission);
-            if let Err(r) = adm.admit(options.priority, rt.queue_len(), rt.queue_capacity(), now) {
-                c.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(r);
-            }
-            adm.enabled()
-        };
+        let adm = self.shared.admission;
+        if let Err(r) = adm.admit(options.priority, rt.queue_len(), rt.queue_capacity()) {
+            c.rejected_overload.fetch_add(1, Ordering::Relaxed);
+            return Err(r);
+        }
+        let admission_on = adm.enabled;
         // The weighted-fair QoS stage runs after admission so priority
         // shedding still applies first; anonymous submissions (no client
         // name) bypass it, as do all submissions when QoS is off.
@@ -827,17 +825,13 @@ impl Client {
             c.rejected_closed.fetch_add(n, Ordering::Relaxed);
             return Err(Rejected::Closed);
         };
+        if let Err(r) = self
+            .shared
+            .admission
+            .admit(priority, rt.queue_len(), rt.queue_capacity())
         {
-            let mut adm = sync::lock(&self.shared.admission);
-            if let Err(r) = adm.admit(
-                priority,
-                rt.queue_len(),
-                rt.queue_capacity(),
-                Instant::now(),
-            ) {
-                c.rejected_overload.fetch_add(n, Ordering::Relaxed);
-                return Err(r);
-            }
+            c.rejected_overload.fetch_add(n, Ordering::Relaxed);
+            return Err(r);
         }
         let ids = match rt.submit_chain(chain) {
             Ok(ids) => ids,

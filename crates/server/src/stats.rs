@@ -112,7 +112,7 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    pub fn snapshot(&self, runtime: RuntimeStats, qos: QosStats) -> ServerStats {
+    pub(crate) fn snapshot(&self, runtime: RuntimeStats, qos: QosStats) -> ServerStats {
         ServerStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),

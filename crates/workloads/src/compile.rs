@@ -83,23 +83,6 @@ pub fn compile_matmul(a: &[Vec<u64>], b: &[Vec<u64>], config: &MemoryConfig) -> 
     Ok(program)
 }
 
-/// Folds a matmul program's per-element product rows into the scalar
-/// matrix (the horizontal reduction the row buffer performs on read-out).
-pub fn fold_products(outcome: &ProgramOutcome, n: usize) -> Vec<Vec<u64>> {
-    let mut c = vec![vec![0u64; n]; n];
-    for (label, lanes) in &outcome.outputs {
-        let inner: Vec<usize> = label
-            .trim_start_matches("c[")
-            .trim_end_matches(']')
-            .split("][")
-            .map(|s| s.parse().expect("label index"))
-            .collect();
-        let total: u64 = lanes[..n].iter().sum();
-        c[inner[0]][inner[1]] = total;
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,12 +105,13 @@ mod tests {
         let program = compile_matmul(&a, &b, &config).unwrap();
         assert_eq!(program.instruction_count(), n * n, "one mult per element");
         let outcome = execute(&program, &config).unwrap();
-        let c = fold_products(&outcome, n);
-        for i in 0..n {
-            for j in 0..n {
-                let want: u64 = (0..n).map(|k| a[i][k] * b[k][j]).sum();
-                assert_eq!(c[i][j], want, "C[{i}][{j}]");
-            }
+        assert_eq!(outcome.outputs.len(), n * n);
+        for (e, (label, lanes)) in outcome.outputs.iter().enumerate() {
+            let (i, j) = (e / n, e % n);
+            assert_eq!(label, &format!("c[{i}][{j}]"));
+            // The row buffer's read-out sums the element's product lanes.
+            let want: u64 = (0..n).map(|k| a[i][k] * b[k][j]).sum();
+            assert_eq!(lanes[..n].iter().sum::<u64>(), want, "C[{i}][{j}]");
         }
         assert!(outcome.device_cycles > 0);
         assert!(outcome.completion > 0);

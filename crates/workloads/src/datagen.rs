@@ -9,13 +9,13 @@ use rand::{Rng, SeedableRng};
 /// trace is replaced by Bernoulli bits, which preserves the query cost —
 /// the PIM operation count depends only on row counts, not bit values).
 #[derive(Debug, Clone)]
-pub struct BitGen {
+pub(crate) struct BitGen {
     rng: SmallRng,
 }
 
 impl BitGen {
     /// Creates a generator with a fixed seed.
-    pub fn new(seed: u64) -> BitGen {
+    pub(crate) fn new(seed: u64) -> BitGen {
         BitGen {
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -23,7 +23,7 @@ impl BitGen {
 
     /// Generates `bits` Bernoulli(`p`) bits packed little-endian into
     /// `u64` words (unused top bits zero).
-    pub fn bernoulli_words(&mut self, bits: usize, p: f64) -> Vec<u64> {
+    pub(crate) fn bernoulli_words(&mut self, bits: usize, p: f64) -> Vec<u64> {
         let words = bits.div_ceil(64);
         let mut out = vec![0u64; words];
         for i in 0..bits {
@@ -34,14 +34,9 @@ impl BitGen {
         out
     }
 
-    /// Generates `n` uniform values in `0..bound`.
-    pub fn uniform_values(&mut self, n: usize, bound: u64) -> Vec<u64> {
-        (0..n).map(|_| self.rng.random_range(0..bound)).collect()
-    }
-
     /// Generates an `n × n` matrix of small integers (for reference kernel
     /// runs).
-    pub fn matrix(&mut self, n: usize, bound: i64) -> Vec<Vec<i64>> {
+    pub(crate) fn matrix(&mut self, n: usize, bound: i64) -> Vec<Vec<i64>> {
         (0..n)
             .map(|_| (0..n).map(|_| self.rng.random_range(0..bound)).collect())
             .collect()
@@ -49,7 +44,7 @@ impl BitGen {
 }
 
 /// Counts the ones in a packed bit vector, honoring a bit-length limit.
-pub fn popcount_words(words: &[u64], bits: usize) -> u64 {
+pub(crate) fn popcount_words(words: &[u64], bits: usize) -> u64 {
     let mut total = 0u64;
     for (i, w) in words.iter().enumerate() {
         let remaining = bits.saturating_sub(i * 64);

@@ -8,7 +8,7 @@
 //!   male users were active in each of the last `w` weeks, over
 //!   synthetically generated user bitmaps, runnable functionally on the
 //!   CORUSCANT PIM DBCs and analytically on the DRAM PIM baselines.
-//! * [`datagen`] — deterministic synthetic-data helpers shared by the
+//! * `datagen` — deterministic synthetic-data helpers shared by the
 //!   workloads.
 //! * [`serve`] — the workloads expressed as jobs for the
 //!   `coruscant-runtime` request-serving engine: bitmap-query chunks and
@@ -16,10 +16,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bitmap;
 pub mod compile;
-pub mod datagen;
+mod datagen;
 pub mod memwall;
 pub mod polybench;
 pub mod serve;

@@ -1,16 +1,16 @@
 //! Serving the workloads through the execution runtime: the bitmap query
-//! and the matmul kernel expressed as [`PimProgram`] jobs submitted to
-//! [`coruscant_runtime::Runtime`].
+//! expressed as [`PimProgram`] jobs submitted to
+//! [`coruscant_runtime::Runtime`], and the program corpus (bitmap query
+//! chunks plus a compiled matmul) the compiler and batching suites verify.
 //!
 //! The bitmap query (§V-D) decomposes naturally into one job per
 //! DBC-width chunk of the bitmaps — a `(w + 1)`-operand bulk AND plus a
 //! result readout — and those chunks are exactly the independent
 //! bank-parallel work the paper's high-throughput dispatch overlaps
-//! (§V-C). The matmul front end submits one compiled program per matrix
-//! pair.
+//! (§V-C).
 
 use crate::bitmap::BitmapDataset;
-use crate::compile::{compile_matmul, fold_products, PimProgram, ProgramOutcome, Step};
+use crate::compile::{compile_matmul, PimProgram, Step};
 use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant_core::Result;
 use coruscant_mem::{DbcLocation, MemoryConfig, RowAddress};
@@ -27,8 +27,6 @@ const RESULT_ROW: usize = 20;
 
 /// A dense row-major matrix of 64-bit words.
 pub type Matrix = Vec<Vec<u64>>;
-/// One multiplicand pair for [`serve_matmul_batch`].
-pub type MatrixPair = (Matrix, Matrix);
 
 /// How the bitmap-query conjunction is emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -171,7 +169,7 @@ pub fn serve_bitmap_query(
 /// # Errors
 ///
 /// Propagates compilation and runtime errors.
-pub fn serve_bitmap_query_with(
+pub(crate) fn serve_bitmap_query_with(
     dataset: &BitmapDataset,
     w: usize,
     config: &MemoryConfig,
@@ -189,40 +187,6 @@ pub fn serve_bitmap_query_with(
         .map(|w| w.count_ones() as u64)
         .sum();
     Ok((count, report))
-}
-
-/// Runs a batch of `n × n` matrix multiplies through the runtime — one
-/// job per pair — and returns the result matrices (in input order) with
-/// the report.
-///
-/// # Errors
-///
-/// Propagates compilation and runtime errors.
-pub fn serve_matmul_batch(
-    pairs: &[MatrixPair],
-    config: &MemoryConfig,
-    options: RuntimeOptions,
-) -> std::result::Result<(Vec<Matrix>, RuntimeReport), RuntimeError> {
-    let programs = pairs
-        .iter()
-        .map(|(a, b)| compile_matmul(a, b, config))
-        .collect::<Result<Vec<_>>>()
-        .map_err(RuntimeError::Pim)?;
-    let report = run_batch(config, programs, options)?;
-    let results = report
-        .outcomes
-        .iter()
-        .zip(pairs)
-        .map(|(out, (a, _))| {
-            let outcome = ProgramOutcome {
-                outputs: out.outputs.clone(),
-                device_cycles: out.device_cycles,
-                completion: out.completion,
-            };
-            fold_products(&outcome, a.len())
-        })
-        .collect();
-    Ok((results, report))
 }
 
 /// A streamed serving run that could not deliver every member's result.
@@ -330,38 +294,6 @@ pub fn serve_bitmap_query_streamed(
         .map(|w| w.count_ones() as u64)
         .sum();
     Ok((count, stats))
-}
-
-/// [`serve_matmul_batch`] routed through the async serving frontend.
-///
-/// # Errors
-///
-/// Propagates compilation failures and [`serve_programs_streamed`]
-/// errors.
-pub fn serve_matmul_batch_streamed(
-    pairs: &[MatrixPair],
-    config: &MemoryConfig,
-    options: ServerOptions,
-) -> std::result::Result<(Vec<Matrix>, ServerStats), ServeStreamError> {
-    let programs = pairs
-        .iter()
-        .map(|(a, b)| compile_matmul(a, b, config))
-        .collect::<Result<Vec<_>>>()
-        .map_err(|e| ServeStreamError::Server(ServerError::Runtime(RuntimeError::Pim(e))))?;
-    let (results, stats) = serve_programs_streamed(config, programs, options)?;
-    let matrices = results
-        .iter()
-        .zip(pairs)
-        .map(|(done, (a, _))| {
-            let outcome = ProgramOutcome {
-                outputs: done.outputs.clone(),
-                device_cycles: 0,
-                completion: 0,
-            };
-            fold_products(&outcome, a.len())
-        })
-        .collect();
-    Ok((matrices, stats))
 }
 
 /// Every program the workload front ends emit, for the given config:
@@ -498,43 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn served_matmul_batch_matches_reference() {
-        let config = MemoryConfig::tiny();
-        let pairs: Vec<MatrixPair> = (0..4)
-            .map(|t| {
-                let n = 3;
-                let a = (0..n)
-                    .map(|i| {
-                        (0..n)
-                            .map(|j| ((t * 13 + i * 5 + j * 3) % 100) as u64)
-                            .collect()
-                    })
-                    .collect();
-                let b = (0..n)
-                    .map(|i| {
-                        (0..n)
-                            .map(|j| ((t * 11 + i * 7 + j * 2) % 100) as u64)
-                            .collect()
-                    })
-                    .collect();
-                (a, b)
-            })
-            .collect();
-        let (results, report) =
-            serve_matmul_batch(&pairs, &config, RuntimeOptions::default()).unwrap();
-        assert_eq!(report.stats.jobs, 4);
-        for (t, (a, b)) in pairs.iter().enumerate() {
-            let n = a.len();
-            for i in 0..n {
-                for j in 0..n {
-                    let want: u64 = (0..n).map(|k| a[i][k] * b[k][j]).sum();
-                    assert_eq!(results[t][i][j], want, "pair {t} C[{i}][{j}]");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn streamed_bitmap_query_matches_reference_and_balances() {
         let config = MemoryConfig::tiny();
         let ds = BitmapDataset::generate(1000, 4, 42);
@@ -551,30 +446,6 @@ mod tests {
         assert_eq!(stats.submitted, chunks);
         assert_eq!(stats.completed, chunks);
         assert!(stats.balanced(), "{stats:?}");
-    }
-
-    #[test]
-    fn streamed_matmul_matches_reference() {
-        let config = MemoryConfig::tiny();
-        let n = 3;
-        let a: Matrix = (0..n)
-            .map(|i| (0..n).map(|j| ((i * 5 + j * 3) % 100) as u64).collect())
-            .collect();
-        let b: Matrix = (0..n)
-            .map(|i| (0..n).map(|j| ((i * 7 + j * 11) % 100) as u64).collect())
-            .collect();
-        let pairs = vec![(a.clone(), b.clone()); 3];
-        let (results, stats) =
-            serve_matmul_batch_streamed(&pairs, &config, ServerOptions::default()).unwrap();
-        assert_eq!(stats.completed, 3);
-        for (t, result) in results.iter().enumerate() {
-            for i in 0..n {
-                for j in 0..n {
-                    let want: u64 = (0..n).map(|k| a[i][k] * b[k][j]).sum();
-                    assert_eq!(result[i][j], want, "pair {t} C[{i}][{j}]");
-                }
-            }
-        }
     }
 
     #[test]
