@@ -16,7 +16,7 @@
 use crate::{Pipeline, PipelineError, LANE};
 use coruscant_nn::tensor::Tensor3;
 use coruscant_runtime::ResidentPin;
-use coruscant_server::handle::Completion;
+use coruscant_server::Completion;
 use coruscant_server::{Client, JobHandle, Priority, Rejected, ResultStream, ServeError};
 use std::sync::Arc;
 

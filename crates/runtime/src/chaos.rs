@@ -10,8 +10,8 @@
 //! injected faults at any shard count, and a job's fate is a pure
 //! function of the seed and its id.
 //!
-//! Crossing points ([`CrossingPoint`]) name the places the runtime and
-//! server consult the plan:
+//! Crossing points ([`CrossingPoint`]) name the places the runtime
+//! consults the plan:
 //!
 //! * `WorkerStart` — a worker picked a dispatch up; it may panic before
 //!   executing, stall (sleep `stall_ms`, long enough for the watchdog to
@@ -21,8 +21,6 @@
 //!   the nastiest spot for exactly-once accounting.
 //! * `SchedulerAdmit` — the scheduler admitted a job; a small delay
 //!   shifts issue timing without killing anything.
-//! * `RouterNotice` — the server's completion router handled a notice; a
-//!   small delay widens the wait/expiry race window.
 //!
 //! Injected panics carry the `ChaosPanic` marker payload and are
 //! silenced by [`install_quiet_hook`] so soak campaigns don't spray
@@ -40,8 +38,6 @@ pub enum CrossingPoint {
     WorkerReport,
     /// The scheduler admitted a job from the submission queue.
     SchedulerAdmit,
-    /// The server's completion router handled a notice.
-    RouterNotice,
 }
 
 impl CrossingPoint {
@@ -52,7 +48,6 @@ impl CrossingPoint {
             CrossingPoint::WorkerStart => 0x5747_0001,
             CrossingPoint::WorkerReport => 0x5747_0002,
             CrossingPoint::SchedulerAdmit => 0x5747_0003,
-            CrossingPoint::RouterNotice => 0x5747_0004,
         }
     }
 }
@@ -77,7 +72,7 @@ pub enum ChaosAction {
 ///
 /// Rates are per-mille (‰, 0..=1000) per crossing. At `WorkerStart` the
 /// panic, stall, and delay ranges stack in that order; the report panic
-/// applies at `WorkerReport`; the admit/router delays at their points.
+/// applies at `WorkerReport`; the admit delay at `SchedulerAdmit`.
 /// All durations are integer milliseconds/microseconds so the plan
 /// serializes with the same round-trip guarantees as `FaultPlan`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,8 +89,6 @@ pub struct ChaosPlan {
     pub report_panic_permille: u16,
     /// ‰ of admitted jobs delayed `delay_us` inside the scheduler.
     pub admit_delay_permille: u16,
-    /// ‰ of router notices delayed `delay_us` inside the server.
-    pub router_delay_permille: u16,
     /// Stall duration in milliseconds. Configure it far above the
     /// watchdog budget so a stalled attempt is deterministically hung.
     pub stall_ms: u64,
@@ -114,7 +107,6 @@ impl ChaosPlan {
             delay_permille: 0,
             report_panic_permille: 0,
             admit_delay_permille: 0,
-            router_delay_permille: 0,
             stall_ms: 0,
             delay_us: 0,
         }
@@ -147,7 +139,6 @@ impl ChaosPlan {
             delay_permille: permille,
             report_panic_permille: permille / 2,
             admit_delay_permille: permille,
-            router_delay_permille: permille,
             stall_ms,
             delay_us,
             ..ChaosPlan::quiet(seed)
@@ -193,9 +184,6 @@ impl ChaosPlan {
             CrossingPoint::SchedulerAdmit => {
                 pick(&[(self.admit_delay_permille, ChaosAction::Delay)])
             }
-            CrossingPoint::RouterNotice => {
-                pick(&[(self.router_delay_permille, ChaosAction::Delay)])
-            }
         }
     }
 
@@ -214,7 +202,6 @@ impl ChaosPlan {
             || self.delay_permille > 0
             || self.report_panic_permille > 0
             || self.admit_delay_permille > 0
-            || self.router_delay_permille > 0
     }
 }
 
@@ -256,7 +243,6 @@ mod tests {
                     CrossingPoint::WorkerStart,
                     CrossingPoint::WorkerReport,
                     CrossingPoint::SchedulerAdmit,
-                    CrossingPoint::RouterNotice,
                 ] {
                     assert_eq!(
                         plan.decide(point, job, attempt),

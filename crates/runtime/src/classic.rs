@@ -16,13 +16,13 @@ use crate::chaos::ChaosPlan;
 use crate::cputime;
 use crate::deps::{DepTracker, Released};
 use crate::events::{Event, EventTrace};
-use crate::exec::{demux, Dispatcher};
+use crate::exec::{demux, resolve_attempt, Dispatcher};
+use crate::handle::ServeError;
 use crate::health::{HealthTracker, Transition};
 use crate::job::{PimJob, Placement};
-use crate::notify::JobNotice;
 use crate::options::RuntimeOptions;
 use crate::queue::{JobQueue, Pop};
-use crate::report::{Reorder, Replay, Retired, SchedProfile, SchedulerOutput};
+use crate::report::{Reorder, Replay, SchedProfile, SchedulerOutput};
 use crate::sched::{BankScheduler, IssuedBatch, Placer};
 use crate::session::{AckMsg, Canceller, Completion, Submission, WorkMsg};
 use crate::supervise::{DownCause, PoisonRegistry, Supervisor};
@@ -66,7 +66,6 @@ pub(crate) struct ClassicCtx {
     /// originates itself.
     pub next_id: Arc<AtomicU64>,
     pub poison: Option<Arc<PoisonRegistry>>,
-    pub retired: Retired,
 }
 
 /// The classic scheduler's state.
@@ -127,7 +126,7 @@ impl ClassicSched {
             deps: DepTracker::new(),
             residents: HashMap::new(),
             reorder: Reorder::new(),
-            replay: Replay::new(&ctx.config, ctx.trace.clone(), Arc::clone(&ctx.retired)),
+            replay: Replay::new(&ctx.config, ctx.trace.clone()),
             out: SchedulerOutput {
                 profile: SchedProfile {
                     per_shard_issued: vec![0; shards],
@@ -188,7 +187,7 @@ impl ClassicSched {
                 None => {
                     // Unknown residency: the job can never run.
                     self.out.cascaded += 1;
-                    self.ctx.canceller.drop_cascaded(job.id);
+                    self.ctx.canceller.drop_cascaded(job.id, job.done.as_ref());
                     self.finalize(job.id, true, &[]);
                     return;
                 }
@@ -214,8 +213,8 @@ impl ClassicSched {
     /// Released jobs join the ready list; cascade-failed jobs report as
     /// cancelled.
     fn process_released(&mut self, rel: Released) {
-        for id in rel.failed {
-            self.ctx.canceller.drop_cascaded(id);
+        for (id, done) in rel.failed {
+            self.ctx.canceller.drop_cascaded(id, done.as_ref());
         }
         self.ready.extend(rel.ready);
     }
@@ -242,7 +241,12 @@ impl ClassicSched {
             }
             Submission::Pin { res, unit_idx, job } => {
                 let unit = self.resolve(Placement::Unit(unit_idx));
-                self.residents.insert(res, (unit, job.clone()));
+                // The kept copy re-materializes as jobs of its own.
+                let pin = PimJob {
+                    done: None,
+                    ..job.clone()
+                };
+                self.residents.insert(res, (unit, pin));
                 self.out.pins += 1;
                 if let Some(trace) = &self.ctx.trace {
                     trace.record(&Event::ResidentPinned {
@@ -262,7 +266,7 @@ impl ClassicSched {
         // A cancellation that lands mid-pass is caught at issue time.
         let armed = self.ctx.canceller.armed();
         while let Some(job) = self.ready.pop_front() {
-            if armed && self.ctx.canceller.drop_if_cancelled(job.id) {
+            if armed && self.ctx.canceller.drop_if_cancelled(&job) {
                 self.finalize(job.id, true, &[]);
                 continue;
             }
@@ -421,14 +425,17 @@ impl ClassicSched {
                 // Per-member finality: a member re-dispatches if the
                 // dispatch failed verification and it has attempts left;
                 // otherwise this ack was its final attempt — the one the
-                // replay reports — and its gate (if any dependent waits)
+                // replay reports and its handle resolves to (if its worker
+                // could not tell) — and its gate (if any dependent waits)
                 // resolves now. Members and slots are in the same order.
                 let redispatch = !done.out.verified && self.options.protection.is_active();
+                let members = rec.jobs.len();
                 let slots = demux(&mut done.slots, &done.out.outputs);
                 for (member, (slot, outputs)) in rec.jobs.into_iter().zip(slots) {
                     let id = member.id;
                     slot.last = !(redispatch && self.redispatch(member, bank));
                     if slot.last {
+                        resolve_attempt(slot, outputs, &done.out, bank, members);
                         self.finalize(id, errored, outputs);
                     }
                 }
@@ -549,15 +556,20 @@ impl ClassicSched {
         }
     }
 
-    /// Gives up on one job: final-attempt bookkeeping, an `Abandoned`
-    /// notice for live consumers, and an errored finalize so dependents
-    /// cascade-cancel.
-    fn abandon_job(&mut self, id: u64, hung: bool) {
+    /// Gives up on one job: final-attempt bookkeeping, its handle
+    /// resolved `Hung` or `Crashed`, and an errored finalize so
+    /// dependents cascade-cancel.
+    fn abandon_job(&mut self, job: &PimJob, hung: bool) {
         self.out.supervision.abandoned_jobs += 1;
-        if let Some(tx) = &self.ctx.canceller.notify {
-            let _ = tx.send(JobNotice::Abandoned { job_id: id, hung });
+        let fate = if hung {
+            ServeError::Hung
+        } else {
+            ServeError::Crashed
+        };
+        if let Some(done) = &job.done {
+            done.resolve(|| Err(fate));
         }
-        self.finalize(id, true, &[]);
+        self.finalize(job.id, true, &[]);
     }
 
     /// Takes a worker shard down: marks it with the supervisor and
@@ -603,7 +615,7 @@ impl ClassicSched {
                     self.out.supervision.crash_redispatches += 1;
                     self.place(member);
                 } else {
-                    self.abandon_job(member.id, hung);
+                    self.abandon_job(&member, hung);
                 }
             }
         }
@@ -672,7 +684,7 @@ impl ClassicSched {
             self.inflight_per_bank[rec.bank] -= 1;
             self.reorder.settle(seq, None, |c| self.replay.push(c));
             for member in rec.jobs {
-                self.abandon_job(member.id, false);
+                self.abandon_job(&member, false);
             }
         }
         // Abandoning can only cascade-fail dependents (errored finals
@@ -680,7 +692,7 @@ impl ClassicSched {
         while self.sched.pending() > 0 {
             for bank in 0..self.inflight_per_bank.len() {
                 for queued in self.sched.drain_bank(bank) {
-                    self.abandon_job(queued.id, false);
+                    self.abandon_job(&queued, false);
                 }
             }
         }

@@ -10,6 +10,7 @@
 //! builds their program from the labeled outputs of their data
 //! dependencies (activation hand-off between pipeline stages).
 
+use crate::handle::Done;
 use crate::job::{PimJob, Placement};
 use crate::sync::IdSet;
 use coruscant_core::program::PimProgram;
@@ -45,12 +46,15 @@ pub(crate) struct GatedJob {
     /// Every job id that must reach a final attempt first (data
     /// dependencies included), sorted and deduplicated.
     pub after: Vec<u64>,
+    /// The member's completion slot, if it was served with one.
+    pub done: Option<Done>,
 }
 
 struct Waiter {
     source: GatedSource,
     placement: Placement,
     pending: HashSet<u64>,
+    done: Option<Done>,
 }
 
 /// What one tracker step set free.
@@ -59,8 +63,9 @@ pub(crate) struct Released {
     /// Jobs now ready to place, ascending id.
     pub ready: Vec<PimJob>,
     /// Jobs dropped by cascade (failed/cancelled predecessor or binder
-    /// failure), in discovery order. They never run.
-    pub failed: Vec<u64>,
+    /// failure), in discovery order, with their completion slots. They
+    /// never run.
+    pub failed: Vec<(u64, Option<Done>)>,
 }
 
 /// The scheduler-side dependency state machine.
@@ -108,7 +113,7 @@ impl DepTracker {
     fn admit_one(&mut self, job: GatedJob, out: &mut Released) {
         // A predecessor that already failed dooms the job outright.
         if job.after.iter().any(|d| self.retired.contains(2 * d + 1)) {
-            self.fail(job.id, out);
+            self.fail(job.id, job.done, out);
             return;
         }
         let pending: HashSet<u64> = job
@@ -126,13 +131,13 @@ impl DepTracker {
                 .iter()
                 .any(|d| self.retired.contains(2 * d) && !self.outputs.contains_key(d))
             {
-                self.fail(job.id, out);
+                self.fail(job.id, job.done, out);
                 return;
             }
         }
         self.register_watches(&job.source);
         if pending.is_empty() {
-            self.release(job.id, job.source, job.placement, out);
+            self.release(job.id, job.source, job.placement, job.done, out);
         } else {
             for d in &pending {
                 self.dependents.entry(*d).or_default().push(job.id);
@@ -143,6 +148,7 @@ impl DepTracker {
                     source: job.source,
                     placement: job.placement,
                     pending,
+                    done: job.done,
                 },
             );
             self.deferred += 1;
@@ -208,7 +214,7 @@ impl DepTracker {
         for w_id in ready_ids {
             let w = self.waiting.remove(&w_id).expect("ready ids are waiting");
             self.released += 1;
-            self.release(w_id, w.source, w.placement, &mut out);
+            self.release(w_id, w.source, w.placement, w.done, &mut out);
         }
         out
     }
@@ -224,15 +230,22 @@ impl DepTracker {
                     let dep_ids = dep_ids.clone();
                     self.unregister_watches(&dep_ids);
                 }
-                self.fail(id, &mut out);
+                self.fail(id, w.done, &mut out);
             }
         }
         out
     }
 
-    fn release(&mut self, id: u64, source: GatedSource, placement: Placement, out: &mut Released) {
-        match source {
-            GatedSource::Ready(job) => out.ready.push(job),
+    fn release(
+        &mut self,
+        id: u64,
+        source: GatedSource,
+        placement: Placement,
+        done: Option<Done>,
+        out: &mut Released,
+    ) {
+        let job = match source {
+            GatedSource::Ready(job) => job,
             GatedSource::Deferred { dep_ids, build } => {
                 let inputs: Vec<DepOutputs> = dep_ids
                     .iter()
@@ -240,19 +253,20 @@ impl DepTracker {
                     .collect();
                 self.unregister_watches(&dep_ids);
                 match build(&inputs) {
-                    Ok(program) => out.ready.push(PimJob::verbatim(id, program, placement)),
-                    Err(_) => self.fail(id, out),
+                    Ok(program) => PimJob::verbatim(id, program, placement),
+                    Err(_) => return self.fail(id, done, out),
                 }
             }
-        }
+        };
+        out.ready.push(PimJob { done, ..job });
     }
 
     /// Marks `id` failed and cascades to everything waiting on it.
-    fn fail(&mut self, id: u64, out: &mut Released) {
+    fn fail(&mut self, id: u64, done: Option<Done>, out: &mut Released) {
         self.retired.insert(2 * id);
         self.retired.insert(2 * id + 1);
         self.cascade_cancelled += 1;
-        out.failed.push(id);
+        out.failed.push((id, done));
         self.fail_dependents(id, out);
     }
 
@@ -266,7 +280,7 @@ impl DepTracker {
                     let dep_ids = dep_ids.clone();
                     self.unregister_watches(&dep_ids);
                 }
-                self.fail(w_id, out);
+                self.fail(w_id, w.done, out);
             }
         }
     }
@@ -287,7 +301,12 @@ mod tests {
             )),
             placement: Placement::Auto,
             after: after.to_vec(),
+            done: None,
         }
+    }
+
+    fn ids(failed: &[(u64, Option<Done>)]) -> Vec<u64> {
+        failed.iter().map(|(id, _)| *id).collect()
     }
 
     #[test]
@@ -318,7 +337,7 @@ mod tests {
         assert_eq!(rel.ready.len(), 1);
         let rel = t.on_final(0, true, &[]);
         assert!(rel.ready.is_empty());
-        assert_eq!(rel.failed, vec![1, 2]);
+        assert_eq!(ids(&rel.failed), [1, 2]);
         assert_eq!(t.cascade_cancelled, 2);
         assert!(t.is_empty());
     }
@@ -348,6 +367,7 @@ mod tests {
                 },
                 placement: Placement::Auto,
                 after: vec![0, 1],
+                done: None,
             },
         ];
         let rel = t.admit(chain);
@@ -375,13 +395,14 @@ mod tests {
                 },
                 placement: Placement::Auto,
                 after: vec![0],
+                done: None,
             },
             gated(2, &[1]),
         ];
         t.admit(chain);
         let rel = t.on_final(0, false, &[]);
         assert!(rel.ready.is_empty());
-        assert_eq!(rel.failed, vec![1, 2]);
+        assert_eq!(ids(&rel.failed), [1, 2]);
     }
 
     #[test]
@@ -389,7 +410,7 @@ mod tests {
         let mut t = DepTracker::new();
         t.admit(vec![gated(5, &[3])]);
         let rel = t.fail_all();
-        assert_eq!(rel.failed, vec![5]);
+        assert_eq!(ids(&rel.failed), [5]);
         assert!(t.is_empty());
     }
 

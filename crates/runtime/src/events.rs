@@ -57,6 +57,8 @@ pub(crate) enum Event {
         wait: u64,
         /// Modeled completion time (memory cycles).
         done: u64,
+        /// The executed dispatch attempt (0 = first placement).
+        attempt: u32,
     },
     /// A still-queued job was dropped by [`Runtime::cancel`](crate::Runtime::cancel);
     /// it never reached a bank and reports no outcome.
@@ -250,6 +252,7 @@ mod tests {
                 bank: 3,
                 wait: 0,
                 done: 21,
+                attempt: 0,
             });
         }
         let text = std::fs::read_to_string(&path).unwrap();

@@ -6,9 +6,9 @@ use crate::cache::BatchCache;
 use crate::chaos::{self, ChaosAction, ChaosPlan, CrossingPoint};
 use crate::cputime;
 use crate::events::{Event, EventTrace};
+use crate::handle::{JobDone, ServeError};
 use crate::health::ProtectionPolicy;
 use crate::job::{Binding, PimJob};
-use crate::notify::JobNotice;
 use crate::options::RuntimeOptions;
 use crate::queue::JobQueue;
 use crate::sched::IssuedBatch;
@@ -104,7 +104,7 @@ impl Dispatcher {
     /// The dispatch attempt `job_id` is on: verification re-dispatches
     /// and crash/hang re-placements share one axis (each restart of the
     /// job is a distinct attempt). This is the number the job's slot,
-    /// its notices, its chaos draws and its trace events all carry.
+    /// its handle, its chaos draws and its trace events all carry.
     pub(crate) fn attempt_of(&self, job_id: u64) -> u32 {
         self.redispatches_of(job_id) + self.crash_retries.get(&job_id).copied().unwrap_or(0)
     }
@@ -147,6 +147,7 @@ impl Dispatcher {
                 attempt: self.attempt_of(j.id),
                 redispatches: self.redispatches_of(j.id),
                 last: false,
+                done: j.done.clone(),
             })
             .collect();
         self.issued += 1;
@@ -194,7 +195,7 @@ fn take_retry(spent: &mut HashMap<u64, u32>, job_id: u64, max: u32) -> bool {
 
 /// Splits a dispatch's output stream back into per-member outputs.
 /// Readout counts were recorded at dispatch and passes neither remove
-/// nor reorder readouts, so the slices are exact — and live notices,
+/// nor reorder readouts, so the slices are exact — and handles,
 /// dependency gates and the final report all see the same bytes.
 /// `slots` may be shared or mutable borrows (the classic ack stage marks
 /// each slot final or not as it walks them).
@@ -212,29 +213,37 @@ pub(crate) fn demux<'a, S: std::borrow::Borrow<SlotMeta>>(
     })
 }
 
-/// The live [`JobNotice::Attempt`] of every member of an executed
-/// dispatch, in slot order.
-pub(crate) fn attempt_notices(
-    slots: &[SlotMeta],
+/// Whether no later attempt of `slot`'s job can follow this one: it
+/// verified, no protection policy (and so no re-dispatch) is active, or
+/// the re-dispatch budget is spent — by verification re-dispatches: a
+/// crash retry spends none of it.
+fn is_final(slot: &SlotMeta, out: &ExecOutcome, protection: ProtectionPolicy, max: u32) -> bool {
+    out.verified || !protection.is_active() || slot.redispatches >= max
+}
+
+/// Resolves the handle of a served member (if it has one) with what
+/// this attempt of it produced: its outputs, or the dispatch's error.
+pub(crate) fn resolve_attempt(
+    slot: &SlotMeta,
+    outputs: &[(String, Vec<u64>)],
     out: &ExecOutcome,
     bank: usize,
-    protection: ProtectionPolicy,
-    max_redispatch: u32,
-) -> Vec<JobNotice> {
-    demux(slots, &out.outputs)
-        .map(|(slot, outputs)| JobNotice::Attempt {
+    batch: usize,
+) {
+    let Some(done) = &slot.done else {
+        return;
+    };
+    done.resolve(|| match &out.error {
+        Some(e) => Err(ServeError::Exec(e.clone())),
+        None => Ok(JobDone {
             job_id: slot.job_id,
-            attempt: slot.attempt,
-            redispatches: slot.redispatches,
-            bank,
-            batch: slots.len() as u32,
             outputs: outputs.to_vec(),
-            error: out.error.clone(),
+            bank,
+            attempt: slot.attempt,
+            batch: batch as u32,
             verified: out.verified,
-            protection_active: protection.is_active(),
-            max_redispatch,
-        })
-        .collect()
+        }),
+    });
 }
 
 /// What one protected execution of a dispatch produced.
@@ -386,12 +395,14 @@ pub(crate) fn worker_loop(
                     return;
                 };
                 let slots = dispatch.slots;
-                if let Some(notify) = &options.notify {
-                    let max_redispatch = options.health.max_redispatch;
-                    for notice in
-                        attempt_notices(&slots, &out, unit.bank, exec.protection, max_redispatch)
-                    {
-                        let _ = notify.send(notice);
+                // Resolve what no re-dispatch can follow here, without
+                // waiting for the scheduler; a re-dispatch it then
+                // declines (a `Fixed` job) resolves when it marks the slot
+                // last.
+                let max_redispatch = options.health.max_redispatch;
+                for (slot, outputs) in demux(&slots, &out.outputs) {
+                    if is_final(slot, &out, exec.protection, max_redispatch) {
+                        resolve_attempt(slot, outputs, &out, unit.bank, slots.len());
                     }
                 }
                 send_ack(AckMsg::Job(Completion {
@@ -604,16 +615,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn attempt_notices_carry_the_slots_redispatch_count() {
-        let slot = |job_id, attempt, redispatches| SlotMeta {
-            job_id,
-            readouts: 1,
+    fn a_crash_retry_spends_no_redispatch_budget() {
+        let slot = |attempt, redispatches| SlotMeta {
+            job_id: 7,
+            readouts: 0,
             attempt,
             redispatches,
             last: false,
+            done: None,
         };
-        let out = ExecOutcome {
-            outputs: vec![("a".into(), vec![1]), ("b".into(), vec![2])],
+        let unverified = ExecOutcome {
+            outputs: Vec::new(),
             instr_costs: Vec::new(),
             error: None,
             replicas: 2,
@@ -622,23 +634,17 @@ mod tests {
             votes_overturned: 0,
             verified: false,
         };
-        // Job 4 crashed once and was re-dispatched once; job 5 was
-        // re-dispatched twice, which is the whole budget.
-        let slots = [slot(4, 2, 1), slot(5, 2, 2)];
         let policy = ProtectionPolicy::Reexecute { max_retries: 0 };
-        let notices = attempt_notices(&slots, &out, 3, policy, 2);
-        let seen: Vec<(u64, u32, u32, bool)> = notices
-            .iter()
-            .map(|notice| match notice {
-                JobNotice::Attempt {
-                    job_id,
-                    attempt,
-                    redispatches,
-                    ..
-                } => (*job_id, *attempt, *redispatches, notice.is_final()),
-                other => panic!("not an attempt: {other:?}"),
-            })
-            .collect();
-        assert_eq!(seen, [(4, 2, 1, false), (5, 2, 2, true)]);
+        let last =
+            |attempt, redispatches| is_final(&slot(attempt, redispatches), &unverified, policy, 2);
+        // Attempt 2 = one crash retry + one re-dispatch: the scheduler
+        // still has a re-dispatch to give, so the attempt is not final.
+        assert!(!last(2, 1));
+        // The same attempt number made of two re-dispatches is.
+        assert!(last(2, 2));
+        assert!(last(5, 2), "crash retries on top change nothing");
+        assert!(!last(0, 0));
+        let unprotected = ProtectionPolicy::None;
+        assert!(is_final(&slot(0, 0), &unverified, unprotected, 2));
     }
 }

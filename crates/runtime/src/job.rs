@@ -2,6 +2,7 @@
 //! reports back.
 
 use crate::cache;
+use crate::handle::Done;
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, RowAddress};
 use serde::Serialize;
@@ -69,7 +70,7 @@ impl Binding {
 }
 
 /// One unit of work: a program to run at some placement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct PimJob {
     /// Runtime-assigned id, returned by `submit`.
     pub id: u64,
@@ -94,6 +95,9 @@ pub(crate) struct PimJob {
     pub key: Option<u64>,
     /// Readouts the program contributes to its dispatch's output stream.
     pub readouts: usize,
+    /// A served job's completion slot, resolved where its fate is
+    /// decided; `None` for a job whose outcome the report carries.
+    pub done: Option<Done>,
 }
 
 impl PimJob {
@@ -109,6 +113,7 @@ impl PimJob {
             placement,
             deadline: None,
             key: None,
+            done: None,
         }
     }
 

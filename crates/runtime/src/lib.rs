@@ -30,8 +30,11 @@
 //!   replays them in issue order, so the modeled completion times are
 //!   exactly what sequential controller accounting produces: different
 //!   banks overlap, same-bank jobs serialize. The replay runs live, as
-//!   soon as every earlier issue has completed, so finished jobs' records
-//!   can be taken before `finish` ([`Runtime::take_outcomes`]).
+//!   soon as every earlier issue has completed, and drops what it passed.
+//! * **Serving** — [`Runtime::serve`] (and its chain and pin forms)
+//!   hands back a [`JobHandle`] that the runtime resolves where it
+//!   decides the job's fate: the attempt that finished it, a cancel or an
+//!   expiry, an abandonment (see [`handle`]).
 //! * **Observability** — serializable [`RuntimeStats`] with per-bank
 //!   occupancy, queue-depth and wait-time histograms, plus an optional
 //!   JSONL event trace.
@@ -59,9 +62,9 @@ mod cputime;
 mod deps;
 mod events;
 mod exec;
+pub mod handle;
 mod health;
 mod job;
-mod notify;
 mod options;
 mod parallel;
 mod queue;
@@ -75,11 +78,10 @@ pub mod sync;
 pub use cache::{CacheOptions, CacheStats};
 pub use chaos::{install_quiet_hook, ChaosAction, ChaosPlan, CrossingPoint};
 pub use coruscant_compiler::CompileOptions;
+pub use handle::{Completion, JobDone, JobHandle, Rejected, ServeError};
 pub use health::{HealthPolicy, ProtectionPolicy};
 pub use job::{JobOutcome, Placement};
-pub use notify::JobNotice;
 pub use options::{BatchOptions, RuntimeError, RuntimeOptions, SchedMode};
-pub use queue::PushError;
 pub use report::RuntimeReport;
 pub use sched::{BatchGrouping, DispatchMode, IssuePolicy};
 pub use session::{ChainJob, ProgramSource, ResidentPin};
@@ -98,10 +100,11 @@ use coruscant_mem::MemoryConfig;
 use deps::{GatedJob, GatedSource};
 use events::{Event, EventTrace};
 use exec::{worker_loop, WorkerCtx};
+use handle::Done;
 use job::PimJob;
 use parallel::ParEngine;
-use queue::JobQueue;
-use report::{Replay, Retired, SchedulerOutput};
+use queue::{JobQueue, PushError};
+use report::{Replay, SchedulerOutput};
 use session::{AckMsg, CancelSet, Canceller, Gate, Submission, WorkMsg};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +129,6 @@ pub struct Runtime {
     worker_busy: Arc<Vec<AtomicU64>>,
     // Parallel-mode engine state (`None` under `SchedMode::Classic`).
     par: Option<ParEngine>,
-    retired: Retired,
     trace: Option<Arc<EventTrace>>,
     shards: usize,
     protection: ProtectionPolicy,
@@ -152,7 +154,13 @@ struct Compiled {
 }
 
 impl Compiled {
-    fn into_job(self, id: u64, placement: Placement, deadline: Option<Instant>) -> PimJob {
+    fn into_job(
+        self,
+        id: u64,
+        placement: Placement,
+        deadline: Option<Instant>,
+        done: Option<Done>,
+    ) -> PimJob {
         PimJob {
             id,
             program: self.program,
@@ -160,6 +168,7 @@ impl Compiled {
             deadline,
             key: Some(self.key),
             readouts: self.readouts,
+            done,
         }
     }
 }
@@ -207,7 +216,6 @@ impl Runtime {
             supervisor: None,
             worker_busy: Arc::new(Vec::new()),
             par: None,
-            retired: Retired::default(),
             trace,
             protection: options.protection,
             supervise: options.supervise,
@@ -272,14 +280,9 @@ impl Runtime {
             supervisor: Arc::clone(&supervisor),
             ack_rx,
             trace: self.trace.clone(),
-            canceller: Canceller::new(
-                Arc::clone(&self.cancels),
-                options.notify.clone(),
-                self.trace.clone(),
-            ),
+            canceller: Canceller::new(Arc::clone(&self.cancels), self.trace.clone()),
             next_id: Arc::clone(&self.next_id),
             poison: self.poison.clone(),
-            retired: Arc::clone(&self.retired),
         };
         let gate = Arc::clone(&self.gate);
         self.supervisor = Some(supervisor);
@@ -376,8 +379,8 @@ impl Runtime {
     }
 
     /// Requests cancellation of a still-queued job. Best-effort: the
-    /// scheduler drops the job (and sends [`JobNotice::Cancelled`], if a
-    /// notice channel is configured) if it is still in the submission
+    /// scheduler drops the job (resolving its handle, if it was served,
+    /// [`ServeError::Cancelled`]) if it is still in the submission
     /// queue or a bank FIFO when the request is observed; a job already
     /// issued to a worker runs to completion and reports an outcome as
     /// usual. Cancelled jobs produce no [`JobOutcome`] and count in
@@ -385,19 +388,6 @@ impl Runtime {
     /// does nothing.
     pub fn cancel(&self, job_id: u64) {
         sync::lock(&self.cancels).insert(job_id);
-    }
-
-    /// Takes the records of every job that retired since the last call,
-    /// in issue order. A job retires once its final attempt and every
-    /// dispatch issued before it have completed, so a record is final
-    /// and carries its modeled times; an errored, cancelled or abandoned
-    /// job has none. Records taken here are left out of
-    /// [`RuntimeReport::outcomes`] — together they are every outcome of
-    /// the session, each once — and [`RuntimeStats`] counts them all the
-    /// same. Returns nothing under [`SchedMode::Parallel`], whose
-    /// accounting still runs at [`Runtime::finish`].
-    pub fn take_outcomes(&self) -> Vec<JobOutcome> {
-        std::mem::take(&mut *sync::lock(&self.retired))
     }
 
     /// Refuses a program whose key the poison registry has quarantined:
@@ -470,43 +460,61 @@ impl Runtime {
         self.check_poison(compiled.key)
             .map_err(|fingerprint| RuntimeError::Poisoned { fingerprint })?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.trace_submit(id, compiled.cache_hit);
-        let sub = Submission::Job(compiled.into_job(id, placement, deadline));
-        self.inlet(placement)
-            .push(sub)
+        let cache_hit = compiled.cache_hit;
+        let job = compiled.into_job(id, placement, deadline, None);
+        self.enqueue(job, cache_hit, true)
             .map_err(|_| RuntimeError::QueueClosed)?;
         Ok(id)
     }
 
-    /// Submits without blocking, with an optional absolute queueing
-    /// deadline (see [`Runtime::submit_due`]). A refused program is
-    /// dropped — clients that want to retry keep their own clone. A
-    /// program the compiler rejects is submitted *unoptimized* (the error,
+    /// Submits a job as [`Runtime::submit_due`] does and returns its
+    /// [`JobHandle`], which the runtime resolves where it decides the
+    /// job's fate (see [`handle`]); the job's outcome is then left out
+    /// of [`RuntimeReport::outcomes`]. Without `wait` the call never
+    /// blocks: a full queue refuses with [`Rejected::QueueFull`], and a
+    /// program the compiler rejects is submitted unoptimized (the error,
     /// if real, surfaces at execution).
     ///
     /// # Errors
     ///
-    /// [`PushError::Full`] when the queue is at capacity (shed load or
-    /// retry), [`PushError::Closed`] after [`Runtime::finish`], or
-    /// [`PushError::Poisoned`] for a quarantined program.
-    pub fn try_submit_due(
+    /// [`Rejected::QueueFull`], [`Rejected::Closed`] after
+    /// [`Runtime::finish`] (or, with `wait`, for a program the compiler
+    /// rejects), or [`Rejected::Poison`] for a quarantined program.
+    pub fn serve(
         &self,
         program: PimProgram,
         placement: Placement,
         deadline: Option<Instant>,
-    ) -> Result<u64, PushError> {
-        let compiled = self
-            .compile(program, placement)
-            .unwrap_or_else(|(_, unoptimized)| unoptimized);
+        wait: bool,
+    ) -> Result<JobHandle, Rejected> {
+        let compiled = match self.compile(program, placement) {
+            Ok(compiled) => compiled,
+            Err((_, unoptimized)) if !wait => unoptimized,
+            Err(_) => return Err(Rejected::Closed),
+        };
         if let Err(fingerprint) = self.check_poison(compiled.key) {
-            return Err(PushError::Poisoned { fingerprint });
+            return Err(Rejected::Poison { fingerprint });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let (handle, done) = handle::slot(id);
         let cache_hit = compiled.cache_hit;
-        let sub = Submission::Job(compiled.into_job(id, placement, deadline));
-        self.inlet(placement).try_push(sub)?;
-        self.trace_submit(id, cache_hit);
-        Ok(id)
+        let job = compiled.into_job(id, placement, deadline, Some(done));
+        self.enqueue(job, cache_hit, wait)?;
+        Ok(handle)
+    }
+
+    /// Pushes one job into its inlet — blocking while it is full, or
+    /// refusing without `wait` — and traces its submission.
+    fn enqueue(&self, job: PimJob, cache_hit: bool, wait: bool) -> Result<(), PushError> {
+        let (id, inlet) = (job.id, self.inlet(job.placement));
+        if wait {
+            self.trace_submit(id, cache_hit);
+            inlet.push(Submission::Job(job))
+        } else {
+            inlet.try_push(Submission::Job(job))?;
+            self.trace_submit(id, cache_hit);
+            Ok(())
+        }
     }
 
     /// Submits a dependency chain atomically: a group of jobs where each
@@ -533,6 +541,30 @@ impl Runtime {
     /// or after its own position (dependencies must point backwards), or
     /// [`RuntimeError::QueueClosed`] after [`Runtime::finish`].
     pub fn submit_chain(&self, chain: Vec<ChainJob>) -> Result<Vec<u64>, RuntimeError> {
+        self.push_chain(chain, false).map(|(ids, _)| ids)
+    }
+
+    /// Submits a dependency chain as [`Runtime::submit_chain`] does and
+    /// returns one [`JobHandle`] per member, in chain order (see
+    /// [`Runtime::serve`]). A member dropped because a predecessor
+    /// failed resolves [`ServeError::Cancelled`].
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected::Invalid`] for a malformed chain or under
+    /// [`SchedMode::Parallel`], [`Rejected::Closed`] after
+    /// [`Runtime::finish`].
+    pub fn serve_chain(&self, chain: Vec<ChainJob>) -> Result<Vec<JobHandle>, Rejected> {
+        Ok(self.push_chain(chain, true)?.1)
+    }
+
+    /// Validates and enqueues a chain, with a completion slot per member
+    /// when `served`; returns the member ids and their handles.
+    fn push_chain(
+        &self,
+        chain: Vec<ChainJob>,
+        served: bool,
+    ) -> Result<(Vec<u64>, Vec<JobHandle>), RuntimeError> {
         self.classic_only("dependency chains", "cross-domain gates are not sharded")?;
         for (i, member) in chain.iter().enumerate() {
             let bad = |what: &str, idx: usize| {
@@ -557,17 +589,16 @@ impl Runtime {
             .next_id
             .fetch_add(chain.len() as u64, Ordering::Relaxed);
         let ids: Vec<u64> = (0..chain.len() as u64).map(|i| base + i).collect();
+        let mut handles = Vec::new();
         let gated: Vec<GatedJob> = chain
             .into_iter()
-            .enumerate()
-            .map(|(i, member)| {
+            .zip(&ids)
+            .map(|(member, &id)| {
                 let mut after: Vec<u64> = member.after.iter().map(|&d| base + d as u64).collect();
                 let source = match member.source {
-                    ProgramSource::Ready(program) => GatedSource::Ready(PimJob::verbatim(
-                        base + i as u64,
-                        program,
-                        member.placement,
-                    )),
+                    ProgramSource::Ready(program) => {
+                        GatedSource::Ready(PimJob::verbatim(id, program, member.placement))
+                    }
                     ProgramSource::Deferred { deps, build } => {
                         let dep_ids: Vec<u64> = deps.iter().map(|&d| base + d as u64).collect();
                         after.extend(&dep_ids);
@@ -576,11 +607,14 @@ impl Runtime {
                 };
                 after.sort_unstable();
                 after.dedup();
+                let (handle, done) = served.then(|| handle::slot(id)).unzip();
+                handles.extend(handle);
                 GatedJob {
-                    id: base + i as u64,
+                    id,
                     source,
                     placement: member.placement,
                     after,
+                    done,
                 }
             })
             .collect();
@@ -590,7 +624,7 @@ impl Runtime {
         self.queue
             .push(Submission::Chain(gated))
             .map_err(|_| RuntimeError::QueueClosed)?;
-        Ok(ids)
+        Ok((ids, handles))
     }
 
     /// Submits one job gated on previously returned job ids: it is held
@@ -629,9 +663,10 @@ impl Runtime {
         self.queue
             .push(Submission::Chain(vec![GatedJob {
                 id,
-                source: GatedSource::Ready(compiled.into_job(id, placement, None)),
+                source: GatedSource::Ready(compiled.into_job(id, placement, None, None)),
                 placement,
                 after,
+                done: None,
             }]))
             .map_err(|_| RuntimeError::QueueClosed)?;
         Ok(id)
@@ -659,6 +694,32 @@ impl Runtime {
         program: PimProgram,
         unit_idx: usize,
     ) -> Result<ResidentPin, RuntimeError> {
+        self.push_pin(program, unit_idx, false).map(|(pin, _)| pin)
+    }
+
+    /// Pins weights resident as [`Runtime::pin_resident`] does and also
+    /// returns the pin job's [`JobHandle`] (see [`Runtime::serve`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected::Invalid`] under [`SchedMode::Parallel`],
+    /// [`Rejected::Closed`] after [`Runtime::finish`].
+    pub fn serve_pin(
+        &self,
+        program: PimProgram,
+        unit_idx: usize,
+    ) -> Result<(ResidentPin, JobHandle), Rejected> {
+        let (pin, handle) = self.push_pin(program, unit_idx, true)?;
+        Ok((pin, handle.expect("a served pin has a handle")))
+    }
+
+    /// Enqueues a pin job, with a completion slot when `served`.
+    fn push_pin(
+        &self,
+        program: PimProgram,
+        unit_idx: usize,
+        served: bool,
+    ) -> Result<(ResidentPin, Option<JobHandle>), RuntimeError> {
         self.classic_only(
             "resident pins",
             "residency is tracked by the single scheduler",
@@ -666,14 +727,15 @@ impl Runtime {
         let res = self.next_res.fetch_add(1, Ordering::Relaxed);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.trace_submit(id, false);
+        let (handle, done) = served.then(|| handle::slot(id)).unzip();
+        let job = PimJob {
+            done,
+            ..PimJob::verbatim(id, program, Placement::Resident(res))
+        };
         self.queue
-            .push(Submission::Pin {
-                res,
-                unit_idx,
-                job: PimJob::verbatim(id, program, Placement::Resident(res)),
-            })
+            .push(Submission::Pin { res, unit_idx, job })
             .map_err(|_| RuntimeError::QueueClosed)?;
-        Ok(ResidentPin { res, job: id })
+        Ok((ResidentPin { res, job: id }, handle))
     }
 
     /// Closes the queue, drains all pending work, joins the scheduler and
@@ -834,56 +896,45 @@ mod tests {
         }
     }
 
-    /// Blocks until `job`'s final attempt was noticed.
-    fn await_final(rx: &mpsc::Receiver<JobNotice>, job: u64) {
-        loop {
-            let notice = rx.recv().expect("the runtime holds a sender");
-            if notice.job_id() == job && notice.is_final() {
-                return;
-            }
-        }
-    }
-
     #[test]
     fn a_consumed_cancel_disarms_and_repeating_it_does_nothing() {
-        let (tx, rx) = mpsc::channel();
-        let options = RuntimeOptions::default().paused().with_notify(tx);
+        let options = RuntimeOptions::default().paused();
         let rt = Runtime::new(MemoryConfig::tiny(), options).unwrap();
-        let dropped = rt.submit(single_add_program(), Placement::Auto).unwrap();
+        let serve = || rt.serve(single_add_program(), Placement::Auto, None, true);
+        let dropped = serve().unwrap();
         let kept = rt.submit(single_add_program(), Placement::Auto).unwrap();
-        rt.cancel(dropped);
+        rt.cancel(dropped.id());
         assert!(!sync::lock(&rt.cancels).is_empty(), "armed");
         rt.resume();
-        await_final(&rx, dropped);
+        let dropped_id = dropped.id();
+        assert_eq!(dropped.wait(), Err(ServeError::Cancelled));
         assert!(
             sync::lock(&rt.cancels).is_empty(),
             "dropping the job consumed the request"
         );
         // The job is gone: cancelling it again finds nothing to drop, and
         // the next scheduling pass forgets the request.
-        rt.cancel(dropped);
-        let later = rt.submit(single_add_program(), Placement::Auto).unwrap();
-        await_final(&rx, later);
+        rt.cancel(dropped_id);
+        let later = serve().unwrap();
+        assert!(later.wait().is_ok());
         assert!(sync::lock(&rt.cancels).is_empty(), "disarmed again");
         let report = rt.finish().unwrap();
         assert_eq!(report.stats.cancelled, 1);
+        assert_eq!(report.stats.jobs, 2);
+        // A served job's outcome stays with its handle.
         let ids: Vec<u64> = report.outcomes.iter().map(|o| o.job_id).collect();
-        assert_eq!(ids, vec![kept, later]);
-        let cancelled = rx
-            .try_iter()
-            .filter(|n| matches!(n, JobNotice::Cancelled { .. }))
-            .count();
-        assert_eq!(cancelled, 0, "the one Cancelled notice was awaited above");
+        assert_eq!(ids, vec![kept]);
     }
 
     #[test]
     fn a_cancel_that_finds_its_job_already_run_is_forgotten() {
-        let (tx, rx) = mpsc::channel();
-        let options = RuntimeOptions::default().with_notify(tx);
-        let rt = Runtime::new(MemoryConfig::tiny(), options).unwrap();
-        let ran = rt.submit(single_add_program(), Placement::Auto).unwrap();
-        await_final(&rx, ran);
-        rt.cancel(ran);
+        let rt = Runtime::new(MemoryConfig::tiny(), RuntimeOptions::default()).unwrap();
+        let ran = rt
+            .serve(single_add_program(), Placement::Auto, None, true)
+            .unwrap();
+        let ran_id = ran.id();
+        assert!(ran.wait().is_ok());
+        rt.cancel(ran_id);
         // The scheduler forgets it on a pass after the job's ack; acks and
         // submissions wake it, and it never sleeps longer than 50 ms.
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
@@ -893,7 +944,7 @@ mod tests {
         }
         let report = rt.finish().unwrap();
         assert_eq!(report.stats.cancelled, 0);
-        assert_eq!(report.outcomes.len(), 1, "a job that ran reports as usual");
+        assert_eq!(report.stats.jobs, 1, "a job that ran reports as usual");
     }
 
     #[test]
@@ -913,15 +964,15 @@ mod tests {
         };
         let parallel = Runtime::new(config, options.with_sched_mode(SchedMode::Parallel)).unwrap();
         assert_eq!(parallel.queue_capacity(), 64);
-        for _ in 0..64 {
-            parallel
-                .try_submit_due(single_add_program(), Placement::Auto, None)
-                .expect("round-robin routing fills every injector");
-        }
+        let try_serve = || parallel.serve(single_add_program(), Placement::Auto, None, false);
+        let handles: Vec<JobHandle> = (0..64)
+            .map(|_| try_serve().expect("round-robin routing fills every injector"))
+            .collect();
         assert_eq!(parallel.queue_len(), parallel.queue_capacity());
-        let refused = parallel.try_submit_due(single_add_program(), Placement::Auto, None);
-        assert!(matches!(refused, Err(PushError::Full)), "{refused:?}");
+        let refused = try_serve();
+        assert!(matches!(refused, Err(Rejected::QueueFull)), "{refused:?}");
         assert_eq!(parallel.finish().unwrap().stats.jobs, 64);
+        assert!(handles.into_iter().all(|h| h.wait().is_ok()));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::cache::{BatchCache, CacheOptions};
 use crate::chaos::ChaosPlan;
 use crate::health::{HealthPolicy, ProtectionPolicy};
-use crate::notify::JobNotice;
 use crate::sched::{BatchGrouping, DispatchMode, IssuePolicy};
 use crate::supervise::{SuperviseOptions, WatchdogOptions};
 use coruscant_compiler::{CompileError, CompileOptions};
@@ -11,7 +10,6 @@ use coruscant_core::PimError;
 use coruscant_mem::FaultPlan;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::mpsc;
 
 #[cfg(doc)]
 use crate::{Placement, Runtime};
@@ -212,11 +210,6 @@ pub struct RuntimeOptions {
     /// Same-bank batch fusion: splice co-located queued jobs into one
     /// program and optimize across the boundary before dispatch.
     pub batch: BatchOptions,
-    /// When set, the runtime sends live [`JobNotice`]s here: one
-    /// [`JobNotice::Attempt`] per member job of every executed dispatch
-    /// (as banks retire them, before the job's outcome exists), and one
-    /// [`JobNotice::Cancelled`] per job dropped by [`Runtime::cancel`].
-    pub notify: Option<mpsc::Sender<JobNotice>>,
     /// Start with the scheduler gated: submitted jobs accumulate in the
     /// bounded queue and nothing is placed or issued until
     /// [`Runtime::resume`] (or [`Runtime::finish`], which opens the gate
@@ -258,7 +251,6 @@ impl Default for RuntimeOptions {
             faults: None,
             cache: CacheOptions::default(),
             batch: BatchOptions::default(),
-            notify: None,
             start_paused: false,
             supervise: SuperviseOptions::default(),
             watchdog: WatchdogOptions::default(),
@@ -331,13 +323,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn with_batch(mut self, batch: BatchOptions) -> RuntimeOptions {
         self.batch = batch;
-        self
-    }
-
-    /// Options with a live-completion notice channel, defaults elsewhere.
-    #[must_use]
-    pub fn with_notify(mut self, notify: mpsc::Sender<JobNotice>) -> RuntimeOptions {
-        self.notify = Some(notify);
         self
     }
 

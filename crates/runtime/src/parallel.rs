@@ -4,9 +4,9 @@
 use crate::chaos::ChaosPlan;
 use crate::cputime;
 use crate::events::{Event, EventTrace};
-use crate::exec::{attempt_notices, Dispatcher, Executor};
+use crate::exec::{demux, resolve_attempt, Dispatcher, Executor};
+use crate::handle::ServeError;
 use crate::job::{PimJob, Placement};
-use crate::notify::JobNotice;
 use crate::options::{RuntimeError, RuntimeOptions};
 use crate::queue::{JobQueue, Pop};
 use crate::sched::{BankScheduler, DispatchMode, IssuedBatch, Placer};
@@ -240,12 +240,14 @@ impl Domain {
                     Submission::Chain(chain) => {
                         for gated in chain {
                             self.out.dropped += 1;
-                            self.ctx.canceller.drop_cascaded(gated.id);
+                            self.ctx
+                                .canceller
+                                .drop_cascaded(gated.id, gated.done.as_ref());
                         }
                     }
                     Submission::Pin { job, .. } => {
                         self.out.dropped += 1;
-                        self.ctx.canceller.drop_cascaded(job.id);
+                        self.ctx.canceller.drop_cascaded(job.id, job.done.as_ref());
                     }
                 }
             }
@@ -255,7 +257,7 @@ impl Domain {
             //    mid-pass is caught at issue time).
             let armed = self.ctx.canceller.armed();
             for job in ready.drain(..) {
-                if armed && self.ctx.canceller.drop_if_cancelled(job.id) {
+                if armed && self.ctx.canceller.drop_if_cancelled(&job) {
                     continue;
                 }
                 self.place(job);
@@ -345,7 +347,7 @@ impl Domain {
                 // Pins are rejected under Parallel, so every residency
                 // is unknown: drop as cascaded, exactly like classic.
                 self.out.dropped += 1;
-                self.ctx.canceller.drop_cascaded(job.id);
+                self.ctx.canceller.drop_cascaded(job.id, job.done.as_ref());
                 return;
             }
             placement => self
@@ -358,9 +360,8 @@ impl Domain {
 
     /// Executes one issued dispatch inline on the domain's machine and
     /// does what the classic ack path does for it, as function calls:
-    /// coalesce the member notices into one channel send, re-dispatch
-    /// unverified members (marking every other member's attempt final),
-    /// and push the completion to the ring.
+    /// re-dispatch unverified members, mark every other member's attempt
+    /// final and resolve its handle, and push the completion to the ring.
     fn execute_dispatch(&mut self, issue: IssuedBatch, clock: &mut cputime::StageClock) {
         let mut dispatch = self.disp.prepare(&issue, self.ctx.domain);
         let IssuedBatch { seq, jobs, unit } = issue;
@@ -378,25 +379,16 @@ impl Domain {
             self.out.ack_micros += clock.lap();
             return;
         };
-        let protection = self.ctx.options.protection;
         let max_redispatch = self.ctx.options.health.max_redispatch;
-        if let Some(notify) = &self.ctx.options.notify {
-            let mut notices =
-                attempt_notices(&dispatch.slots, &out, bank, protection, max_redispatch);
-            // One channel send per dispatch: a batched notice for multi-
-            // member dispatches, the plain notice otherwise.
-            let _ = if notices.len() == 1 {
-                notify.send(notices.pop().expect("one notice"))
-            } else {
-                notify.send(JobNotice::Batch(notices))
-            };
-        }
-        let redispatch = protection.is_active() && !out.verified;
-        for (member, slot) in jobs.into_iter().zip(&mut dispatch.slots) {
+        let redispatch = self.ctx.options.protection.is_active() && !out.verified;
+        let members = jobs.len();
+        let slots = demux(&mut dispatch.slots, &out.outputs);
+        for (member, (slot, outputs)) in jobs.into_iter().zip(slots) {
             slot.last = !redispatch
                 || matches!(member.placement, Placement::Fixed(_))
                 || !self.disp.take_redispatch(member.id, max_redispatch);
             if slot.last {
+                resolve_attempt(slot, outputs, &out, bank, members);
                 self.ctx.canceller.retire(member.id);
                 continue;
             }
@@ -422,8 +414,8 @@ impl Domain {
     }
 
     /// Re-places one member whose attempt died in a chaos panic, bounded
-    /// by the crash-retry budget; over budget the job is abandoned with
-    /// a notice, exactly like classic supervision.
+    /// by the crash-retry budget; over budget the job is abandoned and
+    /// its handle resolves `Crashed`, exactly like classic supervision.
     fn crash_retry_or_abandon(&mut self, member: PimJob) {
         if self
             .disp
@@ -434,11 +426,8 @@ impl Domain {
         } else {
             self.out.abandoned_jobs += 1;
             self.ctx.canceller.retire(member.id);
-            if let Some(tx) = &self.ctx.options.notify {
-                let _ = tx.send(JobNotice::Abandoned {
-                    job_id: member.id,
-                    hung: false,
-                });
+            if let Some(done) = &member.done {
+                done.resolve(|| Err(ServeError::Crashed));
             }
         }
     }
@@ -507,11 +496,7 @@ impl Runtime {
                     ring: Arc::clone(&rings[d]),
                     gate: Arc::clone(&self.gate),
                     trace: self.trace.clone(),
-                    canceller: Canceller::new(
-                        Arc::clone(&self.cancels),
-                        options.notify.clone(),
-                        self.trace.clone(),
-                    ),
+                    canceller: Canceller::new(Arc::clone(&self.cancels), self.trace.clone()),
                     options: options.clone(),
                 };
                 std::thread::spawn(move || domain_loop(ctx))

@@ -35,20 +35,13 @@ struct QueueState<T> {
     kicks: u64,
 }
 
-/// Why a submission was refused.
+/// Why the queue refused an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
+pub(crate) enum PushError {
     /// The queue is at capacity (only from `JobQueue::try_push`).
     Full,
     /// The queue was closed; no more work is accepted.
     Closed,
-    /// The program's fingerprint is quarantined by the poison registry
-    /// (never returned by the queue itself — the runtime's
-    /// `try_submit` refuses the job before it reaches the queue).
-    Poisoned {
-        /// The quarantined structural program fingerprint.
-        fingerprint: u64,
-    },
 }
 
 /// The outcome of a [`JobQueue::pop_timeout`].

@@ -24,12 +24,8 @@ use coruscant_mem::{MemoryConfig, MemoryController, ScrubOutcome};
 use coruscant_racetrack::Cost;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Final outcomes retired by the replay and not yet taken through the
-/// [`Runtime`] handle.
-pub(crate) type Retired = Arc<Mutex<Vec<JobOutcome>>>;
 
 /// A seq-keyed reorder buffer: items settle in any order, and leave in
 /// ascending seq as a watermark advances over every contiguous settled
@@ -79,11 +75,12 @@ impl<T> Reorder<T> {
 /// serialize and distinct banks overlap. Every attempt (retries and
 /// re-dispatches included) is replayed, so wasted work honestly degrades
 /// the modeled throughput; only a member's *final* attempt becomes its
-/// reported outcome.
+/// reported outcome — kept for the report unless the job was served with
+/// a handle, which already holds its outputs.
 pub(crate) struct Replay {
     timing: MemoryController,
     trace: Option<Arc<EventTrace>>,
-    retired: Retired,
+    outcomes: Vec<JobOutcome>,
     /// `jobs`, `instructions`, `device_cycles`, `per_bank`, `wait` and
     /// the replay's fault counters; `assemble_report` fills in the rest.
     stats: RuntimeStats,
@@ -96,11 +93,7 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    pub(crate) fn new(
-        config: &MemoryConfig,
-        trace: Option<Arc<EventTrace>>,
-        retired: Retired,
-    ) -> Replay {
+    pub(crate) fn new(config: &MemoryConfig, trace: Option<Arc<EventTrace>>) -> Replay {
         let per_bank = (0..config.banks).map(|bank| BankOccupancy {
             bank,
             ..BankOccupancy::default()
@@ -108,7 +101,7 @@ impl Replay {
         Replay {
             timing: MemoryController::new(config.clone()),
             trace,
-            retired,
+            outcomes: Vec::new(),
             stats: RuntimeStats {
                 per_bank: per_bank.collect(),
                 ..RuntimeStats::default()
@@ -196,6 +189,7 @@ impl Replay {
                     bank,
                     wait,
                     done,
+                    attempt: slot.attempt,
                 });
             }
             // Moved, not copied: only a batch's later members allocate.
@@ -210,7 +204,10 @@ impl Replay {
             }
             stats.jobs += 1;
             stats.faults.unverified_jobs += u64::from(!out.verified);
-            sync::lock(&self.retired).push(JobOutcome {
+            if slot.done.is_some() {
+                continue;
+            }
+            self.outcomes.push(JobOutcome {
                 job_id: slot.job_id,
                 seq: c.seq,
                 unit: c.unit,
@@ -298,8 +295,9 @@ pub(crate) struct DrainedSession {
 /// The report a finished session produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
-    /// Per-job completion records, ordered by job id — those not already
-    /// taken with [`Runtime::take_outcomes`].
+    /// Per-job completion records, ordered by job id — of the jobs
+    /// submitted without a handle (a served job's handle holds its
+    /// outputs instead).
     pub outcomes: Vec<JobOutcome>,
     /// Aggregate statistics.
     pub stats: RuntimeStats,
@@ -414,7 +412,7 @@ impl Runtime {
         // Domain seqs are strided (`seq ≡ domain (mod domains)`), so a
         // plain sort restores one globally consistent issue order.
         completions.sort_by_key(|c| c.seq);
-        let mut replay = Replay::new(&self.config, self.trace.clone(), Arc::clone(&self.retired));
+        let mut replay = Replay::new(&self.config, self.trace.clone());
         for completion in completions {
             replay.push(completion);
         }
@@ -502,6 +500,7 @@ impl Runtime {
             mut timing,
             mut stats,
             error,
+            mut outcomes,
             ..
         } = replay;
         if let Some(err) = error {
@@ -517,7 +516,6 @@ impl Runtime {
         } else {
             (0, 0)
         };
-        let mut outcomes = self.take_outcomes();
         outcomes.sort_by_key(|o| o.job_id);
 
         let modeled_us = makespan as f64 * self.config.memory_cycle_ns / 1000.0;
@@ -579,7 +577,7 @@ impl Runtime {
 
 #[cfg(test)]
 mod tests {
-    use super::{Reorder, Replay, Retired};
+    use super::{Reorder, Replay};
     use crate::exec::ExecOutcome;
     use crate::session::{Completion, SlotMeta};
     use coruscant_mem::{DbcLocation, MemoryConfig};
@@ -606,7 +604,7 @@ mod tests {
     /// Replays one final attempt of each of `issued`, in that issue
     /// order, with chains A and B open; returns the session's energy.
     fn replayed(issued: &[u64]) -> f64 {
-        let mut replay = Replay::new(&MemoryConfig::tiny(), None, Retired::default());
+        let mut replay = Replay::new(&MemoryConfig::tiny(), None);
         replay.open_chain(10, 11);
         replay.open_chain(12, 13);
         for (seq, &id) in issued.iter().enumerate() {
@@ -625,6 +623,7 @@ mod tests {
                     attempt: 0,
                     redispatches: 0,
                     last: true,
+                    done: None,
                 }],
                 out: ExecOutcome {
                     outputs: Vec::new(),

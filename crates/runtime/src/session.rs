@@ -5,13 +5,13 @@
 use crate::deps::{Binder, GatedJob};
 use crate::events::{Event, EventTrace};
 use crate::exec::{Dispatch, ExecOutcome};
+use crate::handle::{Done, ServeError};
 use crate::job::{PimJob, Placement};
-use crate::notify::JobNotice;
 use crate::sync::{self, IdSet};
 use coruscant_core::program::PimProgram;
 use coruscant_mem::{DbcLocation, ScrubOutcome};
 use std::collections::HashSet;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 #[cfg(doc)]
@@ -19,8 +19,8 @@ use crate::{deps::GatedSource, job::JobOutcome, options::RuntimeOptions, Runtime
 
 /// One member job's share of a dispatched (possibly batched) program:
 /// identity, how many readouts it owns in the program's output stream,
-/// and which dispatch attempt this is for it.
-#[derive(Debug, Clone, Copy)]
+/// which dispatch attempt this is for it, and its completion slot.
+#[derive(Debug, Clone)]
 pub(crate) struct SlotMeta {
     pub job_id: u64,
     pub readouts: usize,
@@ -33,6 +33,8 @@ pub(crate) struct SlotMeta {
     /// Whether this is the member's final attempt: set by the engine
     /// when the attempt comes back and it does not re-dispatch.
     pub last: bool,
+    /// The member's completion slot, if it was served with one.
+    pub done: Option<Done>,
 }
 
 /// What the scheduler sends each worker.
@@ -175,10 +177,10 @@ impl Gate {
 
 /// The set of job ids whose cancellation was requested and not yet
 /// acted on. Cancellation is best-effort: the scheduler consults the set
-/// at placement and at issue time and drops matches (sending
-/// [`JobNotice::Cancelled`] and counting them); a job already dispatched
-/// to a worker always runs to completion. Either way the id leaves the
-/// set, so an empty set again means "nothing to check".
+/// at placement and at issue time and drops matches (resolving their
+/// handles [`ServeError::Cancelled`] and counting them); a job already
+/// dispatched to a worker always runs to completion. Either way the id
+/// leaves the set, so an empty set again means "nothing to check".
 pub(crate) type CancelSet = Arc<Mutex<HashSet<u64>>>;
 
 /// Shared bookkeeping for cancellation and expiry checks in both
@@ -187,7 +189,6 @@ pub(crate) struct Canceller {
     set: CancelSet,
     /// Jobs this engine retired: a request for one of them came too late.
     retired: IdSet,
-    pub notify: Option<mpsc::Sender<JobNotice>>,
     trace: Option<Arc<EventTrace>>,
     pub cancelled: u64,
     /// Jobs dropped at issue time because their deadline had passed.
@@ -195,15 +196,10 @@ pub(crate) struct Canceller {
 }
 
 impl Canceller {
-    pub(crate) fn new(
-        set: CancelSet,
-        notify: Option<mpsc::Sender<JobNotice>>,
-        trace: Option<Arc<EventTrace>>,
-    ) -> Canceller {
+    pub(crate) fn new(set: CancelSet, trace: Option<Arc<EventTrace>>) -> Canceller {
         Canceller {
             set,
             retired: IdSet::default(),
-            notify,
             cancelled: 0,
             expired: 0,
             trace,
@@ -228,14 +224,14 @@ impl Canceller {
         self.retired.insert(job_id);
     }
 
-    /// If `job_id` was cancelled, consume the request, record the drop
-    /// (notice + trace + counter) and return `true`.
-    pub(crate) fn drop_if_cancelled(&mut self, job_id: u64) -> bool {
-        if !sync::lock(&self.set).remove(&job_id) {
+    /// If `job` was cancelled, consume the request, record the drop
+    /// (trace + counter + handle) and return `true`.
+    pub(crate) fn drop_if_cancelled(&mut self, job: &PimJob) -> bool {
+        if !sync::lock(&self.set).remove(&job.id) {
             return false;
         }
         self.cancelled += 1;
-        self.drop_cascaded(job_id);
+        self.drop_cascaded(job.id, job.done.as_ref());
         true
     }
 
@@ -243,7 +239,7 @@ impl Canceller {
     /// queueing deadline has passed, keeping order, and returns the ids
     /// it dropped (so the dependency tracker can cascade their
     /// dependents). Checked at issue time so neither can ever occupy a
-    /// bank, even between server sweeper wakeups.
+    /// bank.
     pub(crate) fn filter_issue(&mut self, jobs: &mut Vec<PimJob>) -> Vec<u64> {
         let armed = self.armed();
         if !armed && jobs.iter().all(|j| j.deadline.is_none()) {
@@ -252,7 +248,7 @@ impl Canceller {
         let now = Instant::now();
         let mut dropped = Vec::new();
         jobs.retain(|j| {
-            let gone = (armed && self.drop_if_cancelled(j.id)) || self.drop_if_expired(j, now);
+            let gone = (armed && self.drop_if_cancelled(j)) || self.drop_if_expired(j, now);
             if gone {
                 dropped.push(j.id);
             }
@@ -261,8 +257,8 @@ impl Canceller {
         dropped
     }
 
-    /// If `job`'s deadline has passed, record the drop (notice + trace +
-    /// counter) and return `true`.
+    /// If `job`'s deadline has passed, record the drop (trace + counter
+    /// + handle) and return `true`.
     fn drop_if_expired(&mut self, job: &PimJob, now: Instant) -> bool {
         if job.deadline.is_none_or(|d| now < d) {
             return false;
@@ -271,21 +267,21 @@ impl Canceller {
         if let Some(trace) = &self.trace {
             trace.record(&Event::Expired { job: job.id });
         }
-        if let Some(tx) = &self.notify {
-            let _ = tx.send(JobNotice::Expired { job_id: job.id });
+        if let Some(done) = &job.done {
+            done.resolve(|| Err(ServeError::Expired));
         }
         true
     }
 
-    /// Reports `job_id` as cancelled (trace + notice) without counting
+    /// Reports `job_id` as cancelled (trace + handle) without counting
     /// it: a dependency-gated job whose predecessor failed or was
     /// cancelled is counted in the pipeline stats, not `cancelled`.
-    pub(crate) fn drop_cascaded(&mut self, job_id: u64) {
+    pub(crate) fn drop_cascaded(&mut self, job_id: u64, done: Option<&Done>) {
         if let Some(trace) = &self.trace {
             trace.record(&Event::Cancelled { job: job_id });
         }
-        if let Some(tx) = &self.notify {
-            let _ = tx.send(JobNotice::Cancelled { job_id });
+        if let Some(done) = done {
+            done.resolve(|| Err(ServeError::Cancelled));
         }
     }
 }

@@ -7,8 +7,8 @@ use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::controller::Request;
 use coruscant_mem::{DbcLocation, MemoryConfig, MemoryController, RowAddress};
 use coruscant_runtime::{
-    run_batch, ChainJob, DispatchMode, Histogram, JobOutcome, Placement, ProgramSource, Runtime,
-    RuntimeOptions, RuntimeReport, RuntimeStats, SchedStats,
+    run_batch, ChainJob, DispatchMode, Histogram, JobDone, JobOutcome, Placement, ProgramSource,
+    Runtime, RuntimeOptions, RuntimeReport, RuntimeStats, SchedStats,
 };
 
 /// Eight banks so circular dispatch has room to spread a burst.
@@ -268,11 +268,12 @@ fn explicit_placements_are_honored() {
     assert_eq!(report.outcomes[1].outputs[0].1, vec![7; 8]);
 }
 
-/// `Runtime::take_outcomes` partitions a session's outcomes: whatever
-/// the harvest points, taken ∪ reported is every outcome of the same
-/// session never harvested, each once, and the stats do not notice.
+/// Serving a job moves its outcome from the report to its handle and
+/// changes nothing else: whichever jobs of a session are served, their
+/// handles ∪ the report's outcomes hold the outputs of the same session
+/// served by nobody, each once, and the modeled stats do not notice.
 #[test]
-fn harvested_and_reported_outcomes_partition_the_session() {
+fn served_and_reported_outcomes_partition_the_session() {
     /// The stats minus what depends on thread timing: the scheduler's
     /// wall-clock profile and the FIFO depths seen at enqueue.
     fn modeled(mut stats: RuntimeStats) -> RuntimeStats {
@@ -293,39 +294,38 @@ fn harvested_and_reported_outcomes_partition_the_session() {
 
         let rt = Runtime::new(config.clone(), options()).unwrap();
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut taken: Vec<JobOutcome> = Vec::new();
-        let mut harvests = 0;
+        let mut handles = Vec::new();
         for i in 0..jobs {
-            rt.submit(add_job(i % 100, seed), Placement::Auto).unwrap();
-            // xorshift: harvest after about one submission in eight.
+            let program = add_job(i % 100, seed);
+            // xorshift: serve about one submission in eight.
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            if rng % 8 != 0 {
-                continue;
+            if rng % 8 == 0 {
+                handles.push(rt.serve(program, Placement::Auto, None, true).unwrap());
+            } else {
+                rt.submit(program, Placement::Auto).unwrap();
             }
-            // Something submitted is not taken yet, so it will retire.
-            let mut batch = rt.take_outcomes();
-            while batch.is_empty() {
-                std::thread::yield_now();
-                batch = rt.take_outcomes();
-            }
-            assert!(
-                batch.windows(2).all(|w| w[0].seq < w[1].seq),
-                "a harvest is in issue order"
-            );
-            taken.append(&mut batch);
-            harvests += 1;
         }
-        assert!(harvests > 10, "seed {seed}: {harvests} harvest points");
+        assert!(handles.len() > 10, "seed {seed}: {} served", handles.len());
         let report = rt.finish().unwrap();
-        assert!(
-            (report.outcomes.len() as u64) < jobs,
-            "taken outcomes are not reported again"
-        );
-        taken.extend(report.outcomes);
-        taken.sort_by_key(|o| o.job_id);
-        assert_eq!(taken, baseline.outcomes, "seed {seed}, shards {shards}");
+        assert_eq!(report.outcomes.len() + handles.len(), jobs as usize);
+        // What a handle would have resolved to, had the job been served.
+        let as_done = |o: JobOutcome| JobDone {
+            job_id: o.job_id,
+            outputs: o.outputs,
+            bank: o.bank,
+            attempt: o.attempt,
+            batch: o.batch,
+            verified: o.verified,
+        };
+        let mut seen: Vec<JobDone> = report.outcomes.into_iter().map(as_done).collect();
+        for handle in handles {
+            seen.push(handle.wait().expect("served jobs complete"));
+        }
+        seen.sort_by_key(|d| d.job_id);
+        let want: Vec<JobDone> = baseline.outcomes.into_iter().map(as_done).collect();
+        assert_eq!(seen, want, "seed {seed}, shards {shards}");
         assert_eq!(
             modeled(report.stats),
             modeled(baseline.stats),

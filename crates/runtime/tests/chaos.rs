@@ -4,9 +4,10 @@
 //! (worker panics, stalls, delays at named crossing points) and asserts
 //! the supervision contract:
 //!
-//! * **Exactly-once resolution** — every submitted job either appears in
-//!   the final report's outcomes or produced exactly one `Abandoned`
-//!   notice, never both, never neither, and never twice.
+//! * **Exactly-once resolution** — every submitted job's handle resolves
+//!   to outputs or to a typed abandonment, and the session's own
+//!   accounting agrees: as many final attempts as completed handles, as
+//!   many abandoned jobs as abandoned handles.
 //! * **Replayability** — two sessions with the same seed resolve the
 //!   same jobs to the same fates (and the same outputs for completions),
 //!   across shard counts.
@@ -18,11 +19,10 @@ use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, FaultPlan, MemoryConfig, RowAddress};
 use coruscant_racetrack::FaultConfig;
 use coruscant_runtime::{
-    install_quiet_hook, ChaosPlan, HealthPolicy, JobNotice, Placement, ProtectionPolicy, Runtime,
-    RuntimeOptions, SuperviseOptions, WatchdogOptions,
+    install_quiet_hook, ChaosPlan, HealthPolicy, Placement, ProtectionPolicy, Runtime,
+    RuntimeOptions, ServeError, SuperviseOptions, WatchdogOptions,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Eight banks so shard counts up to 8 each own at least one bank.
@@ -81,12 +81,13 @@ fn add_job(tag: u64) -> PimProgram {
 enum Fate {
     /// Completed with these outputs.
     Done(Vec<(String, Vec<u64>)>),
-    /// Abandoned by supervision (`hung` per the notice).
+    /// Abandoned by supervision (`hung`: as a hang, not a crash).
     Abandoned { hung: bool },
 }
 
 /// Runs one chaos campaign and returns every job's fate, keyed by id.
-/// Panics (failing the test) if any job resolved twice or not at all.
+/// Panics (failing the test) if a handle resolved to anything else, or
+/// if the session's accounting counts a job twice or not at all.
 fn run_campaign(
     shards: usize,
     plan: ChaosPlan,
@@ -94,39 +95,51 @@ fn run_campaign(
     options: RuntimeOptions,
 ) -> BTreeMap<u64, Fate> {
     install_quiet_hook();
-    let (tx, rx) = mpsc::channel::<JobNotice>();
     let runtime = Runtime::new(
         eight_bank_config(),
-        options.with_shards(shards).with_chaos(plan).with_notify(tx),
+        options.with_shards(shards).with_chaos(plan),
     )
     .expect("runtime starts");
-    let mut submitted = Vec::new();
-    for tag in 0..jobs {
-        let id = runtime
-            .submit(add_job(tag), Placement::Auto)
-            .expect("chaos never rejects at submit");
-        submitted.push(id);
-    }
+    let handles: Vec<_> = (0..jobs)
+        .map(|tag| {
+            let submitted = runtime.serve(add_job(tag), Placement::Auto, None, true);
+            submitted.expect("chaos never rejects at submit")
+        })
+        .collect();
     let report = runtime.finish().expect("supervised finish succeeds");
 
-    let mut fates: BTreeMap<u64, Fate> = BTreeMap::new();
-    for outcome in &report.outcomes {
-        let prev = fates.insert(outcome.job_id, Fate::Done(outcome.outputs.clone()));
-        assert!(prev.is_none(), "job {} completed twice", outcome.job_id);
-    }
-    for notice in rx.try_iter() {
-        if let JobNotice::Abandoned { job_id, hung } = notice {
-            let prev = fates.insert(job_id, Fate::Abandoned { hung });
-            assert!(
-                prev.is_none(),
-                "job {job_id} resolved twice: {prev:?} then abandoned"
-            );
-        }
-    }
-    for id in &submitted {
-        assert!(fates.contains_key(id), "job {id} never resolved");
-    }
-    assert_eq!(fates.len(), submitted.len(), "spurious resolutions");
+    let fates: BTreeMap<u64, Fate> = handles
+        .into_iter()
+        .map(|handle| {
+            let id = handle.id();
+            let fate = match handle.wait() {
+                Ok(done) => Fate::Done(done.outputs),
+                Err(ServeError::Hung) => Fate::Abandoned { hung: true },
+                Err(ServeError::Crashed) => Fate::Abandoned { hung: false },
+                Err(e) => panic!("job {id} resolved {e}"),
+            };
+            (id, fate)
+        })
+        .collect();
+    assert_eq!(fates.len() as u64, jobs, "one handle per job");
+    assert!(
+        report.outcomes.is_empty(),
+        "served outcomes stay with handles"
+    );
+    let done = fates
+        .values()
+        .filter(|f| matches!(f, Fate::Done(_)))
+        .count();
+    assert_eq!(
+        report.stats.jobs, done as u64,
+        "one final attempt per completion"
+    );
+    let abandoned = report.stats.supervision.abandoned_jobs;
+    assert_eq!(
+        abandoned,
+        jobs - done as u64,
+        "one abandonment per abandoned job"
+    );
     fates
 }
 
@@ -268,13 +281,9 @@ fn finish_returns_within_drain_deadline_despite_permanent_hang() {
 fn supervision_counters_reflect_injected_panics() {
     let plan = ChaosPlan::panics(0xFACADE, 200);
     install_quiet_hook();
-    let (tx, _rx) = mpsc::channel::<JobNotice>();
     let runtime = Runtime::new(
         eight_bank_config(),
-        campaign_options()
-            .with_shards(4)
-            .with_chaos(plan)
-            .with_notify(tx),
+        campaign_options().with_shards(4).with_chaos(plan),
     )
     .expect("runtime starts");
     for tag in 0..40 {
@@ -292,8 +301,9 @@ fn supervision_counters_reflect_injected_panics() {
 
 /// A dispatch has one attempt number — verification re-dispatches plus
 /// crash retries — and its `FaultDetected` trace event carries the same
-/// one as its `Attempt` notice, also for a job that was crash-retried
-/// before a protected attempt of it detected a device fault.
+/// one as the `Complete` record of its execution, also for a job that
+/// was crash-retried before a protected attempt of it detected a device
+/// fault.
 #[test]
 fn fault_detected_traces_the_attempt_that_was_issued() {
     install_quiet_hook();
@@ -301,7 +311,6 @@ fn fault_detected_traces_the_attempt_that_was_issued() {
     let mut after_crash_retry = 0;
     for seed in 0..4u64 {
         let path = std::env::temp_dir().join(format!("coruscant_chaos_attempts_{seed}.jsonl"));
-        let (tx, rx) = mpsc::channel::<JobNotice>();
         let options = RuntimeOptions {
             trace_path: Some(path.clone()),
             ..campaign_options()
@@ -321,8 +330,7 @@ fn fault_detected_traces_the_attempt_that_was_issued() {
                     suspect_after: 10_000,
                     quarantine_after: 100_000,
                     ..HealthPolicy::default()
-                })
-                .with_notify(tx),
+                }),
         )
         .expect("runtime starts");
         for tag in 0..64 {
@@ -330,19 +338,12 @@ fn fault_detected_traces_the_attempt_that_was_issued() {
         }
         runtime.finish().expect("supervised finish succeeds");
 
-        // Attempts that executed, as their notices number them (an
-        // attempt that died in a chaos panic sends none).
-        let executed: HashSet<(u64, u64)> = rx
-            .try_iter()
-            .filter_map(|notice| match notice {
-                JobNotice::Attempt {
-                    job_id, attempt, ..
-                } => Some((job_id, u64::from(attempt))),
-                _ => None,
-            })
-            .collect();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        // Attempts that executed, as the replay numbers them (an attempt
+        // that died in a chaos panic is never accounted).
+        let mut executed: HashSet<(u64, u64)> = HashSet::new();
+        let mut faults: Vec<(u64, u64, u64)> = Vec::new();
         let mut redispatches: HashMap<u64, u64> = HashMap::new();
         for line in text.lines() {
             let serde::json::Value::Object(event) = serde::json::parse(line).unwrap() else {
@@ -357,18 +358,27 @@ fn fault_detected_traces_the_attempt_that_was_issued() {
             };
             match kind.as_str() {
                 "Redispatch" => *redispatches.entry(field("job")).or_insert(0) += 1,
+                "Complete" => {
+                    executed.insert((field("job"), field("attempt")));
+                }
                 "FaultDetected" => {
                     let (job, attempt) = (field("job"), field("attempt"));
-                    assert!(
-                        executed.contains(&(job, attempt)),
-                        "seed {seed}: job {job} traced a fault on attempt {attempt}, \
-                         which never executed"
-                    );
-                    if attempt > redispatches.get(&job).copied().unwrap_or(0) {
-                        after_crash_retry += 1;
-                    }
+                    let redispatched = redispatches.get(&job).copied().unwrap_or(0);
+                    faults.push((job, attempt, redispatched));
                 }
                 _ => {}
+            }
+        }
+        // The replay may account an attempt after later events, so the
+        // check waits for the whole trace.
+        for (job, attempt, redispatched) in faults {
+            assert!(
+                executed.contains(&(job, attempt)),
+                "seed {seed}: job {job} traced a fault on attempt {attempt}, \
+                 which never executed"
+            );
+            if attempt > redispatched {
+                after_crash_retry += 1;
             }
         }
     }
@@ -382,8 +392,8 @@ fn fault_detected_traces_the_attempt_that_was_issued() {
 /// supervisor gave up reports no outcome — also when an earlier,
 /// unverified attempt of it had completed before it was re-dispatched.
 /// (The drain-time "latest completed seq wins" reported that superseded
-/// attempt next to the `Abandoned` notice.) `run_campaign` fails on any
-/// job that resolves both ways.
+/// attempt next to the abandonment.) `run_campaign` fails on any job the
+/// session's accounting counts both ways.
 #[test]
 fn an_abandoned_job_reports_no_superseded_outcome() {
     let mut abandoned = 0;

@@ -6,10 +6,9 @@ use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, MemoryConfig, RowAddress};
 use coruscant_runtime::{
-    install_quiet_hook, ChaosAction, ChaosPlan, CrossingPoint, JobNotice, Placement, Runtime,
-    RuntimeError, RuntimeOptions, SuperviseOptions, WatchdogOptions,
+    install_quiet_hook, ChaosAction, ChaosPlan, CrossingPoint, JobHandle, Placement, Runtime,
+    RuntimeError, RuntimeOptions, ServeError, SuperviseOptions, WatchdogOptions,
 };
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn four_bank_config() -> MemoryConfig {
@@ -67,6 +66,12 @@ fn first_attempt_clean(plan: &ChaosPlan, job: u64) -> bool {
         && plan.decide(CrossingPoint::WorkerReport, job, 0) == ChaosAction::None
 }
 
+/// Serves `n` add jobs and returns their handles, in submission order.
+fn serve_all(runtime: &Runtime, n: u64) -> Vec<JobHandle> {
+    let serve = |tag| runtime.serve(add_job(tag), Placement::Auto, None, true);
+    (0..n).map(|tag| serve(tag).unwrap()).collect()
+}
+
 /// Regression (satellite b): a session whose only shard panics and is
 /// retired used to return `WorkerLost`, discarding every job that had
 /// already completed. The supervised `finish` must salvage those
@@ -84,13 +89,11 @@ fn retired_shard_salvages_completed_jobs() {
                 && (2..12).any(|j| !first_attempt_clean(p, j))
         })
         .expect("a suitable seed exists in 0..1000");
-    let (tx, rx) = mpsc::channel::<JobNotice>();
     let runtime = Runtime::new(
         four_bank_config(),
         RuntimeOptions::default()
             .with_shards(1)
             .with_chaos(plan)
-            .with_notify(tx)
             .with_supervise(SuperviseOptions {
                 max_restarts: 0, // first panic retires the shard
                 max_job_retries: 0,
@@ -99,29 +102,27 @@ fn retired_shard_salvages_completed_jobs() {
             }),
     )
     .expect("runtime starts");
-    for tag in 0..12 {
-        runtime.submit(add_job(tag), Placement::Auto).unwrap();
-    }
+    let handles = serve_all(&runtime, 12);
     let report = runtime
         .finish()
         .expect("a retired shard must not fail the session");
-    assert!(
-        report.outcomes.iter().any(|o| o.job_id == 0),
-        "jobs completed before the crash are salvaged"
-    );
     let sup = report.stats.supervision;
     assert_eq!(sup.shards_retired, 1, "the only shard was retired");
     assert!(sup.panics_caught >= 1);
-    // Every job resolved exactly once: a final outcome or one
-    // abandonment notice.
-    let mut resolved: Vec<u64> = report.outcomes.iter().map(|o| o.job_id).collect();
-    for notice in rx.try_iter() {
-        if let JobNotice::Abandoned { job_id, .. } = notice {
-            resolved.push(job_id);
-        }
-    }
-    resolved.sort_unstable();
-    assert_eq!(resolved, (0..12).collect::<Vec<u64>>());
+    // Every job resolved exactly once: completed or abandoned, and the
+    // session counts each one once.
+    let fates: Vec<bool> = handles
+        .into_iter()
+        .map(|h| match h.wait() {
+            Ok(_) => true,
+            Err(ServeError::Crashed) => false,
+            Err(e) => panic!("job resolved {e}"),
+        })
+        .collect();
+    assert!(fates[0], "jobs completed before the crash are salvaged");
+    let done = fates.iter().filter(|&&ok| ok).count() as u64;
+    assert_eq!(report.stats.jobs, done);
+    assert_eq!(sup.abandoned_jobs, 12 - done);
 }
 
 /// The watchdog's poison registry quarantines a program fingerprint
@@ -182,19 +183,17 @@ fn poison_quarantine_rejects_at_admission() {
     assert!(sup.quarantined_programs >= 1, "the fingerprint was struck");
 }
 
-/// Hung abandonment is typed: the `Abandoned` notice carries
-/// `hung: true` for watchdog give-ups and the stats count them.
+/// Hung abandonment is typed: a watchdog give-up resolves its handle
+/// [`ServeError::Hung`] and the stats count it.
 #[test]
 fn hung_jobs_abandon_with_hung_flag() {
     install_quiet_hook();
     let plan = ChaosPlan::stalls(23, 1000, 2_000);
-    let (tx, rx) = mpsc::channel::<JobNotice>();
     let runtime = Runtime::new(
         four_bank_config(),
         RuntimeOptions::default()
             .with_shards(2)
             .with_chaos(plan)
-            .with_notify(tx)
             .with_supervise(SuperviseOptions {
                 max_job_retries: 0,
                 backoff_base_ms: 1,
@@ -210,15 +209,14 @@ fn hung_jobs_abandon_with_hung_flag() {
             }),
     )
     .expect("runtime starts");
-    for tag in 0..3 {
-        runtime.submit(add_job(tag), Placement::Auto).unwrap();
-    }
+    let handles = serve_all(&runtime, 3);
     let report = runtime.finish().expect("drain succeeds");
     assert!(report.stats.supervision.hung_attempts >= 1);
     assert!(report.stats.supervision.abandoned_jobs >= 1);
-    let hung_notices = rx
-        .try_iter()
-        .filter(|n| matches!(n, JobNotice::Abandoned { hung: true, .. }))
+    let hung = handles
+        .into_iter()
+        .map(JobHandle::wait)
+        .filter(|fate| *fate == Err(ServeError::Hung))
         .count();
-    assert!(hung_notices >= 1, "at least one abandonment was typed hung");
+    assert!(hung >= 1, "at least one abandonment was typed hung");
 }

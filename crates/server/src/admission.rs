@@ -18,6 +18,8 @@
 //! preserves the runtime's bit-exact determinism (no timing-dependent
 //! accept/reject decisions).
 
+use coruscant_runtime::Rejected;
+
 /// A submission's scheduling class, used to pick its shed threshold.
 /// Lower priorities are shed earlier under load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -44,54 +46,6 @@ impl Priority {
     /// All priorities, highest first.
     pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
 }
-
-/// Why a submission was refused. Typed so clients can distinguish
-/// retry-later conditions from permanent ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Rejected {
-    /// Shed by admission control: the queue is above the priority's
-    /// high-water mark. Retry after backing off.
-    Overload,
-    /// Shed by the weighted-fair QoS stage: the client is over its rate
-    /// quota, or it is past its fair share while the queue is congested.
-    /// Retry after backing off.
-    Throttled,
-    /// The runtime's bounded submission queue is at capacity.
-    QueueFull,
-    /// The submission carried a deadline that had already expired.
-    Deadline,
-    /// The server is draining or shut down; no further work is accepted.
-    Closed,
-    /// A pipeline submission was structurally invalid (a member depended
-    /// on itself or on a later member). Not retryable.
-    Invalid,
-    /// The program's structural fingerprint is quarantined: earlier
-    /// submissions of it repeatedly hung worker shards past the
-    /// execution watchdog's budget. Not retryable.
-    Poison {
-        /// The quarantined, placement-normalized program hash.
-        fingerprint: u64,
-    },
-}
-
-impl std::fmt::Display for Rejected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Rejected::Overload => write!(f, "shed by admission control (overload)"),
-            Rejected::Throttled => write!(f, "throttled by per-client QoS (quota or fair share)"),
-            Rejected::QueueFull => write!(f, "submission queue full"),
-            Rejected::Deadline => write!(f, "deadline already expired at submission"),
-            Rejected::Closed => write!(f, "server closed to new submissions"),
-            Rejected::Invalid => write!(f, "pipeline structurally invalid"),
-            Rejected::Poison { fingerprint } => {
-                write!(f, "program {fingerprint:#018x} quarantined as poison")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Rejected {}
 
 /// Per-priority queue high-water marks as fractions of the runtime
 /// queue's capacity, indexed by [`Priority::index`]. A submission is shed

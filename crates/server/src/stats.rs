@@ -2,7 +2,7 @@
 //! plus the wrapped runtime's final [`RuntimeStats`].
 
 use coruscant_qos::QosStats;
-use coruscant_runtime::{RuntimeStats, SchedStats};
+use coruscant_runtime::{Completion, Rejected, RuntimeStats, SchedStats, ServeError};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,7 +35,7 @@ pub struct ServerStats {
     /// Submissions refused because their program fingerprint is
     /// quarantined as poison (it kept hanging workers).
     pub rejected_poison: u64,
-    /// Accepted jobs cancelled by deadline expiry while still queued.
+    /// Accepted jobs dropped, still queued, past their deadline.
     pub expired: u64,
     /// Accepted jobs cancelled by an explicit client cancel while queued.
     pub cancelled: u64,
@@ -112,6 +112,34 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
+    /// The counter of submissions refused for `reason`.
+    pub(crate) fn rejected(&self, reason: &Rejected) -> &AtomicU64 {
+        match reason {
+            Rejected::Overload => &self.rejected_overload,
+            Rejected::Throttled => &self.rejected_throttled,
+            Rejected::QueueFull => &self.rejected_queue_full,
+            Rejected::Deadline => &self.rejected_deadline,
+            Rejected::Closed => &self.rejected_closed,
+            Rejected::Invalid => &self.rejected_invalid,
+            Rejected::Poison { .. } => &self.rejected_poison,
+        }
+    }
+
+    /// The counter of accepted jobs that resolved like `completion`.
+    pub(crate) fn fate(&self, completion: &Completion) -> &AtomicU64 {
+        match completion {
+            Ok(_) => &self.completed,
+            Err(ServeError::Exec(_)) => &self.failed,
+            Err(ServeError::Expired) => &self.expired,
+            Err(ServeError::Cancelled) => &self.cancelled,
+            Err(ServeError::Hung) => &self.hung,
+            Err(ServeError::Crashed) => &self.crashed,
+            // The runtime never resolves a handle `Rejected`: refusals
+            // are returned at submission, before a job is accepted.
+            Err(ServeError::Lost | ServeError::Rejected(_)) => &self.lost,
+        }
+    }
+
     pub(crate) fn snapshot(&self, runtime: RuntimeStats, qos: QosStats) -> ServerStats {
         ServerStats {
             submitted: self.submitted.load(Ordering::Relaxed),

@@ -79,7 +79,7 @@ fn closed_loop_load_loses_nothing() {
     assert_eq!(latencies.len(), total);
     let p99 = latencies[(total * 99).div_ceil(100) - 1];
     // Generous bound — this guards against pathological stalls (a wedged
-    // router or scheduler), not normal jitter.
+    // scheduler or worker), not normal jitter.
     assert!(p99 < Duration::from_secs(5), "p99 {p99:?}");
 
     let stats = server.shutdown().unwrap();

@@ -56,9 +56,9 @@ impl Wake for FlagWaker {
     }
 }
 
-/// Completion beats the deadline sweep: a job that finishes well inside
-/// its deadline resolves `Ok` exactly once, and the sweeper's later
-/// firing for the already-resolved id is moot.
+/// Completion beats the deadline: a job that finishes well inside its
+/// deadline resolves `Ok` exactly once, and the deadline passing later
+/// changes nothing.
 #[test]
 fn completion_beats_expiry_sweep() {
     let server = Server::start(MemoryConfig::tiny(), ServerOptions::default()).unwrap();
@@ -71,7 +71,7 @@ fn completion_beats_expiry_sweep() {
         .unwrap();
     let done = handle.wait().expect("completes well inside the deadline");
     assert_eq!(done.outputs[0].1[0], 8);
-    // Let the sweeper fire on the stale heap entry before draining.
+    // Let the deadline pass before draining.
     std::thread::sleep(Duration::from_millis(400));
     let stats = server.shutdown().unwrap();
     assert_eq!(stats.completed, 1);
@@ -123,7 +123,7 @@ fn registered_waker_is_woken_by_resolution() {
         "gated scheduler: nothing resolved yet"
     );
     server.resume();
-    // The router's resolution must call our waker.
+    // The runtime's resolution must call our waker.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while !flag.0.load(Ordering::Acquire) {
         assert!(std::time::Instant::now() < deadline, "waker never woken");

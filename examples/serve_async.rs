@@ -111,8 +111,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(doomed.wait(), Err(ServeError::Expired));
     let stats = server.shutdown().map_err(|e| e.to_string())?;
     println!(
-        "\nDeadline demo: {} job expired while queued (runtime cancelled {}), never touched a bank",
-        stats.expired, stats.runtime.cancelled
+        "\nDeadline demo: {} job expired while queued (runtime expired {}), never touched a bank",
+        stats.expired, stats.runtime.expired
     );
     Ok(())
 }

@@ -180,7 +180,8 @@ fn queued_deadline_expires_and_counts() {
     assert_eq!(stats.completed, 1);
     assert!(stats.balanced(), "{stats:?}");
     assert_eq!(
-        stats.runtime.cancelled, 1,
+        (stats.runtime.cancelled, stats.runtime.expired),
+        (0, 1),
         "the runtime dropped it unissued"
     );
 }
@@ -266,10 +267,10 @@ fn handles_are_pollable_futures() {
     assert_eq!(stats.completed, 1);
 }
 
-/// A job that only its outcome can resolve — its last attempt stayed
-/// unverified and `Placement::Fixed` keeps it from being re-dispatched,
-/// so none of its notices is final — resolves while the server is live,
-/// from the router's harvest, not at shutdown.
+/// A job whose worker cannot tell its attempt is the last — it stayed
+/// unverified, and only the scheduler knows that `Placement::Fixed`
+/// keeps it from being re-dispatched — resolves while the server is
+/// live, where the scheduler marks the attempt last, not at shutdown.
 #[test]
 fn unverified_fixed_job_resolves_before_shutdown() {
     let config = MemoryConfig::tiny();
@@ -341,4 +342,126 @@ fn invalid_memory_configs_are_refused_at_start() {
         let refused = matches!(served, Err(ServerError::Runtime(RuntimeError::Config(_))));
         assert!(refused, "{config:?}");
     }
+}
+
+/// Job ids the JSONL trace at `path` records an `Issue` for: every job
+/// some bank was handed.
+fn issued_jobs(path: &std::path::Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(path).expect("trace written");
+    std::fs::remove_file(path).ok();
+    let mut jobs = Vec::new();
+    for line in text.lines() {
+        if let serde::json::Value::Object(fields) = serde::json::parse(line).unwrap() {
+            if let [(kind, serde::json::Value::Object(event))] = &fields[..] {
+                if kind == "Issue" {
+                    let job = event.iter().find(|(k, _)| k == "job").expect("job id");
+                    jobs.push(job.1.as_u64().unwrap());
+                }
+            }
+        }
+    }
+    jobs
+}
+
+/// A deadline that passes in each place a job can be: behind a paused
+/// scheduler, in a one-bank FIFO behind a long job, and on a bank while
+/// the job executes. Only the first two expire, neither ever reaches a
+/// bank, and the fate counters — the server's, the runtime's and the
+/// client's QoS ledger — name each outcome once.
+#[test]
+fn a_deadline_expires_where_the_scheduler_checks_it() {
+    let config = MemoryConfig::tiny();
+    let program = all_workload_programs(&config).swap_remove(0);
+    let tenant = SubmitOptions::default().for_client("tenant");
+    let due = |ms| tenant.clone().with_deadline(Duration::from_millis(ms));
+    let qos = coruscant::qos::QosOptions::default().enabled();
+    let trace = |name: &str| std::env::temp_dir().join(format!("coruscant_deadline_{name}.jsonl"));
+
+    // 1. Paused: the deadline lapses before the scheduler sees the job.
+    let paused_trace = trace("paused");
+    let server = Server::start(
+        config.clone(),
+        ServerOptions {
+            runtime: RuntimeOptions {
+                trace_path: Some(paused_trace.clone()),
+                ..RuntimeOptions::default().paused()
+            },
+            qos: qos.clone(),
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    let doomed = client.submit_with(program.clone(), due(30)).unwrap();
+    let doomed_id = doomed.id();
+    std::thread::sleep(Duration::from_millis(150));
+    server.resume();
+    assert_eq!(doomed.wait(), Err(ServeError::Expired));
+    let stats = server.shutdown().unwrap();
+    assert!(stats.balanced(), "{stats:?}");
+    assert_eq!((stats.expired, stats.completed, stats.cancelled), (1, 0, 0));
+    assert_eq!((stats.runtime.cancelled, stats.runtime.expired), (0, 1));
+    let ledger = stats.qos.client("tenant").expect("tenant accounted");
+    assert_eq!((ledger.accepted, ledger.expired, ledger.served), (1, 1, 0));
+    assert!(!issued_jobs(&paused_trace).contains(&doomed_id));
+
+    // 2 and 3. One bank in flight at a time (a fault-free fault plan
+    // turns the in-flight cap on), every attempt held 1 s on its worker.
+    let held_trace = trace("held");
+    let runtime = RuntimeOptions {
+        trace_path: Some(held_trace.clone()),
+        chaos: Some(coruscant::runtime::ChaosPlan {
+            delay_permille: 1000,
+            delay_us: 1_000_000,
+            ..coruscant::runtime::ChaosPlan::quiet(5)
+        }),
+        ..RuntimeOptions::default()
+            .with_shards(1)
+            .with_faults(FaultPlan::uniform(FaultConfig::NONE, 5).unwrap())
+            .with_health(HealthPolicy {
+                max_inflight_per_bank: 1,
+                ..HealthPolicy::default()
+            })
+    };
+    let server = Server::start(
+        config,
+        ServerOptions {
+            runtime,
+            qos,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    let on_bank_0 = |options: SubmitOptions| SubmitOptions {
+        placement: Placement::Unit(0),
+        ..options
+    };
+    // 2. Queued behind a long job: the deadline passes in the bank FIFO.
+    let long = client
+        .submit_with(program.clone(), on_bank_0(tenant.clone()))
+        .unwrap();
+    let queued = client
+        .submit_with(program.clone(), on_bank_0(due(250)))
+        .unwrap();
+    let queued_id = queued.id();
+    assert_eq!(queued.wait(), Err(ServeError::Expired));
+    assert!(long.wait().is_ok());
+    // 3. Executing: issued at once, the deadline passes on the bank, and
+    // the job completes (a deadline miss, not an expiry).
+    let running = client
+        .submit_with(program.clone(), on_bank_0(due(250)))
+        .unwrap();
+    assert!(running.wait().is_ok(), "a job past issue runs to the end");
+    let stats = server.shutdown().unwrap();
+    assert!(stats.balanced(), "{stats:?}");
+    assert_eq!((stats.expired, stats.completed, stats.cancelled), (1, 2, 0));
+    assert_eq!((stats.runtime.cancelled, stats.runtime.expired), (0, 1));
+    assert_eq!(stats.runtime.jobs, 2);
+    let ledger = stats.qos.client("tenant").expect("tenant accounted");
+    assert_eq!((ledger.accepted, ledger.expired, ledger.served), (3, 1, 2));
+    assert_eq!((ledger.deadline_hits, ledger.deadline_misses), (0, 1));
+    let issued = issued_jobs(&held_trace);
+    assert_eq!(issued.len(), 2, "{issued:?}");
+    assert!(!issued.contains(&queued_id), "{issued:?}");
 }

@@ -19,20 +19,25 @@
 //! placement became a value carried beside a placement-free program: a
 //! resident session, grouped batching over every placement kind from
 //! non-canonical homes, and the parallel engine with batching on.
+//!
+//! The arms that admit one job at a time await each job's handle, and a
+//! served job's outcome stays with its handle, out of the report. Their
+//! lines carry a `served=` digest of what the handles resolved to —
+//! job id, outputs, bank, attempt, batch size, verification — which was
+//! recorded from the same fields of the report's outcomes at the last
+//! commit whose runtime kept them there; their `stats=` are unchanged.
 
 use coruscant::core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant::core::program::{PimProgram, Step};
 use coruscant::mem::{DbcLocation, FaultPlan, MemoryConfig, MemoryController, RowAddress};
 use coruscant::racetrack::FaultConfig;
 use coruscant::runtime::{
-    install_quiet_hook, BatchOptions, ChainJob, ChaosPlan, HealthPolicy, JobNotice, Placement,
-    ProgramSource, ProtectionPolicy, Runtime, RuntimeOptions, RuntimeReport, SchedMode,
+    install_quiet_hook, BatchOptions, ChainJob, ChaosPlan, HealthPolicy, JobDone, JobHandle,
+    Placement, ProgramSource, ProtectionPolicy, Runtime, RuntimeOptions, RuntimeReport, SchedMode,
     SuperviseOptions,
 };
 use coruscant::workloads::serve::all_workload_programs;
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::mpsc;
 
 fn eight_bank_config() -> MemoryConfig {
     MemoryConfig {
@@ -120,37 +125,29 @@ fn run_staged(
     runtime.finish().expect("session drains")
 }
 
-/// One job in the system at a time: the next is submitted once the
-/// previous one's final attempt was noticed, so verification
-/// re-dispatches (whose issue order otherwise follows ack timing) land
-/// in one order.
-fn run_one_at_a_time(options: RuntimeOptions, programs: &[PimProgram]) -> RuntimeReport {
-    let (tx, rx) = mpsc::channel::<JobNotice>();
-    let runtime =
-        Runtime::new(eight_bank_config(), options.with_notify(tx)).expect("runtime starts");
-    for program in programs {
-        let id = runtime
-            .submit(program.clone(), Placement::Auto)
-            .expect("submission accepted");
-        loop {
-            let notice = rx.recv().expect("the runtime holds a sender");
-            if notice.job_id() == id && notice.is_final() {
-                break;
-            }
-        }
+/// A session plus what the handles of its served jobs resolved to.
+type Served = (RuntimeReport, Vec<JobDone>);
+
+/// Waits for every handle to resolve, collecting what it resolved to.
+fn await_all(handles: Vec<JobHandle>, into: &mut Vec<JobDone>) {
+    for handle in handles {
+        into.push(handle.wait().expect("served jobs complete"));
     }
-    runtime.finish().expect("session drains")
 }
 
-/// Blocks until every job in `ids` has had a final notice.
-fn await_final(rx: &mpsc::Receiver<JobNotice>, ids: &[u64]) {
-    let mut waiting: HashSet<u64> = ids.iter().copied().collect();
-    while !waiting.is_empty() {
-        let notice = rx.recv().expect("the runtime holds a sender");
-        if notice.is_final() {
-            waiting.remove(&notice.job_id());
-        }
+/// One job in the system at a time: the next is submitted once the
+/// previous one's handle resolved, so verification re-dispatches (whose
+/// issue order otherwise follows ack timing) land in one order.
+fn run_one_at_a_time(options: RuntimeOptions, programs: &[PimProgram]) -> Served {
+    let runtime = Runtime::new(eight_bank_config(), options).expect("runtime starts");
+    let mut served = Vec::new();
+    for program in programs {
+        let handle = runtime
+            .serve(program.clone(), Placement::Auto, None, true)
+            .expect("submission accepted");
+        await_all(vec![handle], &mut served);
     }
+    (runtime.finish().expect("session drains"), served)
 }
 
 /// `program` with every address moved to `home`, rows kept: the same
@@ -186,10 +183,10 @@ fn at_home(program: &PimProgram, home: DbcLocation) -> PimProgram {
 /// its weights re-materialize elsewhere), chains of a tile-relative
 /// consumer, a binder-built second consumer fed the first one's sum, and
 /// a unit-pinned tail, plus consumers submitted through the compiler.
-/// Compare pairs never retry in place, so a final notice always comes
-/// from a fault-free attempt and no bank-health transition can race the
-/// next submission.
-fn run_resident_session() -> RuntimeReport {
+/// Compare pairs never retry in place, so a final attempt is always a
+/// fault-free one and no bank-health transition can race the next
+/// submission.
+fn run_resident_session() -> Served {
     let storage = DbcLocation::new(0, 0, 0, 1);
     let pim = DbcLocation::new(0, 0, 0, 0);
     let bs = BlockSize::new(8).unwrap();
@@ -254,7 +251,6 @@ fn run_resident_session() -> RuntimeReport {
     let plan = FaultPlan::healthy(0xDEC0DE)
         .with_bank(poisoned_bank, FaultConfig::NONE.with_tr_fault_rate(0.5))
         .unwrap();
-    let (tx, rx) = mpsc::channel::<JobNotice>();
     let options = RuntimeOptions::default()
         .with_shards(1)
         .with_faults(plan)
@@ -265,21 +261,19 @@ fn run_resident_session() -> RuntimeReport {
             scrub_on_suspect: false,
             max_inflight_per_bank: 1,
             max_redispatch: 64,
-        })
-        .with_notify(tx);
+        });
     let runtime = Runtime::new(eight_bank_config(), options).expect("runtime starts");
+    let mut served = Vec::new();
     // Unit index == bank index for the first eight units.
-    let pins = [
-        runtime
-            .pin_resident(pin_program(0x11), poisoned_bank)
-            .unwrap(),
-        runtime.pin_resident(pin_program(0x22), 5).unwrap(),
-    ];
-    await_final(&rx, &[pins[0].job, pins[1].job]);
+    let (pins, handles): (Vec<_>, Vec<_>) = [(0x11, poisoned_bank), (0x22, 5)]
+        .into_iter()
+        .map(|(weight, unit)| runtime.serve_pin(pin_program(weight), unit).unwrap())
+        .unzip();
+    await_all(handles, &mut served);
     for round in 0..8u64 {
         let pin = pins[round as usize % 2];
-        let ids = runtime
-            .submit_chain(vec![
+        let handles = runtime
+            .serve_chain(vec![
                 ChainJob {
                     source: ProgramSource::Ready(consumer(vec![round + 1; 8])),
                     placement: Placement::Resident(pin.res),
@@ -306,16 +300,17 @@ fn run_resident_session() -> RuntimeReport {
                 },
             ])
             .expect("chain accepted");
-        await_final(&rx, &ids);
+        await_all(handles, &mut served);
         // The same consumer twice through the compiler: a miss, then a hit.
         for _ in 0..2 {
-            let id = runtime
-                .submit(consumer(vec![round + 9; 8]), Placement::Resident(pin.res))
+            let consumer = consumer(vec![round + 9; 8]);
+            let handle = runtime
+                .serve(consumer, Placement::Resident(pin.res), None, true)
                 .expect("submission accepted");
-            await_final(&rx, &[id]);
+            await_all(vec![handle], &mut served);
         }
     }
-    runtime.finish().expect("session drains")
+    (runtime.finish().expect("session drains"), served)
 }
 
 /// FNV-1a.
@@ -323,6 +318,25 @@ fn digest(text: &str) -> u64 {
     text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
     })
+}
+
+/// One fixture line: the stats with wall-clock fields zeroed, and the
+/// outcome count and digest — and, for a session that served jobs, the
+/// count and digest of what their handles resolved to, in job-id order.
+fn served_line(name: &str, (report, mut served): Served, out: &mut String) {
+    served.sort_by_key(|done| done.job_id);
+    let mut text = String::new();
+    for d in &served {
+        let (id, outputs, bank, attempt) = (d.job_id, &d.outputs, d.bank, d.attempt);
+        writeln!(
+            text,
+            "{id} {outputs:?} {bank} {attempt} {} {}",
+            d.batch, d.verified
+        )
+        .unwrap();
+    }
+    let served = format!("{}:{:016x}", served.len(), digest(&text));
+    line(&format!("{name} served={served}"), report, out);
 }
 
 /// One fixture line: the stats with wall-clock fields zeroed, and the
@@ -394,10 +408,10 @@ fn computed() -> String {
             &programs,
         );
         assert!(
-            report.stats.faults.redispatches > 0,
+            report.0.stats.faults.redispatches > 0,
             "the fault arm must re-dispatch"
         );
-        line(&format!("faults/s{shards}"), report, &mut out);
+        served_line(&format!("faults/s{shards}"), report, &mut out);
     }
 
     // One worker shard: every crash takes the whole in-flight window
@@ -440,12 +454,12 @@ fn computed() -> String {
 
     // Recorded before placement stopped rewriting programs.
     let report = run_resident_session();
-    let pipeline = report.stats.pipeline;
+    let pipeline = report.0.stats.pipeline;
     assert!(
         pipeline.rematerializations > 0 && pipeline.released_jobs > 0,
         "the resident arm must move a residency and release gated jobs: {pipeline:?}"
     );
-    line("resident/s1", report, &mut out);
+    served_line("resident/s1", report, &mut out);
 
     // Every placement kind, each submission compiled at a different home
     // (storage DBCs included). Job `j` lands on unit `j / 3 % 32` whatever
