@@ -19,13 +19,13 @@
 //! either residue window is dead downstream — rewritten before any
 //! read, or never read again.
 
-use crate::effects::{instr_effects, step_effects};
+use crate::effects::{dead_after, instr_effects};
 use crate::pass::{Pass, PassContext};
 use crate::CompileError;
 use coruscant_core::isa::{CpimInstr, CpimOpcode};
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, Row, RowAddress};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The identity-folding pass. See the module docs.
 #[derive(Debug, Clone, Default)]
@@ -69,34 +69,16 @@ fn opcode_identity(opcode: CpimOpcode) -> Option<Identity> {
 /// Whether every row in either instruction's residue window (minus the
 /// shared destination) is dead in `trailing`: rewritten before any read,
 /// or never read again. Same discipline as fusion's replacement check.
+/// The shrunk op stages a sub-span of the original's operands, so its
+/// window lies inside the original's.
 fn residue_dead_after(trailing: &[Step], old: &CpimInstr, new: &CpimInstr) -> bool {
-    let mut dirty: HashSet<(DbcLocation, usize)> = HashSet::new();
-    for instr in [old, new] {
-        if let Some((l, lo, hi)) = instr_effects(instr).smear {
-            dirty.extend((lo..=hi).map(|r| (l, r)));
-        }
-    }
-    if let Some(d) = old.dst {
-        dirty.remove(&(d.location, d.row));
-    }
-    for step in trailing {
-        if dirty.is_empty() {
-            return true;
-        }
-        let e = step_effects(step);
-        if let Some(loc) = e.clobbers {
-            if dirty.iter().any(|(l, _)| *l == loc) {
-                return false;
-            }
-        }
-        if e.reads.iter().any(|r| dirty.contains(r)) {
-            return false;
-        }
-        for w in &e.writes {
-            dirty.remove(w);
-        }
-    }
-    true
+    let (Some(window), Some(inner)) = (instr_effects(old).smear, instr_effects(new).smear) else {
+        return false;
+    };
+    debug_assert!(
+        window.contains((inner.loc, inner.lo)) && inner.lo + inner.n <= window.lo + window.n
+    );
+    dead_after(window, old.dst.map(|d| (d.location, d.row)), trailing)
 }
 
 /// Shrinks one instruction's operand span past boundary rows holding the
@@ -143,28 +125,23 @@ impl Pass for ConstFoldPass {
         // Latest definition per row, tracked only while it provably holds
         // an identity constant.
         let mut defs: HashMap<(DbcLocation, usize), Identity> = HashMap::new();
-        let steps: Vec<Step> = program.steps;
-        let mut out: Vec<Step> = Vec::with_capacity(steps.len());
-        for (idx, step) in steps.iter().enumerate() {
-            let rewritten = match step {
-                Step::Exec(instr) => shrink(instr, &defs)
+        let mut steps = program.steps;
+        for idx in 0..steps.len() {
+            if let Step::Exec(instr) = &steps[idx] {
+                if let Some(new) = shrink(instr, &defs)
                     .filter(|new| residue_dead_after(&steps[idx + 1..], instr, new))
-                    .map(Step::Exec),
-                _ => None,
-            };
-            let step = rewritten.unwrap_or_else(|| step.clone());
+                {
+                    steps[idx] = Step::Exec(new);
+                }
+            }
             // Update the identity-definition map with this step's writes.
-            match &step {
+            match &steps[idx] {
                 Step::Load { addr, values, lane } => {
                     let key = (addr.location, addr.row);
                     match load_identity(width, *lane, values) {
-                        Some(id) => {
-                            defs.insert(key, id);
-                        }
-                        None => {
-                            defs.remove(&key);
-                        }
-                    }
+                        Some(id) => defs.insert(key, id),
+                        None => defs.remove(&key),
+                    };
                 }
                 Step::Readout { .. } => {}
                 Step::Exec(instr) => {
@@ -172,17 +149,16 @@ impl Pass for ConstFoldPass {
                     if let Some(loc) = e.clobbers {
                         defs.retain(|(l, _), _| *l != loc);
                     }
-                    if let Some((l, lo, hi)) = e.smear {
-                        defs.retain(|(dl, dr), _| *dl != l || !(lo..=hi).contains(dr));
+                    if let Some(s) = e.smear {
+                        defs.retain(|&key, _| !s.contains(key));
                     }
-                    for w in &e.writes {
-                        defs.remove(w);
+                    if let Some(w) = e.write {
+                        defs.remove(&w);
                     }
                 }
             }
-            out.push(step);
         }
-        Ok(PimProgram { steps: out })
+        Ok(PimProgram { steps })
     }
 }
 

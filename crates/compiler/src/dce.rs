@@ -20,7 +20,7 @@
 //! holds), but a smear never counts as a definition — it cannot kill a
 //! row's liveness, and it never makes an earlier writer dead.
 
-use crate::effects::{instr_effects, is_pure_bulk};
+use crate::effects::{instr_effects, is_pure_bulk, Rows};
 use crate::pass::{Pass, PassContext};
 use crate::CompileError;
 use coruscant_core::isa::CpimOpcode;
@@ -60,13 +60,8 @@ impl Pass for DeadStepPass {
                     }
                 }
                 Step::Exec(i) if is_pure_bulk(i.opcode) || i.opcode == CpimOpcode::Copy => {
-                    let reads: Vec<(DbcLocation, usize)> = if i.opcode == CpimOpcode::Copy {
-                        vec![(i.src.location, i.src.row)]
-                    } else {
-                        (0..i.operands as usize)
-                            .map(|k| (i.src.location, i.src.row + k))
-                            .collect()
-                    };
+                    let e = instr_effects(i);
+                    let reads = e.reads.into_iter().flat_map(Rows::iter);
                     match i.dst {
                         Some(d) if i.opcode == CpimOpcode::Copy && d == i.src => {
                             // Same-row move: value no-op.
@@ -76,9 +71,8 @@ impl Pass for DeadStepPass {
                             let key = (d.location, d.row);
                             // Residue landing on a live row is observable,
                             // so the op must stay even with a dead result.
-                            let smear_live = instr_effects(i).smear.is_some_and(|(l, lo, hi)| {
-                                live.iter().any(|(ll, r)| *ll == l && (lo..=hi).contains(r))
-                            });
+                            let smear_live =
+                                e.smear.is_some_and(|s| live.iter().any(|&r| s.contains(r)));
                             let defines_live = live.remove(&key);
                             if wild.contains(&d.location) || defines_live || smear_live {
                                 live.extend(reads);
@@ -105,12 +99,9 @@ impl Pass for DeadStepPass {
             }
         }
 
-        let steps = program
-            .steps
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(s, k)| k.then_some(s))
-            .collect();
+        let mut steps = program.steps;
+        let mut keep = keep.into_iter();
+        steps.retain(|_| keep.next() == Some(true));
         Ok(PimProgram { steps })
     }
 }

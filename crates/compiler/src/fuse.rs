@@ -29,13 +29,12 @@
 //! only fuses when no later step can observe any such row — each is
 //! rewritten before any read, or never read again.
 
-use crate::effects::step_effects;
+use crate::effects::{dead_after, step_effects, Rows};
 use crate::pass::{Pass, PassContext};
 use crate::CompileError;
 use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, RowAddress};
-use std::collections::HashSet;
 
 /// The fusion pass. See the module docs.
 #[derive(Debug, Clone, Default)]
@@ -58,11 +57,11 @@ fn associative(opcode: CpimOpcode) -> bool {
 }
 
 /// Matches the longest descending accumulator chain starting at
-/// `steps[at]`: every step but the last accumulates in place
+/// `steps[0]`: every step but the last accumulates in place
 /// (`dst == src`), each next step's source sits one row below, and the
 /// final step may fold into any destination.
-fn match_chain(steps: &[Step], at: usize) -> Option<Chain> {
-    let Step::Exec(first) = &steps[at] else {
+fn match_chain(steps: &[Step]) -> Option<Chain> {
+    let Step::Exec(first) = steps.first()? else {
         return None;
     };
     if !associative(first.opcode) || first.operands != 2 {
@@ -71,7 +70,7 @@ fn match_chain(steps: &[Step], at: usize) -> Option<Chain> {
     let loc = first.src.location;
     let mut len = 1;
     let mut last = *first;
-    while let Some(Step::Exec(next)) = steps.get(at + len) {
+    while let Some(Step::Exec(next)) = steps.get(len) {
         let continues = next.opcode == first.opcode
             && next.operands == 2
             && next.blocksize == first.blocksize
@@ -103,42 +102,28 @@ fn match_chain(steps: &[Step], at: usize) -> Option<Chain> {
 /// read again. The differing rows are the operand span (intermediates
 /// hold partial folds in one form, originals in the other) plus both
 /// forms' placement-residue windows, minus the final destination (same
-/// value either way).
+/// value either way). Every window overlaps the operand span, so together
+/// they are one run of the chain's DBC; every other write is in place.
 fn replacement_dead_after(
     trailing: &[Step],
     original: &[Step],
     fused: &[Step],
     chain: &Chain,
 ) -> bool {
-    let mut dirty: HashSet<(DbcLocation, usize)> = (chain.base..=chain.base + chain.len)
-        .map(|r| (chain.loc, r))
-        .collect();
+    let (mut lo, mut hi) = (chain.base, chain.base + chain.len);
     for step in original.iter().chain(fused) {
-        let e = step_effects(step);
-        if let Some((l, lo, hi)) = e.smear {
-            dirty.extend((lo..=hi).map(|r| (l, r)));
-        }
-        dirty.extend(e.writes.iter().copied());
-    }
-    dirty.remove(&(chain.dst.location, chain.dst.row));
-    for step in trailing {
-        if dirty.is_empty() {
-            return true;
-        }
-        let e = step_effects(step);
-        if let Some(loc) = e.clobbers {
-            if dirty.iter().any(|(l, _)| *l == loc) {
-                return false;
-            }
-        }
-        if e.reads.iter().any(|r| dirty.contains(r)) {
-            return false;
-        }
-        for w in &e.writes {
-            dirty.remove(w);
+        if let Some(s) = step_effects(step).smear {
+            debug_assert!(s.loc == chain.loc && s.lo <= hi && lo < s.lo + s.n);
+            lo = lo.min(s.lo);
+            hi = hi.max(s.lo + s.n - 1);
         }
     }
-    true
+    let window = Rows {
+        loc: chain.loc,
+        lo,
+        n: hi - lo + 1,
+    };
+    dead_after(window, Some((chain.dst.location, chain.dst.row)), trailing)
 }
 
 /// Emits the fused instruction group for a chain: greedy groups of up to
@@ -181,32 +166,29 @@ impl Pass for TrFusionPass {
             // Groups of two are what the chain already does.
             return Ok(program);
         }
-        let steps = program.steps;
-        let mut out = Vec::with_capacity(steps.len());
-        let mut i = 0;
-        while i < steps.len() {
-            let fused = match_chain(&steps, i).and_then(|chain| {
-                if chain.len < 2 {
-                    return None;
-                }
-                let mut replacement = Vec::new();
-                emit_fused(&chain, cap, &mut replacement).ok()?;
-                replacement_dead_after(
-                    &steps[i + chain.len..],
-                    &steps[i..i + chain.len],
-                    &replacement,
-                    &chain,
-                )
-                .then_some((chain.len, replacement))
-            });
+        // Moves every kept step; a fused group is emitted in place and
+        // taken back if something downstream observes what it changes.
+        let mut rest = program.steps.into_iter();
+        let mut out = Vec::with_capacity(rest.len());
+        while !rest.as_slice().is_empty() {
+            let steps = rest.as_slice();
+            let mark = out.len();
+            let fused = match match_chain(steps) {
+                Some(chain) if chain.len >= 2 => (emit_fused(&chain, cap, &mut out).is_ok()
+                    && replacement_dead_after(
+                        &steps[chain.len..],
+                        &steps[..chain.len],
+                        &out[mark..],
+                        &chain,
+                    ))
+                .then_some(chain.len),
+                _ => None,
+            };
             match fused {
-                Some((len, replacement)) => {
-                    out.extend(replacement);
-                    i += len;
-                }
+                Some(len) => drop(rest.nth(len - 1)),
                 None => {
-                    out.push(steps[i].clone());
-                    i += 1;
+                    out.truncate(mark);
+                    out.extend(rest.next());
                 }
             }
         }

@@ -10,10 +10,12 @@
 //!
 //! * `TrFusionPass` — collapses pairwise AND/OR/XOR accumulator chains
 //!   into k-operand transverse-read instructions, `k ≤ min(TRD, 7)`;
-//! * `ShiftSchedulePass` — reorders independent steps so consecutive
-//!   row accesses are close, minimizing net shift distance;
+//! * `ConstFoldPass` — drops boundary operands that hold the opcode's
+//!   identity row, which the hardware's padding supplies anyway;
 //! * `DeadStepPass` — removes dead loads, unread bulk results and
 //!   redundant copies;
+//! * `ShiftSchedulePass` — reorders independent steps so consecutive
+//!   row accesses are close, minimizing net shift distance;
 //! * [`differential_verify`] — executes original and optimized programs
 //!   through the functional path and asserts identical outputs, wired
 //!   into the test suite and available as a debug option in release via
@@ -148,7 +150,6 @@ impl CompileOptions {
 pub struct Compiler {
     manager: PassManager,
     options: CompileOptions,
-    config: MemoryConfig,
 }
 
 impl Compiler {
@@ -157,18 +158,19 @@ impl Compiler {
     /// scheduling (fusion first so the scheduler sees the final access
     /// pattern).
     pub fn new(config: MemoryConfig, options: &CompileOptions) -> Compiler {
-        let mut manager = PassManager::new(config.clone());
-        if options.enabled {
-            manager = manager
-                .with_pass(Box::new(TrFusionPass))
-                .with_pass(Box::new(ConstFoldPass))
-                .with_pass(Box::new(DeadStepPass))
-                .with_pass(Box::new(ShiftSchedulePass));
-        }
+        let passes: Vec<Box<dyn Pass>> = if options.enabled {
+            vec![
+                Box::new(TrFusionPass),
+                Box::new(ConstFoldPass),
+                Box::new(DeadStepPass),
+                Box::new(ShiftSchedulePass),
+            ]
+        } else {
+            Vec::new()
+        };
         Compiler {
-            manager,
+            manager: PassManager::new(config, passes),
             options: *options,
-            config,
         }
     }
 
@@ -189,12 +191,12 @@ impl Compiler {
         if !self.options.enabled {
             return Ok((
                 program.clone(),
-                PipelineReport::identity(ProgramStats::of(program, &self.config)),
+                PipelineReport::identity(ProgramStats::of(program, &self.manager.ctx.config)),
             ));
         }
         let (optimized, mut report) = self.manager.run(program)?;
         if self.options.verify {
-            match differential_verify(program, &optimized, &self.config)? {
+            match differential_verify(program, &optimized, &self.manager.ctx.config)? {
                 VerifyOutcome::Match => report.verified = true,
                 VerifyOutcome::OriginalFailed => {
                     return Ok((program.clone(), PipelineReport::identity(report.before)));

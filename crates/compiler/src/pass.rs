@@ -1,5 +1,5 @@
-//! The [`Pass`] trait and the `PassManager` that snapshots per-pass
-//! before/after statistics.
+//! The [`Pass`] trait and the `PassManager` that snapshots statistics
+//! once per pass boundary.
 
 use crate::stats::ProgramStats;
 use crate::CompileError;
@@ -110,27 +110,15 @@ impl PipelineReport {
     /// Renders a fixed-width per-pass table (used by the inspection
     /// example and the compiler bench).
     pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "{:<18} {:>6} {:>7} {:>12} {:>10}\n",
             "pass", "steps", "instrs", "est_cycles", "est_shifts"
-        ));
-        out.push_str(&format!(
-            "{:<18} {:>6} {:>7} {:>12} {:>10}\n",
-            "(input)",
-            self.before.steps,
-            self.before.instructions,
-            self.before.est_device_cycles,
-            self.before.est_shifts
-        ));
-        for p in &self.passes {
+        );
+        let passes = self.passes.iter().map(|p| (p.pass.as_str(), &p.after));
+        for (name, s) in std::iter::once(("(input)", &self.before)).chain(passes) {
             out.push_str(&format!(
-                "{:<18} {:>6} {:>7} {:>12} {:>10}\n",
-                p.pass,
-                p.after.steps,
-                p.after.instructions,
-                p.after.est_device_cycles,
-                p.after.est_shifts
+                "{name:<18} {:>6} {:>7} {:>12} {:>10}\n",
+                s.steps, s.instructions, s.est_device_cycles, s.est_shifts
             ));
         }
         out.push_str(&format!(
@@ -145,26 +133,20 @@ impl PipelineReport {
     }
 }
 
-/// Runs an ordered list of passes, snapshotting statistics around each.
+/// Runs an ordered list of passes, snapshotting statistics at each
+/// boundary: a pass's `before` is the previous pass's `after`.
 pub(crate) struct PassManager {
-    ctx: PassContext,
+    pub(crate) ctx: PassContext,
     passes: Vec<Box<dyn Pass>>,
 }
 
 impl PassManager {
-    /// An empty manager for a configuration.
-    pub(crate) fn new(config: MemoryConfig) -> PassManager {
+    /// A manager running `passes` in order on a configuration.
+    pub(crate) fn new(config: MemoryConfig, passes: Vec<Box<dyn Pass>>) -> PassManager {
         PassManager {
             ctx: PassContext { config },
-            passes: Vec::new(),
+            passes,
         }
-    }
-
-    /// Appends a pass.
-    #[must_use]
-    pub(crate) fn with_pass(mut self, pass: Box<dyn Pass>) -> PassManager {
-        self.passes.push(pass);
-        self
     }
 
     /// Runs the pipeline.
@@ -177,18 +159,19 @@ impl PassManager {
         program: &PimProgram,
     ) -> Result<(PimProgram, PipelineReport), CompileError> {
         let before = ProgramStats::of(program, &self.ctx.config);
+        let mut after = before;
         let mut current = program.clone();
         let mut reports = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
-            let entering = ProgramStats::of(&current, &self.ctx.config);
+            let entering = after;
             current = pass.run(current, &self.ctx)?;
+            after = ProgramStats::of(&current, &self.ctx.config);
             reports.push(PassReport {
                 pass: pass.name().to_string(),
                 before: entering,
-                after: ProgramStats::of(&current, &self.ctx.config),
+                after,
             });
         }
-        let after = ProgramStats::of(&current, &self.ctx.config);
         Ok((
             current,
             PipelineReport {

@@ -16,11 +16,9 @@
 
 use crate::effects::{conflict, step_effects};
 use crate::pass::{Pass, PassContext};
-use crate::stats::{advance_positions, shift_cost_from};
+use crate::stats::Heads;
 use crate::CompileError;
 use coruscant_core::program::PimProgram;
-use coruscant_mem::DbcLocation;
-use std::collections::HashMap;
 
 /// The scheduling pass. See the module docs.
 #[derive(Debug, Clone, Default)]
@@ -42,46 +40,56 @@ impl Pass for ShiftSchedulePass {
         }
         let effects: Vec<_> = program.steps.iter().map(step_effects).collect();
 
-        // preds[i] counts unemitted steps that must precede step i;
-        // succs[j] lists the steps unblocked when j is emitted.
+        // pred_count[i] counts unemitted steps that must precede step i;
+        // succs[starts[j]..starts[j + 1]] lists the steps unblocked when
+        // j is emitted.
         let mut pred_count = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in 0..i {
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut succs = Vec::new();
+        for j in 0..n {
+            starts.push(succs.len());
+            for i in j + 1..n {
                 if conflict(&effects[j], &effects[i]) {
                     pred_count[i] += 1;
-                    succs[j].push(i);
+                    succs.push(i);
                 }
             }
         }
+        starts.push(succs.len());
 
         let mut ready: Vec<usize> = (0..n).filter(|&i| pred_count[i] == 0).collect();
-        let mut pos: HashMap<DbcLocation, usize> = HashMap::new();
-        let mut order = Vec::with_capacity(n);
+        let mut heads = Heads::new();
+        // rank[i]: where step i lands in the schedule.
+        let mut rank = vec![0; n];
+        let mut emitted = 0;
         while let Some((slot, _)) = ready
             .iter()
             .enumerate()
-            .map(|(slot, &i)| (slot, (shift_cost_from(&pos, &program.steps[i]), i)))
+            .map(|(slot, &i)| (slot, (heads.cost(&program.steps[i]), i)))
             .min_by_key(|&(_, key)| key)
         {
             let i = ready.swap_remove(slot);
-            advance_positions(&mut pos, &program.steps[i]);
-            order.push(i);
-            for &s in &succs[i] {
+            heads.advance(&program.steps[i]);
+            rank[i] = emitted;
+            emitted += 1;
+            for &s in &succs[starts[i]..starts[i + 1]] {
                 pred_count[s] -= 1;
                 if pred_count[s] == 0 {
                     ready.push(s);
                 }
             }
         }
-        debug_assert_eq!(order.len(), n, "dependence graph must be acyclic");
+        debug_assert_eq!(emitted, n, "dependence graph must be acyclic");
 
-        let mut slots: Vec<Option<coruscant_core::program::Step>> =
-            program.steps.into_iter().map(Some).collect();
-        let steps = order
-            .into_iter()
-            .map(|i| slots[i].take().expect("each step scheduled once"))
-            .collect();
+        // Move each step to its rank in place, one swap per misplaced step.
+        let mut steps = program.steps;
+        for i in 0..n {
+            while rank[i] != i {
+                let r = rank[i];
+                steps.swap(i, r);
+                rank.swap(i, r);
+            }
+        }
         Ok(PimProgram { steps })
     }
 }
@@ -92,7 +100,7 @@ mod tests {
     use crate::stats::estimated_shifts;
     use coruscant_core::isa::{BlockSize, CpimInstr, CpimOpcode};
     use coruscant_core::program::Step;
-    use coruscant_mem::{MemoryConfig, RowAddress};
+    use coruscant_mem::{DbcLocation, MemoryConfig, RowAddress};
 
     fn loc() -> DbcLocation {
         DbcLocation::new(0, 0, 0, 0)

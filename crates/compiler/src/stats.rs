@@ -4,7 +4,6 @@
 use coruscant_core::program::{PimProgram, Step};
 use coruscant_mem::{DbcLocation, MemoryConfig};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A snapshot of a program's size and estimated cost.
@@ -30,20 +29,12 @@ pub struct ProgramStats {
 impl ProgramStats {
     /// Computes the snapshot for a program under a configuration.
     pub fn of(program: &PimProgram, config: &MemoryConfig) -> ProgramStats {
-        let mut loads = 0;
-        let mut readouts = 0;
-        for step in &program.steps {
-            match step {
-                Step::Load { .. } => loads += 1,
-                Step::Readout { .. } => readouts += 1,
-                Step::Exec(_) => {}
-            }
-        }
+        let count = |kind: fn(&Step) -> bool| program.steps.iter().filter(|s| kind(s)).count();
         ProgramStats {
             steps: program.steps.len(),
             instructions: program.instruction_count(),
-            loads,
-            readouts,
+            loads: count(|s| matches!(s, Step::Load { .. })),
+            readouts: count(|s| matches!(s, Step::Readout { .. })),
             est_device_cycles: program.estimated_device_cycles(config.trd),
             est_shifts: estimated_shifts(&program.steps),
         }
@@ -66,21 +57,78 @@ impl fmt::Display for ProgramStats {
 }
 
 /// The rows a step accesses, in access order (the sequence the DBC must
-/// align under a port).
-pub(crate) fn accessed_rows(step: &Step) -> Vec<(DbcLocation, usize)> {
-    match step {
-        Step::Load { addr, .. } | Step::Readout { addr, .. } => {
-            vec![(addr.location, addr.row)]
+/// align under a port): an instruction's operand rows, then its
+/// destination. Accesses to one DBC are therefore consecutive.
+fn accessed_rows(step: &Step) -> impl Iterator<Item = (DbcLocation, usize)> {
+    let (loc, lo, n, dst) = match step {
+        Step::Load { addr, .. } | Step::Readout { addr, .. } => (addr.location, addr.row, 1, None),
+        Step::Exec(i) => (i.src.location, i.src.row, i.operands as usize, i.dst),
+    };
+    (lo..lo + n)
+        .map(move |r| (loc, r))
+        .chain(dst.map(|d| (d.location, d.row)))
+}
+
+/// Each DBC's head: the row last aligned under its port (row 0 before
+/// its first access). Programs touch a few DBCs: the first four heads
+/// live inline, any more on the heap.
+pub(crate) struct Heads {
+    len: usize,
+    inline: [(DbcLocation, usize); 4],
+    spill: Vec<(DbcLocation, usize)>,
+}
+
+impl Heads {
+    pub(crate) fn new() -> Heads {
+        Heads {
+            len: 0,
+            inline: [(DbcLocation::new(0, 0, 0, 0), 0); 4],
+            spill: Vec::new(),
         }
-        Step::Exec(i) => {
-            let mut rows: Vec<(DbcLocation, usize)> = (0..i.operands as usize)
-                .map(|k| (i.src.location, i.src.row + k))
-                .collect();
-            if let Some(d) = i.dst {
-                rows.push((d.location, d.row));
-            }
-            rows
+    }
+
+    fn at(&self, loc: DbcLocation) -> usize {
+        let mut heads = self.inline[..self.len].iter().chain(&self.spill);
+        heads.find(|(l, _)| *l == loc).map_or(0, |&(_, r)| r)
+    }
+
+    fn set(&mut self, loc: DbcLocation, row: usize) {
+        let mut heads = self.inline[..self.len].iter_mut().chain(&mut self.spill);
+        if let Some(head) = heads.find(|(l, _)| *l == loc) {
+            head.1 = row;
+        } else if self.len < self.inline.len() {
+            self.inline[self.len] = (loc, row);
+            self.len += 1;
+        } else {
+            self.spill.push((loc, row));
         }
+    }
+
+    /// The distance `step`'s accesses walk from the current heads,
+    /// without moving them.
+    pub(crate) fn cost(&self, step: &Step) -> u64 {
+        // A step's accesses to one DBC are consecutive, so the previous
+        // access is the only one of its own that can stand in for a head.
+        let mut last: Option<(DbcLocation, usize)> = None;
+        accessed_rows(step)
+            .map(|(loc, row)| {
+                let from = match last {
+                    Some((l, r)) if l == loc => r,
+                    _ => self.at(loc),
+                };
+                last = Some((loc, row));
+                from.abs_diff(row) as u64
+            })
+            .sum()
+    }
+
+    /// Walks the heads through `step`'s accesses; returns the distance.
+    pub(crate) fn advance(&mut self, step: &Step) -> u64 {
+        let cost = self.cost(step);
+        for (loc, row) in accessed_rows(step) {
+            self.set(loc, row);
+        }
+        cost
     }
 }
 
@@ -90,36 +138,8 @@ pub(crate) fn accessed_rows(step: &Step) -> Vec<(DbcLocation, usize)> {
 /// latency when operands are far apart). This is the objective the
 /// shift-minimizing scheduling pass reduces.
 pub(crate) fn estimated_shifts(steps: &[Step]) -> u64 {
-    let mut pos: HashMap<DbcLocation, usize> = HashMap::new();
-    let mut total = 0u64;
-    for step in steps {
-        for (loc, row) in accessed_rows(step) {
-            let p = pos.entry(loc).or_insert(0);
-            total += (*p as i64 - row as i64).unsigned_abs();
-            *p = row;
-        }
-    }
-    total
-}
-
-/// The incremental shift cost of appending `step` when each DBC's head
-/// position is `pos`, without committing the move.
-pub(crate) fn shift_cost_from(pos: &HashMap<DbcLocation, usize>, step: &Step) -> u64 {
-    let mut local = pos.clone();
-    let mut total = 0u64;
-    for (loc, row) in accessed_rows(step) {
-        let p = local.entry(loc).or_insert(0);
-        total += (*p as i64 - row as i64).unsigned_abs();
-        *p = row;
-    }
-    total
-}
-
-/// Commits `step`'s accesses into the running per-DBC head positions.
-pub(crate) fn advance_positions(pos: &mut HashMap<DbcLocation, usize>, step: &Step) {
-    for (loc, row) in accessed_rows(step) {
-        pos.insert(loc, row);
-    }
+    let mut heads = Heads::new();
+    steps.iter().map(|s| heads.advance(s)).sum()
 }
 
 #[cfg(test)]
